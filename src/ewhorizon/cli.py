@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .errors import EwhError
-from .report import (GridSpec, export_plot, run_check, scan_c,
+from .report import (CHECKS, GridSpec, export_plot, run_check, scan_c,
                      scan_rows_csv)
 
 
@@ -23,32 +23,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_FLOAT_FLAGS = ("a", "b", "c", "alpha", "beta", "gamma", "m", "e", "j",
-                "k", "l", "x0", "h0", "h1", "span", "z_lo", "z_hi",
-                "perturb")
-_STR_FLAGS = ("h", "F", "family")
+def _param_types() -> dict:
+    """One flag per parameter name of any registered check: str where
+    the default is a string, float otherwise."""
+    return {name: str if isinstance(default, str) else float
+            for check in CHECKS.values()
+            for name, default in check.params.items()}
 
 
 def _add_param_flags(parser):
-    for name in _STR_FLAGS:
-        parser.add_argument(f"--{name}", type=str, default=None)
-    for name in _FLOAT_FLAGS:
-        flag = f"--{name.replace('_', '-')}"
-        if name == "l":
-            parser.add_argument("--l", "--ell", dest="ell", type=float,
-                                default=None)
-        else:
-            parser.add_argument(flag, dest=name, type=float, default=None)
+    for name, kind in _param_types().items():
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                            type=kind, default=None)
 
 
 def _collect_params(args):
-    params = {}
-    for name in _STR_FLAGS + _FLOAT_FLAGS:
-        key = "ell" if name == "l" else name
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return params
+    return {name: getattr(args, name) for name in _param_types()
+            if getattr(args, name) is not None}
 
 
 def _parse_grid(text: str) -> GridSpec:

@@ -83,13 +83,11 @@ def field_const(k: float, label: str = "") -> ScalarField1D:
 
 
 def field_zero() -> ScalarField1D:
-    f = field_const(0.0, "zero")
-    return ScalarField1D(f.evaluator, label="zero", integral=f.integral)
+    return field_const(0.0, "zero")
 
 
 def field_one() -> ScalarField1D:
-    f = field_const(1.0, "one")
-    return ScalarField1D(f.evaluator, label="one", integral=f.integral)
+    return field_const(1.0, "one")
 
 
 def field_sin() -> ScalarField1D:
@@ -137,6 +135,13 @@ def antiderivative(h: ScalarField1D, x0: float, x1: float) -> float:
     return quad(lambda t: h(t).value, x0, x1)
 
 
+def _integral_jet(value: float, deriv_jet: Jet1) -> Jet1:
+    """Jet of an antiderivative with the given value, its derivative
+    coefficients shifted up from the integrand's jet."""
+    return Jet1(np.concatenate(
+        ([float(value)], deriv_jet.coeffs[:4] / np.arange(1.0, 5.0))))
+
+
 def F_flat_from_h(h: ScalarField1D, x0: float = 0.0,
                   scale: float = 1.0) -> ScalarField1D:
     """The conformally flat profile F = scale * exp(int_{x0}^x h).
@@ -146,10 +151,7 @@ def F_flat_from_h(h: ScalarField1D, x0: float = 0.0,
 
     def ev(x):
         hj = h(x)
-        hval = antiderivative(h, x0, x)
-        hj_int = Jet1(np.concatenate(
-            ([hval], hj.coeffs[:4] / np.arange(1.0, 5.0))))
-        return scale * hj_int.exp()
+        return scale * _integral_jet(antiderivative(h, x0, x), hj).exp()
 
     return ScalarField1D(ev, label=f"flat[{h.label}]", window=h.window)
 
@@ -474,13 +476,6 @@ def abel_parametric_jets(y: float, alpha: float, beta: float, gamma: float):
 # the Weierstrass construction of F (arbitrary h)
 # --------------------------------------------------------------------------
 
-def _integral_jet(value_fn, deriv_jet: Jet1) -> Jet1:
-    """Jet of an antiderivative: value from `value_fn()`, derivative
-    coefficients shifted up from the integrand's jet."""
-    return Jet1(np.concatenate(
-        ([float(value_fn())], deriv_jet.coeffs[:4] / np.arange(1.0, 5.0))))
-
-
 def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
                  margin: float = 0.3, delta: float = 1e-3) -> ScalarField1D:
     """F(x) = e^{H} wp(G + a; 0, b), H = int_{x0}^x h, G = int_{x0}^x e^{H/2}.
@@ -504,8 +499,8 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
 
     def ev(x):
         hj = h(x)
-        Hj = _integral_jet(lambda: hval(x), hj)
-        Gj = _integral_jet(lambda: gval(x), (0.5 * Hj).exp())
+        Hj = _integral_jet(hval(x), hj)
+        Gj = _integral_jet(gval(x), (0.5 * Hj).exp())
         Pj, _ = wp_jet(Gj + a, b, delta=delta)
         return Hj.exp() * Pj
 

@@ -232,4 +232,4 @@ def alignment_defect(c: float, ell: float, b: float, p: Point) -> float:
 
     dg = jac.T @ gv_h @ jac - gv_4
     dx = jac.T @ xv_h - xv_4
-    return max(float(np.max(np.abs(dg))), float(np.max(np.abs(dx))))
+    return float(np.maximum(np.max(np.abs(dg)), np.max(np.abs(dx))))

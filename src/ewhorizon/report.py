@@ -1,10 +1,13 @@
 """Check pipelines, residual reports, and plot/scan data assembly.
 
-Every check samples a deterministic grid, evaluates residuals (in a
-thread pool capped by EWH_THREADS), reduces per-component maxima, and
-wraps the outcome in a ResidualReport.  Reports serialize to a flat,
-versioned JSON schema with fixed key order and 17-significant-digit
-floats, so identical invocations produce byte-identical files.
+Every check is one entry of the CHECKS registry.  run_check samples a
+deterministic grid, evaluates the entry's residuals (in a thread pool
+capped by EWH_THREADS), reduces per-component maxima, and wraps the
+outcome in a ResidualReport; export_plot sweeps the same residuals
+along a line, and the CLI derives its parameter flags from the entries.
+Reports serialize to a flat, versioned JSON schema with fixed key order
+and 17-significant-digit floats, so identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           NearHorizonData, ScalarField1D, build_family,
                           canonical_tag, detect_period, field_one,
                           flatness_defect, named_h_field, nh_metric,
-                          ode2_residual, ode4_condition, ode4_residual,
+                          ode2_residual, ode3_first_integral,
+                          ode4_condition, ode4_residual,
                           periodicity_check, thm1_F_field,
                           weyl_oneform_generic)
 from .odesolve import IvpSpec, integrate
@@ -36,10 +40,14 @@ from .pdeverify import (HyperCRParams, alignment_defect, dkp_residual,
                         prop4_structures, tanh_profile)
 from .specfun import real_period
 
+_AXIS_NAMES = ("nu", "r", "x")
 _EW_NAMES = ("nunu", "nur", "nux", "rr", "rx", "xx")
 _EW_IDX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_AXIS_NAMES = ("nu", "r", "x")
-_PAIR_NAMES = (("nu_r", (0, 1)), ("nu_x", (0, 2)), ("r_x", (1, 2)))
+# C_abc is antisymmetric in (b, c): the components are b < c
+_COTTON_IDX = tuple((a, b, c) for a in range(3)
+                    for b, c in ((0, 1), (0, 2), (1, 2)))
+_COTTON_NAMES = tuple(f"{_AXIS_NAMES[a]}.{_AXIS_NAMES[b]}_{_AXIS_NAMES[c]}"
+                      for a, b, c in _COTTON_IDX)
 
 # fixed off-axis slice for 1D plot sweeps
 _PLOT_NU = 0.3
@@ -134,19 +142,17 @@ def _nonzero_x_interval(h: ScalarField1D, base: tuple) -> tuple:
             good.append(abs(h(float(x)).value) > 1e-3)
         except EwhError:
             good.append(False)
-    best, cur, start = None, None, None
+    best, start = (0, 0), None  # first longest run of good samples
     for i, g in enumerate(good + [False]):
-        if g and cur is None:
-            cur, start = 0, i
-        elif g:
-            cur += 1
-        elif cur is not None:
-            if best is None or cur > best[0]:
-                best = (cur, start, i - 1)
-            cur = None
-    if best is None or best[2] <= best[1]:
+        if g and start is None:
+            start = i
+        elif not g and start is not None:
+            if i - 1 - start > best[1] - best[0]:
+                best = (start, i - 1)
+            start = None
+    if best[1] <= best[0]:
         raise DomainError("no sub-interval with |h| > 1e-3 in the window")
-    a, b = float(xs[best[1]]), float(xs[best[2]])
+    a, b = float(xs[best[0]]), float(xs[best[1]])
     pad = 0.1 * (b - a)
     return (a + pad, b - pad, n)
 
@@ -191,7 +197,8 @@ class ResidualReport:
 
     @property
     def overall_max(self) -> float:
-        return max(self.components.values())
+        # np.max, unlike the builtin, propagates NaN: a NaN fails
+        return float(np.max(list(self.components.values())))
 
     @property
     def passed(self) -> bool:
@@ -254,85 +261,93 @@ class ResidualReport:
 
 
 # --------------------------------------------------------------------------
-# component evaluators
+# the check registry
 # --------------------------------------------------------------------------
 
-def _ew_components(g, X, pts) -> dict:
-    def one(p):
-        E = ew_residual(g, X, p)
-        return [abs(float(E[i, j])) for i, j in _EW_IDX]
+@dataclass(frozen=True)
+class Residual:
+    """One residual evaluator of a check.
 
-    worst = np.max(np.array(_pmap(one, pts)), axis=0)
-    return dict(zip(_EW_NAMES, (float(w) for w in worst)))
+    `fn` maps a grid point (an x when `per_x`) to a residual value or
+    array.  Component `names[k]` is |entry `index[k]`| of it, or |value|
+    when `index` is None; an export-plot sweep reads max |entry|.
+    """
 
+    names: tuple
+    fn: object
+    index: tuple = None
+    per_x: bool = False
 
-def _cotton_components(g, pts) -> dict:
-    names = [f"{_AXIS_NAMES[a]}.{pn}" for a in range(3)
-             for pn, _ in _PAIR_NAMES]
-
-    def one(p):
-        C = cotton(g, p)
-        return [abs(float(C[a, b, c]))
-                for a in range(3) for _, (b, c) in _PAIR_NAMES]
-
-    worst = np.max(np.array(_pmap(one, pts)), axis=0)
-    return dict(zip(names, (float(w) for w in worst)))
+    def read(self, raw) -> list:
+        vals = np.abs(np.asarray(raw, dtype=float))
+        return [vals] if self.index is None else [vals[i] for i in self.index]
 
 
-def _scalar_component(fn, xs) -> float:
-    vals = _pmap(fn, xs)
-    return float(max(abs(v) for v in vals))
+@dataclass(frozen=True)
+class Setup:
+    """A check built for one parameter set.
+
+    `residuals[0]` is the evaluator export-plot sweeps.  `profiles` is
+    the (h or None, F) pair a profile sweep tabulates beside it;
+    `narrow`, when set, shrinks the default x axis (never an explicit
+    one); `unreported` names components evaluated but left out of the
+    report.
+    """
+
+    claim: str
+    window: tuple
+    tolerance: float
+    params: dict
+    residuals: tuple
+    profiles: tuple = None
+    narrow: object = None
+    unreported: tuple = ()
 
 
-def _take(params, allowed, check):
-    extra = set(params) - set(allowed)
-    if extra:
-        raise DomainError(
-            f"check {check!r} does not accept parameter(s) "
-            f"{sorted(extra)}; allowed: {sorted(allowed)}")
-    return dict(params)
+@dataclass(frozen=True)
+class Check:
+    """A registry entry: parameters with their defaults (None: absent
+    unless given) and `build(params) -> Setup`.  With `skip`, grid
+    points whose evaluation raises EwhError are skipped rather than
+    failing the check."""
+
+    params: dict
+    build: object
+    skip: bool = False
 
 
-def _scaled_oneform(X, factor):
-    def comp(p):
-        return [factor * c for c in X.components(p)]
-
-    return OneFormField(comp, label=f"{X.label}*{factor:g}")
+def _ew(g, X, prefix=""):
+    return Residual(tuple(prefix + n for n in _EW_NAMES),
+                    lambda q: ew_residual(g, X, q), _EW_IDX)
 
 
-# --------------------------------------------------------------------------
-# check pipelines
-# --------------------------------------------------------------------------
+def _ode4_relative(hj, c):
+    """Quartic residual relative to its monomial scale (floored at 1, so
+    it coincides with the absolute residual on order-unity data)."""
+    return abs(ode4_residual(hj, c)) / max(1.0, ode4_condition(hj, c))
 
-def _check_thm1(params, grid):
-    p = _take(params, {"h", "a", "b", "x0", "perturb"}, "thm1")
-    hname = p.get("h", "zero")
-    a = float(p.get("a", 0.1))
-    b = float(p.get("b", 1.0))
-    x0 = float(p.get("x0", 0.0))
-    h = named_h_field(hname)
-    d = NearHorizonData(h=h, F=thm1_F_field(h, a, b, x0=x0), c=-0.5)
-    g = nh_metric(d)
+
+def _build_thm1(p):
+    h = named_h_field(p["h"])
+    F = thm1_F_field(h, p["a"], p["b"], x0=p["x0"])
+    d = NearHorizonData(h=h, F=F, c=-0.5)
     X = weyl_oneform_generic(d)
-    perturb = p.get("perturb")
-    if perturb is not None:
-        X = _scaled_oneform(X, float(perturb))
-    x_axis = grid.resolve_x(d.window)
-    comps = _ew_components(g, X, _points(grid, x_axis))
-    tol = 1e-8 if hname == "zero" else 1e-5
-    gridrec = {"nu": grid.nu, "r": grid.r, "x": x_axis}
-    pout = {"h": hname, "a": a, "b": b, "x0": x0}
-    if perturb is not None:
-        pout["perturb"] = float(perturb)
-    claim = ("the weierstrass-profile structure (h, F, c = -1/2) is "
-             "einstein-weyl on its pole-free window")
-    return claim, comps, gridrec, tol, pout
+    if "perturb" in p:  # a scaled one-form: the claim's negative control
+        k, X0 = p["perturb"], X
+        X = OneFormField(lambda q: [k * c for c in X0.components(q)],
+                         label=f"{X0.label}*{k:g}")
+    return Setup(
+        claim=("the weierstrass-profile structure (h, F, c = -1/2) is "
+               "einstein-weyl on its pole-free window"),
+        window=d.window, tolerance=1e-8 if p["h"] == "zero" else 1e-5,
+        params=p, residuals=(_ew(nh_metric(d), X),), profiles=(h, F))
 
 
 _FAMILY_FIXED_C = {"Linear", "Quadratic", "TanFamily", "Weierstrass",
                    "HypergeometricParametric"}
-_FAMILY_PARAMS = {"ell", "b", "c", "alpha", "beta", "gamma", "m", "a",
-                  "x0", "h0", "h1", "span", "z_lo", "z_hi"}
+_FAMILY_PARAMS = dict.fromkeys(("ell", "b", "c", "alpha", "beta", "gamma",
+                                "m", "a", "x0", "h0", "h1", "span", "z_lo",
+                                "z_hi"))
 
 
 def _build_family_checked(tag, params):
@@ -348,217 +363,233 @@ def _build_family_checked(tag, params):
     return fam
 
 
-def _ode4_relative(hj, c):
-    """Quartic residual relative to its monomial scale (floored at 1, so
-    it coincides with the absolute residual on order-unity data)."""
-    return abs(ode4_residual(hj, c)) / max(1.0, ode4_condition(hj, c))
-
-
-def _check_thm2(params, grid):
-    p = _take(params, {"family"} | _FAMILY_PARAMS, "thm2-ode")
-    tag = p.pop("family", "tanh")
-    fam = _build_family_checked(tag, p)
+def _build_thm2(p):
+    fam = _build_family_checked(p.pop("family"), p)
     if fam.role != "h":
         raise DomainError("thm2-ode needs a profile (h) family")
-    d = NearHorizonData(h=fam.field, F=F_from_h_field(fam.field, fam.c),
-                        c=fam.c)
-    x_axis = grid.resolve_x(fam.window)
-    if grid.x is None:
-        x_axis = _nonzero_x_interval(fam.field, x_axis)
-    pts = _points(grid, x_axis)
-    comps = _ew_components(nh_metric(d), weyl_oneform_generic(d), pts)
-    comps["ode4"] = _scalar_component(
-        lambda x: _ode4_relative(fam.field(x), fam.c), _axis_values(x_axis))
-    tol = 1e-5 if fam.tag in ("NumericODE", "HypergeometricParametric") \
-        else 1e-8
-    gridrec = {"nu": grid.nu, "r": grid.r, "x": x_axis}
-    pout = {"family": fam.tag, "c": fam.c, **fam.parameters}
-    claim = ("profiles solving the quartic reduction give einstein-weyl "
-             "data through the algebraic F")
-    return claim, comps, gridrec, tol, pout
+    h = fam.field
+    F = F_from_h_field(h, fam.c)
+    d = NearHorizonData(h=h, F=F, c=fam.c)
+    return Setup(
+        claim=("profiles solving the quartic reduction give einstein-weyl "
+               "data through the algebraic F"),
+        window=fam.window,
+        tolerance=1e-5 if fam.tag in ("NumericODE",
+                                      "HypergeometricParametric") else 1e-8,
+        params={"family": fam.tag, "c": fam.c, **fam.parameters},
+        residuals=(_ew(nh_metric(d), weyl_oneform_generic(d)),
+                   Residual(("ode4",), lambda x: _ode4_relative(h(x), fam.c),
+                            per_x=True)),
+        profiles=(h, F),
+        narrow=lambda axis: _nonzero_x_interval(h, axis))
 
 
-def _check_prop1(params, grid):
-    p = _take(params, {"h", "F", "x0"}, "prop1-iff")
-    hname = p.get("h", "one")
-    fname = p.get("F", "flat")
-    x0 = float(p.get("x0", 0.0))
-    h = named_h_field(hname)
-    if fname == "flat":
-        F = F_flat_from_h(h, x0=x0)
-    elif fname == "one":
+def _build_prop1(p):
+    h = named_h_field(p["h"])
+    if p["F"] == "flat":
+        F = F_flat_from_h(h, x0=p["x0"])
+    elif p["F"] == "one":
         F = field_one()
     else:
         raise DomainError(f"prop1-iff F must be 'flat' or 'one', "
-                          f"got {fname!r}")
+                          f"got {p['F']!r}")
     d = NearHorizonData(h=h, F=F, c=-0.5)
     g = nh_metric(d)
-    x_axis = grid.resolve_x(d.window)
-    comps = _cotton_components(g, _points(grid, x_axis))
-    comps["defect"] = _scalar_component(
-        lambda x: flatness_defect(d, x), _axis_values(x_axis))
-    if fname != "flat":
+    return Setup(
+        claim=("the near-horizon metric is conformally flat exactly when "
+               "F' = F h"),
+        window=d.window, tolerance=1e-9, params=p,
+        residuals=(Residual(_COTTON_NAMES, lambda q: cotton(g, q),
+                            _COTTON_IDX),
+                   Residual(("defect",), lambda x: flatness_defect(d, x),
+                            per_x=True)),
+        profiles=(h, F),
         # the converse branch: report the Cotton size only, the defect
         # is the (nonzero) diagnostic input, not the residual
-        comps.pop("defect")
-    tol = 1e-9
-    gridrec = {"nu": grid.nu, "r": grid.r, "x": x_axis}
-    claim = ("the near-horizon metric is conformally flat exactly when "
-             "F' = F h")
-    return claim, comps, gridrec, tol, {"h": hname, "F": fname, "x0": x0}
+        unreported=() if p["F"] == "flat" else ("defect",))
 
 
-def _dkp_window(a, b, margin=0.3):
+def _build_dkp(p):
+    b = p["b"]
     T = real_period(b)
+    a = p.get("a", 0.5 * T)
+    u = dkp_wp_potential(a, b)
+    # the pole-free cell of wp(x + a) that holds x = 0, inset by 0.3
     k = math.floor(a / T)
-    lo, hi = k * T - a + margin, (k + 1) * T - a - margin
+    lo, hi = k * T - a + 0.3, (k + 1) * T - a - 0.3
     if not lo < hi:
         raise DomainError(f"empty pole-free window for a={a!r}, b={b!r}")
-    return lo, hi
+    return Setup(
+        claim="u = -(r^2/2) wp(x + a; 0, b) solves the dkp equation",
+        window=(lo, hi), tolerance=1e-8, params={"a": a, "b": b},
+        residuals=(Residual(("residual",), lambda q: dkp_residual(u, q)),))
 
 
-def _check_dkp(params, grid):
-    p = _take(params, {"a", "b"}, "dkp")
-    b = float(p.get("b", 1.0))
-    a = float(p.get("a", 0.5 * real_period(b)))
-    u = dkp_wp_potential(a, b)
-    x_axis = grid.resolve_x(_dkp_window(a, b))
-    pts = _points(grid, x_axis)
-    comps = {"residual": float(max(abs(v) for v in
-                                   _pmap(lambda q: dkp_residual(u, q), pts)))}
-    gridrec = {"nu": grid.nu, "r": grid.r, "x": x_axis}
-    claim = "u = -(r^2/2) wp(x + a; 0, b) solves the dkp equation"
-    return claim, comps, gridrec, 1e-8, {"a": a, "b": b}
-
-
-def _check_hypercr(params, grid):
-    p = _take(params, {"a", "b", "e", "j", "k", "l"}, "hypercr-family")
-    pr = HyperCRParams(a=float(p.get("a", 1.0)), b=float(p.get("b", 2.0)),
-                       e=float(p.get("e", 0.3)), j=float(p.get("j", 0.5)),
-                       k=float(p.get("k", -1.0)), l=float(p.get("l", 2.0)))
-    H = hypercr_tanh_family(pr)
+def _build_hypercr(p):
+    H = hypercr_tanh_family(HyperCRParams(**p))
     g, X = hypercr_structures(H)
-    x_axis = grid.resolve_x((-math.inf, math.inf))
-    pts = _points(grid, x_axis)
-    comps = {"residual": float(max(abs(v) for v in
-                                   _pmap(lambda q: hypercr_residual(H, q),
-                                         pts)))}
-    comps.update({f"ew.{k_}": v
-                  for k_, v in _ew_components(g, X, pts).items()})
-    gridrec = {"nu": grid.nu, "r": grid.r, "x": x_axis}
-    pout = {"a": pr.a, "b": pr.b, "e": pr.e, "j": pr.j, "k": pr.k, "l": pr.l}
-    claim = ("the tanh^3 six-parameter potential family solves the "
-             "hypercr equation and is einstein-weyl")
-    return claim, comps, gridrec, 1e-8, pout
+    return Setup(
+        claim=("the tanh^3 six-parameter potential family solves the "
+               "hypercr equation and is einstein-weyl"),
+        window=(-math.inf, math.inf), tolerance=1e-8, params=p,
+        residuals=(Residual(("residual",), lambda q: hypercr_residual(H, q)),
+                   _ew(g, X, prefix="ew.")))
 
 
-def _check_prop4(params, grid):
-    p = _take(params, {"c", "ell", "b"}, "prop4")
-    c = float(p.get("c", -1.0))
-    ell = float(p.get("ell", -1.0))
-    b = float(p.get("b", 0.0))
+def _build_prop4(p):
+    c, ell, b = p["c"], p["ell"], p["b"]
     g, X = prop4_structures(c, ell, b)
     h = tanh_profile(c, ell, b)
-    x_axis = grid.resolve_x((-math.inf, math.inf))
-    pts = _points(grid, x_axis)
-    comps = _ew_components(g, X, pts)
-    comps["alignment"] = float(max(
-        abs(v) for v in _pmap(lambda q: alignment_defect(c, ell, b, q),
-                              pts)))
-    comps["ode2"] = _scalar_component(
-        lambda x: ode2_residual(h(x), -2.0 * c, 0.0), _axis_values(x_axis))
-    gridrec = {"nu": grid.nu, "r": grid.r, "x": x_axis}
-    claim = ("the tan-form tanh-profile structures are hypercr "
-             "einstein-weyl and align with the near-horizon metric")
-    return claim, comps, gridrec, 1e-8, {"c": c, "ell": ell, "b": b}
+    return Setup(
+        claim=("the tan-form tanh-profile structures are hypercr "
+               "einstein-weyl and align with the near-horizon metric"),
+        window=(-math.inf, math.inf), tolerance=1e-8, params=p,
+        residuals=(_ew(g, X),
+                   Residual(("alignment",),
+                            lambda q: alignment_defect(c, ell, b, q)),
+                   Residual(("ode2",),
+                            lambda x: ode2_residual(h(x), -2.0 * c, 0.0),
+                            per_x=True)))
 
 
-def _check_family(tag, params, grid):
-    check = f"family:{tag}"
-    p = _take(params, _FAMILY_PARAMS, check)
+def _build_chalf(p):
+    h = named_h_field(p["h"])
+    F = thm1_F_field(h, p["a"], p["b"], x0=p["x0"])
+    return Setup(
+        claim=("at c = -1/2 the einstein-weyl system collapses to one "
+               "second-order equation for F"),
+        window=F.window, tolerance=1e-8 if p["h"] == "zero" else 1e-5,
+        params=p,
+        residuals=(Residual(("residual",),
+                            lambda x: F_ode_residual_chalf(F(x), h(x)),
+                            per_x=True),),
+        profiles=(h, F))
+
+
+def _build_family(p, tag):
     fam = _build_family_checked(tag, p)
-    x_axis = grid.resolve_x(fam.window, count=33)
-    xs = _axis_values(x_axis)
-    comps = {}
+    f = fam.field
     if fam.role == "h":
-        def ode4_at(x):
-            try:
-                return _ode4_relative(fam.field(x), fam.c)
-            except EwhError:
-                return 0.0
-
-        comps["ode4"] = _scalar_component(ode4_at, xs)
+        residuals = (Residual(("ode4",),
+                              lambda x: _ode4_relative(f(x), fam.c),
+                              per_x=True),)
         fi = fam.info.get("first_integral")
         if fi is not None:
-            from .nearhorizon import ode3_first_integral
-            comps["first_integral"] = _scalar_component(
-                lambda x: ode3_first_integral(fam.field(x)) - fi, xs)
+            residuals += (Residual(("first_integral",),
+                                   lambda x: ode3_first_integral(f(x)) - fi,
+                                   per_x=True),)
         claim = (f"the {fam.tag} profile solves the quartic reduction "
                  f"with its cataloged c")
+        profiles = (f, F_from_h_field(f, fam.c))
     else:
-        def fode_at(x):
-            Fj = fam.field(x)
-            return F_ode_residual_chalf(Fj, Jet1.constant(0.0))
-
-        comps["fode"] = _scalar_component(fode_at, xs)
+        residuals = (Residual(
+            ("fode",),
+            lambda x: F_ode_residual_chalf(f(x), Jet1.constant(0.0)),
+            per_x=True),)
         claim = ("the weierstrass profile F satisfies 2 F'' = 12 F^2, "
                  "the h = 0 reduction at c = -1/2")
-    tol = 1e-5 if fam.tag in ("NumericODE",) else 1e-8
-    gridrec = {"x": x_axis}
-    pout = {"family": fam.tag, "c": fam.c, **fam.parameters}
-    return claim, comps, gridrec, tol, pout
+        profiles = (None, f)
+    return Setup(claim=claim, window=fam.window,
+                 tolerance=1e-5 if fam.tag == "NumericODE" else 1e-8,
+                 params={"family": fam.tag, "c": fam.c, **fam.parameters},
+                 residuals=residuals, profiles=profiles)
 
 
-def _check_chalf(params, grid):
-    p = _take(params, {"h", "a", "b", "x0"}, "chalf-Fode")
-    hname = p.get("h", "sin")
-    a = float(p.get("a", 0.1))
-    b = float(p.get("b", 1.0))
-    x0 = float(p.get("x0", 0.0))
-    h = named_h_field(hname)
-    F = thm1_F_field(h, a, b, x0=x0)
-    x_axis = grid.resolve_x(F.window, count=33)
-    comps = {"residual": _scalar_component(
-        lambda x: F_ode_residual_chalf(F(x), h(x)), _axis_values(x_axis))}
-    tol = 1e-8 if hname == "zero" else 1e-5
-    gridrec = {"x": x_axis}
-    claim = ("at c = -1/2 the einstein-weyl system collapses to one "
-             "second-order equation for F")
-    return claim, comps, gridrec, tol, {"h": hname, "a": a, "b": b, "x0": x0}
+# A name ending in ":" is a prefix: "family:" matches "family:<tag>", and
+# its build also receives the tag.
+CHECKS = {
+    "thm1": Check({"h": "zero", "a": 0.1, "b": 1.0, "x0": 0.0,
+                   "perturb": None}, _build_thm1),
+    "thm2-ode": Check({"family": "tanh", **_FAMILY_PARAMS}, _build_thm2),
+    "prop1-iff": Check({"h": "one", "F": "flat", "x0": 0.0}, _build_prop1),
+    "dkp": Check({"a": None, "b": 1.0}, _build_dkp),
+    "hypercr-family": Check({"a": 1.0, "b": 2.0, "e": 0.3, "j": 0.5,
+                             "k": -1.0, "l": 2.0}, _build_hypercr),
+    "prop4": Check({"c": -1.0, "ell": -1.0, "b": 0.0}, _build_prop4),
+    "chalf-Fode": Check({"h": "sin", "a": 0.1, "b": 1.0, "x0": 0.0},
+                        _build_chalf),
+    # off-window x are skipped: a catalog window is where the closed form
+    # is defined, and an explicit --grid may reach past it
+    "family:": Check(_FAMILY_PARAMS, _build_family, skip=True),
+}
+
+
+def _setup(check_id, params):
+    """The registry entry of `check_id` and its Setup for `params`:
+    defaults filled in (None ones left out), numbers as floats."""
+    name, colon, tag = check_id.partition(":")
+    check = CHECKS.get(name + colon)
+    if check is None:
+        known = ", ".join(n + "<tag>" if n.endswith(":") else n
+                          for n in CHECKS)
+        raise DomainError(f"unknown check {check_id!r}; known: {known}")
+    params = dict(params or {})
+    extra = set(params) - set(check.params)
+    if extra:
+        raise DomainError(
+            f"check {check_id!r} does not accept parameter(s) "
+            f"{sorted(extra)}; allowed: {sorted(check.params)}")
+    p = {}
+    for k, default in check.params.items():
+        v = params.get(k, default)
+        if v is not None:
+            p[k] = v if isinstance(default, str) else float(v)
+    return check, (check.build(p, tag) if colon else check.build(p))
+
+
+def _reduce(setup, grid, x_axis, skip):
+    """Max |component| over the grid: per-point residuals over every
+    grid point, per-x residuals over the x axis.  NaN propagates.  With
+    `skip`, points whose evaluation raises EwhError are left out, and
+    DomainError is raised when no point is left."""
+    comps = {}
+    # every check declares its per-point residuals first, so this keeps
+    # the declared component order
+    for per_x in (False, True):
+        group = [r for r in setup.residuals if r.per_x == per_x]
+        if not group:
+            continue
+        items = _axis_values(x_axis) if per_x else _points(grid, x_axis)
+
+        def row(q, group=group):
+            try:
+                return [v for r in group for v in r.read(r.fn(q))]
+            except EwhError:
+                if not skip:
+                    raise
+                return None
+
+        rows = [v for v in _pmap(row, items) if v is not None]
+        if not rows:
+            raise DomainError(f"no grid point could be evaluated "
+                              f"(window {setup.window!r})")
+        names = [n for r in group for n in r.names]
+        comps.update(zip(names, map(float, np.max(np.array(rows), axis=0))))
+    for name in setup.unreported:
+        comps.pop(name)
+    return comps
 
 
 def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
               tolerance: float = None,
               expect_fail: bool = False) -> ResidualReport:
     """Run one named verification and wrap it in a ResidualReport."""
-    params = dict(params or {})
     grid = grid or GridSpec()
     t0 = time.perf_counter()
-    if check_id == "thm1":
-        out = _check_thm1(params, grid)
-    elif check_id == "thm2-ode":
-        out = _check_thm2(params, grid)
-    elif check_id == "prop1-iff":
-        out = _check_prop1(params, grid)
-    elif check_id == "dkp":
-        out = _check_dkp(params, grid)
-    elif check_id == "hypercr-family":
-        out = _check_hypercr(params, grid)
-    elif check_id == "prop4":
-        out = _check_prop4(params, grid)
-    elif check_id == "chalf-Fode":
-        out = _check_chalf(params, grid)
-    elif check_id.startswith("family:"):
-        out = _check_family(check_id.split(":", 1)[1], params, grid)
-    else:
-        raise DomainError(
-            f"unknown check {check_id!r}; known: thm1, thm2-ode, prop1-iff, "
-            f"dkp, hypercr-family, prop4, chalf-Fode, family:<tag>")
-    claim, comps, gridrec, natural_tol, pout = out
+    check, s = _setup(check_id, params)
+    # checks without per-point residuals grid x only, and more densely
+    x_only = all(r.per_x for r in s.residuals)
+    x_axis = grid.resolve_x(s.window, count=33 if x_only else 5)
+    if grid.x is None and s.narrow is not None:
+        x_axis = s.narrow(x_axis)
+    comps = _reduce(s, grid, x_axis, check.skip)
+    gridrec = {"x": x_axis} if x_only else \
+        {"nu": grid.nu, "r": grid.r, "x": x_axis}
     return ResidualReport(
-        check=check_id, claim=claim, grid=gridrec, components=comps,
-        tolerance=float(tolerance) if tolerance is not None else natural_tol,
-        expect_fail=expect_fail, params=pout, version=__version__,
+        check=check_id, claim=s.claim, grid=gridrec, components=comps,
+        tolerance=float(tolerance) if tolerance is not None
+        else s.tolerance,
+        expect_fail=expect_fail, params=s.params, version=__version__,
         wall_time_s=time.perf_counter() - t0)
 
 
@@ -698,168 +729,41 @@ def _sweep_window(window, lo=-3.0, hi=3.0):
 
 def export_plot(check_id: str, params: dict = None, axis: str = "x",
                 samples: int = 200) -> list:
-    """CSV lines for a 1D residual sweep of a check.
+    """CSV lines for a 1D sweep of a check's first residual.
 
     Profile checks emit (x, h, F, residual) along x; PDE checks emit
-    (axis, residual) along any axis at the fixed off-axis slice
-    nu = 0.3, r = 0.7.  A trailing `# window-clipped` comment marks
+    (axis, residual) along any axis.  Points sit on the fixed off-axis
+    slice nu = 0.3, r = 0.7 (x at the window's middle, or 0, when
+    sweeping nu or r).  A trailing `# window-clipped` comment marks
     sweeps truncated by the admissible window.
     """
-    params = dict(params or {})
     if samples < 2:
         raise DomainError("export-plot needs samples >= 2")
     if axis not in _AXIS_NAMES:
         raise DomainError(f"axis must be one of {_AXIS_NAMES}, got {axis!r}")
-
-    if check_id in ("thm1", "thm2-ode", "prop1-iff", "chalf-Fode") \
-            or check_id.startswith("family:"):
-        if axis != "x":
-            raise DomainError(f"check {check_id!r} sweeps x only")
-        return _export_profile(check_id, params, samples)
-    if check_id in ("dkp", "hypercr-family", "prop4"):
-        return _export_pde(check_id, params, axis, samples)
-    raise DomainError(f"unknown check {check_id!r} for export-plot")
-
-
-def _export_profile(check_id, params, samples):
-    if check_id == "thm1":
-        p = _take(params, {"h", "a", "b", "x0"}, check_id)
-        h = named_h_field(p.get("h", "zero"))
-        F = thm1_F_field(h, float(p.get("a", 0.1)), float(p.get("b", 1.0)),
-                         x0=float(p.get("x0", 0.0)))
-        d = NearHorizonData(h=h, F=F, c=-0.5)
-        g, X = nh_metric(d), weyl_oneform_generic(d)
-
-        def resid(x):
-            return float(np.max(np.abs(
-                ew_residual(g, X, Point(_PLOT_NU, _PLOT_R, x)))))
-
-        window = d.window
-        Ffield = F
-    elif check_id == "chalf-Fode":
-        p = _take(params, {"h", "a", "b", "x0"}, check_id)
-        h = named_h_field(p.get("h", "sin"))
-        Ffield = thm1_F_field(h, float(p.get("a", 0.1)),
-                              float(p.get("b", 1.0)),
-                              x0=float(p.get("x0", 0.0)))
-
-        def resid(x):
-            return abs(F_ode_residual_chalf(Ffield(x), h(x)))
-
-        window = Ffield.window
-    elif check_id == "prop1-iff":
-        p = _take(params, {"h", "F", "x0"}, check_id)
-        h = named_h_field(p.get("h", "one"))
-        fname = p.get("F", "flat")
-        Ffield = F_flat_from_h(h, x0=float(p.get("x0", 0.0))) \
-            if fname == "flat" else field_one()
-        d = NearHorizonData(h=h, F=Ffield, c=-0.5)
-        g = nh_metric(d)
-
-        def resid(x):
-            return float(np.max(np.abs(cotton(g, Point(_PLOT_NU, _PLOT_R,
-                                                       x)))))
-
-        window = d.window
-    elif check_id == "thm2-ode":
-        p = _take(params, {"family"} | _FAMILY_PARAMS, check_id)
-        fam = _build_family_checked(p.pop("family", "tanh"), p)
-        h = fam.field
-        Ffield = F_from_h_field(h, fam.c)
-        d = NearHorizonData(h=h, F=Ffield, c=fam.c)
-        g, X = nh_metric(d), weyl_oneform_generic(d)
-
-        def resid(x):
-            return float(np.max(np.abs(
-                ew_residual(g, X, Point(_PLOT_NU, _PLOT_R, x)))))
-
-        window = fam.window
-    else:
-        tag = check_id.split(":", 1)[1]
-        p = _take(params, _FAMILY_PARAMS, check_id)
-        fam = _build_family_checked(tag, p)
-        h = fam.field if fam.role == "h" else None
-        Ffield = F_from_h_field(fam.field, fam.c) if fam.role == "h" \
-            else fam.field
-
-        def resid(x):
-            if fam.role == "h":
-                return _ode4_relative(fam.field(x), fam.c)
-            return abs(F_ode_residual_chalf(fam.field(x),
-                                            Jet1.constant(0.0)))
-
-        window = fam.window
-        if fam.role != "h":
-            h = None
-
-    a, b, clipped = _sweep_window(window)
-    lines = ["x,h,F,residual"]
-    for x in np.linspace(a, b, samples):
-        x = float(x)
-        try:
-            htxt = f"{h(x).value:.12g}" if h is not None else ""
-            ftxt = f"{Ffield(x).value:.12g}"
-            rtxt = f"{resid(x):.12g}"
-        except EwhError:
-            continue
-        lines.append(f"{x:.12g},{htxt},{ftxt},{rtxt}")
-    if clipped:
-        lines.append("# window-clipped")
-    return lines
-
-
-def _export_pde(check_id, params, axis, samples):
-    if check_id == "dkp":
-        p = _take(params, {"a", "b"}, check_id)
-        b = float(p.get("b", 1.0))
-        a = float(p.get("a", 0.5 * real_period(b)))
-        u = dkp_wp_potential(a, b)
-        window = _dkp_window(a, b)
-
-        def resid(q):
-            return abs(dkp_residual(u, q))
-    elif check_id == "hypercr-family":
-        p = _take(params, {"a", "b", "e", "j", "k", "l"}, check_id)
-        pr = HyperCRParams(a=float(p.get("a", 1.0)),
-                           b=float(p.get("b", 2.0)),
-                           e=float(p.get("e", 0.3)),
-                           j=float(p.get("j", 0.5)),
-                           k=float(p.get("k", -1.0)),
-                           l=float(p.get("l", 2.0)))
-        H = hypercr_tanh_family(pr)
-        window = (-math.inf, math.inf)
-
-        def resid(q):
-            return abs(hypercr_residual(H, q))
-    else:
-        p = _take(params, {"c", "ell", "b"}, check_id)
-        g, X = prop4_structures(float(p.get("c", -1.0)),
-                                float(p.get("ell", -1.0)),
-                                float(p.get("b", 0.0)))
-        window = (-math.inf, math.inf)
-
-        def resid(q):
-            return float(np.max(np.abs(ew_residual(g, X, q))))
-
-    clipped = False
-    if axis == "x":
-        a, b, clipped = _sweep_window(window)
-        mk = lambda v: Point(_PLOT_NU, _PLOT_R, v)
-    else:
-        a, b = -1.0, 1.0
-        x_mid = 0.0 if not all(map(math.isfinite, window)) \
-            else 0.5 * (window[0] + window[1])
-        if axis == "r":
-            mk = lambda v: Point(_PLOT_NU, v, x_mid)
-        else:
-            mk = lambda v: Point(v, _PLOT_R, x_mid)
-    lines = [f"{axis},residual"]
+    _, s = _setup(check_id, params)
+    if s.profiles and axis != "x":
+        raise DomainError(f"check {check_id!r} sweeps x only")
+    primary = s.residuals[0]
+    a, b, clipped = _sweep_window(s.window) if axis == "x" \
+        else (-1.0, 1.0, False)
+    coords = [_PLOT_NU, _PLOT_R, 0.0 if not all(map(math.isfinite, s.window))
+              else 0.5 * (s.window[0] + s.window[1])]
+    lines = ["x,h,F,residual" if s.profiles else f"{axis},residual"]
     for v in np.linspace(a, b, samples):
         v = float(v)
+        coords[_AXIS_NAMES.index(axis)] = v
         try:
-            lines.append(f"{v:.12g},{resid(mk(v)):.12g}")
+            cells = [f"{v:.12g}"]
+            if s.profiles:
+                h, F = s.profiles
+                cells.append("" if h is None else f"{h(v).value:.12g}")
+                cells.append(f"{F(v).value:.12g}")
+            raw = primary.fn(v if primary.per_x else Point(*coords))
+            cells.append(f"{float(np.max(np.abs(raw))):.12g}")
         except EwhError:
             continue
+        lines.append(",".join(cells))
     if clipped:
         lines.append("# window-clipped")
     return lines

@@ -13,8 +13,8 @@ import pytest
 
 from ewhorizon import cli
 from ewhorizon.errors import DomainError
-from ewhorizon.report import (GridSpec, export_plot, run_check, scan_c,
-                              scan_rows_csv, thread_count)
+from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
+                              run_check, scan_c, scan_rows_csv, thread_count)
 
 # ---------------------------------------------------------------------------
 # worker-count policy
@@ -135,6 +135,16 @@ def test_family_check_near_pole_conditioning():
     assert rep.components["ode4"] < 1e-10
 
 
+def test_nan_component_fails_the_check():
+    # The builtin max drops a NaN that is not first; the verdict must not.
+    rep = ResidualReport(check="x", claim="", grid={},
+                         components={"a": 1e-20, "b": math.nan},
+                         tolerance=1e-8, expect_fail=False, params={},
+                         version="0", wall_time_s=0.0)
+    assert math.isnan(rep.overall_max)
+    assert rep.status == "fail"
+
+
 def test_expect_fail_flips_status_label():
     rep = run_check("prop1-iff", {"F": "one"}, expect_fail=True)
     assert not rep.passed
@@ -184,6 +194,8 @@ def test_cli_verify_expected_fail(capsys):
     ["verify", "thm1", "--grid", "bogus"],
     ["scan-c", "--from", "0", "--to", "1", "--steps", "0"],
     ["export-plot", "thm1", "--axis", "r"],
+    # no x of this grid lies in the tan window: not a vacuous PASS
+    ["verify", "family:tan", "--grid", "x=50:60:5"],
 ])
 def test_cli_usage_errors(capsys, argv):
     code, _, err = run_cli(argv, capsys)
@@ -209,6 +221,15 @@ def test_cli_json_output_is_byte_stable(tmp_path, capsys):
     doc = json.loads(b1)
     assert doc["schema"] == 1 and doc["check"] == "thm1"
     assert doc["param.h"] == "sin"
+
+
+def test_cli_hypercr_l_flag(tmp_path, capsys):
+    # --l sets hyperCR's l; --ell is a separate flag (prop4's ell).
+    out = tmp_path / "h.json"
+    code, _, _ = run_cli(["verify", "hypercr-family", "--l", "2.5",
+                          "--quiet", "--json", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["param.l"] == 2.5
 
 
 def test_cli_csv_output(tmp_path, capsys):
@@ -357,6 +378,10 @@ def test_export_plot_validation():
         export_plot("thm1", {}, axis="r")
     with pytest.raises(DomainError):
         export_plot("nope", {})
+    with pytest.raises(DomainError, match="needs a profile"):
+        export_plot("thm2-ode", {"family": "weierstrass"})
+    with pytest.raises(DomainError):
+        export_plot("prop1-iff", {"F": "bogus"})
 
 
 def test_cli_export_plot_writes_file(tmp_path, capsys):
