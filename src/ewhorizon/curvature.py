@@ -26,22 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import AXES, Jet3
+from .jets import AXES, stacked_partials
 
 _DET_FLOOR = 1e-12
-
-# Multi-index tables: axis tuples -> exponent triples accepted by Jet3.partial.
-def _mi(*axes):
-    m = [0, 0, 0]
-    for a in axes:
-        m[a] += 1
-    return tuple(m)
-
-
-_MI1 = [_mi(a) for a in range(3)]
-_MI2 = [[_mi(a, b) for b in range(3)] for a in range(3)]
-_MI3 = [[[_mi(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)]
-
 
 @dataclass(frozen=True)
 class MetricField:
@@ -91,35 +78,34 @@ class CurvaturePack:
 class _Assembly:
     """Partial-derivative arrays of one metric evaluation, with curvature."""
 
-    __slots__ = ("g0", "g1", "g2", "ginv0", "ginv1", "gamma0", "gamma1",
-                 "ric0", "scal0", "p0", "_jets")
+    __slots__ = ("g0", "g1", "g2", "ginv0", "ginv1", "s0", "s1", "gamma0",
+                 "gamma1", "ric0", "scal0", "p0", "_coeffs")
 
     def __init__(self, g_jets, label=""):
-        self._jets = g_jets
-        self.g0 = np.array([[g_jets[a][b].value for b in range(3)]
-                            for a in range(3)])
+        # Taylor coefficients stacked as (N3, 3, 3); gN[d1..dN, a, b] is
+        # d_d1 ... d_dN g_ab
+        self._coeffs = np.moveaxis(
+            np.array([[g.coeffs for g in row] for row in g_jets]), -1, 0)
+        self.g0 = stacked_partials(self._coeffs, 0)
         det = np.linalg.det(self.g0)
         if abs(det) <= _DET_FLOOR:
             raise DegenerateMetricError(
                 f"metric {label!r} degenerate: |det g| = {abs(det)!r}")
-        self.g1 = np.array([[[g_jets[a][b].partial(_MI1[d]) for b in range(3)]
-                             for a in range(3)] for d in range(3)])
-        self.g2 = np.array([[[[g_jets[a][b].partial(_MI2[c][d])
-                               for b in range(3)] for a in range(3)]
-                             for d in range(3)] for c in range(3)])
+        self.g1 = stacked_partials(self._coeffs, 1)
+        self.g2 = stacked_partials(self._coeffs, 2)
         self.ginv0 = np.linalg.inv(self.g0)
         self.ginv1 = -np.einsum("ae,deh,hb->dab", self.ginv0, self.g1,
                                 self.ginv0)
 
         # S0[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc  (symmetric in b,c)
-        s0 = (np.einsum("bdc->dbc", self.g1) + np.einsum("cdb->dbc", self.g1)
-              - self.g1)
+        self.s0 = (np.einsum("bdc->dbc", self.g1)
+                   + np.einsum("cdb->dbc", self.g1) - self.g1)
         # S1[e,d,b,c] = d_e S0[d,b,c]
-        s1 = (np.einsum("ebdc->edbc", self.g2) + np.einsum("ecdb->edbc", self.g2)
-              - self.g2)
-        self.gamma0 = 0.5 * np.einsum("ad,dbc->abc", self.ginv0, s0)
-        self.gamma1 = 0.5 * (np.einsum("ead,dbc->eabc", self.ginv1, s0)
-                             + np.einsum("ad,edbc->eabc", self.ginv0, s1))
+        self.s1 = (np.einsum("ebdc->edbc", self.g2)
+                   + np.einsum("ecdb->edbc", self.g2) - self.g2)
+        self.gamma0 = 0.5 * np.einsum("ad,dbc->abc", self.ginv0, self.s0)
+        self.gamma1 = 0.5 * (np.einsum("ead,dbc->eabc", self.ginv1, self.s0)
+                             + np.einsum("ad,edbc->eabc", self.ginv0, self.s1))
 
         self.ric0 = (np.einsum("aadb->bd", self.gamma1)
                      - np.einsum("daab->bd", self.gamma1)
@@ -130,26 +116,18 @@ class _Assembly:
 
     def cotton(self):
         """C_abc; needs third metric partials, extracted on demand."""
-        g_jets = self._jets
-        g3 = np.array([[[[[g_jets[a][b].partial(_MI3[e][c][d])
-                           for b in range(3)] for a in range(3)]
-                         for d in range(3)] for c in range(3)]
-                       for e in range(3)])
+        g3 = stacked_partials(self._coeffs, 3)
         ginv2 = -(np.einsum("cae,deh,hb->cdab", self.ginv1, self.g1, self.ginv0)
                   + np.einsum("ae,cdeh,hb->cdab", self.ginv0, self.g2,
                               self.ginv0)
                   + np.einsum("ae,deh,chb->cdab", self.ginv0, self.g1,
                               self.ginv1))
 
-        s0 = (np.einsum("bdc->dbc", self.g1) + np.einsum("cdb->dbc", self.g1)
-              - self.g1)
-        s1 = (np.einsum("ebdc->edbc", self.g2) + np.einsum("ecdb->edbc", self.g2)
-              - self.g2)
         s2 = (np.einsum("febdc->fedbc", g3) + np.einsum("fecdb->fedbc", g3)
               - g3)
-        gamma2 = 0.5 * (np.einsum("fead,dbc->feabc", ginv2, s0)
-                        + np.einsum("ead,fdbc->feabc", self.ginv1, s1)
-                        + np.einsum("fad,edbc->feabc", self.ginv1, s1)
+        gamma2 = 0.5 * (np.einsum("fead,dbc->feabc", ginv2, self.s0)
+                        + np.einsum("ead,fdbc->feabc", self.ginv1, self.s1)
+                        + np.einsum("fad,edbc->feabc", self.ginv1, self.s1)
                         + np.einsum("ad,fedbc->feabc", self.ginv0, s2))
 
         ric1 = (np.einsum("caadb->cbd", gamma2)
@@ -193,10 +171,9 @@ def curvature_pack(g: MetricField, p) -> CurvaturePack:
 
 
 def _oneform_partials(x_jets):
-    x0 = np.array([x_jets[b].value for b in range(3)])
-    x1 = np.array([[x_jets[b].partial(_MI1[a]) for b in range(3)]
-                   for a in range(3)])  # x1[a,b] = d_a X_b
-    return x0, x1
+    coeffs = np.array([x.coeffs for x in x_jets]).T
+    # x1[a,b] = d_a X_b
+    return stacked_partials(coeffs, 0), stacked_partials(coeffs, 1)
 
 
 def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _dcfield
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -262,23 +264,35 @@ def F_from_h_field(h: ScalarField1D, c: float) -> ScalarField1D:
 # reduction ODE residuals
 # --------------------------------------------------------------------------
 
-def ode4_residual(h: Jet1, c: float) -> float:
-    """The quartic reduction ODE for h at fixed c.
+def ode4_monomials(h0, h1, h2, h3, c):
+    """The signed monomials of the quartic reduction ODE for h at fixed
+    c, in order, except the last one, -1/4 h^2 h'''':
 
     h^3 h'^2 (c-1)^2 - 1/2 (c-1)^2 h^4 h'' + 9/4 (c-1) h^2 h' h''
     - 3/4 (c-1) h^3 h''' - 1/2 h'^2 h'' + 1/2 h h' h''' + h h''^2
-    - 1/4 h^2 h''''
+    - 1/4 h^2 h'''' = 0
+
+    So h'''' = 4 (their sum) / h^2.
     """
-    h0, h1, h2, h3, h4 = (h.derivative(k) for k in range(5))
     cm = c - 1.0
-    return (h0 ** 3 * h1 ** 2 * cm ** 2
-            - 0.5 * cm ** 2 * h0 ** 4 * h2
-            + 2.25 * cm * h0 ** 2 * h1 * h2
-            - 0.75 * cm * h0 ** 3 * h3
-            - 0.5 * h1 ** 2 * h2
-            + 0.5 * h0 * h1 * h3
-            + h0 * h2 ** 2
-            - 0.25 * h0 ** 2 * h4)
+    return (h0 ** 3 * h1 ** 2 * cm ** 2,
+            -0.5 * cm ** 2 * h0 ** 4 * h2,
+            2.25 * cm * h0 ** 2 * h1 * h2,
+            -0.75 * cm * h0 ** 3 * h3,
+            -0.5 * h1 ** 2 * h2,
+            0.5 * h0 * h1 * h3,
+            h0 * h2 ** 2)
+
+
+def _ode4_terms(h: Jet1, c: float) -> tuple:
+    h0, h1, h2, h3, h4 = (h.derivative(k) for k in range(5))
+    return ode4_monomials(h0, h1, h2, h3, c) + (-0.25 * h0 ** 2 * h4,)
+
+
+def ode4_residual(h: Jet1, c: float) -> float:
+    """The quartic reduction ODE for h at fixed c: the sum, left to
+    right, of its signed monomials (see ode4_monomials)."""
+    return reduce(add, _ode4_terms(h, c))
 
 
 def ode4_condition(h: Jet1, c: float) -> float:
@@ -290,16 +304,7 @@ def ode4_condition(h: Jet1, c: float) -> float:
     meaningful certified quantity is ode4_residual relative to this
     scale.
     """
-    h0, h1, h2, h3, h4 = (h.derivative(k) for k in range(5))
-    cm = c - 1.0
-    return (abs(h0 ** 3 * h1 ** 2 * cm ** 2)
-            + abs(0.5 * cm ** 2 * h0 ** 4 * h2)
-            + abs(2.25 * cm * h0 ** 2 * h1 * h2)
-            + abs(0.75 * cm * h0 ** 3 * h3)
-            + abs(0.5 * h1 ** 2 * h2)
-            + abs(0.5 * h0 * h1 * h3)
-            + abs(h0 * h2 ** 2)
-            + abs(0.25 * h0 ** 2 * h4))
+    return reduce(add, map(abs, _ode4_terms(h, c)))
 
 
 def ode2_residual(h: Jet1, alpha: float, beta: float) -> float:

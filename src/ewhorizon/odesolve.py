@@ -163,7 +163,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
 
     while (x_end - x) * direction > 0:
         h = min(h, abs(x_end - x))
-        if h < h_floor:
+        if not h >= h_floor:  # a NaN step fails this too
             raise StiffnessError(
                 f"step size underflow at x={x!r} (h={h!r}); problem too stiff")
         hs = h * direction

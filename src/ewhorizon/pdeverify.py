@@ -223,12 +223,10 @@ def alignment_defect(c: float, ell: float, b: float, p: Point) -> float:
     q = Point(p.nu, -0.5 * p.r, p.x)
     jac = np.diag([1.0, -0.5, 1.0])
 
-    gv_h = np.array([[gh.jets(q)[i][j].value for j in range(3)]
-                     for i in range(3)])
-    gv_4 = np.array([[g4.jets(p)[i][j].value for j in range(3)]
-                     for i in range(3)])
-    xv_h = np.array([xh.jets(q)[i].value for i in range(3)])
-    xv_4 = np.array([x4.jets(p)[i].value for i in range(3)])
+    gv_h = np.array([[v.value for v in row] for row in gh.jets(q)])
+    gv_4 = np.array([[v.value for v in row] for row in g4.jets(p)])
+    xv_h = np.array([v.value for v in xh.jets(q)])
+    xv_4 = np.array([v.value for v in x4.jets(p)])
 
     dg = jac.T @ gv_h @ jac - gv_4
     dx = jac.T @ xv_h - xv_4

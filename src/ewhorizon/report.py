@@ -1,10 +1,10 @@
 """Check pipelines, residual reports, and plot/scan data assembly.
 
 Every check is one entry of the CHECKS registry.  run_check samples a
-deterministic grid, evaluates the entry's residuals (in a thread pool
-capped by EWH_THREADS), reduces per-component maxima, and wraps the
-outcome in a ResidualReport; export_plot sweeps the same residuals
-along a line, and the CLI derives its parameter flags from the entries.
+deterministic grid, evaluates the entry's residuals point by point,
+reduces per-component maxima, and wraps the outcome in a
+ResidualReport; export_plot sweeps the same residuals along a line, and
+the CLI derives its parameter flags from the entries.
 Reports serialize to a flat, versioned JSON schema with fixed key order
 and 17-significant-digit floats, so identical invocations produce
 byte-identical files.
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           canonical_tag, detect_period, field_one,
                           flatness_defect, named_h_field, nh_metric,
                           ode2_residual, ode3_first_integral,
-                          ode4_condition, ode4_residual,
+                          ode4_condition, ode4_monomials, ode4_residual,
                           periodicity_check, thm1_F_field,
                           weyl_oneform_generic)
 from .odesolve import IvpSpec, integrate
@@ -55,27 +55,9 @@ _PLOT_R = 0.7
 
 
 def thread_count() -> int:
-    """Worker count: EWH_THREADS when set, else min(4, cpu count)."""
-    env = os.environ.get("EWH_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"EWH_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise DomainError(f"EWH_THREADS must be >= 1, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    """Order-preserving parallel map over grid points."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+    """Worker count of the grid reduction, which is serial.  perfbench
+    still records it."""
+    return 1
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +153,8 @@ def _fmt_json_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
+        # JSON has no NaN or infinity
+        return _fmt_float(float(v)) if math.isfinite(v) else "null"
     return json.dumps(str(v))
 
 
@@ -514,6 +497,13 @@ CHECKS = {
 }
 
 
+def _require_finite(values: dict):
+    """Reject a non-finite number among `values` (name -> value)."""
+    for name, v in values.items():
+        if isinstance(v, (int, float)) and not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+
+
 def _setup(check_id, params):
     """The registry entry of `check_id` and its Setup for `params`:
     defaults filled in (None ones left out), numbers as floats."""
@@ -534,6 +524,7 @@ def _setup(check_id, params):
         v = params.get(k, default)
         if v is not None:
             p[k] = v if isinstance(default, str) else float(v)
+    _require_finite(p)
     return check, (check.build(p, tag) if colon else check.build(p))
 
 
@@ -559,7 +550,7 @@ def _reduce(setup, grid, x_axis, skip):
                     raise
                 return None
 
-        rows = [v for v in _pmap(row, items) if v is not None]
+        rows = [v for v in map(row, items) if v is not None]
         if not rows:
             raise DomainError(f"no grid point could be evaluated "
                               f"(window {setup.window!r})")
@@ -576,6 +567,7 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
     """Run one named verification and wrap it in a ResidualReport."""
     grid = grid or GridSpec()
     t0 = time.perf_counter()
+    _require_finite({"tolerance": tolerance})
     check, s = _setup(check_id, params)
     # checks without per-point residuals grid x only, and more densely
     x_only = all(r.per_x for r in s.residuals)
@@ -598,17 +590,9 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
 # --------------------------------------------------------------------------
 
 def _quartic_rhs_factory(c):
-    cm = c - 1.0
-
     def rhs(x, y):
         h0, h1, h2, h3 = y
-        top = (h0 ** 3 * h1 ** 2 * cm ** 2
-               - 0.5 * cm ** 2 * h0 ** 4 * h2
-               + 2.25 * cm * h0 ** 2 * h1 * h2
-               - 0.75 * cm * h0 ** 3 * h3
-               - 0.5 * h1 ** 2 * h2
-               + 0.5 * h0 * h1 * h3
-               + h0 * h2 ** 2)
+        top = reduce(add, ode4_monomials(h0, h1, h2, h3, c))
         return np.array([h1, h2, h3, 4.0 * top / (h0 * h0)])
 
     return rhs
@@ -632,6 +616,8 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     """
     if steps < 1:
         raise DomainError("scan-c needs steps >= 1")
+    _require_finite({"c_from": c_from, "c_to": c_to, "x0": x0, "span": span,
+                     **(seed_params or {})})
     fam = _build_family_checked(seed, dict(seed_params or {}))
     if fam.role != "h":
         raise DomainError("scan-c seed must be a profile (h) family")

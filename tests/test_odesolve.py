@@ -87,6 +87,18 @@ def test_blowup_raises_stiffness():
         integrate(spec, 2.0)
 
 
+@pytest.mark.parametrize("y0, rhs", [
+    ([math.nan, 0.0], lambda x, y: np.array([y[1], -y[0]])),
+    ([1.0, 0.0], lambda x, y: np.full(2, math.nan)),
+], ids=["nan-y0", "nan-rhs"])
+def test_nan_step_raises_stiffness(y0, rhs):
+    # a NaN step size compares false against the floor; it must stop the
+    # integration rather than spin without advancing x
+    spec = IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=y0)
+    with pytest.raises(StiffnessError):
+        integrate(spec, 1.0)
+
+
 def test_max_step_is_respected():
     spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1.0]), x0=0.0,
                    y0=[0.0], max_step=0.125)
