@@ -431,66 +431,6 @@ class Jet3(_JetBase):
         return Jet3._raw(self.coeffs[_D_SRC[axis]] * _D_FAC[axis])
 
 
-def compose_jet1(outer, inner):
-    """Jet of f(g(t)) from the jet of f at g's value and the jet of g.
-
-    `outer` must be centered at inner.value (its coefficients are the
-    Taylor coefficients of f there).
-    """
-    ghat = inner - inner.value
-    acc = Jet1.constant(float(outer.coeffs[ORDER]))
-    for k in range(ORDER - 1, -1, -1):
-        acc = acc * ghat + float(outer.coeffs[k])
-    return acc
-
-
-def jet_inverse(j, value=0.0):
-    """Jet of the compositional inverse of a strictly monotone germ.
-
-    Given the jet of y = f(t) with f'(t0) != 0, returns the jet of the
-    inverse function t(y) at y0 = f(t0), with constant term `value`
-    (the inverse's own value t0, which the forward jet does not carry).
-    """
-    a1, a2, a3, a4 = (float(j.coeffs[1]), float(j.coeffs[2]),
-                      float(j.coeffs[3]), float(j.coeffs[4]))
-    if a1 == 0.0:
-        raise SingularJetError("jet has zero linear part; no local inverse")
-    b1 = 1.0 / a1
-    b2 = -a2 / a1**3
-    b3 = (2.0 * a2**2 - a1 * a3) / a1**5
-    b4 = (5.0 * a1 * a2 * a3 - a1**2 * a4 - 5.0 * a2**3) / a1**7
-    return Jet1._raw(np.array([value, b1, b2, b3, b4]))
-
-
-_ELEMENTARY = {
-    "exp": Jet1.exp,
-    "log": Jet1.log,
-    "sin": Jet1.sin,
-    "cos": Jet1.cos,
-    "tan": Jet1.tan,
-    "tanh": Jet1.tanh,
-    "sqrt": Jet1.sqrt,
-    "atan": Jet1.atan,
-}
-
-
-def jet_elementary(f, kind, power=None):
-    """Apply an elementary function to a jet by name.
-
-    Supported kinds: exp, log, sin, cos, tan, tanh, sqrt, atan, pow_real
-    (pow_real takes the exponent through `power`).
-    """
-    if kind == "pow_real":
-        if power is None:
-            raise ValueError("pow_real needs the `power` argument")
-        return f.powr(float(power))
-    try:
-        method = _ELEMENTARY[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementary kind {kind!r}") from None
-    return method(f)
-
-
 # Finite-difference oracle.  Central stencils of O(step^2) accuracy with one
 # Richardson level, so the leading error is O(step^4).  The default step
 # grows with the total derivative order to balance truncation against the

@@ -29,9 +29,9 @@ from operator import add
 import numpy as np
 
 from .curvature import MetricField, OneFormField
-from .errors import (DomainError, EwhError, PathBranchError,
+from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
                      PoleProximityError, WindowError)
-from .jets import Jet1, Jet3, compose_jet1, jet_inverse
+from .jets import Jet1, Jet3
 from .odesolve import IvpSpec, integrate, quad
 from .specfun import (complete_elliptic_k, hyp2f1, real_period,
                       sn_imaginary_modulus_jet, wp_jet)
@@ -510,9 +510,8 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
         return Hj.exp() * Pj
 
     window = _thm1_window(gval, a, b, x0, margin)
-    period = None
     return ScalarField1D(ev, label=f"thm1[{h.label};a={a:g},b={b:g}]",
-                         period=period, window=window)
+                         window=window)
 
 
 def _thm1_window(gval, a, b, x0, margin):
@@ -745,9 +744,10 @@ def _family_jacobi(params):
             raise PoleProximityError(
                 f"x = {x!r} near a pole of the Jacobi profile",
                 nearest_pole=round(u / _SN_ZERO) * _SN_ZERO / s - b)
-        wj = sn_imaginary_modulus_jet(u)
-        w_of_x = compose_jet1(wj, Jet1(np.array([u, s, 0.0, 0.0, 0.0])))
-        return m / w_of_x
+        w = sn_imaginary_modulus_jet(u).coeffs.copy()
+        for k in range(1, 5):
+            w[k:] *= s  # chain rule for w(s (x + b)): coefficient k gains s^k
+        return m / Jet1(w)
 
     window = (-b, -b + _SN_ZERO / s)
     fld = ScalarField1D(ev, label="jacobi", period=2.0 * _SN_ZERO / s,
@@ -796,23 +796,46 @@ def _family_hypergeometric(params):
     def x_of_z(z):
         return pref * math.sqrt(z) * hyp2f1(0.5, 0.75, 1.5, z) + b
 
-    def ev(x):
-        lo, hi = z_lo, z_hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if (x_of_z(mid) - x) * math.copysign(1.0, gamma) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        z = 0.5 * (lo + hi)
-        zj = Jet1.variable(z)
-        xj = pref * zj.sqrt() * hyp2f1(0.5, 0.75, 1.5, zj) + b
-        z_of_x = jet_inverse(xj, value=z)
-        hj = (gamma / broot) * (1.0 - zj).powr(-0.25)
-        return compose_jet1(hj, z_of_x)
+    def dz_dx(z):
+        """1 / (dx/dz), dx/dz = pref (1 - z)^(-3/4) / (2 sqrt z), for a
+        float or a Jet1 z."""
+        return 2.0 * z ** 0.5 * (1.0 - z) ** 0.75 / pref
 
-    ends = sorted((x_of_z(z_lo), x_of_z(z_hi)))
-    fld = ScalarField1D(ev, label="hypergeometric", window=tuple(ends))
+    x_lo, x_hi = x_of_z(z_lo), x_of_z(z_hi)
+    ends = (min(x_lo, x_hi), max(x_lo, x_hi))
+
+    def z_of_x(x):
+        """Newton on x(z) = x inside the shrinking bracket [lo, hi],
+        started by linear interpolation between the window ends."""
+        lo, hi = z_lo, z_hi
+        z = z_lo + (x - x_lo) / (x_hi - x_lo) * (z_hi - z_lo)
+        for _ in range(100):
+            r = x_of_z(z) - x
+            if (r > 0.0) == (pref > 0.0):
+                hi = z
+            else:
+                lo = z
+            z_new = z - r * dz_dx(z)
+            if not lo <= z_new <= hi:
+                z_new = 0.5 * (lo + hi)
+            if abs(z_new - z) < 1e-14 * z:
+                return z_new
+            z = z_new
+        raise AccuracyError(f"no convergence of z(x) at x={x!r}",
+                            estimate=z, error_bound=hi - lo)
+
+    def ev(x):
+        if not ends[0] <= x <= ends[1]:
+            raise WindowError(f"x={x!r} outside the parametric window "
+                              f"[{ends[0]!r}, {ends[1]!r}]")
+        z = z_of_x(x)
+        # z(x) solves dz/dx = dz_dx(z): each pass is exact to one more order
+        zj = Jet1.constant(z)
+        for _ in range(4):
+            zj = _integral_jet(z, dz_dx(zj))
+        return (gamma / broot) * (1.0 - zj).powr(-0.25)
+
+    fld = ScalarField1D(ev, label="hypergeometric", window=ends)
     return SolutionFamily("HypergeometricParametric",
                           {"gamma": gamma, "beta": beta, "b": b,
                            "z_lo": z_lo, "z_hi": z_hi},

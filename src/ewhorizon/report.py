@@ -80,6 +80,9 @@ class GridSpec:
             lo, hi, n = axis
             if n < 2:
                 raise DomainError(f"grid axis {name}: count {n} < 2")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"grid axis {name}: bounds must be "
+                                  f"finite, got [{lo!r}, {hi!r}]")
             if not lo < hi:
                 raise DomainError(f"grid axis {name}: need min < max, "
                                   f"got [{lo!r}, {hi!r}]")

@@ -6,7 +6,7 @@ the jet types, with well-documented classical algorithms:
 * Weierstrass ``wp`` with invariants (g2, g3) = (0, b): Laurent series near
   the origin plus the algebraic duplication formula, after rescaling to
   g3 = +/-1 by homogeneity.  Real arguments only; real poles are located
-  once per sign of g3 and cached.
+  once per sign of g3 and cached.  Jets take orders 2..4 from wp'' = 6 wp^2.
 * Jacobi sn/cn/dn for real modulus k in [0, 1] by the arithmetic-geometric
   mean and the descending amplitude recurrence (DLMF 22.20.3-22.20.5).
 * The Gauss hypergeometric series 2F1 for |z| < 1 by direct term recursion.
@@ -44,10 +44,7 @@ _period_lock = threading.Lock()
 
 
 def _series_pair(w, g3n):
-    """(wp, wp') of the normalized function (g3 = g3n = +/-1) for |w| small.
-
-    Generic over float and Jet1 arguments.
-    """
+    """(wp, wp') of the normalized function (g3 = g3n = +/-1) for |w| small."""
     c3 = g3n / 28.0
     c6 = c3 * c3 / 13.0
     c9 = c3 * c6 / 19.0
@@ -73,7 +70,7 @@ def _dup_pair(p, q):
 
 def _eval_normalized(w, g3n):
     """(wp, wp') at any real w != 0 for normalized g3n, no pole folding."""
-    aw = abs(w if isinstance(w, float) else w.value)
+    aw = abs(w)
     n = 0
     if aw > _SERIES_RADIUS:
         n = math.ceil(math.log2(aw / _SERIES_RADIUS))
@@ -126,8 +123,8 @@ def real_period(b: float) -> float:
 def _fold(z: float, b: float, delta: float):
     """Scale to g3 = +/-1, fold by the real period, apply the pole guard.
 
-    Returns (zf, g3n, scale, npole) with zf the folded normalized argument,
-    scale = |b|^{1/6}, and npole the nearest pole in original coordinates.
+    Returns (zf, g3n, scale) with zf the folded normalized argument and
+    scale = |b|^{1/6}.
     """
     g3n = 1.0 if b > 0 else -1.0
     scale = abs(b) ** (1.0 / 6.0)
@@ -135,12 +132,11 @@ def _fold(z: float, b: float, delta: float):
     zs = z * scale
     m = round(zs / t)
     zf = zs - m * t
-    npole = m * t / scale
     if abs(zf) / scale < delta:
         raise PoleProximityError(
-            f"wp argument {z!r} within {delta} of a pole", nearest_pole=npole
-        )
-    return zf, g3n, scale, npole
+            f"wp argument {z!r} within {delta} of a pole",
+            nearest_pole=m * t / scale)
+    return zf, g3n, scale
 
 
 def wp(z: float, b: float, delta: float = _DEFAULT_DELTA):
@@ -155,25 +151,21 @@ def wp(z: float, b: float, delta: float = _DEFAULT_DELTA):
                 f"wp argument {z!r} within {delta} of the pole at 0", nearest_pole=0.0
             )
         return 1.0 / z**2, -2.0 / z**3
-    zf, g3n, scale, _ = _fold(z, b, delta)
+    zf, g3n, scale = _fold(z, b, delta)
     p, q = _eval_normalized(zf, g3n)
     return p * scale**2, q * scale**3
 
 
 def wp_jet(z: Jet1, b: float, delta: float = _DEFAULT_DELTA):
-    """Jet version of `wp`: jets of wp and wp' in the variable of `z`."""
-    if b == 0.0:
-        if abs(z.value) < delta:
-            raise PoleProximityError(
-                f"wp argument {z.value!r} within {delta} of the pole at 0",
-                nearest_pole=0.0,
-            )
-        z2 = z * z
-        return 1.0 / z2, -2.0 / (z2 * z)
-    zf0, g3n, scale, npole = _fold(z.value, b, delta)
-    zfj = z * scale - (z.value * scale - zf0)
-    p, q = _eval_normalized(zfj, g3n)
-    return p * scale**2, q * scale**3
+    """Jet version of `wp`: jets of wp and wp' in the variable of `z`.
+
+    Value and slope come from the float `wp`; derivatives 2..4 of wp, and
+    4 of wp', follow from wp'' = 6 wp^2 (g2 = 0).
+    """
+    p, q = wp(z.value, b, delta)
+    d2, d3, d4 = 6.0 * p * p, 12.0 * p * q, 12.0 * q * q + 72.0 * p ** 3
+    return (z._compose((p, q, d2, d3, d4)),
+            z._compose((q, d2, d3, d4, 360.0 * p * p * q)))
 
 
 # --- Jacobi elliptic functions ----------------------------------------------

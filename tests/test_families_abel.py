@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewhorizon.errors import DomainError, PathBranchError
+from ewhorizon import nearhorizon
+from ewhorizon.errors import DomainError, PathBranchError, WindowError
 from ewhorizon.jets import Jet1, Point
 from ewhorizon.curvature import ew_residual
 from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
@@ -18,6 +19,7 @@ from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
                                    periodicity_check, reduction_consistency,
                                    weyl_oneform_generic)
 from ewhorizon.nearhorizon import abel_parametric_jets
+from ewhorizon.report import GridSpec
 from ewhorizon.specfun import hyp2f1, real_period, wp
 
 SQRT2_K = 2.6220575542921196  # sqrt(2) K(1/sqrt(2)): jacobi window width
@@ -54,6 +56,8 @@ CATALOG_CASES = [
     ("hypergeometric", dict(gamma=1.0, beta=2.0)),
     ("numeric", dict(alpha=-1.0, c=2.0, x0=1.0, h0=-math.tan(0.5),
                      h1=-0.5 / math.cos(0.5) ** 2, span=1.8)),
+    ("hypergeometric", dict(gamma=-1.3, beta=0.5, b=0.2)),
+    ("hypergeometric", dict(gamma=2.0, beta=8.0, z_lo=0.1, z_hi=0.95)),
 ]
 
 
@@ -198,6 +202,35 @@ def test_periodicity_check_on_windowed_field():
     T = fam.field.period
     assert T is not None
     assert periodicity_check(fam.field, T)
+
+
+def test_hypergeometric_evaluator_stops_at_its_window():
+    # the parametric profile exists only between x(z_lo) and x(z_hi);
+    # beyond them it must refuse, not repeat the edge value
+    fam = build_family("hypergeometric")
+    lo, hi = fam.window
+    with pytest.raises(WindowError):
+        fam.field.evaluator(hi + 1.0)
+    assert not periodicity_check(fam.field, 100.0 * (hi - lo))
+
+
+def test_hypergeometric_profile_work_per_evaluation(monkeypatch):
+    # the z(x) solve makes one float 2F1 call per Newton step
+    calls = []
+    series = nearhorizon.hyp2f1
+
+    def counted(a, b, c, z):
+        calls.append(z)
+        return series(a, b, c, z)
+
+    monkeypatch.setattr(nearhorizon, "hyp2f1", counted)
+    fam = build_family("hypergeometric")
+    lo, hi, n = GridSpec().resolve_x(fam.window, count=33)
+    for x in list(np.linspace(lo, hi, n)) + list(fam.window):
+        calls.clear()
+        fam.field(float(x))
+        assert 1 <= len(calls) <= 8
+        assert not any(isinstance(z, Jet1) for z in calls)
 
 
 def test_detect_period_on_sin():

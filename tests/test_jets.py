@@ -7,8 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.errors import SingularJetError
-from ewhorizon.jets import (ORDER, Jet1, Jet3, Point, compose_jet1,
-                            fd_oracle, jet_elementary, jet_inverse)
+from ewhorizon.jets import ORDER, Jet1, Jet3, Point, fd_oracle
 
 
 def jet1_of(fn, x):
@@ -112,43 +111,12 @@ def test_from_derivatives_roundtrip():
                     rtol=1e-15)
 
 
-def test_jet_elementary_dispatch():
-    j = Jet1.variable(0.8)
-    assert_allclose(jet_elementary(j, "sin").coeffs, j.sin().coeffs)
-    assert_allclose(jet_elementary(j + 2.0, "pow_real", power=0.5).coeffs,
-                    (j + 2.0).sqrt().coeffs, rtol=1e-14)
-    with pytest.raises(ValueError):
-        jet_elementary(j, "sinh")
-    with pytest.raises(ValueError):
-        jet_elementary(j, "pow_real")
-
-
 def test_singular_reciprocal_raises():
     j = Jet1.variable(0.0)  # value 0
     with pytest.raises(SingularJetError):
         1.0 / j
     with pytest.raises(SingularJetError):
         j.log()
-
-
-def test_compose_jet1_matches_direct():
-    inner = jet1_of(lambda t: t.sin() + 1.5, 0.4)
-    outer = Jet1.variable(inner.value).log()
-    composed = compose_jet1(outer, inner)
-    assert_allclose(composed.coeffs, inner.log().coeffs, rtol=1e-13)
-
-
-def test_jet_inverse_composes_to_identity():
-    fwd = jet1_of(lambda t: t.exp() + t, 0.5)  # strictly monotone
-    inv = jet_inverse(fwd, value=0.5)
-    ident = compose_jet1(inv, fwd)
-    assert_allclose(ident.coeffs, [0.5, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_jet_inverse_rejects_critical_point():
-    flat = Jet1.from_derivatives([1.0, 0.0, 2.0, 0.0, 0.0])
-    with pytest.raises(SingularJetError):
-        jet_inverse(flat)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ def test_gridspec_validation():
         GridSpec(nu=(-1.0, 1.0, 1))
     with pytest.raises(DomainError):
         GridSpec(r=(1.0, -1.0, 5))
+    with pytest.raises(DomainError, match="grid axis nu"):
+        GridSpec(nu=(-math.inf, 1.0, 5))
+    with pytest.raises(DomainError, match="grid axis x"):
+        GridSpec(x=(0.0, math.inf, 5))
 
 
 def test_gridspec_resolve_x_branches():
@@ -119,6 +123,11 @@ def test_family_check_near_pole_conditioning():
     rep = run_check("family:jacobi", {"m": 1.3, "c": -0.5, "b": 0.2})
     assert rep.passed
     assert rep.components["ode4"] < 1e-10
+
+
+def test_thm2_hypergeometric_profile_verifies():
+    rep = run_check("thm2-ode", {"family": "hypergeometric"})
+    assert rep.passed
 
 
 def test_nan_component_fails_the_check():

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.errors import DomainError, PoleProximityError
-from ewhorizon.jets import Jet1
+from ewhorizon.jets import Jet1, Point, fd_oracle
 from ewhorizon.specfun import (complete_elliptic_k, hyp2f1,
                                jacobi_sn_cn_dn, real_period,
                                sn_imaginary_modulus,
@@ -64,6 +64,35 @@ def test_wp_satisfies_its_differential_equation(b, zfrac):
     # (absolute floor: wp' vanishes at the half period)
     assert abs(dP.value - P.derivative(1)) \
         <= 1e-9 * max(1.0, abs(P.value))
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0, 0.35, -2.7, 0.0])
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_wp_jet_matches_finite_differences_of_wp(b, nonlinear):
+    # orders 1..4 of both jets against central differences of the float wp,
+    # along z itself and along a nonlinear inner function of t.  The
+    # duplication steps leave about 1e-12 relative noise in the float wp,
+    # so the higher orders take wider stencils and the bound is loose.
+    z0 = 1.3 if b == 0.0 else 0.4 * real_period(b)
+    if nonlinear:
+        def inner(t):
+            return 0.3 * math.sin(t) + z0
+        t0 = 0.7
+        zj = 0.3 * Jet1.variable(t0).sin() + z0
+    else:
+        def inner(t):
+            return t
+        t0 = z0
+        zj = Jet1.variable(z0)
+    jets = wp_jet(zj, b)
+    for part in (0, 1):
+        def f(p):
+            return wp(inner(p.x), b)[part]
+        at = Point(0.0, 0.0, t0)
+        for k, step in ((1, 0.01), (2, 0.01), (3, 0.02), (4, 0.05)):
+            expect = fd_oracle(f, at, (0, 0, k), step=step)
+            assert abs(jets[part].derivative(k) - expect) \
+                <= 1e-4 * max(1.0, abs(expect)), (part, k)
 
 
 def test_wp_periodicity_on_real_axis():
