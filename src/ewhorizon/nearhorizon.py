@@ -33,8 +33,8 @@ from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
                      PoleProximityError, WindowError)
 from .jets import Jet1, Jet3
 from .odesolve import IvpSpec, integrate, quad
-from .specfun import (complete_elliptic_k, hyp2f1, real_period,
-                      sn_imaginary_modulus_jet, wp_jet)
+from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
+                      real_period, sn_imaginary_modulus_jet, wp_jet)
 
 _NU, _R, _X = 0, 1, 2
 _H_FLOOR = 1e-10         # F_from_h division guard
@@ -516,27 +516,19 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
 
 def _thm1_window(gval, a, b, x0, margin):
     """Largest x-interval with G(x) + a inside the pole-free cell of
-    the wp lattice containing a, inset by `margin`.  The interval need
-    not contain the basepoint: for a near a pole it sits to one side."""
+    the wp lattice containing a, inset by `margin`; an edge G never
+    reaches is infinite.  The interval need not contain the basepoint:
+    for a near a pole it sits to one side."""
     if b == 0.0:
         # single pole of 1/z^2 at G + a = 0
-        lo_target = margin - a
-        if lo_target >= 0.0:
-            return (_solve_g(gval, lo_target, x0), math.inf)
-        return (-math.inf, math.inf) if a > margin else (x0, math.inf)
-    T = real_period(b)
-    k = math.floor(a / T)
-    g_lo = k * T + margin - a
-    g_hi = (k + 1) * T - margin - a
-    if not g_lo < g_hi:
-        raise PoleProximityError(
-            f"wp period {T!r} leaves no room for margin {margin!r}",
-            nearest_pole=round(a / T) * T)
+        return (_solve_g(gval, margin - a, x0), math.inf)
+    g_lo, g_hi = _pole_free_cell(a, b, margin)
     return (_solve_g(gval, g_lo, x0), _solve_g(gval, g_hi, x0))
 
 
 def _solve_g(gval, target, x0):
-    """Solve G(x) = target for the increasing antiderivative G."""
+    """Solve G(x) = target for the increasing antiderivative G; -inf or
+    inf when G does not reach the target within 1000 of x0."""
     if target == 0.0:
         return x0
     step = 0.5 if target > 0.0 else -0.5
@@ -547,7 +539,7 @@ def _solve_g(gval, target, x0):
             break
         x1 = x2
     else:
-        raise DomainError("antiderivative failed to reach the window edge")
+        return math.copysign(math.inf, target)
     lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -567,23 +559,6 @@ def thm1_structure(h: ScalarField1D, a: float, b: float,
 # --------------------------------------------------------------------------
 # solution families
 # --------------------------------------------------------------------------
-
-FAMILY_TAGS = ("Weierstrass", "JacobiReduction", "HypergeometricParametric",
-               "TanFamily", "TanhHyperCR", "Linear", "RationalPole",
-               "Quadratic", "NumericODE")
-
-_TAG_ALIASES = {
-    "weierstrass": "Weierstrass",
-    "jacobi": "JacobiReduction",
-    "hypergeometric": "HypergeometricParametric",
-    "tan": "TanFamily",
-    "tanh": "TanhHyperCR",
-    "linear": "Linear",
-    "rational": "RationalPole",
-    "quadratic": "Quadratic",
-    "numeric": "NumericODE",
-}
-
 
 @dataclass(frozen=True)
 class SolutionFamily:
@@ -614,14 +589,6 @@ class SolutionFamily:
                     f"beta={expect!r}, got {beta!r}")
 
 
-def canonical_tag(tag: str) -> str:
-    t = _TAG_ALIASES.get(tag.lower(), tag)
-    if t not in FAMILY_TAGS:
-        raise DomainError(f"unknown family tag {tag!r}; "
-                          f"choose from {sorted(_TAG_ALIASES)}")
-    return t
-
-
 def _c_from_alpha_beta(alpha, beta):
     """A root c of the consistency relation, chosen deterministically:
     the one nearest 1 when alpha != 0 (matching the cubic-degeneration
@@ -637,34 +604,25 @@ def _c_from_alpha_beta(alpha, beta):
     return min(roots, key=lambda c: (abs(c - 1.0), c))
 
 
-def _family_linear(params):
-    ell = float(params.get("ell", 1.0))
-    b = float(params.get("b", 0.0))
-    fld = field_linear(ell, b)
-    return SolutionFamily("Linear", {"ell": ell, "b": b}, fld, 1.0,
-                          fld.window, info={"first_integral": -0.5 * ell ** 3})
+# Each family builder takes its catalog parameters as floats and returns
+# (field, c, info), plus the role "F" for the Weierstrass profile.
+
+def _family_linear(ell, b):
+    return field_linear(ell, b), 1.0, {"first_integral": -0.5 * ell ** 3}
 
 
-def _family_quadratic(params):
-    b = float(params.get("b", 0.0))
-
+def _family_quadratic(b):
     def ev(x):
         w = x - b
         return Jet1.from_derivatives([w * w, 2.0 * w, 2.0, 0.0, 0.0])
 
-    fld = ScalarField1D(ev, label="quadratic")
-    return SolutionFamily("Quadratic", {"b": b}, fld, 1.0, fld.window,
-                          info={"first_integral": 0.0})
+    return ScalarField1D(ev, label="quadratic"), 1.0, {"first_integral": 0.0}
 
 
-def _family_rational(params):
-    gamma = float(params.get("gamma", 1.0))
-    b = float(params.get("b", 0.0))
-    alpha = float(params.get("alpha", 0.0))
+def _family_rational(gamma, b, alpha, c):
     if gamma == 0.0:
         raise DomainError("RationalPole needs gamma != 0")
     beta = (2.0 + alpha * gamma) / (gamma * gamma)
-    c = float(params["c"]) if "c" in params else _c_from_alpha_beta(alpha, beta)
 
     def ev(x):
         if abs(x - b) < _POLE_TOL:
@@ -673,21 +631,15 @@ def _family_rational(params):
                 nearest_pole=b)
         return gamma / (Jet1.variable(x) - b)
 
-    fld = ScalarField1D(ev, label="rational", window=(b, math.inf))
-    return SolutionFamily("RationalPole",
-                          {"gamma": gamma, "b": b, "alpha": alpha},
-                          fld, c, fld.window,
-                          info={"alpha": alpha, "beta": beta})
+    return (ScalarField1D(ev, label="rational", window=(b, math.inf)),
+            _c_from_alpha_beta(alpha, beta) if c is None else c,
+            {"alpha": alpha, "beta": beta})
 
 
-def _family_tan(params):
-    alpha = float(params.get("alpha", -1.0))
-    ell = float(params.get("ell", -0.5))
-    b = float(params.get("b", 0.0))
+def _family_tan(alpha, ell, b):
     if 2.0 * ell * alpha <= 0.0:
         raise DomainError("TanFamily needs ell * alpha > 0")
     s = math.sqrt(2.0 * ell * alpha)
-    c = 1.0 - alpha
 
     def ev(x):
         u = 0.5 * s * (x + b)
@@ -698,18 +650,12 @@ def _family_tan(params):
                 f"x = {x!r} near a tan pole", nearest_pole=pole)
         return (s / alpha) * (0.5 * s * (Jet1.variable(x) + b)).tan()
 
-    window = (-b - math.pi / s, -b + math.pi / s)
     fld = ScalarField1D(ev, label="tan", period=2.0 * math.pi / s,
-                        window=window)
-    return SolutionFamily("TanFamily",
-                          {"alpha": alpha, "ell": ell, "b": b},
-                          fld, c, window, info={"alpha": alpha, "beta": 0.0})
+                        window=(-b - math.pi / s, -b + math.pi / s))
+    return fld, 1.0 - alpha, {"alpha": alpha, "beta": 0.0}
 
 
-def _family_tanh(params):
-    c = float(params.get("c", -1.0))
-    ell = float(params.get("ell", -1.0))
-    b = float(params.get("b", 0.0))
+def _family_tanh(c, ell, b):
     if c != -1.0:
         raise DomainError(
             "TanhHyperCR solves the quartic reduction only at c = -1 "
@@ -722,20 +668,14 @@ def _family_tanh(params):
     def ev(x):
         return (s / c) * (s * (Jet1.variable(x) + b)).tanh()
 
-    fld = ScalarField1D(ev, label="tanh")
-    return SolutionFamily("TanhHyperCR", {"c": c, "ell": ell, "b": b},
-                          fld, c, fld.window,
-                          info={"alpha": -2.0 * c, "beta": 0.0})
+    return (ScalarField1D(ev, label="tanh"), c,
+            {"alpha": -2.0 * c, "beta": 0.0})
 
 
-def _family_jacobi(params):
-    m = float(params.get("m", 1.0))
-    c = float(params.get("c", 0.0))
-    b = float(params.get("b", 0.0))
+def _family_jacobi(m, c, b):
     if m == 0.0 or c == 1.0:
         raise DomainError("JacobiReduction needs m != 0 and c != 1")
     s = abs(c - 1.0) * abs(m)
-    beta = 2.0 * (c - 1.0) ** 2
 
     def ev(x):
         u = s * (x + b)
@@ -749,47 +689,31 @@ def _family_jacobi(params):
             w[k:] *= s  # chain rule for w(s (x + b)): coefficient k gains s^k
         return m / Jet1(w)
 
-    window = (-b, -b + _SN_ZERO / s)
     fld = ScalarField1D(ev, label="jacobi", period=2.0 * _SN_ZERO / s,
-                        window=window)
-    return SolutionFamily("JacobiReduction", {"m": m, "c": c, "b": b},
-                          fld, c, window, info={"alpha": 0.0, "beta": beta})
+                        window=(-b, -b + _SN_ZERO / s))
+    return fld, c, {"alpha": 0.0, "beta": 2.0 * (c - 1.0) ** 2}
 
 
-def _family_weierstrass(params):
-    a = float(params.get("a", 1.5))
-    b = float(params.get("b", 1.0))
+def _family_weierstrass(a, b):
     if b == 0.0:
         raise DomainError("Weierstrass family needs b != 0 here; the "
                           "b = 0 profile is the rational 1/(x+a)^2")
-    margin = float(params.get("margin", 0.05))
-    T = real_period(b)
 
     def ev(x):
         Pj, _ = wp_jet(Jet1.variable(x) + a, b)
         return Pj
 
-    k = math.floor(a / T)
-    window = (k * T - a + margin, (k + 1) * T - a - margin)
-    if not window[0] < window[1]:
-        raise DomainError(f"empty pole-free window for a={a!r}, b={b!r}")
-    fld = ScalarField1D(ev, label="weierstrass", period=T, window=window)
-    return SolutionFamily("Weierstrass", {"a": a, "b": b}, fld, -0.5,
-                          window, role="F")
+    fld = ScalarField1D(ev, label="weierstrass", period=real_period(b),
+                        window=_pole_free_cell(a, b, 0.05))
+    return fld, -0.5, {}, "F"
 
 
-def _family_hypergeometric(params):
-    gamma = float(params.get("gamma", 1.0))
-    beta = float(params.get("beta", 2.0))
-    b = float(params.get("b", 0.0))
-    z_lo = float(params.get("z_lo", 0.02))
-    z_hi = float(params.get("z_hi", 0.9))
+def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
     if beta <= 0.0 or gamma == 0.0:
         raise DomainError("HypergeometricParametric needs beta > 0 and "
                           "gamma != 0")
     if not 0.0 < z_lo < z_hi < 1.0:
         raise DomainError("need 0 < z_lo < z_hi < 1")
-    c = 1.0 - math.sqrt(beta / 2.0)
     broot = beta ** 0.25
     pref = math.sqrt(2.0) / (2.0 * gamma * broot)
 
@@ -835,21 +759,11 @@ def _family_hypergeometric(params):
             zj = _integral_jet(z, dz_dx(zj))
         return (gamma / broot) * (1.0 - zj).powr(-0.25)
 
-    fld = ScalarField1D(ev, label="hypergeometric", window=ends)
-    return SolutionFamily("HypergeometricParametric",
-                          {"gamma": gamma, "beta": beta, "b": b,
-                           "z_lo": z_lo, "z_hi": z_hi},
-                          fld, c, fld.window,
-                          info={"alpha": 0.0, "beta": beta})
+    return (ScalarField1D(ev, label="hypergeometric", window=ends),
+            1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta})
 
 
-def _family_numeric(params):
-    alpha = float(params.get("alpha", 0.0))
-    c = float(params.get("c", 0.0))
-    x0 = float(params.get("x0", 0.0))
-    h0 = float(params.get("h0", 1.0))
-    h1 = float(params.get("h1", 0.0))
-    span = float(params.get("span", 6.0))
+def _family_numeric(alpha, c, x0, h0, h1, span):
     beta = reduction_consistency(alpha, c)
 
     def rhs(x, y):
@@ -862,39 +776,80 @@ def _family_numeric(params):
                    rtol=1e-11, atol=1e-12)
     fwd = integrate(spec, x0 + span)
     bwd = integrate(spec, x0 - span)
-    window = (bwd.x_end, fwd.x_end)
 
     def ev(x):
         traj = fwd if x >= x0 else bwd
         v = traj(x)
         return ode2_jet(v[0], v[1], alpha, beta)
 
-    fld = ScalarField1D(ev, label="numeric", window=window)
-    return SolutionFamily("NumericODE",
-                          {"alpha": alpha, "c": c, "x0": x0, "h0": h0,
-                           "h1": h1, "span": span},
-                          fld, c, window,
-                          info={"alpha": alpha, "beta": beta,
-                                "status_forward": fwd.status,
-                                "status_backward": bwd.status})
+    fld = ScalarField1D(ev, label="numeric", window=(bwd.x_end, fwd.x_end))
+    return fld, c, {"alpha": alpha, "beta": beta,
+                    "status_forward": fwd.status,
+                    "status_backward": bwd.status}
 
 
-_FAMILY_BUILDERS = {
-    "Linear": _family_linear,
-    "Quadratic": _family_quadratic,
-    "RationalPole": _family_rational,
-    "TanFamily": _family_tan,
-    "TanhHyperCR": _family_tanh,
-    "JacobiReduction": _family_jacobi,
-    "Weierstrass": _family_weierstrass,
-    "HypergeometricParametric": _family_hypergeometric,
-    "NumericODE": _family_numeric,
+# The family catalog: alias -> (canonical tag, parameter defaults, builder).
+# A default of None leaves the parameter out unless it is given.  A family
+# that does not take c has its c fixed by the catalog.
+_FAMILIES = {
+    "weierstrass": ("Weierstrass", {"a": 1.5, "b": 1.0},
+                    _family_weierstrass),
+    "jacobi": ("JacobiReduction", {"m": 1.0, "c": 0.0, "b": 0.0},
+               _family_jacobi),
+    "hypergeometric": ("HypergeometricParametric",
+                       {"gamma": 1.0, "beta": 2.0, "b": 0.0, "z_lo": 0.02,
+                        "z_hi": 0.9}, _family_hypergeometric),
+    "tan": ("TanFamily", {"alpha": -1.0, "ell": -0.5, "b": 0.0}, _family_tan),
+    "tanh": ("TanhHyperCR", {"c": -1.0, "ell": -1.0, "b": 0.0}, _family_tanh),
+    "linear": ("Linear", {"ell": 1.0, "b": 0.0}, _family_linear),
+    "rational": ("RationalPole",
+                 {"gamma": 1.0, "b": 0.0, "alpha": 0.0, "c": None},
+                 _family_rational),
+    "quadratic": ("Quadratic", {"b": 0.0}, _family_quadratic),
+    "numeric": ("NumericODE", {"alpha": 0.0, "c": 0.0, "x0": 0.0, "h0": 1.0,
+                               "h1": 0.0, "span": 6.0}, _family_numeric),
 }
+
+FAMILY_TAGS = tuple(tag for tag, _, _ in _FAMILIES.values())
+
+
+def _family_row(tag: str) -> tuple:
+    """The catalog row of an alias (any case) or a canonical tag."""
+    for alias, row in _FAMILIES.items():
+        if tag.lower() == alias or tag == row[0]:
+            return row
+    raise DomainError(f"unknown family tag {tag!r}; "
+                      f"choose from {sorted(_FAMILIES)}")
+
+
+def canonical_tag(tag: str) -> str:
+    return _family_row(tag)[0]
 
 
 def build_family(tag: str, **params) -> SolutionFamily:
-    """Construct the full SolutionFamily record for a catalog tag."""
-    return _FAMILY_BUILDERS[canonical_tag(tag)](params)
+    """Construct the full SolutionFamily record for a catalog tag.
+
+    Parameters the catalog row does not declare raise DomainError; the
+    rest default from the row and are recorded as `parameters`.  A c
+    given to a family that does not take c is a claim, checked against
+    the cataloged c.
+    """
+    tag, defaults, builder = _family_row(tag)
+    c_claim = None if "c" in defaults else params.pop("c", None)
+    extra = set(params) - set(defaults)
+    if extra:
+        raise DomainError(
+            f"family {tag} does not accept parameter(s) {sorted(extra)}; "
+            f"allowed: {sorted(set(defaults) | {'c'})}")
+    p = {k: None if v is None else float(v)
+         for k, v in {**defaults, **params}.items()}
+    fld, c, info, *role = builder(**p)
+    if c_claim is not None and abs(float(c_claim) - c) > 1e-12:
+        raise DomainError(
+            f"family {tag} has associated c = {c!r}, not {c_claim!r}")
+    return SolutionFamily(
+        tag, {k: v for k, v in p.items() if v is not None}, fld, c,
+        fld.window, *role, info=info)
 
 
 def family_catalog(tag: str, **params):

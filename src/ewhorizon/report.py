@@ -26,8 +26,8 @@ from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
 from .jets import Jet1, Point
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
-                          NearHorizonData, ScalarField1D, build_family,
-                          canonical_tag, detect_period, field_one,
+                          _FAMILIES, NearHorizonData, ScalarField1D,
+                          build_family, detect_period, field_one,
                           flatness_defect, named_h_field, nh_metric,
                           ode2_residual, ode3_first_integral,
                           ode4_condition, ode4_monomials, ode4_residual,
@@ -38,7 +38,7 @@ from .pdeverify import (HyperCRParams, alignment_defect, dkp_residual,
                         dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
                         prop4_structures, tanh_profile)
-from .specfun import real_period
+from .specfun import _pole_free_cell, real_period
 
 _AXIS_NAMES = ("nu", "r", "x")
 _EW_NAMES = ("nunu", "nur", "nux", "rr", "rx", "xx")
@@ -329,28 +329,14 @@ def _build_thm1(p):
         params=p, residuals=(_ew(nh_metric(d), X),), profiles=(h, F))
 
 
-_FAMILY_FIXED_C = {"Linear", "Quadratic", "TanFamily", "Weierstrass",
-                   "HypergeometricParametric"}
-_FAMILY_PARAMS = dict.fromkeys(("ell", "b", "c", "alpha", "beta", "gamma",
-                                "m", "a", "x0", "h0", "h1", "span", "z_lo",
-                                "z_hi"))
-
-
-def _build_family_checked(tag, params):
-    """build_family plus validation of a user-supplied c for families
-    whose c is fixed by the catalog."""
-    tag = canonical_tag(tag)
-    params = dict(params)
-    c_claim = params.pop("c", None) if tag in _FAMILY_FIXED_C else None
-    fam = build_family(tag, **params)
-    if c_claim is not None and abs(float(c_claim) - fam.c) > 1e-12:
-        raise DomainError(
-            f"family {tag} has associated c = {fam.c!r}, not {c_claim!r}")
-    return fam
+# every parameter of any cataloged family, and c, which each one takes
+# (build_family rejects the ones a given family does not declare)
+_FAMILY_PARAMS = dict.fromkeys(["c"] + [k for _, defaults, _ in
+                                        _FAMILIES.values() for k in defaults])
 
 
 def _build_thm2(p):
-    fam = _build_family_checked(p.pop("family"), p)
+    fam = build_family(p.pop("family"), **p)
     if fam.role != "h":
         raise DomainError("thm2-ode needs a profile (h) family")
     h = fam.field
@@ -400,14 +386,10 @@ def _build_dkp(p):
     T = real_period(b)
     a = p.get("a", 0.5 * T)
     u = dkp_wp_potential(a, b)
-    # the pole-free cell of wp(x + a) that holds x = 0, inset by 0.3
-    k = math.floor(a / T)
-    lo, hi = k * T - a + 0.3, (k + 1) * T - a - 0.3
-    if not lo < hi:
-        raise DomainError(f"empty pole-free window for a={a!r}, b={b!r}")
     return Setup(
         claim="u = -(r^2/2) wp(x + a; 0, b) solves the dkp equation",
-        window=(lo, hi), tolerance=1e-8, params={"a": a, "b": b},
+        window=_pole_free_cell(a, b, 0.3), tolerance=1e-8,
+        params={"a": a, "b": b},
         residuals=(Residual(("residual",), lambda q: dkp_residual(u, q)),))
 
 
@@ -453,7 +435,7 @@ def _build_chalf(p):
 
 
 def _build_family(p, tag):
-    fam = _build_family_checked(tag, p)
+    fam = build_family(tag, **p)
     f = fam.field
     if fam.role == "h":
         residuals = (Residual(("ode4",),
@@ -621,7 +603,7 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
         raise DomainError("scan-c needs steps >= 1")
     _require_finite({"c_from": c_from, "c_to": c_to, "x0": x0, "span": span,
                      **(seed_params or {})})
-    fam = _build_family_checked(seed, dict(seed_params or {}))
+    fam = build_family(seed, **(seed_params or {}))
     if fam.role != "h":
         raise DomainError("scan-c seed must be a profile (h) family")
     lo, hi = fam.window
@@ -724,13 +706,15 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
     (axis, residual) along any axis.  Points sit on the fixed off-axis
     slice nu = 0.3, r = 0.7 (x at the window's middle, or 0, when
     sweeping nu or r).  A trailing `# window-clipped` comment marks
-    sweeps truncated by the admissible window.
+    sweeps truncated by the admissible window.  A sample whose
+    evaluation raises EwhError is dropped only where the check skips
+    points; elsewhere the error propagates.
     """
     if samples < 2:
         raise DomainError("export-plot needs samples >= 2")
     if axis not in _AXIS_NAMES:
         raise DomainError(f"axis must be one of {_AXIS_NAMES}, got {axis!r}")
-    _, s = _setup(check_id, params)
+    check, s = _setup(check_id, params)
     if s.profiles and axis != "x":
         raise DomainError(f"check {check_id!r} sweeps x only")
     primary = s.residuals[0]
@@ -751,6 +735,8 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
             raw = primary.fn(v if primary.per_x else Point(*coords))
             cells.append(f"{float(np.max(np.abs(raw))):.12g}")
         except EwhError:
+            if not check.skip:
+                raise
             continue
         lines.append(",".join(cells))
     if clipped:

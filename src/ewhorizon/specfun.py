@@ -17,7 +17,6 @@ Everything is deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -40,7 +39,6 @@ _SERIES_RADIUS = 0.55
 _DEFAULT_DELTA = 1e-3
 
 _period_cache: dict[float, float] = {}
-_period_lock = threading.Lock()
 
 
 def _series_pair(w, g3n):
@@ -91,8 +89,7 @@ def real_period(b: float) -> float:
     if b == 0.0:
         raise DomainError("g3 = 0 has a single pole at the origin, no period")
     g3n = 1.0 if b > 0 else -1.0
-    with _period_lock:
-        t = _period_cache.get(g3n)
+    t = _period_cache.get(g3n)
     if t is None:
         lo = 0.2
         qlo = _eval_normalized(lo, g3n)[1]
@@ -115,9 +112,20 @@ def real_period(b: float) -> float:
             if hi - lo < 1e-15 * hi:
                 break
         t = lo + hi  # twice the half-period
-        with _period_lock:
-            _period_cache[g3n] = t
+        _period_cache[g3n] = t
     return t / abs(b) ** (1.0 / 6.0)
+
+
+def _pole_free_cell(a: float, b: float, margin: float) -> tuple:
+    """The interval of u with u + a in the pole-free cell [kT, (k+1)T]
+    of wp(.; 0, b) that holds a, inset by `margin` from both poles."""
+    T = real_period(b)
+    k = math.floor(a / T)
+    lo, hi = k * T - a + margin, (k + 1) * T - a - margin
+    if not lo < hi:
+        raise DomainError(f"empty pole-free window for a={a!r}, b={b!r}, "
+                          f"margin={margin!r}")
+    return lo, hi
 
 
 def _fold(z: float, b: float, delta: float):

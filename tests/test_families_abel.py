@@ -133,6 +133,9 @@ def test_weierstrass_family_is_an_F_profile():
     assert abs(fam.field(0.3).value - wp(1.8, 1.0)[0]) < 1e-12
     with pytest.raises(DomainError):
         build_family("weierstrass", a=1.0, b=0.0)
+    # the pole margin is a catalog constant, not a parameter
+    with pytest.raises(DomainError, match="margin"):
+        build_family("weierstrass", margin=0.1)
 
 
 def test_jacobi_family_solves_its_real_ode():

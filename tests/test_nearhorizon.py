@@ -335,6 +335,8 @@ def test_thm1_b_zero_single_pole_window():
     assert abs(F(0.5).value - 1.5**-2) < 1e-12
     lo, hi = F.window
     assert hi == math.inf and lo <= 0.5
+    # the edge sits at G + a = margin, G = x: lo = 0.3 - 1
+    assert abs(lo + 0.7) < 1e-8
 
 
 def test_data_window_intersection():

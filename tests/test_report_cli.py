@@ -125,6 +125,14 @@ def test_family_check_near_pole_conditioning():
     assert rep.components["ode4"] < 1e-10
 
 
+def test_thm1_b_zero_grid_stays_on_the_pole_side_of_its_window():
+    # G = x and a = 0.7: wp = 1/(x + 0.7)^2 has its pole at x = -0.7,
+    # so the default x axis must start right of it
+    rep = run_check("thm1", {"b": 0.0, "a": 0.7})
+    assert rep.grid["x"][0] > -0.7
+    assert rep.passed
+
+
 def test_thm2_hypergeometric_profile_verifies():
     rep = run_check("thm2-ode", {"family": "hypergeometric"})
     assert rep.passed
@@ -203,6 +211,13 @@ def test_cli_verify_expected_fail(capsys):
     ["export-plot", "dkp", "--b", "inf"],
     ["scan-c", "--from", "0", "--to", "1", "--seed", "tanh", "--b", "inf"],
     ["verify", "prop1-iff", "--F", "one", "--tol", "inf"],
+    # a family rejects the parameters of other families, and a wrong c
+    # claim on a family whose c is cataloged
+    ["verify", "family:linear", "--gamma", "5"],
+    ["verify", "thm2-ode", "--family", "tanh", "--m", "7"],
+    ["scan-c", "--from", "0", "--to", "0", "--steps", "1", "--seed", "tanh",
+     "--gamma", "9"],
+    ["verify", "family:linear", "--c", "2"],
 ])
 def test_cli_usage_errors(capsys, argv):
     code, _, err = run_cli(argv, capsys)
@@ -382,6 +397,10 @@ def test_export_plot_validation():
         export_plot("thm2-ode", {"family": "weierstrass"})
     with pytest.raises(DomainError):
         export_plot("prop1-iff", {"F": "bogus"})
+    # h(0) = 0 divides F_from_h by zero at the middle sample; thm2-ode does
+    # not skip points, so the sweep fails rather than dropping the row
+    with pytest.raises(DomainError, match="F_from_h"):
+        export_plot("thm2-ode", {"family": "tanh"}, samples=201)
 
 
 def test_cli_export_plot_writes_file(tmp_path, capsys):
