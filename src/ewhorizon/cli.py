@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .errors import EwhError
+from .nearhorizon import _family_row
 from .report import (CHECKS, GridSpec, export_plot, run_check, scan_c,
                      scan_rows_csv)
 
@@ -121,8 +122,20 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed != args.expect_fail else 2
 
 
+# scan-c flags that are the scan's own; a seed family taking a parameter
+# of the same name (numeric: x0, span) cannot be given it from scan-c
+_SCAN_OWN = {"x0": "the scan's start", "span": "the scan's half-width"}
+
+
 def _cmd_scan_c(args) -> int:
     params = _collect_params(args)
+    seed_params = _family_row(args.seed)[1]
+    clash = sorted(set(params) & set(_SCAN_OWN) & set(seed_params))
+    if clash:
+        name = clash[0]
+        raise _UsageError(f"--{name} means {_SCAN_OWN[name]} and also the "
+                          f"{args.seed} seed's own {name}; scan-c cannot "
+                          f"set the seed's {name}")
     x0 = params.pop("x0", 1.0)
     span = params.pop("span", 6.0)
     rows = scan_c(args.c_from, args.c_to, args.steps, seed=args.seed,

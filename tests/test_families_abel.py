@@ -19,7 +19,7 @@ from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
                                    periodicity_check, reduction_consistency,
                                    weyl_oneform_generic)
 from ewhorizon.nearhorizon import abel_parametric_jets
-from ewhorizon.report import GridSpec
+from ewhorizon.report import GridSpec, run_check
 from ewhorizon.specfun import hyp2f1, real_period, wp
 
 SQRT2_K = 2.6220575542921196  # sqrt(2) K(1/sqrt(2)): jacobi window width
@@ -215,6 +215,14 @@ def test_hypergeometric_evaluator_stops_at_its_window():
     with pytest.raises(WindowError):
         fam.field.evaluator(hi + 1.0)
     assert not periodicity_check(fam.field, 100.0 * (hi - lo))
+
+
+def test_hypergeometric_window_reaches_toward_z_one():
+    # near z = 1 the direct 2F1 series needs more than 10^4 terms; the
+    # connection to 1 - z keeps the profile buildable and certified
+    fam = build_family("hypergeometric", z_hi=0.999)
+    assert fam.window[1] > build_family("hypergeometric").window[1]
+    assert run_check("family:hypergeometric", {"z_hi": 0.999}).passed
 
 
 def test_hypergeometric_profile_work_per_evaluation(monkeypatch):

@@ -218,6 +218,9 @@ def test_cli_verify_expected_fail(capsys):
     ["scan-c", "--from", "0", "--to", "0", "--steps", "1", "--seed", "tanh",
      "--gamma", "9"],
     ["verify", "family:linear", "--c", "2"],
+    # --x0 and --span are the scan's own; the numeric seed takes both too
+    ["scan-c", "--from", "0", "--to", "0", "--steps", "1", "--seed",
+     "numeric", "--x0", "0.5", "--span", "1"],
 ])
 def test_cli_usage_errors(capsys, argv):
     code, _, err = run_cli(argv, capsys)

@@ -19,8 +19,8 @@ from ewhorizon.specfun import (complete_elliptic_k, hyp2f1,
                                sn_imaginary_modulus_jet, wp, wp_jet)
 
 # integral of dt / sqrt(4 t^3 - b) from the real root to infinity, doubled
-REAL_PERIOD_B_PLUS_1 = 3.059908074114269
-REAL_PERIOD_B_MINUS_1 = 5.299916250855313
+REAL_PERIOD_B_PLUS_1 = 3.0599080741143857
+REAL_PERIOD_B_MINUS_1 = 5.2999162508563499
 # complete elliptic integral K(1/sqrt(2))
 K_HALF_SQRT2 = 1.8540746773013717
 # sn(1; k = i), from integrating the degree-4 pendulum ODE
@@ -66,13 +66,9 @@ def test_wp_satisfies_its_differential_equation(b, zfrac):
         <= 1e-9 * max(1.0, abs(P.value))
 
 
-@pytest.mark.parametrize("b", [1.0, -1.0, 0.35, -2.7, 0.0])
-@pytest.mark.parametrize("nonlinear", [False, True])
-def test_wp_jet_matches_finite_differences_of_wp(b, nonlinear):
-    # orders 1..4 of both jets against central differences of the float wp,
-    # along z itself and along a nonlinear inner function of t.  The
-    # duplication steps leave about 1e-12 relative noise in the float wp,
-    # so the higher orders take wider stencils and the bound is loose.
+def _wp_jet_against_finite_differences(b, nonlinear, stencils, bound):
+    """Orders 1..4 of both wp jets against central differences of the
+    float wp, along z itself or along a nonlinear inner function of t."""
     z0 = 1.3 if b == 0.0 else 0.4 * real_period(b)
     if nonlinear:
         def inner(t):
@@ -89,10 +85,27 @@ def test_wp_jet_matches_finite_differences_of_wp(b, nonlinear):
         def f(p):
             return wp(inner(p.x), b)[part]
         at = Point(0.0, 0.0, t0)
-        for k, step in ((1, 0.01), (2, 0.01), (3, 0.02), (4, 0.05)):
+        for k, step in stencils:
             expect = fd_oracle(f, at, (0, 0, k), step=step)
             assert abs(jets[part].derivative(k) - expect) \
-                <= 1e-4 * max(1.0, abs(expect)), (part, k)
+                <= bound * max(1.0, abs(expect)), (part, k)
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0, 0.35, -2.7, 0.0])
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_wp_jet_matches_finite_differences_of_wp(b, nonlinear):
+    # wide stencils and a loose bound
+    _wp_jet_against_finite_differences(
+        b, nonlinear, ((1, 0.01), (2, 0.01), (3, 0.02), (4, 0.05)), 1e-4)
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0, 0.35, -2.7, 0.0])
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_wp_jet_matches_tight_finite_differences_of_wp(b, nonlinear):
+    # the float wp is good to a few ulps, so stencils whose 1/step^k
+    # roundoff gain would expose 1e-12 noise in wp still agree closely
+    _wp_jet_against_finite_differences(
+        b, nonlinear, ((1, 0.002), (2, 0.004), (3, 0.008), (4, 0.02)), 1e-5)
 
 
 def test_wp_periodicity_on_real_axis():
