@@ -890,39 +890,72 @@ def periodicity_check(h: ScalarField1D, T: float, tol: float = 1e-8) -> bool:
     return valid >= 8 and worst < tol
 
 
+def first_return(samples, at, x_min: float):
+    """First return of a profile to its anchor's (h, h').
+
+    `samples` yields (x, h, h') at increasing x, the anchor first, and
+    `at(x)` gives (h, h') at any x they span.  A bracket of consecutive
+    samples, cut to its part beyond `x_min`, holds a candidate return
+    when h - h(anchor) changes sign across it and h' at its right end
+    has the sign of h'(anchor).  The first candidate is bisected on h;
+    it is accepted when h and h' there match the anchor's to 1e-7 and
+    1e-6 (relative), else the search goes on.  Returns the distance
+    from the anchor, or None when the samples end without a return.
+    """
+    samples = iter(samples)
+    x_anchor, v0, s0 = next(samples)
+    x_prev, f_prev = x_anchor, 0.0
+    for x, v, s in samples:
+        f = v - v0
+        if x > x_min and s * s0 > 0.0:
+            if x_prev < x_min:
+                # From the anchor itself h - h(anchor) starts at 0: only
+                # the part of the bracket beyond x_min may hold a return.
+                x_prev, f_prev = x_min, at(x_min)[0] - v0
+            if f_prev * f <= 0.0:
+                a, b = x_prev, x
+                for _ in range(80):
+                    mid = 0.5 * (a + b)
+                    if (at(mid)[0] - v0) * f <= 0.0:
+                        a = mid
+                    else:
+                        b = mid
+                x_ret = 0.5 * (a + b)
+                v_ret, s_ret = at(x_ret)[:2]
+                if (abs(v_ret - v0) < 1e-7
+                        and abs(s_ret - s0) < 1e-6 * (1.0 + abs(s0))):
+                    return x_ret - x_anchor
+        x_prev, f_prev = x, f
+    return None
+
+
 def detect_period(h: ScalarField1D, x_anchor: float):
     """Estimate a period of h by first return to the anchor's (h, h').
 
-    Returns the candidate T, or None when no return happens inside the
-    window; candidates should be confirmed with periodicity_check.
+    Runs `first_return` on 2048 uniform samples from the anchor to the
+    window's end, skipping returns within the first four; sampling stops
+    at the first x that cannot be evaluated.  Returns the candidate T,
+    or None when no return happens inside the window; candidates should
+    be confirmed with periodicity_check.
     """
     lo, hi = h.window
     if not (math.isfinite(hi) and lo <= x_anchor < hi):
         return None
-    j0 = h.evaluator(x_anchor)
-    v0, s0 = j0.value, j0.derivative(1)
     n = 2048
     dx = (hi - x_anchor) / n
-    f_prev = 0.0
-    for i in range(1, n):
-        x = x_anchor + i * dx
-        try:
-            j = h.evaluator(x)
-        except (EwhError, ValueError):
-            return None
-        f = j.value - v0
-        if i > 4 and f_prev * f <= 0.0 and j.derivative(1) * s0 > 0.0:
-            a, b = x - dx, x
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if (h.evaluator(mid).value - v0) * f <= 0.0:
-                    a = mid
-                else:
-                    b = mid
-            x_ret = 0.5 * (a + b)
-            jr = h.evaluator(x_ret)
-            if (abs(jr.value - v0) < 1e-7
-                    and abs(jr.derivative(1) - s0) < 1e-6 * (1.0 + abs(s0))):
-                return x_ret - x_anchor
-        f_prev = f
-    return None
+
+    def at(x):
+        j = h.evaluator(x)
+        return j.value, j.derivative(1)
+
+    def samples():
+        yield (x_anchor, *at(x_anchor))
+        for i in range(1, n):
+            x = x_anchor + i * dx
+            try:
+                v, s = at(x)
+            except (EwhError, ValueError):
+                return
+            yield x, v, s
+
+    return first_return(samples(), at, x_anchor + 4 * dx)

@@ -42,6 +42,12 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+# Per-stage views of the tableau, sliced once: stage i sums k[:i] against
+# _A_ROWS[i], and the stage abscissae are plain floats.
+_A_ROWS = [_A[i, :i] for i in range(6)]
+_B_ROW = _B[:6]  # the b row has zero weight on k7
+_C_STEP = _C.tolist()
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -85,6 +91,14 @@ class Trajectory:
     reason: str = ""
     _segs: list = field(default_factory=list, repr=False)  # (x0, h, y0, Q) per step
 
+    def __post_init__(self):
+        # Ascending search keys for the knots: a backward trajectory
+        # searches -xs for -x.  Built once, not on every dense evaluation.
+        xs = self.xs
+        self._ascending = bool(xs[0] <= xs[-1])
+        self._keys = xs if self._ascending else -xs
+        self._span = (float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1])))
+
     @property
     def x_end(self):
         return float(self.xs[-1])
@@ -95,15 +109,13 @@ class Trajectory:
 
     def __call__(self, x):
         """Dense evaluation at a scalar x inside the covered span."""
-        xs = self.xs
-        lo, hi = (xs[0], xs[-1]) if xs[0] <= xs[-1] else (xs[-1], xs[0])
+        lo, hi = self._span
         if not lo - 1e-12 * (1 + abs(lo)) <= x <= hi + 1e-12 * (1 + abs(hi)):
             raise ValueError(f"x={x!r} outside trajectory span [{lo}, {hi}]")
         if len(self._segs) == 0:
             return self.ys[0].copy()
         # Find the step whose interval contains x (knots are monotone).
-        idx = np.searchsorted(xs if xs[0] <= xs[-1] else -xs,
-                              x if xs[0] <= xs[-1] else -x)
+        idx = np.searchsorted(self._keys, x if self._ascending else -x)
         idx = min(max(int(idx) - 1, 0), len(self._segs) - 1)
         x0, h, y0, q = self._segs[idx]
         t = (x - x0) / h
@@ -112,7 +124,13 @@ class Trajectory:
 
 
 def _rms_norm(e, scale):
-    return float(np.sqrt(np.mean((e / scale) ** 2)))
+    # A left-to-right float sum: numpy's pairwise sum runs in order below
+    # 8 entries, so for the short states integrated here these are the
+    # bits of np.mean, without its per-call overhead.
+    total = 0.0
+    for v in (e / scale).tolist():
+        total += v * v
+    return math.sqrt(total / len(e))
 
 
 def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
@@ -159,6 +177,9 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     segs = []
     err_prev = 1.0
     k = np.empty((7, spec.dim))
+    k[0] = f  # FSAL: row 0 always holds rhs at the current point
+    k_heads = [k[:i].T for i in range(7)]
+    k_t = k.T
     status, reason = "ok", ""
 
     while (x_end - x) * direction > 0:
@@ -167,13 +188,12 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             raise StiffnessError(
                 f"step size underflow at x={x!r} (h={h!r}); problem too stiff")
         hs = h * direction
-        k[0] = f
         for i in range(1, 6):
-            yi = y + hs * (k[:i].T @ _A[i, :i])
-            k[i] = rhs(x + _C[i] * hs, yi)
-        y_new = y + hs * (k[:6].T @ _B[:6])  # b row has zero weight on k7
+            yi = y + hs * (k_heads[i] @ _A_ROWS[i])
+            k[i] = rhs(x + _C_STEP[i] * hs, yi)
+        y_new = y + hs * (k_heads[6] @ _B_ROW)
         k[6] = rhs(x + hs, y_new)
-        err_vec = hs * (k.T @ _E)
+        err_vec = hs * (k_t @ _E)
         scale = spec.atol + spec.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _rms_norm(err_vec, scale)
 
@@ -185,13 +205,14 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
                     break
                 h *= 0.5
                 continue
-            q = k.T @ _P
-            segs.append((x, hs, y.copy(), q))
+            # y and y_new are never written in place, so knots and
+            # segments can hold them without copies.
+            segs.append((x, hs, y, k_t @ _P))
             x += hs
             y = y_new
-            f = k[6].copy()  # FSAL: the last stage is rhs at the new point
+            k[0] = k[6]  # FSAL: the last stage is rhs at the new point
             xs.append(x)
-            ys.append(y.copy())
+            ys.append(y)
             factor = _SAFETY * (err + 1e-300) ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             err_prev = max(err, 1e-10)
             h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), spec.max_step)

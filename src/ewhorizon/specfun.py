@@ -51,10 +51,11 @@ def _agm_scheme(k: float):
     return a, c
 
 
-def _amplitude(u: float, k: float) -> float:
-    """am(u, k) for 0 < k < 1: AGM plus the descending recurrence
+def _amplitude(u: float, scheme) -> float:
+    """am(u, k) for 0 < k < 1 from the AGM scheme of k (`_agm_scheme`):
+    the descending recurrence
     phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2 (DLMF 22.20.3-4)."""
-    a, c = _agm_scheme(k)
+    a, c = scheme
     n = len(a) - 1
     phi = (2.0**n) * a[n] * u
     for i in range(n, 0, -1):
@@ -78,7 +79,7 @@ def jacobi_sn_cn_dn(u: float, k: float):
     if 1.0 - k < 1e-12:
         sech = 1.0 / math.cosh(u)
         return math.tanh(u), sech, sech
-    phi = _amplitude(u, k)
+    phi = _amplitude(u, _agm_scheme(k))
     sn = math.sin(phi)
     cn = math.cos(phi)
     dn = math.sqrt(max(0.0, 1.0 - (k * sn) ** 2))
@@ -134,11 +135,13 @@ _DEFAULT_DELTA = 1e-3
 
 
 def _lattice(g3n: float) -> tuple:
-    """(e2, H2, k, real period) of wp(.; 0, g3n), g3n = +/-1."""
+    """(e2, H2, k, real period, AGM scheme of k) of wp(.; 0, g3n),
+    g3n = +/-1."""
     e2 = g3n * 4.0 ** (-1.0 / 3.0)
     h2 = math.sqrt(3.0) * abs(e2)
     k = math.sqrt(0.5 - 0.75 * e2 / h2)  # (2 -+ sqrt 3) / 4 under the root
-    return e2, h2, k, 2.0 * complete_elliptic_k(k) / math.sqrt(h2)
+    return (e2, h2, k, 2.0 * complete_elliptic_k(k) / math.sqrt(h2),
+            _agm_scheme(k))
 
 
 _LATTICE = {1.0: _lattice(1.0), -1.0: _lattice(-1.0)}
@@ -176,7 +179,7 @@ def wp(z: float, b: float, delta: float = _DEFAULT_DELTA):
                 f"wp argument {z!r} within {delta} of the pole at 0", nearest_pole=0.0
             )
         return 1.0 / z**2, -2.0 / z**3
-    e2, h2, k, t = _LATTICE[math.copysign(1.0, b)]
+    e2, h2, k, t, scheme = _LATTICE[math.copysign(1.0, b)]
     scale = abs(b) ** (1.0 / 6.0)
     zs = z * scale
     m = round(zs / t)
@@ -186,7 +189,7 @@ def wp(z: float, b: float, delta: float = _DEFAULT_DELTA):
             f"wp argument {z!r} within {delta} of a pole",
             nearest_pole=m * t / scale)
     sqrt_h2 = math.sqrt(h2)
-    phi = _amplitude(2.0 * sqrt_h2 * zf, k)
+    phi = _amplitude(2.0 * sqrt_h2 * zf, scheme)
     w = math.cos(0.5 * phi) / math.sin(0.5 * phi)
     dn = math.sqrt(1.0 - (k * math.sin(phi)) ** 2)
     p = e2 + h2 * w * w

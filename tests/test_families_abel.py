@@ -19,7 +19,8 @@ from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
                                    periodicity_check, reduction_consistency,
                                    weyl_oneform_generic)
 from ewhorizon.nearhorizon import abel_parametric_jets
-from ewhorizon.report import GridSpec, run_check
+from ewhorizon.odesolve import IvpSpec, integrate
+from ewhorizon.report import GridSpec, _knot_return, run_check
 from ewhorizon.specfun import hyp2f1, real_period, wp
 
 SQRT2_K = 2.6220575542921196  # sqrt(2) K(1/sqrt(2)): jacobi window width
@@ -251,6 +252,27 @@ def test_detect_period_on_sin():
     T = detect_period(bounded, 0.3)
     assert T is not None
     assert abs(T - 2.0 * math.pi) < 1e-6
+
+
+def _oscillator_from(x0, span):
+    # y'' = -y through (sin x0, cos x0): the forward trajectory of sin
+    spec = IvpSpec(dim=2, rhs=lambda x, y: np.array([y[1], -y[0]]),
+                   x0=x0, y0=[math.sin(x0), math.cos(x0)])
+    return integrate(spec, x0 + span)
+
+
+def test_first_return_on_trajectory_knots():
+    # scan-c's period rule: bracket on the knots, refine on the dense
+    # output of the bracketing step
+    T = _knot_return(_oscillator_from(0.3, 20.0))
+    assert T is not None
+    assert abs(T - 2.0 * math.pi) < 1e-8
+    f = field_sin()
+    bounded = type(f)(evaluator=f.evaluator, label=f.label,
+                      period=None, window=(-20.0, 20.0), integral=None)
+    assert abs(T - detect_period(bounded, 0.3)) < 1e-8
+    # shorter than one period: no return to find
+    assert _knot_return(_oscillator_from(0.3, 6.0)) is None
 
 
 def test_detect_period_none_for_monotone():

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.errors import AccuracyError, StiffnessError
-from ewhorizon.odesolve import IvpSpec, Trajectory, integrate, quad
+from ewhorizon.odesolve import (IvpSpec, Trajectory, _rms_norm,
+                                integrate, quad)
 
 
 def test_exponential_growth():
@@ -43,6 +44,18 @@ def test_dense_output_matches_knots():
         assert_allclose(traj(float(xk))[0], yk[0], rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         traj(3.5)
+
+
+def test_backward_dense_output_matches_knots():
+    # descending knots: the step lookup searches the negated knots
+    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([math.cos(x)]),
+                   x0=0.0, y0=[0.0])
+    traj = integrate(spec, -3.0)
+    for xk, yk in zip(traj.xs, traj.ys):
+        assert_allclose(traj(float(xk))[0], yk[0], rtol=1e-12, atol=1e-12)
+    assert_allclose(traj(-2.0)[0], math.sin(-2.0), rtol=1e-9)
+    with pytest.raises(ValueError):
+        traj(-3.5)
 
 
 def test_tolerance_scaling():
@@ -97,6 +110,19 @@ def test_nan_step_raises_stiffness(y0, rhs):
     spec = IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=y0)
     with pytest.raises(StiffnessError):
         integrate(spec, 1.0)
+
+
+def test_rms_norm_is_the_numpy_mean_bit_for_bit():
+    # the step controller's error norm sums in Python floats; it must
+    # keep the exact bits of the numpy form it replaced
+    rng = np.random.default_rng(20261018)
+    for dim in (1, 2, 4, 7):
+        for _ in range(3000):
+            e = rng.standard_normal(dim) * 10.0 ** rng.uniform(-14, 4, dim)
+            scale = 1e-12 + 1e-10 * np.abs(
+                rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 6, dim))
+            want = float(np.sqrt(np.mean((e / scale) ** 2)))
+            assert _rms_norm(e, scale) == want
 
 
 def test_max_step_is_respected():

@@ -8,11 +8,16 @@ verified, 1 usage or runtime error) and are asserted by driving
 
 import json
 import math
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pytest
 
-from ewhorizon import cli
+from ewhorizon import cli, report
 from ewhorizon.errors import DomainError
+from ewhorizon.nearhorizon import ode4_monomials
+from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
                               run_check, scan_c, scan_rows_csv, thread_count)
 
@@ -291,6 +296,60 @@ def test_scan_c_stops_at_profile_zero():
     assert status == "guard"
     assert 0.0 <= x_start <= 1e-3
     assert x_end == 7.0
+
+
+# (seed, seed params) at c = -1: the scan_rows_csv line, then the
+# accepted knots and rhs calls of the forward and backward integrations,
+# as first recorded.  Guards the DOPRI step against any change of bits.
+_SCAN_PINS = [
+    ("quadratic", {}, "-1,blowup,0.327461248874,1.95141343416,false,",
+     (1455, 221), (8906, 1616)),
+    ("tanh", {}, "-1,guard,1.00000506372e-06,7,false,",
+     (299, 160), (1790, 1286)),
+    ("tanh", {"b": 6.0}, "-1,ok,-5,7,false,", (49, 284), (290, 1700)),
+]
+
+
+@pytest.mark.parametrize("seed, params, line, knots, rhs_calls", _SCAN_PINS,
+                         ids=["quadratic", "tanh", "tanh-b6"])
+def test_scan_c_is_deterministic(monkeypatch, seed, params, line, knots,
+                                 rhs_calls):
+    runs = []
+
+    def counting(spec, x_end):
+        calls, rhs = [0], spec.rhs
+
+        def counted(x, y):
+            calls[0] += 1
+            return rhs(x, y)
+
+        spec.rhs = counted
+        try:
+            traj = integrate(spec, x_end)
+        finally:
+            spec.rhs = rhs
+        runs.append((len(traj.xs), calls[0]))
+        return traj
+
+    monkeypatch.setattr(report, "integrate", counting)
+    rows = scan_c(-1.0, -1.0, 1, seed=seed, seed_params=params)
+    assert scan_rows_csv(rows).splitlines()[1] == line
+    assert tuple(n for n, _ in runs) == knots
+    assert tuple(r for _, r in runs) == rhs_calls
+
+
+def test_quartic_rhs_is_the_numpy_scalar_form_bit_for_bit():
+    # scan-c's rhs multiplies Python floats; it must keep the exact bits
+    # of the numpy-scalar form it replaced
+    rng = np.random.default_rng(20261018)
+    for _ in range(3000):
+        c = float(rng.uniform(-3.0, 3.0))
+        y = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6, 4)
+        h0, h1, h2, h3 = y
+        top = reduce(add, ode4_monomials(h0, h1, h2, h3, c))
+        want = np.array([h1, h2, h3, 4.0 * top / (h0 * h0)])
+        got = report._quartic_rhs_factory(c)(0.0, y)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_scan_c_singular_start():
