@@ -400,18 +400,6 @@ class Jet3(_JetBase):
             c[INDEX3[tuple(mi)]] = jet1.coeffs[k]
         return cls._raw(c)
 
-    @classmethod
-    def from_partials(cls, values):
-        """Build a jet from partial derivative values in MULTI_INDICES order.
-
-        Inverse of reading every .partial(); the finite-difference path to
-        the same object a jet computation produces.
-        """
-        v = np.asarray(values, dtype=float)
-        if v.shape != (N3,):
-            raise ValueError(f"need {N3} partial values, got shape {v.shape}")
-        return cls._raw(v / _PARTIAL_FAC)
-
     @staticmethod
     def _mul_coeffs(a, b):
         return np.bincount(_MUL_T, weights=a[_MUL_A] * b[_MUL_B], minlength=N3)

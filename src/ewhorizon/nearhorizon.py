@@ -54,6 +54,10 @@ class ScalarField1D:
     the admissible open interval (evaluation outside raises
     WindowError); `period`, when set, is a declared exact period;
     `integral`, when set, maps (x0, x1) to the exact definite integral.
+
+    A call keeps its (x, jet) and answers a repeat call at the same x
+    with that jet, so every residual at one x shares one evaluation.
+    The returned jet is shared and read-only.
     """
 
     evaluator: object
@@ -61,14 +65,22 @@ class ScalarField1D:
     period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
+    _last: list = _dcfield(default_factory=lambda: [None, None], init=False,
+                           repr=False, compare=False)
 
     def __call__(self, x) -> Jet1:
+        last = self._last
+        if x == last[0]:
+            return last[1]
         lo, hi = self.window
         if not lo <= x <= hi:
             raise WindowError(
                 f"x={x!r} outside window [{lo!r}, {hi!r}] of field "
                 f"{self.label!r}")
-        return self.evaluator(x)
+        jet = self.evaluator(x)
+        jet.coeffs.flags.writeable = False
+        last[:] = x, jet
+        return jet
 
     def value(self, x) -> float:
         return self(x).value
@@ -110,6 +122,22 @@ def field_linear(ell: float, b: float = 0.0) -> ScalarField1D:
         return 0.5 * ell * (x1 * x1 - x0 * x0) + b * (x1 - x0)
 
     return ScalarField1D(ev, label="linear", integral=integ)
+
+
+def tanh_profile(c: float, ell: float, b: float = 0.0) -> ScalarField1D:
+    """h = (sqrt(c l)/c) tanh(sqrt(c l)(x + b)): the profile with
+    h'' = -2 c h h', defined for c l > 0."""
+    if c == 0.0:
+        raise DomainError("tanh_profile needs c != 0")
+    if c * ell <= 0.0:
+        raise DomainError(
+            f"c*ell = {c * ell!r} <= 0: the tanh profile is not real there")
+    s = math.sqrt(c * ell)
+
+    def ev(x):
+        return (s / c) * (s * (Jet1.variable(x) + b)).tanh()
+
+    return ScalarField1D(ev, label=f"tanh[c={c:g},ell={ell:g}]")
 
 
 _NAMED_H = {
@@ -486,56 +514,41 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
     """F(x) = e^{H} wp(G + a; 0, b), H = int_{x0}^x h, G = int_{x0}^x e^{H/2}.
 
     Together with X = -h/2 dx - 2 r F dnu this turns any h into an
-    Einstein-Weyl structure.  The returned field's window keeps G + a
-    at least `margin` away from the pole lattice of wp.
+    Einstein-Weyl structure.  The returned field's window is the
+    largest x-interval with G + a inside the pole-free cell of the wp
+    lattice containing a, inset by `margin` (for b = 0, the single pole
+    at G + a = 0); an edge G never reaches is infinite.  The interval
+    need not contain the basepoint: for a near a pole it sits to one
+    side.
     """
-    h_int = {}
-    g_int = {}
 
-    def hval(x):
-        if x not in h_int:
-            h_int[x] = antiderivative(h, x0, x)
-        return h_int[x]
-
-    def gval(x):
-        if x not in g_int:
-            g_int[x] = quad(lambda t: math.exp(0.5 * hval(t)), x0, x)
-        return g_int[x]
+    def dG(t):
+        return math.exp(0.5 * antiderivative(h, x0, t))
 
     def ev(x):
-        hj = h(x)
-        Hj = _integral_jet(hval(x), hj)
-        Gj = _integral_jet(gval(x), (0.5 * Hj).exp())
+        Hj = _integral_jet(antiderivative(h, x0, x), h(x))
+        Gj = _integral_jet(quad(dG, x0, x), (0.5 * Hj).exp())
         Pj, _ = wp_jet(Gj + a, b, delta=delta)
         return Hj.exp() * Pj
 
-    window = _thm1_window(gval, a, b, x0, margin)
+    cell = (margin - a, math.inf) if b == 0.0 else \
+        _pole_free_cell(a, b, margin)
     return ScalarField1D(ev, label=f"thm1[{h.label};a={a:g},b={b:g}]",
-                         window=window)
+                         window=tuple(_solve_g(dG, g, x0) for g in cell))
 
 
-def _thm1_window(gval, a, b, x0, margin):
-    """Largest x-interval with G(x) + a inside the pole-free cell of
-    the wp lattice containing a, inset by `margin`; an edge G never
-    reaches is infinite.  The interval need not contain the basepoint:
-    for a near a pole it sits to one side."""
-    if b == 0.0:
-        # single pole of 1/z^2 at G + a = 0
-        return (_solve_g(gval, margin - a, x0), math.inf)
-    g_lo, g_hi = _pole_free_cell(a, b, margin)
-    return (_solve_g(gval, g_lo, x0), _solve_g(gval, g_hi, x0))
-
-
-def _solve_g(gval, target, x0):
-    """Solve G(x) = target for the increasing antiderivative G; -inf or
-    inf when G does not reach the target within 1000 of x0."""
-    if target == 0.0:
-        return x0
+def _solve_g(dG, target, x0):
+    """Solve G(x) = target for G = int_{x0}^x dG, dG > 0; -inf or inf
+    when G does not reach the target within 1000 of x0.  The march sums
+    G one 0.5-wide step at a time; the bisection evaluates G from x0."""
+    if target == 0.0 or math.isinf(target):  # at x0, or never reached
+        return x0 if target == 0.0 else target
     step = 0.5 if target > 0.0 else -0.5
-    x1 = x0
+    x1, g1 = x0, 0.0
     for _ in range(2000):
         x2 = x1 + step
-        if (gval(x2) - target) * (1 if target > 0 else -1) >= 0.0:
+        g1 += quad(dG, x1, x2)
+        if (g1 - target) * step >= 0.0:
             break
         x1 = x2
     else:
@@ -543,7 +556,9 @@ def _solve_g(gval, target, x0):
     lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if gval(mid) < target:
+        if mid in (lo, hi):
+            break
+        if quad(dG, x0, mid) < target:
             lo = mid
         else:
             hi = mid
@@ -661,15 +676,7 @@ def _family_tanh(c, ell, b):
             "TanhHyperCR solves the quartic reduction only at c = -1 "
             "(alpha = -2c must equal 1 - c); other c values live on the "
             "hyper-CR side")
-    if c * ell <= 0.0:
-        raise DomainError("TanhHyperCR needs c * ell > 0")
-    s = math.sqrt(c * ell)
-
-    def ev(x):
-        return (s / c) * (s * (Jet1.variable(x) + b)).tanh()
-
-    return (ScalarField1D(ev, label="tanh"), c,
-            {"alpha": -2.0 * c, "beta": 0.0})
+    return tanh_profile(c, ell, b), c, {"alpha": -2.0 * c, "beta": 0.0}
 
 
 def _family_jacobi(m, c, b):
@@ -868,14 +875,16 @@ def periodicity_check(h: ScalarField1D, T: float, tol: float = 1e-8) -> bool:
     64 samples spanning two alleged periods from the window's edge;
     samples where either endpoint cannot be evaluated (poles, ends of a
     numeric trajectory) are skipped, and at least 8 surviving samples
-    are required for a positive verdict.
+    are required for a positive verdict.  So is a move of h or h' by at
+    least `tol` across the samples: where neither moves (T at roundoff
+    distance, a constant h) the comparison shows nothing.
     """
     if T <= 0.0:
         raise DomainError("periodicity_check needs T > 0")
     lo = h.window[0]
     base = lo if math.isfinite(lo) else 0.0
     offsets = np.linspace(T / 64.0, 2.0 * T, 64)
-    valid = 0
+    seen = []
     worst = 0.0
     for dx in offsets:
         x = base + float(dx)
@@ -884,10 +893,11 @@ def periodicity_check(h: ScalarField1D, T: float, tol: float = 1e-8) -> bool:
             j1 = h.evaluator(x + T)
         except (EwhError, ValueError):
             continue
-        valid += 1
+        seen.append((j0.value, j0.derivative(1)))
         worst = max(worst, abs(j1.value - j0.value),
                     abs(j1.derivative(1) - j0.derivative(1)))
-    return valid >= 8 and worst < tol
+    return (len(seen) >= 8 and worst < tol
+            and max(np.ptp(seen, axis=0).tolist()) >= tol)
 
 
 def first_return(samples, at, x_min: float):

@@ -139,6 +139,9 @@ def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
     d0 = _rms_norm(y0, scale)
     d1 = _rms_norm(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:  # an infinite (or NaN) starting slope
+        raise StiffnessError(
+            f"no starting step at x={x0!r}: slope norm {d1!r}")
     y1 = y0 + h0 * direction * f0
     f1 = np.asarray(rhs(x0 + h0 * direction, y1), dtype=float)
     d2 = _rms_norm(f1 - f0, scale) / h0
@@ -153,7 +156,8 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     """Integrate spec.rhs from spec.x0 to x_end with dense output.
 
     Raises StiffnessError when error control forces the step below the
-    resolution floor; a failing guard instead ends the trajectory early
+    resolution floor, or when the starting slope is too steep for any
+    starting step; a failing guard instead ends the trajectory early
     with status "guard".
     """
     rhs = spec.rhs

@@ -12,7 +12,6 @@ Two scalar PDEs certify the same geometry from the potential side:
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field as _dcfield
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .curvature import MetricField, OneFormField
 from .errors import DomainError
 from .jets import Jet1, Jet3, Point
-from .nearhorizon import ScalarField1D
+from .nearhorizon import ScalarField1D, tanh_profile
 from .specfun import wp_jet
 
 _NU, _R, _X = 0, 1, 2
@@ -107,22 +106,6 @@ def hypercr_tanh_family(params: HyperCRParams) -> PotentialField:
         return cj * t * t * t + ck * t + cl
 
     return PotentialField(ev, label="hypercr-tanh3", params=asdict(params))
-
-
-def tanh_profile(c: float, ell: float, b: float = 0.0) -> ScalarField1D:
-    """h = (sqrt(c l)/c) tanh(sqrt(c l)(x + b)): the profile with
-    h'' = -2 c h h', defined for c l > 0."""
-    if c == 0.0:
-        raise DomainError("tanh_profile needs c != 0")
-    if c * ell <= 0.0:
-        raise DomainError(
-            f"c*ell = {c * ell!r} <= 0: the tanh profile is not real there")
-    s = math.sqrt(c * ell)
-
-    def ev(x):
-        return (s / c) * (s * (Jet1.variable(x) + b)).tanh()
-
-    return ScalarField1D(ev, label=f"tanh[c={c:g},ell={ell:g}]")
 
 
 def hr2_potential(c: float, h: ScalarField1D) -> PotentialField:

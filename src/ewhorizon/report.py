@@ -31,13 +31,13 @@ from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           flatness_defect, named_h_field, nh_metric,
                           ode2_residual, ode3_first_integral,
                           ode4_condition, ode4_monomials, ode4_residual,
-                          periodicity_check, thm1_F_field,
+                          periodicity_check, tanh_profile, thm1_F_field,
                           weyl_oneform_generic)
 from .odesolve import IvpSpec, integrate
 from .pdeverify import (HyperCRParams, alignment_defect, dkp_residual,
                         dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
-                        prop4_structures, tanh_profile)
+                        prop4_structures)
 from .specfun import _pole_free_cell, real_period
 
 _AXIS_NAMES = ("nu", "r", "x")
@@ -107,13 +107,6 @@ class GridSpec:
 def _axis_values(axis):
     lo, hi, n = axis
     return [float(v) for v in np.linspace(lo, hi, int(n))]
-
-
-def _points(grid: GridSpec, x_axis):
-    return [Point(nu, r, x)
-            for nu in _axis_values(grid.nu)
-            for r in _axis_values(grid.r)
-            for x in _axis_values(x_axis)]
 
 
 def _nonzero_x_interval(h: ScalarField1D, base: tuple) -> tuple:
@@ -514,28 +507,37 @@ def _setup(check_id, params):
 
 
 def _reduce(setup, grid, x_axis, skip):
-    """Max |component| over the grid: per-point residuals over every
-    grid point, per-x residuals over the x axis.  NaN propagates.  With
-    `skip`, points whose evaluation raises EwhError are left out, and
-    DomainError is raised when no point is left."""
-    comps = {}
+    """Max |component| over the grid.  The x axis is walked once,
+    outermost: at each x the per-point residuals over every (nu, r),
+    then the per-x residuals, so each profile is evaluated once per x.
+    NaN propagates.  With `skip`, points whose evaluation raises
+    EwhError are left out, and DomainError is raised when no point is
+    left."""
     # every check declares its per-point residuals first, so this keeps
     # the declared component order
-    for per_x in (False, True):
-        group = [r for r in setup.residuals if r.per_x == per_x]
+    point_rs, x_rs = ([r for r in setup.residuals if r.per_x == per_x]
+                      for per_x in (False, True))
+    planes = [(nu, r) for nu in _axis_values(grid.nu)
+              for r in _axis_values(grid.r)] if point_rs else []
+    point_rows, x_rows = [], []
+
+    def row(group, q):
+        try:
+            return [v for r in group for v in r.read(r.fn(q))]
+        except EwhError:
+            if not skip:
+                raise
+            return None
+
+    for x in _axis_values(x_axis):
+        point_rows += [row(point_rs, Point(nu, r, x)) for nu, r in planes]
+        if x_rs:
+            x_rows.append(row(x_rs, x))
+    comps = {}
+    for group, rows in ((point_rs, point_rows), (x_rs, x_rows)):
         if not group:
             continue
-        items = _axis_values(x_axis) if per_x else _points(grid, x_axis)
-
-        def row(q, group=group):
-            try:
-                return [v for r in group for v in r.read(r.fn(q))]
-            except EwhError:
-                if not skip:
-                    raise
-                return None
-
-        rows = [v for v in map(row, items) if v is not None]
+        rows = [v for v in rows if v is not None]
         if not rows:
             raise DomainError(f"no grid point could be evaluated "
                               f"(window {setup.window!r})")

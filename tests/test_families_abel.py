@@ -199,6 +199,10 @@ def test_periodicity_check_accepts_and_rejects():
     assert not periodicity_check(field_sin(), 2.0)
     fam = build_family("tanh", c=-1.0, ell=-1.0)
     assert not periodicity_check(fam.field, 3.0)
+    # over a few T at roundoff distance neither h nor h' moves by tol,
+    # so |h(x + T) - h(x)| < tol shows nothing
+    assert not periodicity_check(field_sin(), 1e-9)
+    assert not periodicity_check(fam.field, 1.7e-11)
 
 
 def test_periodicity_check_on_windowed_field():

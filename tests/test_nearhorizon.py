@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from ewhorizon.curvature import cotton, ew_residual
 from ewhorizon.errors import DomainError, WindowError
 from ewhorizon.jets import Jet1, Point
+from ewhorizon import nearhorizon
 from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    F_ode_residual_chalf, NearHorizonData,
                                    ScalarField1D, antiderivative,
@@ -338,6 +339,47 @@ def test_thm1_b_zero_single_pole_window():
     # the edge sits at G + a = margin, G = x: lo = 0.3 - 1
     assert abs(lo + 0.7) < 1e-8
 
+
+@pytest.mark.parametrize("h, a, b, window", [
+    ("sin", 0.1, 1.0, (0.19933926655458584, 1.98281686926205)),
+    ("one", 0.1, 1.0, (0.19062035960865026, 1.691697081596287)),
+    ("linear", 0.7, 0.0, (-0.3948110289479103, math.inf)),
+    ("sin", 0.5, -1.0, (-0.1993392665545859, 2.7662510551598887)),
+    ("one", 3.0, 1.0, (-math.inf, -0.255771206981556)),
+    ("sin", 2.3, 2.0, (-1.6265851840244356, 0.12590180651395289)),
+])
+def test_thm1_window_edges_are_pinned(h, a, b, window):
+    # reports print the window edges in full, so the march and the
+    # bisection that find them must keep every bit
+    assert thm1_F_field(named_h_field(h), a, b).window == window
+
+
+def test_thm1_unreached_edges_cost_a_bounded_march(monkeypatch):
+    # h = 1, b = 0, a = 3: G = 2 (e^{x/2} - 1) never reaches -2.7, so
+    # the march runs its full 1000 units
+    evals, quad = [0], nearhorizon.quad
+
+    def counting(f, a, b, **kw):
+        def g(t):
+            evals[0] += 1
+            return f(t)
+        return quad(g, a, b, **kw)
+
+    monkeypatch.setattr(nearhorizon, "quad", counting)
+    F = thm1_F_field(field_one(), a=3.0, b=0.0)
+    assert F.window == (-math.inf, math.inf)
+    assert evals[0] <= 50_000
+
+
+def test_field_jets_are_shared_and_read_only():
+    h = field_sin()
+    j = h(0.3)
+    assert h(0.3) is j
+    with pytest.raises(ValueError):
+        j.coeffs[0] = 1.0
+    k = j + 1.0  # arithmetic still makes fresh jets
+    k.coeffs[0] = 0.0
+    assert j.value == math.sin(0.3)
 
 def test_data_window_intersection():
     h = ScalarField1D(lambda x: Jet1.constant(1.0), window=(-2.0, 5.0))

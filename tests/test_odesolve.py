@@ -112,6 +112,15 @@ def test_nan_step_raises_stiffness(y0, rhs):
         integrate(spec, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_infinite_starting_slope_raises_stiffness():
+    # |f| / scale overflows to inf, so the starting step would be 0; this
+    # must stop the integration, not divide by that step
+    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1e300]), x0=0.0,
+                   y0=[1.0])
+    with pytest.raises(StiffnessError, match="no starting step"):
+        integrate(spec, 1.0)
+
 def test_rms_norm_is_the_numpy_mean_bit_for_bit():
     # the step controller's error norm sums in Python floats; it must
     # keep the exact bits of the numpy form it replaced

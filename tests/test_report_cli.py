@@ -8,6 +8,7 @@ verified, 1 usage or runtime error) and are asserted by driving
 
 import json
 import math
+from collections import Counter
 from functools import reduce
 from operator import add
 
@@ -378,6 +379,16 @@ def test_scan_c_rejects_bad_input():
                span=1.0)
 
 
+def test_scan_c_infinite_starting_slope_is_a_guard_stop(capsys):
+    # at c = 1e100 the seed's fourth derivative overflows the step-size
+    # norm: a step-size collapse, reported as guard, not a traceback
+    rows = scan_c(1e100, 1e100, 1)
+    assert scan_rows_csv(rows).splitlines()[1] == "1e+100,guard,1,1,false,"
+    code, out, _ = run_cli(["scan-c", "--from", "1e100", "--to", "1e100",
+                            "--steps", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "1e+100,guard,1,1,false,"
+
 def test_scan_rows_csv_format():
     rows = [(0.5, "ok", -5.0, 7.0, True, 3.25),
             (1.0, "guard", 0.001, 7.0, False, None)]
@@ -473,3 +484,65 @@ def test_cli_export_plot_writes_file(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,h,F,residual"
     assert len([ln for ln in lines if not ln.startswith(("x,", "#"))]) == 25
+
+
+# ---------------------------------------------------------------------------
+# profile evaluations
+
+
+def _count_evaluations(setup, counts):
+    """Wrap each profile field's evaluator to count its calls per x; one
+    Counter per field is appended to `counts`."""
+    for f in setup.profiles:
+        if f is None:
+            continue
+        n, ev = Counter(), f.evaluator
+
+        def counted(x, ev=ev, n=n):
+            n[x] += 1
+            return ev(x)
+
+        counts.append(n)
+        object.__setattr__(f, "evaluator", counted)
+
+
+@pytest.mark.parametrize("check, params", [
+    ("thm1", {"h": "sin"}),
+    ("thm2-ode", {"family": "tanh"}),
+    ("prop1-iff", {"h": "sin"}),
+    ("chalf-Fode", {"h": "sin"}),
+])
+def test_run_check_evaluates_each_profile_once_per_grid_x(monkeypatch,
+                                                          check, params):
+    # counted from the grid reduction on, so thm2-ode's |h| probe, which
+    # picks the x axis, is not counted
+    counts, reduce_grid = [], report._reduce
+
+    def counting(setup, *args):
+        _count_evaluations(setup, counts)
+        return reduce_grid(setup, *args)
+
+    monkeypatch.setattr(report, "_reduce", counting)
+    rep = run_check(check, params)
+    xs = report._axis_values(rep.grid["x"])
+    assert len(counts) == 2
+    for n in counts:
+        assert sorted(n) == xs
+        assert set(n.values()) == {1}
+
+
+def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
+    counts, setup = [], report._setup
+
+    def counting(*args):
+        check, s = setup(*args)
+        _count_evaluations(s, counts)
+        return check, s
+
+    monkeypatch.setattr(report, "_setup", counting)
+    lines = export_plot("thm1", {"h": "sin"}, samples=200)
+    xs = [float(ln.split(",")[0]) for ln in lines[1:] if ln[0] != "#"]
+    assert len(counts) == 2
+    for n in counts:
+        assert sum(n.values()) == len(n) == 200
+        assert [float(f"{x:.12g}") for x in n] == xs
