@@ -11,7 +11,7 @@ command line drives the named checks and emits deterministic reports.
 from .errors import (AccuracyError, DegenerateMetricError, DomainError,
                      EwhError, PathBranchError, PoleProximityError,
                      SingularJetError, StiffnessError, WindowError)
-from .jets import Jet1, Jet3, Point, fd_oracle
+from .jets import Jet1, Jet3, Point, PointBatch, fd_oracle
 from .curvature import (CurvaturePack, MetricField, OneFormField,
                         christoffel, conformal_rescale, cotton,
                         curvature_pack, ew_residual, faraday,
@@ -45,7 +45,7 @@ __all__ = [
     "AccuracyError", "DegenerateMetricError", "DomainError", "EwhError",
     "PathBranchError", "PoleProximityError", "SingularJetError",
     "StiffnessError", "WindowError",
-    "Jet1", "Jet3", "Point", "fd_oracle",
+    "Jet1", "Jet3", "Point", "PointBatch", "fd_oracle",
     "CurvaturePack", "MetricField", "OneFormField", "christoffel",
     "conformal_rescale", "cotton", "curvature_pack", "ew_residual",
     "faraday", "ricci_scalar_schouten",

@@ -6,6 +6,12 @@ order 4, and everything here (Christoffel symbols, Ricci, Schouten,
 Cotton, the trace-free Einstein-Weyl residual) is assembled from those
 numeric partials with plain numpy contractions.
 
+Every function takes either one Point or a PointBatch of B points that
+share one x.  A batch is assembled in one pass, with a batch index on
+every contraction, and its results carry a trailing batch axis: a (3, 3)
+tensor at a Point is (3, 3, B) over a batch, column k equal bit for bit
+to the tensor at point k.
+
 Conventions, fixed once and validated end-to-end by the closed-form
 structure checks:
 
@@ -26,13 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import AXES, stacked_partials
+from .jets import AXES, PointBatch, stacked_partials
 
 _DET_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MetricField:
-    """A metric whose components evaluate to Jet3 values at a Point.
+    """A metric whose components evaluate to Jet3 values at a Point, or
+    at a PointBatch.
 
     `components(p)` must return a 3x3 nested sequence of Jet3, exactly
     symmetric, ordered (nu, r, x).
@@ -55,7 +62,8 @@ class MetricField:
 
 @dataclass(frozen=True)
 class OneFormField:
-    """A 1-form whose components evaluate to Jet3 values at a Point."""
+    """A 1-form whose components evaluate to Jet3 values at a Point, or
+    at a PointBatch."""
 
     components: object  # callable Point -> 3-sequence of Jet3
     label: str = ""
@@ -66,7 +74,8 @@ class OneFormField:
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """All curvature data of a metric at one point, as numeric arrays."""
+    """All curvature data of a metric at a point (or a batch, with a
+    trailing batch axis), as numeric arrays."""
 
     christoffel: np.ndarray  # Gamma^a_bc, shape (3,3,3)
     ricci: np.ndarray        # R_ab
@@ -75,105 +84,179 @@ class CurvaturePack:
     cotton: np.ndarray       # C_abc, antisymmetric in (b,c)
 
 
+def _batch_shape(p):
+    """() for a Point, (B,) for a PointBatch of B points."""
+    return (p.size,) if isinstance(p, PointBatch) else ()
+
+
+def _coeffs(jets, shape, batch):
+    """Taylor coefficients of `jets`, a flat list in the C order of
+    `shape`, as one (N3, *shape, *batch) array; over a batch, x-only
+    (unbatched) jets are repeated for every point."""
+    c = [j.coeffs for j in jets]
+    if batch:
+        c = np.broadcast_arrays(*[a if a.ndim > 1 else a[:, None] for a in c])
+    c = np.array(c).reshape(shape + (-1,) + batch)
+    k = len(shape)
+    return c.transpose((k,) + tuple(range(k)) + tuple(range(k + 1, c.ndim)))
+
+
+def _partials(coeffs, order, batch):
+    """stacked_partials of `coeffs`, with the batch axis moved first and
+    C-ordered.  Each point's slab then has the layout it has for a
+    single Point, and the einsums below sum it in the same order (the
+    tests check this bit for bit; _sum_bd is the one exception)."""
+    out = stacked_partials(coeffs, order)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)) if batch else out
+
+
+def _trailing(a, batch):
+    """An array with its leading batch axis moved last (the layout of
+    batched jets and residuals)."""
+    return np.moveaxis(a, 0, -1) if batch else a
+
+
+def _sum_bd(u, v):
+    """sum_b sum_d u[..., b, d] v[..., b, d], each inner sum over d
+    taken first.  That is the order np.einsum takes for one point when
+    u and v lay (b, d) out in opposite orders (the Ricci arrays are
+    transposed); over a batch np.einsum may take another, so it is
+    written out."""
+    w = u * v
+    s = w[..., 0] + w[..., 1] + w[..., 2]
+    return s[..., 0] + s[..., 1] + s[..., 2]
+
+
 class _Assembly:
-    """Partial-derivative arrays of one metric evaluation, with curvature."""
+    """Partial-derivative arrays of one metric evaluation, with curvature.
 
-    __slots__ = ("g0", "g1", "g2", "ginv0", "ginv1", "s0", "s1", "gamma0",
-                 "gamma1", "ric0", "scal0", "p0", "_coeffs")
+    Every array carries the batch axis first (none for a single Point),
+    and every einsum runs over it with '...'.
+    """
 
-    def __init__(self, g_jets, label=""):
-        # Taylor coefficients stacked as (N3, 3, 3); gN[d1..dN, a, b] is
-        # d_d1 ... d_dN g_ab
-        self._coeffs = np.moveaxis(
-            np.array([[g.coeffs for g in row] for row in g_jets]), -1, 0)
-        self.g0 = stacked_partials(self._coeffs, 0)
+    __slots__ = ("batch", "g0", "g1", "g2", "ginv0", "ginv1", "s0", "s1",
+                 "gamma0", "gamma1", "ric0", "scal0", "p0", "_coeffs")
+
+    def __init__(self, g_jets, batch=(), label=""):
+        self.batch = batch
+        # gN[..., d1..dN, a, b] is d_d1 ... d_dN g_ab
+        self._coeffs = _coeffs([g for row in g_jets for g in row], (3, 3),
+                               batch)
+        self.g0 = _partials(self._coeffs, 0, batch)
         det = np.linalg.det(self.g0)
-        if abs(det) <= _DET_FLOOR:
-            raise DegenerateMetricError(
-                f"metric {label!r} degenerate: |det g| = {abs(det)!r}")
-        self.g1 = stacked_partials(self._coeffs, 1)
-        self.g2 = stacked_partials(self._coeffs, 2)
+        for d in det.tolist() if batch else (det,):
+            if abs(d) <= _DET_FLOOR:
+                raise DegenerateMetricError(
+                    f"metric {label!r} degenerate: |det g| = {abs(d)!r}")
+        self.g1 = _partials(self._coeffs, 1, batch)
+        self.g2 = _partials(self._coeffs, 2, batch)
         self.ginv0 = np.linalg.inv(self.g0)
-        self.ginv1 = -np.einsum("ae,deh,hb->dab", self.ginv0, self.g1,
-                                self.ginv0)
+        self.ginv1 = -np.einsum("...ae,...deh,...hb->...dab", self.ginv0,
+                                self.g1, self.ginv0)
 
         # S0[d,b,c] = d_b g_dc + d_c g_db - d_d g_bc  (symmetric in b,c)
-        self.s0 = (np.einsum("bdc->dbc", self.g1)
-                   + np.einsum("cdb->dbc", self.g1) - self.g1)
+        self.s0 = (np.einsum("...bdc->...dbc", self.g1)
+                   + np.einsum("...cdb->...dbc", self.g1) - self.g1)
         # S1[e,d,b,c] = d_e S0[d,b,c]
-        self.s1 = (np.einsum("ebdc->edbc", self.g2)
-                   + np.einsum("ecdb->edbc", self.g2) - self.g2)
-        self.gamma0 = 0.5 * np.einsum("ad,dbc->abc", self.ginv0, self.s0)
-        self.gamma1 = 0.5 * (np.einsum("ead,dbc->eabc", self.ginv1, self.s0)
-                             + np.einsum("ad,edbc->eabc", self.ginv0, self.s1))
+        self.s1 = (np.einsum("...ebdc->...edbc", self.g2)
+                   + np.einsum("...ecdb->...edbc", self.g2) - self.g2)
+        self.gamma0 = 0.5 * np.einsum("...ad,...dbc->...abc", self.ginv0,
+                                      self.s0)
+        self.gamma1 = 0.5 * (
+            np.einsum("...ead,...dbc->...eabc", self.ginv1, self.s0)
+            + np.einsum("...ad,...edbc->...eabc", self.ginv0, self.s1))
 
-        self.ric0 = (np.einsum("aadb->bd", self.gamma1)
-                     - np.einsum("daab->bd", self.gamma1)
-                     + np.einsum("aae,edb->bd", self.gamma0, self.gamma0)
-                     - np.einsum("ade,eab->bd", self.gamma0, self.gamma0))
-        self.scal0 = float(np.einsum("bd,bd->", self.ginv0, self.ric0))
-        self.p0 = self.ric0 - 0.25 * self.scal0 * self.g0
+        self.ric0 = (np.einsum("...aadb->...bd", self.gamma1)
+                     - np.einsum("...daab->...bd", self.gamma1)
+                     + np.einsum("...aae,...edb->...bd", self.gamma0,
+                                 self.gamma0)
+                     - np.einsum("...ade,...eab->...bd", self.gamma0,
+                                 self.gamma0))
+        scal0 = np.einsum("...bd,...bd->...", self.ginv0, self.ric0)
+        self.scal0 = scal0 if batch else float(scal0)
+        self.p0 = self.ric0 - 0.25 * self._per_point(self.scal0) * self.g0
+
+    def _per_point(self, v, rank=2):
+        """A per-point number, shaped to scale the point's rank-`rank`
+        tensors."""
+        return v.reshape(v.shape + (1,) * rank) if self.batch else v
 
     def cotton(self):
         """C_abc; needs third metric partials, extracted on demand."""
-        g3 = stacked_partials(self._coeffs, 3)
-        ginv2 = -(np.einsum("cae,deh,hb->cdab", self.ginv1, self.g1, self.ginv0)
-                  + np.einsum("ae,cdeh,hb->cdab", self.ginv0, self.g2,
-                              self.ginv0)
-                  + np.einsum("ae,deh,chb->cdab", self.ginv0, self.g1,
-                              self.ginv1))
+        g3 = _partials(self._coeffs, 3, self.batch)
+        ginv2 = -(np.einsum("...cae,...deh,...hb->...cdab", self.ginv1,
+                            self.g1, self.ginv0)
+                  + np.einsum("...ae,...cdeh,...hb->...cdab", self.ginv0,
+                              self.g2, self.ginv0)
+                  + np.einsum("...ae,...deh,...chb->...cdab", self.ginv0,
+                              self.g1, self.ginv1))
 
-        s2 = (np.einsum("febdc->fedbc", g3) + np.einsum("fecdb->fedbc", g3)
-              - g3)
-        gamma2 = 0.5 * (np.einsum("fead,dbc->feabc", ginv2, self.s0)
-                        + np.einsum("ead,fdbc->feabc", self.ginv1, self.s1)
-                        + np.einsum("fad,edbc->feabc", self.ginv1, self.s1)
-                        + np.einsum("ad,fedbc->feabc", self.ginv0, s2))
+        s2 = (np.einsum("...febdc->...fedbc", g3)
+              + np.einsum("...fecdb->...fedbc", g3) - g3)
+        gamma2 = 0.5 * (
+            np.einsum("...fead,...dbc->...feabc", ginv2, self.s0)
+            + np.einsum("...ead,...fdbc->...feabc", self.ginv1, self.s1)
+            + np.einsum("...fad,...edbc->...feabc", self.ginv1, self.s1)
+            + np.einsum("...ad,...fedbc->...feabc", self.ginv0, s2))
 
-        ric1 = (np.einsum("caadb->cbd", gamma2)
-                - np.einsum("cdaab->cbd", gamma2)
-                + np.einsum("caae,edb->cbd", self.gamma1, self.gamma0)
-                + np.einsum("aae,cedb->cbd", self.gamma0, self.gamma1)
-                - np.einsum("cade,eab->cbd", self.gamma1, self.gamma0)
-                - np.einsum("ade,ceab->cbd", self.gamma0, self.gamma1))
-        scal1 = (np.einsum("cbd,bd->c", self.ginv1, self.ric0)
-                 + np.einsum("bd,cbd->c", self.ginv0, ric1))
-        p1 = (ric1 - 0.25 * np.einsum("c,ab->cab", scal1, self.g0)
-              - 0.25 * self.scal0 * self.g1)
+        ric1 = (np.einsum("...caadb->...cbd", gamma2)
+                - np.einsum("...cdaab->...cbd", gamma2)
+                + np.einsum("...caae,...edb->...cbd", self.gamma1,
+                            self.gamma0)
+                + np.einsum("...aae,...cedb->...cbd", self.gamma0,
+                            self.gamma1)
+                - np.einsum("...cade,...eab->...cbd", self.gamma1,
+                            self.gamma0)
+                - np.einsum("...ade,...ceab->...cbd", self.gamma0,
+                            self.gamma1))
+        scal1 = (_sum_bd(self.ginv1, self.ric0[..., None, :, :])
+                 + _sum_bd(self.ginv0[..., None, :, :], ric1))
+        p1 = (ric1 - 0.25 * np.einsum("...c,...ab->...cab", scal1, self.g0)
+              - 0.25 * self._per_point(self.scal0, 3) * self.g1)
 
-        return (np.einsum("cab->abc", p1) - np.einsum("bac->abc", p1)
-                - np.einsum("eca,eb->abc", self.gamma0, self.p0)
-                + np.einsum("eba,ec->abc", self.gamma0, self.p0))
+        return (np.einsum("...cab->...abc", p1)
+                - np.einsum("...bac->...abc", p1)
+                - np.einsum("...eca,...eb->...abc", self.gamma0, self.p0)
+                + np.einsum("...eba,...ec->...abc", self.gamma0, self.p0))
+
+
+def _assemble(g: MetricField, p) -> _Assembly:
+    return _Assembly(g.jets(p), _batch_shape(p), g.label)
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma^a_bc of g at p, shape (3,3,3), symmetric in (b,c)."""
-    return _Assembly(g.jets(p), g.label).gamma0
+    asm = _assemble(g, p)
+    return _trailing(asm.gamma0, asm.batch)
 
 
 def ricci_scalar_schouten(g: MetricField, p):
     """(R_ab, R, P_ab) of g at p."""
-    asm = _Assembly(g.jets(p), g.label)
-    return asm.ric0, asm.scal0, asm.p0
+    asm = _assemble(g, p)
+    return (_trailing(asm.ric0, asm.batch), asm.scal0,
+            _trailing(asm.p0, asm.batch))
 
 
 def cotton(g: MetricField, p) -> np.ndarray:
     """Cotton tensor C_abc = nabla_c P_ab - nabla_b P_ac at p."""
-    return _Assembly(g.jets(p), g.label).cotton()
+    asm = _assemble(g, p)
+    return _trailing(asm.cotton(), asm.batch)
 
 
 def curvature_pack(g: MetricField, p) -> CurvaturePack:
     """Every curvature quantity of g at p in one evaluation."""
-    asm = _Assembly(g.jets(p), g.label)
-    return CurvaturePack(christoffel=asm.gamma0, ricci=asm.ric0,
-                         scalar=asm.scal0, schouten=asm.p0,
-                         cotton=asm.cotton())
+    asm = _assemble(g, p)
+    b = asm.batch
+    return CurvaturePack(christoffel=_trailing(asm.gamma0, b),
+                         ricci=_trailing(asm.ric0, b), scalar=asm.scal0,
+                         schouten=_trailing(asm.p0, b),
+                         cotton=_trailing(asm.cotton(), b))
 
 
-def _oneform_partials(x_jets):
-    coeffs = np.array([x.coeffs for x in x_jets]).T
-    # x1[a,b] = d_a X_b
-    return stacked_partials(coeffs, 0), stacked_partials(coeffs, 1)
+def _oneform_partials(x_jets, batch):
+    coeffs = _coeffs(x_jets, (3,), batch)
+    # x1[..., a, b] = d_a X_b
+    return _partials(coeffs, 0, batch), _partials(coeffs, 1, batch)
 
 
 def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
@@ -183,18 +266,20 @@ def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
     Einstein-Weyl condition; projecting out the g-trace removes the
     Lambda term.
     """
-    asm = _Assembly(g.jets(p), g.label)
-    x0, x1 = _oneform_partials(X.jets(p))
-    covsym = 0.5 * (x1 + x1.T) - np.einsum("eab,e->ab", asm.gamma0, x0)
-    t = covsym + np.outer(x0, x0) + asm.p0
-    trace = float(np.einsum("ab,ab->", asm.ginv0, t))
-    return t - (trace / 3.0) * asm.g0
+    asm = _assemble(g, p)
+    x0, x1 = _oneform_partials(X.jets(p), asm.batch)
+    covsym = (0.5 * (x1 + x1.swapaxes(-1, -2))
+              - np.einsum("...eab,...e->...ab", asm.gamma0, x0))
+    t = covsym + x0[..., :, None] * x0[..., None, :] + asm.p0
+    trace = np.einsum("...ab,...ab->...", asm.ginv0, t)
+    return _trailing(t - asm._per_point(trace / 3.0) * asm.g0, asm.batch)
 
 
 def faraday(X: OneFormField, p) -> np.ndarray:
     """(dX)_ab = d_a X_b - d_b X_a at p, antisymmetric 3x3."""
-    _, x1 = _oneform_partials(X.jets(p))
-    return x1 - x1.T
+    batch = _batch_shape(p)
+    _, x1 = _oneform_partials(X.jets(p), batch)
+    return _trailing(x1 - x1.swapaxes(-1, -2), batch)
 
 
 def conformal_rescale(g: MetricField, X: OneFormField, ln_omega):

@@ -9,12 +9,20 @@ finite-difference oracle at the bottom of this file is the independent
 cross-check.
 
 Coordinates are always ordered (nu, r, x) = (0, 1, 2).
+
+A Jet3 is taken either at one Point (coefficients of shape (N3,)) or at a
+PointBatch of points that share one x (shape (N3, B), one column per
+point).  A jet of x alone stays unbatched and broadcasts against batched
+ones.  Every column is computed with the same floating-point operations,
+in the same order, as the jet at that single point, so a batch equals the
+stack of its points bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +56,39 @@ class Point:
         c = [self.nu, self.r, self.x]
         c[axis] += dt
         return Point(*c)
+
+
+@dataclass(frozen=True)
+class PointBatch:
+    """B points (nu[k], r[k], x) that share one x; nu and r are arrays
+    of shape (B,).  Jets taken at a batch carry a trailing batch axis."""
+
+    nu: np.ndarray
+    r: np.ndarray
+    x: float
+
+    def __post_init__(self):
+        nu, r = (np.asarray(v, dtype=float) for v in (self.nu, self.r))
+        if nu.ndim != 1 or nu.shape != r.shape:
+            raise ValueError(f"nu and r must be 1-D of one length, got "
+                             f"shapes {nu.shape} and {r.shape}")
+        for name, v in (("nu", nu), ("r", r), ("x", self.x)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"non-finite coordinate {name}={v!r}")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "r", r)
+
+    @property
+    def size(self) -> int:
+        return len(self.nu)
+
+    def __getitem__(self, axis):
+        return (self.nu, self.r, self.x)[axis]
+
+    def points(self):
+        """The batch's points, in column order."""
+        return [Point(nu, r, self.x)
+                for nu, r in zip(self.nu.tolist(), self.r.tolist())]
 
 
 def _build_multi_indices():
@@ -94,6 +135,13 @@ def _build_deriv_tables():
 
 
 _D_SRC, _D_FAC = _build_deriv_tables()
+
+# _AXIS_POS[axis][k]: coefficient position of d^k along one axis
+_AXIS_POS = tuple(np.array([INDEX3[tuple(k if a == axis else 0
+                                         for a in range(3))]
+                            for k in range(ORDER + 1)])
+                  for axis in range(3))
+_UNIT_POS = tuple(int(pos[1]) for pos in _AXIS_POS)
 
 _PARTIAL_FAC = np.array([_FACT[i] * _FACT[j] * _FACT[k] for (i, j, k) in MULTI_INDICES])
 
@@ -189,10 +237,37 @@ def _dt_recip(v):
     return (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4, 24.0 / v**5)
 
 
+def _table(dt, v, *args):
+    """The derivative table dt(v, *args); a float overflow in it (or a
+    division by an underflowed power) is a SingularJetError naming the
+    function and the value."""
+    try:
+        return dt(v, *args)
+    except (OverflowError, ZeroDivisionError):
+        raise SingularJetError(f"{dt.__name__[4:]} jet overflows at value "
+                               f"{v!r}") from None
+
+
+def _lift(a, b):
+    """Coefficient arrays `a` and `b` of which one has a batch axis, the
+    other given a trailing batch axis of length 1."""
+    return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
+
+
+def _lifted(c, v):
+    """Coefficients `c`, given a trailing batch axis when they have none
+    and meet the batch of numbers `v`."""
+    return c[:, None] if v.ndim and c.ndim == 1 else c
+
+
 class _JetBase:
     """Shared arithmetic for Jet1 and Jet3 (dense coefficient arrays)."""
 
     __slots__ = ("coeffs",)
+
+    # numpy arrays and scalars defer to the jet's own (reflected)
+    # operators, so a batch of numbers on the left acts per column
+    __array_ufunc__ = None
 
     # Subclasses set _N (coefficient count) and implement _mul_coeffs.
 
@@ -215,15 +290,31 @@ class _JetBase:
     def __repr__(self):
         return f"{type(self).__name__}({self.coeffs.tolist()})"
 
-    # Ring operations.
+    # Ring operations.  A number may be a batch of numbers (an ndarray,
+    # one per column); plain numbers take the short path.
+
+    def _offset(self, c, v):
+        """The jet with coefficients `c` and the batch of numbers `v`
+        added to its value."""
+        if v.ndim and c.ndim == 1:  # v lifts an unbatched jet
+            c = np.repeat(c[:, None], len(v), axis=1)
+        else:
+            c = c.copy()
+        c[0] += v
+        return type(self)._raw(c)
 
     def __add__(self, other):
         if isinstance(other, type(self)):
-            return type(self)._raw(self.coeffs + other.coeffs)
+            a, b = self.coeffs, other.coeffs
+            if a.ndim != b.ndim:
+                a, b = _lift(a, b)
+            return type(self)._raw(a + b)
         if isinstance(other, (int, float)):
             c = self.coeffs.copy()
             c[0] += other
             return type(self)._raw(c)
+        if isinstance(other, np.ndarray):
+            return self._offset(self.coeffs, other)
         return NotImplemented
 
     __radd__ = __add__
@@ -233,11 +324,16 @@ class _JetBase:
 
     def __sub__(self, other):
         if isinstance(other, type(self)):
-            return type(self)._raw(self.coeffs - other.coeffs)
+            a, b = self.coeffs, other.coeffs
+            if a.ndim != b.ndim:
+                a, b = _lift(a, b)
+            return type(self)._raw(a - b)
         if isinstance(other, (int, float)):
             c = self.coeffs.copy()
             c[0] -= other
             return type(self)._raw(c)
+        if isinstance(other, np.ndarray):
+            return self._offset(self.coeffs, -other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -245,13 +341,20 @@ class _JetBase:
             c = -self.coeffs
             c[0] += other
             return type(self)._raw(c)
+        if isinstance(other, np.ndarray):
+            return self._offset(-self.coeffs, other)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            return type(self)._raw(self._mul_coeffs(self.coeffs, other.coeffs))
+            a, b = self.coeffs, other.coeffs
+            if a.ndim != b.ndim:
+                a, b = _lift(a, b)
+            return type(self)._raw(self._mul_coeffs(a, b))
         if isinstance(other, (int, float)):
             return type(self)._raw(self.coeffs * other)
+        if isinstance(other, np.ndarray):
+            return type(self)._raw(_lifted(self.coeffs, other) * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -259,12 +362,14 @@ class _JetBase:
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return type(self)._raw(self.coeffs / other)
+        if isinstance(other, np.ndarray):
+            return type(self)._raw(_lifted(self.coeffs, other) / other)
         if isinstance(other, type(self)):
             return self * other._reciprocal()
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, np.ndarray)):
             return self._reciprocal() * other
         return NotImplemented
 
@@ -284,10 +389,21 @@ class _JetBase:
         return self.powr(float(p))
 
     def _reciprocal(self):
-        return self._compose(_dt_recip(self.value))
+        return self._apply(_dt_recip)
+
+    def _apply(self, dt, *args):
+        """Compose with the function whose derivative table at the value
+        is dt(value, *args).  A batch takes its table column by column,
+        from the same scalar math as a single jet."""
+        v = self.value
+        if isinstance(v, float):
+            return self._compose(_table(dt, v, *args))
+        return self._compose(
+            np.array([_table(dt, u, *args) for u in v.tolist()]).T)
 
     def _compose(self, derivs):
-        """Compose with a function given its derivatives at value(self)."""
+        """Compose with a function given its derivatives at value(self):
+        numbers, or arrays with one entry per column of a batch."""
         ghat = self - self.value
         acc = type(self).constant(derivs[4] / 24.0)
         for k in (3, 2, 1, 0):
@@ -297,31 +413,31 @@ class _JetBase:
     # Elementary functions.
 
     def exp(self):
-        return self._compose(_dt_exp(self.value))
+        return self._apply(_dt_exp)
 
     def log(self):
-        return self._compose(_dt_log(self.value))
+        return self._apply(_dt_log)
 
     def sin(self):
-        return self._compose(_dt_sin(self.value))
+        return self._apply(_dt_sin)
 
     def cos(self):
-        return self._compose(_dt_cos(self.value))
+        return self._apply(_dt_cos)
 
     def tan(self):
-        return self._compose(_dt_tan(self.value))
+        return self._apply(_dt_tan)
 
     def tanh(self):
-        return self._compose(_dt_tanh(self.value))
+        return self._apply(_dt_tanh)
 
     def sqrt(self):
-        return self._compose(_dt_sqrt(self.value))
+        return self._apply(_dt_sqrt)
 
     def atan(self):
-        return self._compose(_dt_atan(self.value))
+        return self._apply(_dt_atan)
 
     def powr(self, p):
-        return self._compose(_dt_pow(self.value, p))
+        return self._apply(_dt_pow, p)
 
 
 class Jet1(_JetBase):
@@ -368,47 +484,77 @@ class Jet1(_JetBase):
         return Jet1._raw(c)
 
 
+@lru_cache(maxsize=8)
+def _mul_targets(batch):
+    """Flat bincount targets of the product table over a batch of
+    `batch` columns: each column sums its own bins in table order."""
+    t = (_MUL_T[:, None] * batch + np.arange(batch)).ravel()
+    t.flags.writeable = False
+    return t
+
+
 class Jet3(_JetBase):
-    """Three-variable jet over (nu, r, x): dense multi-index coefficients."""
+    """Three-variable jet over (nu, r, x): dense multi-index coefficients,
+    shape (N3,) at a Point or (N3, B) at a PointBatch."""
 
     __slots__ = ()
     _N = N3
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (N3,):
-            raise ValueError(f"Jet3 needs {N3} coefficients, got shape {c.shape}")
+        if c.ndim not in (1, 2) or c.shape[0] != N3:
+            raise ValueError(f"Jet3 needs {N3} coefficients (per column), "
+                             f"got shape {c.shape}")
         self.coeffs = c.copy()
 
     @classmethod
+    def constant(cls, v):
+        """The constant jet v; a batch of numbers gives a batched jet."""
+        c = np.zeros((N3,) + v.shape if isinstance(v, np.ndarray) else N3)
+        c[0] = v
+        return cls._raw(c)
+
+    @property
+    def value(self):
+        """f itself: a float, or an array over a batch."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[0].copy()
+
+    @classmethod
     def variable(cls, p, axis):
-        """Jet of the coordinate function p[axis]."""
-        c = np.zeros(N3)
-        c[0] = p[axis]
-        mi = [0, 0, 0]
-        mi[axis] = 1
-        c[INDEX3[tuple(mi)]] = 1.0
+        """Jet of the coordinate function p[axis] (batched when p[axis]
+        is an array)."""
+        v = p[axis]
+        c = np.zeros((N3,) + v.shape if isinstance(v, np.ndarray) else N3)
+        c[0] = v
+        c[_UNIT_POS[axis]] = 1.0
         return cls._raw(c)
 
     @classmethod
     def from_axis_jet(cls, jet1, axis):
         """Lift a Jet1 to a Jet3 that depends on a single coordinate."""
         c = np.zeros(N3)
-        for k in range(ORDER + 1):
-            mi = [0, 0, 0]
-            mi[axis] = k
-            c[INDEX3[tuple(mi)]] = jet1.coeffs[k]
+        c[_AXIS_POS[axis]] = jet1.coeffs
         return cls._raw(c)
 
     @staticmethod
     def _mul_coeffs(a, b):
-        return np.bincount(_MUL_T, weights=a[_MUL_A] * b[_MUL_B], minlength=N3)
+        # np.bincount adds each bin's weights in table order, so a batch
+        # column sums exactly as the single jet does
+        p = a[_MUL_A] * b[_MUL_B]
+        if p.ndim == 1:
+            return np.bincount(_MUL_T, weights=p, minlength=N3)
+        batch = p.shape[1]
+        return np.bincount(_mul_targets(batch), weights=p.ravel(),
+                           minlength=N3 * batch).reshape(N3, batch)
 
     def partial(self, i, j=None, k=None):
-        """Partial derivative value for the multi-index (i, j, k)."""
+        """Partial derivative value for the multi-index (i, j, k): a
+        float, or an array over a batch."""
         mi = tuple(i) if j is None else (i, j, k)
         pos = INDEX3[mi]
-        return float(self.coeffs[pos] * _PARTIAL_FAC[pos])
+        v = self.coeffs[pos] * _PARTIAL_FAC[pos]
+        return v if v.ndim else float(v)
 
     def d(self, axis):
         """Jet of the partial derivative along `axis`.
@@ -416,7 +562,9 @@ class Jet3(_JetBase):
         Coefficients of total order 4 in the result would need order-5
         information and are set to 0; lower orders are exact.
         """
-        return Jet3._raw(self.coeffs[_D_SRC[axis]] * _D_FAC[axis])
+        c = self.coeffs
+        fac = _D_FAC[axis] if c.ndim == 1 else _D_FAC[axis][:, None]
+        return Jet3._raw(c[_D_SRC[axis]] * fac)
 
 
 # Finite-difference oracle.  Central stencils of O(step^2) accuracy with one

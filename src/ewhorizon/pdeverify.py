@@ -8,6 +8,9 @@ Two scalar PDEs certify the same geometry from the potential side:
   six-parameter tanh^3 family and the quadratic potentials H = c h(x) r^2,
   whose Einstein-Weyl structures align with the tan-form metrics of the
   tanh profile h = (sqrt(c l)/c) tanh(sqrt(c l)(x + b)).
+
+Every potential, structure and residual here also takes a PointBatch in
+place of a Point, and then gives one value per point.
 """
 
 from __future__ import annotations
@@ -61,9 +64,11 @@ class HyperCRParams:
 def dkp_residual(u: PotentialField, p: Point) -> float:
     """2 (u_nu - u u_r)_r - u_xx, expanded by the product rule."""
     j = u.jets(p)
+    # u_r * u_r, not u_r ** 2: a float's ** 2 is libm pow, which can
+    # differ in the last bit from the square an array's ** 2 takes
+    u_r = j.partial((0, 1, 0))
     return (2.0 * j.partial((1, 1, 0))
-            - 2.0 * (j.partial((0, 1, 0)) ** 2
-                     + j.value * j.partial((0, 2, 0)))
+            - 2.0 * (u_r * u_r + j.value * j.partial((0, 2, 0)))
             - j.partial((0, 0, 2)))
 
 
@@ -193,6 +198,27 @@ def prop4_structures(c: float, ell: float, b: float = 0.0):
             OneFormField(xcomp, label=lbl + "-X"))
 
 
+def alignment(c: float, ell: float, b: float):
+    """alignment_defect(c, ell, b, .) as a function of the point (a
+    Point, or a PointBatch for one defect per point), with both pairs
+    built once."""
+    g4, x4 = prop4_structures(c, ell, b)
+    gh, xh = hypercr_structures(hr2_potential(c, tanh_profile(c, ell, b)))
+    # the pullback r_old = -r/2 scales each r index by -1/2, exactly
+    jac = (1.0, -0.5, 1.0)
+
+    def defect(p):
+        q = type(p)(p.nu, -0.5 * p.r, p.x)
+        gq, gp, xq, xp = gh.jets(q), g4.jets(p), xh.jets(q), x4.jets(p)
+        diffs = [jac[i] * gq[i][k].value * jac[k] - gp[i][k].value
+                 for i in range(3) for k in range(3)]
+        diffs += [jac[i] * xq[i].value - xp[i].value for i in range(3)]
+        worst = np.max(np.abs(np.broadcast_arrays(*diffs)), axis=0)
+        return worst if worst.ndim else float(worst)
+
+    return defect
+
+
 def alignment_defect(c: float, ell: float, b: float, p: Point) -> float:
     """Componentwise mismatch at p between the tan-form pair and the
     hyperCR pair of H = c h r^2 pulled back through r -> -r/2.
@@ -201,16 +227,4 @@ def alignment_defect(c: float, ell: float, b: float, p: Point) -> float:
     onto prop4_structures exactly; the defect is the max abs difference
     over all metric and 1-form components.
     """
-    g4, x4 = prop4_structures(c, ell, b)
-    gh, xh = hypercr_structures(hr2_potential(c, tanh_profile(c, ell, b)))
-    q = Point(p.nu, -0.5 * p.r, p.x)
-    jac = np.diag([1.0, -0.5, 1.0])
-
-    gv_h = np.array([[v.value for v in row] for row in gh.jets(q)])
-    gv_4 = np.array([[v.value for v in row] for row in g4.jets(p)])
-    xv_h = np.array([v.value for v in xh.jets(q)])
-    xv_4 = np.array([v.value for v in x4.jets(p)])
-
-    dg = jac.T @ gv_h @ jac - gv_4
-    dx = jac.T @ xv_h - xv_4
-    return float(np.maximum(np.max(np.abs(dg)), np.max(np.abs(dx))))
+    return alignment(c, ell, b)(p)

@@ -1,10 +1,10 @@
 """Check pipelines, residual reports, and plot/scan data assembly.
 
 Every check is one entry of the CHECKS registry.  run_check samples a
-deterministic grid, evaluates the entry's residuals point by point,
-reduces per-component maxima, and wraps the outcome in a
-ResidualReport; export_plot sweeps the same residuals along a line, and
-the CLI derives its parameter flags from the entries.
+deterministic grid, evaluates the entry's per-point residuals once per
+(nu, r) plane of each grid x, reduces per-component maxima, and wraps
+the outcome in a ResidualReport; export_plot sweeps the same residuals
+along a line, and the CLI derives its parameter flags from the entries.
 Reports serialize to a flat, versioned JSON schema with fixed key order
 and 17-significant-digit floats, so identical invocations produce
 byte-identical files.
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
-from .jets import Jet1, Point
+from .jets import Jet1, Point, PointBatch
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           _FAMILIES, NearHorizonData, ScalarField1D,
                           build_family, field_one, first_return,
@@ -34,7 +34,7 @@ from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           periodicity_check, tanh_profile, thm1_F_field,
                           weyl_oneform_generic)
 from .odesolve import IvpSpec, integrate
-from .pdeverify import (HyperCRParams, alignment_defect, dkp_residual,
+from .pdeverify import (HyperCRParams, alignment, dkp_residual,
                         dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
                         prop4_structures)
@@ -248,8 +248,10 @@ class Residual:
     """One residual evaluator of a check.
 
     `fn` maps a grid point (an x when `per_x`) to a residual value or
-    array.  Component `names[k]` is |entry `index[k]`| of it, or |value|
-    when `index` is None; an export-plot sweep reads max |entry|.
+    array.  A per-point `fn` also takes a PointBatch, for one value or
+    array per point along a trailing batch axis.  Component `names[k]`
+    is |entry `index[k]`| of it, or |value| when `index` is None; an
+    export-plot sweep reads max |entry|.
     """
 
     names: tuple
@@ -401,13 +403,13 @@ def _build_prop4(p):
     c, ell, b = p["c"], p["ell"], p["b"]
     g, X = prop4_structures(c, ell, b)
     h = tanh_profile(c, ell, b)
+    align = alignment(c, ell, b)
     return Setup(
         claim=("the tan-form tanh-profile structures are hypercr "
                "einstein-weyl and align with the near-horizon metric"),
         window=(-math.inf, math.inf), tolerance=1e-8, params=p,
         residuals=(_ew(g, X),
-                   Residual(("alignment",),
-                            lambda q: alignment_defect(c, ell, b, q)),
+                   Residual(("alignment",), align),
                    Residual(("ode2",),
                             lambda x: ode2_residual(h(x), -2.0 * c, 0.0),
                             per_x=True)))
@@ -508,29 +510,44 @@ def _setup(check_id, params):
 
 def _reduce(setup, grid, x_axis, skip):
     """Max |component| over the grid.  The x axis is walked once,
-    outermost: at each x the per-point residuals over every (nu, r),
-    then the per-x residuals, so each profile is evaluated once per x.
-    NaN propagates.  With `skip`, points whose evaluation raises
-    EwhError are left out, and DomainError is raised when no point is
-    left."""
+    outermost: at each x the per-point residuals, each evaluated once
+    over the whole (nu, r) plane as one PointBatch, then the per-x
+    residuals, so each profile is evaluated once per x.  NaN
+    propagates.  With `skip`, points whose evaluation raises EwhError
+    are left out, and DomainError is raised when no point is left."""
     # every check declares its per-point residuals first, so this keeps
     # the declared component order
     point_rs, x_rs = ([r for r in setup.residuals if r.per_x == per_x]
                       for per_x in (False, True))
-    planes = [(nu, r) for nu in _axis_values(grid.nu)
-              for r in _axis_values(grid.r)] if point_rs else []
+    if point_rs:  # the (nu, r) plane, nu outermost
+        nu_axis, r_axis = _axis_values(grid.nu), _axis_values(grid.r)
+        nus = np.repeat(nu_axis, len(r_axis))
+        rs = np.tile(r_axis, len(nu_axis))
     point_rows, x_rows = [], []
+
+    def values(group, q):
+        return [v for r in group for v in r.read(r.fn(q))]
 
     def row(group, q):
         try:
-            return [v for r in group for v in r.read(r.fn(q))]
+            return values(group, q)
         except EwhError:
             if not skip:
                 raise
             return None
 
+    def plane_rows(x):
+        batch = PointBatch(nus, rs, x)
+        try:
+            return list(np.array(values(point_rs, batch)).T)
+        except EwhError:
+            # point by point, so the error raised (or, with skip, the
+            # points left out) is that of the first failing point
+            return [row(point_rs, q) for q in batch.points()]
+
     for x in _axis_values(x_axis):
-        point_rows += [row(point_rs, Point(nu, r, x)) for nu, r in planes]
+        if point_rs:
+            point_rows += plane_rows(x)
         if x_rs:
             x_rows.append(row(x_rs, x))
     comps = {}

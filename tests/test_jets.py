@@ -1,13 +1,15 @@
 """Truncated Taylor arithmetic against finite differences and closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.errors import SingularJetError
-from ewhorizon.jets import ORDER, Jet1, Jet3, Point, fd_oracle
+from ewhorizon.jets import (ORDER, Jet1, Jet3, Point, PointBatch,
+                            fd_oracle, stacked_partials)
 
 
 def jet1_of(fn, x):
@@ -197,3 +199,133 @@ def test_fd_oracle_validates_multi_index():
         fd_oracle(f, Point(0, 0, 0), (1, 2, 3))  # order 6 > 4
     with pytest.raises(ValueError):
         fd_oracle(f, Point(0, 0, 0), (1, -1, 0))
+
+
+# ---------------------------------------------------------------------------
+# batches: every column is the single-point jet, bit for bit
+# ---------------------------------------------------------------------------
+
+BATCH_SIZES = (1, 7, 25)
+
+
+def _batch(size, seed=0, x=0.37):
+    rng = np.random.default_rng(seed)
+    return PointBatch(rng.uniform(-1.5, 1.5, size),
+                      rng.uniform(-1.5, 1.5, size), x)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_columns(fn, batch):
+    """fn(batch) stacks fn(point) over the batch's points along its last
+    axis, bit for bit (signed zeros included)."""
+    got = fn(batch)
+    want = np.stack([np.asarray(fn(p), dtype=float)
+                     for p in batch.points()], axis=-1)
+    assert np.shape(got) == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _vars(p):
+    return (Jet3.variable(p, 0), Jet3.variable(p, 1), Jet3.variable(p, 2))
+
+
+_RING = {
+    "add-sub": lambda nu, r, x: nu + r - x - nu,
+    "mul": lambda nu, r, x: nu * r * (r + x),
+    "div": lambda nu, r, x: (nu + 2.0 * x) / (r * r + 0.5),
+    "pow-int": lambda nu, r, x: (nu + r) ** 3 + (r + 2.0) ** -2,
+    "pow-real": lambda nu, r, x: (nu * nu + 1.0 + x) ** 1.5,
+    "scalar-mix": lambda nu, r, x: (2.5 - nu) * 0.3 + 1 - r / 4.0
+    + 3.0 / (nu + 2.0) - 2 * r,
+}
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("name", sorted(_RING))
+def test_batch_ring_operations_match_columns(size, name):
+    _assert_columns(lambda p: _RING[name](*_vars(p)).coeffs, _batch(size))
+
+
+_ELEMENTARY = {
+    "exp": lambda nu, r, x: (nu * r + x).exp(),
+    "tanh": lambda nu, r, x: (0.7 * nu - r + x).tanh(),
+    "powr": lambda nu, r, x: (r * r + nu * x + 2.0).powr(-0.75),
+    "reciprocal": lambda nu, r, x: (nu - 2.0 * r + 4.0)._reciprocal(),
+}
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("name", sorted(_ELEMENTARY))
+def test_batch_elementary_functions_match_columns(size, name):
+    _assert_columns(lambda p: _ELEMENTARY[name](*_vars(p)).coeffs,
+                    _batch(size, seed=1))
+
+
+def _field(p):
+    nu, r, x = _vars(p)
+    return (nu * r * r + x).sin() * (r - nu * x).exp()
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_batch_derivatives_match_columns(size):
+    batch = _batch(size, seed=2)
+    for axis in range(3):
+        _assert_columns(lambda p: _field(p).d(axis).coeffs, batch)
+    for mi in [(0, 0, 0), (1, 0, 0), (0, 2, 1), (1, 1, 1), (0, 0, 4)]:
+        _assert_columns(lambda p: _field(p).partial(mi), batch)
+    for order in range(ORDER + 1):
+        _assert_columns(
+            lambda p: stacked_partials(_field(p).coeffs, order), batch)
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_scalar_jet_times_batched_jet(size):
+    batch = _batch(size, seed=3)
+    hx = Jet3.from_axis_jet(Jet1.variable(batch.x).sin(), 2)
+    assert hx.coeffs.shape == (Jet3._N,)  # x alone stays unbatched
+    _assert_columns(lambda p: (hx * Jet3.variable(p, 1)).coeffs, batch)
+    _assert_columns(lambda p: (Jet3.variable(p, 0) * hx + hx).coeffs, batch)
+    # with a batch of numbers, one per point
+    _assert_columns(lambda p: (hx * p.r - p.nu).coeffs, batch)
+    _assert_columns(lambda p: (p.nu - hx / p.r).coeffs, batch)
+
+
+def test_batch_value_and_partial_types():
+    batch, point = _batch(4), Point(0.1, 0.2, 0.3)
+    assert isinstance(Jet3.variable(point, 1).value, float)
+    assert isinstance(Jet3.variable(point, 1).partial((0, 1, 0)), float)
+    v = Jet3.variable(batch, 1)
+    assert v.coeffs.shape == (Jet3._N, 4)
+    assert np.array_equal(v.value, batch.r)
+    assert np.array_equal(v.partial((0, 1, 0)), np.ones(4))
+
+
+def test_batch_raises_at_its_first_failing_column():
+    batch = PointBatch(np.zeros(3), np.array([1.0, -2.0, -3.0]), 0.0)
+    with pytest.raises(SingularJetError, match="-2.0"):
+        Jet3.variable(batch, 1).log()
+
+
+def test_point_batch_validation():
+    with pytest.raises(ValueError):
+        PointBatch(np.zeros(2), np.zeros(3), 0.0)
+    with pytest.raises(ValueError):
+        PointBatch(np.array([0.0, np.nan]), np.zeros(2), 0.0)
+    assert [p.r for p in _batch(3).points()] == _batch(3).r.tolist()
+
+
+@pytest.mark.parametrize("fn, v", [
+    (lambda j: j.exp(), 800.0),
+    (lambda j: j.powr(3.5), 1e200),
+    (lambda j: 1.0 / j, 1e-200),
+    (lambda j: j.sqrt(), 1e-300),
+])
+def test_overflowing_derivative_table_is_a_singular_jet(fn, v):
+    for jet in (Jet1.variable(v),
+                Jet3.variable(PointBatch(np.array([1.0, v]), np.zeros(2),
+                                         0.0), 0)):
+        with pytest.raises(SingularJetError, match=re.escape(repr(v))):
+            fn(jet)

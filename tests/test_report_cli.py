@@ -15,8 +15,9 @@ from operator import add
 import numpy as np
 import pytest
 
-from ewhorizon import cli, report
-from ewhorizon.errors import DomainError
+from ewhorizon import cli, curvature, pdeverify, report
+from ewhorizon.errors import DomainError, SingularJetError
+from ewhorizon.jets import PointBatch
 from ewhorizon.nearhorizon import ode4_monomials
 from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
@@ -227,6 +228,8 @@ def test_cli_verify_expected_fail(capsys):
     # --x0 and --span are the scan's own; the numeric seed takes both too
     ["scan-c", "--from", "0", "--to", "0", "--steps", "1", "--seed",
      "numeric", "--x0", "0.5", "--span", "1"],
+    # F = exp(x^2/2) overflows a float there: an error, not a traceback
+    ["verify", "prop1-iff", "--h", "linear", "--grid", "x=40:45:5"],
 ])
 def test_cli_usage_errors(capsys, argv):
     code, _, err = run_cli(argv, capsys)
@@ -546,3 +549,130 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
     for n in counts:
         assert sum(n.values()) == len(n) == 200
         assert [float(f"{x:.12g}") for x in n] == xs
+
+
+def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
+    counts = []
+
+    def counted_profile(*args, make=report.tanh_profile):
+        f = make(*args)
+        n, ev = Counter(), f.evaluator
+
+        def counted(x):
+            n[x] += 1
+            return ev(x)
+
+        counts.append(n)
+        object.__setattr__(f, "evaluator", counted)
+        return f
+
+    for module in (report, pdeverify):
+        monkeypatch.setattr(module, "tanh_profile", counted_profile)
+    rep = run_check("prop4")
+    assert counts
+    for n in counts:
+        assert sorted(n) == report._axis_values(rep.grid["x"])
+        assert set(n.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# one batch per (nu, r) plane
+
+# every check with per-point residuals, with the parameter sets the
+# benchmark verifies
+_PLANE_CHECKS = [
+    ("thm1", {"h": "zero"}), ("thm1", {"h": "sin"}),
+    ("thm1", {"h": "sin", "perturb": 1.01}),
+    *[("thm2-ode", {"family": f})
+      for f in ("tanh", "rational", "jacobi", "tan", "numeric")],
+    ("prop1-iff", {"h": "linear"}), ("prop1-iff", {"h": "sin"}),
+    ("prop1-iff", {"F": "one"}), ("dkp", {}), ("hypercr-family", {}),
+    ("prop4", {}),
+]
+
+
+def _plane(check, params, grid=GridSpec()):
+    """The Setup of a check and the (nu, r) plane at its middle grid x."""
+    _, s = report._setup(check, params)
+    x_axis = grid.resolve_x(s.window)
+    if s.narrow is not None:
+        x_axis = s.narrow(x_axis)
+    nus, rs = zip(*[(nu, r) for nu in report._axis_values(grid.nu)
+                    for r in report._axis_values(grid.r)])
+    return s, PointBatch(np.array(nus), np.array(rs),
+                         report._axis_values(x_axis)[2])
+
+
+def test_checks_have_per_point_residuals_listed():
+    # the list above covers every registry entry with per-point residuals
+    covered = {c for c, _ in _PLANE_CHECKS}
+    for name in report.CHECKS:
+        if name.endswith(":"):
+            continue
+        s = report._setup(name, {})[1]
+        assert (name in covered) == any(not r.per_x for r in s.residuals)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(),
+                                  GridSpec(nu=(-1.13, 0.91, 3),
+                                           r=(-0.87, 1.19, 7)),
+                                  GridSpec(nu=(-1.3, 0.7, 8),
+                                           r=(-0.9, 1.1, 8))])
+@pytest.mark.parametrize("check, params", _PLANE_CHECKS)
+def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
+    s, batch = _plane(check, params, grid)
+    for r in s.residuals:
+        if r.per_x:
+            continue
+        got = np.asarray(r.fn(batch), dtype=float)
+        want = np.stack([np.asarray(r.fn(q), dtype=float)
+                         for q in batch.points()], axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("check", ["thm1", "prop1-iff", "prop4",
+                                   "hypercr-family"])
+def test_one_curvature_assembly_per_grid_x(monkeypatch, check):
+    batches, init = [], curvature._Assembly.__init__
+
+    def counting(self, g_jets, batch=(), label=""):
+        batches.append(batch)
+        init(self, g_jets, batch, label)
+
+    monkeypatch.setattr(curvature._Assembly, "__init__", counting)
+    run_check(check)
+    # one geometric residual each (EW, or Cotton for prop1-iff), built
+    # once per grid x over its 5 x 5 plane
+    assert batches == [(25,)] * 5
+
+
+def _failing_setup(bad):
+    """A Setup whose one residual is 0, but raises at the points of
+    `bad` (a set of (nu, r)), naming the point, and on a batch holding
+    any of them, naming none."""
+
+    def fn(q):
+        if isinstance(q, PointBatch):
+            if any((p.nu, p.r) in bad for p in q.points()):
+                raise SingularJetError("somewhere in the batch")
+            return np.zeros(q.size)
+        if (q.nu, q.r) in bad:
+            raise SingularJetError(f"bad point {q.nu} {q.r}")
+        return 0.0
+
+    return report.Setup(claim="", window=(-1.0, 1.0), tolerance=1.0,
+                        params={}, residuals=(report.Residual(("v",), fn),))
+
+
+def test_batch_error_is_that_of_the_first_failing_point():
+    grid = GridSpec()
+    s = _failing_setup({(0.5, -1.0), (-0.5, 0.5)})
+    with pytest.raises(SingularJetError, match="bad point -0.5 0.5"):
+        report._reduce(s, grid, (-1.0, 1.0, 2), skip=False)
+    # with skip, a failing plane keeps its other points
+    assert report._reduce(s, grid, (-1.0, 1.0, 2), skip=True) == {"v": 0.0}
+    s = _failing_setup({(nu, r) for nu in report._axis_values(grid.nu)
+                        for r in report._axis_values(grid.r)})
+    with pytest.raises(DomainError, match="no grid point"):
+        report._reduce(s, grid, (-1.0, 1.0, 2), skip=True)
