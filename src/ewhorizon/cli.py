@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .errors import EwhError
 from .nearhorizon import _family_row
@@ -144,9 +145,7 @@ def _cmd_scan_c(args) -> int:
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(text)
-        counts = {}
-        for _, status, *_ in rows:
-            counts[status] = counts.get(status, 0) + 1
+        counts = Counter(status for _, status, *_ in rows)
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
         sys.stdout.write(f"wrote {len(rows)} rows to {args.csv} "
                          f"({summary})\n")
@@ -178,10 +177,7 @@ def main(argv=None) -> int:
         if args.command == "scan-c":
             return _cmd_scan_c(args)
         return _cmd_export_plot(args)
-    except _UsageError as e:
-        sys.stderr.write(f"ewh: error: {e}\n")
-        return 1
-    except (EwhError, OSError, ValueError) as e:
+    except (_UsageError, EwhError, OSError, ValueError) as e:
         sys.stderr.write(f"ewh: error: {e}\n")
         return 1
 

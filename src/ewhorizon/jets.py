@@ -453,12 +453,9 @@ class Jet1(_JetBase):
         self.coeffs = c.copy()
 
     @classmethod
-    def variable(cls, x, scale=1.0):
-        """Jet of the coordinate itself: value x, first derivative `scale`."""
-        c = np.zeros(cls._N)
-        c[0] = x
-        c[1] = scale
-        return cls._raw(c)
+    def variable(cls, x):
+        """Jet of the coordinate itself: value x, first derivative 1."""
+        return cls._raw(np.array([x, 1.0] + [0.0] * (ORDER - 1)))
 
     @classmethod
     def from_derivatives(cls, derivs):

@@ -39,6 +39,8 @@ from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
 _NU, _R, _X = 0, 1, 2
 _H_FLOOR = 1e-10         # F_from_h division guard
 _POLE_TOL = 1e-6         # closed-form field pole guards, in x units
+_THM1_MARGIN = 0.3       # thm1 window inset from the wp poles, in G units
+_PERIOD_TOL = 1e-8       # periodicity_check match (and least move) of h, h'
 _SN_ZERO = math.sqrt(2.0) * complete_elliptic_k(1.0 / math.sqrt(2.0))
 
 
@@ -81,9 +83,6 @@ class ScalarField1D:
         jet.coeffs.flags.writeable = False
         last[:] = x, jet
         return jet
-
-    def value(self, x) -> float:
-        return self(x).value
 
 
 def field_const(k: float, label: str = "") -> ScalarField1D:
@@ -144,18 +143,18 @@ _NAMED_H = {
     "zero": field_zero,
     "one": field_one,
     "sin": field_sin,
-    "linear": lambda ell=1.0, b=0.0: field_linear(ell, b),
+    "linear": lambda: field_linear(1.0),
 }
 
 
-def named_h_field(name: str, **params) -> ScalarField1D:
+def named_h_field(name: str) -> ScalarField1D:
     """The named h profiles used by the command-line checks."""
     try:
         ctor = _NAMED_H[name]
     except KeyError:
         raise DomainError(
             f"unknown h field {name!r}; choose from {sorted(_NAMED_H)}")
-    return ctor(**params)
+    return ctor()
 
 
 def antiderivative(h: ScalarField1D, x0: float, x1: float) -> float:
@@ -172,16 +171,15 @@ def _integral_jet(value: float, deriv_jet: Jet1) -> Jet1:
         ([float(value)], deriv_jet.coeffs[:4] / np.arange(1.0, 5.0))))
 
 
-def F_flat_from_h(h: ScalarField1D, x0: float = 0.0,
-                  scale: float = 1.0) -> ScalarField1D:
-    """The conformally flat profile F = scale * exp(int_{x0}^x h).
+def F_flat_from_h(h: ScalarField1D, x0: float = 0.0) -> ScalarField1D:
+    """The conformally flat profile F = exp(int_{x0}^x h).
 
     With this F the metric's Cotton tensor vanishes (F' = F h).
     """
 
     def ev(x):
         hj = h(x)
-        return scale * _integral_jet(antiderivative(h, x0, x), hj).exp()
+        return _integral_jet(antiderivative(h, x0, x), hj).exp()
 
     return ScalarField1D(ev, label=f"flat[{h.label}]", window=h.window)
 
@@ -509,17 +507,17 @@ def abel_parametric_jets(y: float, alpha: float, beta: float, gamma: float):
 # the Weierstrass construction of F (arbitrary h)
 # --------------------------------------------------------------------------
 
-def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
-                 margin: float = 0.3, delta: float = 1e-3) -> ScalarField1D:
+def thm1_F_field(h: ScalarField1D, a: float, b: float,
+                 x0: float = 0.0) -> ScalarField1D:
     """F(x) = e^{H} wp(G + a; 0, b), H = int_{x0}^x h, G = int_{x0}^x e^{H/2}.
 
     Together with X = -h/2 dx - 2 r F dnu this turns any h into an
     Einstein-Weyl structure.  The returned field's window is the
     largest x-interval with G + a inside the pole-free cell of the wp
-    lattice containing a, inset by `margin` (for b = 0, the single pole
-    at G + a = 0); an edge G never reaches is infinite.  The interval
-    need not contain the basepoint: for a near a pole it sits to one
-    side.
+    lattice containing a, inset by _THM1_MARGIN (for b = 0, the single
+    pole at G + a = 0); an edge G never reaches is infinite.  The
+    interval need not contain the basepoint: for a near a pole it sits
+    to one side.
     """
 
     def dG(t):
@@ -528,11 +526,11 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float, x0: float = 0.0,
     def ev(x):
         Hj = _integral_jet(antiderivative(h, x0, x), h(x))
         Gj = _integral_jet(quad(dG, x0, x), (0.5 * Hj).exp())
-        Pj, _ = wp_jet(Gj + a, b, delta=delta)
+        Pj, _ = wp_jet(Gj + a, b)
         return Hj.exp() * Pj
 
-    cell = (margin - a, math.inf) if b == 0.0 else \
-        _pole_free_cell(a, b, margin)
+    cell = (_THM1_MARGIN - a, math.inf) if b == 0.0 else \
+        _pole_free_cell(a, b, _THM1_MARGIN)
     return ScalarField1D(ev, label=f"thm1[{h.label};a={a:g},b={b:g}]",
                          window=tuple(_solve_g(dG, g, x0) for g in cell))
 
@@ -869,15 +867,15 @@ def family_catalog(tag: str, **params):
 # periodicity
 # --------------------------------------------------------------------------
 
-def periodicity_check(h: ScalarField1D, T: float, tol: float = 1e-8) -> bool:
+def periodicity_check(h: ScalarField1D, T: float) -> bool:
     """True iff h and h' return to themselves under x -> x + T.
 
     64 samples spanning two alleged periods from the window's edge;
     samples where either endpoint cannot be evaluated (poles, ends of a
     numeric trajectory) are skipped, and at least 8 surviving samples
-    are required for a positive verdict.  So is a move of h or h' by at
-    least `tol` across the samples: where neither moves (T at roundoff
-    distance, a constant h) the comparison shows nothing.
+    are required for a positive verdict, as is a move of h or h' by at
+    least _PERIOD_TOL across the samples: where neither moves (T at
+    roundoff distance, a constant h) the comparison shows nothing.
     """
     if T <= 0.0:
         raise DomainError("periodicity_check needs T > 0")
@@ -896,8 +894,8 @@ def periodicity_check(h: ScalarField1D, T: float, tol: float = 1e-8) -> bool:
         seen.append((j0.value, j0.derivative(1)))
         worst = max(worst, abs(j1.value - j0.value),
                     abs(j1.derivative(1) - j0.derivative(1)))
-    return (len(seen) >= 8 and worst < tol
-            and max(np.ptp(seen, axis=0).tolist()) >= tol)
+    return (len(seen) >= 8 and worst < _PERIOD_TOL
+            and max(np.ptp(seen, axis=0).tolist()) >= _PERIOD_TOL)
 
 
 def first_return(samples, at, x_min: float):

@@ -52,6 +52,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ORDER_EXP = 1.0 / 5.0
+# attempted steps (accepted, rejected, guard-shortened) integrate may take:
+# a solution that needs more is too stiff for an explicit method
+_MAX_STEPS = 100_000
 
 
 @dataclass
@@ -156,9 +159,9 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     """Integrate spec.rhs from spec.x0 to x_end with dense output.
 
     Raises StiffnessError when error control forces the step below the
-    resolution floor, or when the starting slope is too steep for any
-    starting step; a failing guard instead ends the trajectory early
-    with status "guard".
+    resolution floor, when the starting slope is too steep for any
+    starting step, or after _MAX_STEPS attempted steps; a failing guard
+    instead ends the trajectory early with status "guard".
     """
     rhs = spec.rhs
     x = float(spec.x0)
@@ -185,8 +188,13 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     k_heads = [k[:i].T for i in range(7)]
     k_t = k.T
     status, reason = "ok", ""
+    attempts = 0
 
     while (x_end - x) * direction > 0:
+        attempts += 1
+        if attempts > _MAX_STEPS:
+            raise StiffnessError(f"step budget of {_MAX_STEPS} attempted "
+                                 f"steps spent at x={x!r}; problem too stiff")
         h = min(h, abs(x_end - x))
         if not h >= h_floor:  # a NaN step fails this too
             raise StiffnessError(
@@ -228,6 +236,9 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
 
 # --- adaptive Gauss-Kronrod quadrature --------------------------------------
 
+_QUAD_TOL = 1e-10  # quad's absolute (split between halves) and relative
+_QUAD_DEPTH = 50
+
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _XGK = np.array([
     0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -263,12 +274,11 @@ def _gk15(f, a, b):
     return kron, abs(kron - gauss)
 
 
-def quad(f, a: float, b: float, rtol: float = 1e-10, atol: float = 1e-10,
-         max_depth: int = 50) -> float:
+def quad(f, a: float, b: float) -> float:
     """Integral of f over [a, b], adaptive bisection on Gauss-Kronrod 15.
 
     Deterministic subdivision (always left half first, absolute tolerance
-    split evenly); intervals still failing at max_depth raise
+    split evenly); intervals still failing at _QUAD_DEPTH raise
     AccuracyError carrying the best estimate and its error bound.  Meant
     for smooth integrands; endpoint singularities need a substitution by
     the caller and otherwise surface as AccuracyError.
@@ -278,13 +288,13 @@ def quad(f, a: float, b: float, rtol: float = 1e-10, atol: float = 1e-10,
     total = 0.0
     bad_err = 0.0
     failed = False
-    stack = [(float(a), float(b), float(atol), 0)]
+    stack = [(float(a), float(b), _QUAD_TOL, 0)]
     while stack:
         lo, hi, tol, depth = stack.pop()
         val, err = _gk15(f, lo, hi)
-        if err <= max(tol, rtol * abs(val)):
+        if err <= max(tol, _QUAD_TOL * abs(val)):
             total += val
-        elif depth >= max_depth:
+        elif depth >= _QUAD_DEPTH:
             total += val
             bad_err += err
             failed = True
@@ -295,6 +305,6 @@ def quad(f, a: float, b: float, rtol: float = 1e-10, atol: float = 1e-10,
             stack.append((lo, mid, 0.5 * tol, depth + 1))
     if failed:
         raise AccuracyError(
-            f"quadrature on [{a}, {b}] did not converge at depth {max_depth}",
+            f"quadrature on [{a}, {b}] did not converge at depth {_QUAD_DEPTH}",
             estimate=total, error_bound=bad_err)
     return total

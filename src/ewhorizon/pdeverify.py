@@ -15,7 +15,7 @@ place of a Point, and then gives one value per point.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as _dcfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class PotentialField:
 
     evaluator: object
     label: str = ""
-    params: dict = _dcfield(default_factory=dict)
 
     def jets(self, p: Point) -> Jet3:
         return self.evaluator(p)
@@ -93,8 +92,7 @@ def dkp_wp_potential(a: float, b: float) -> PotentialField:
         rj = Jet3.variable(p, _R)
         return -0.5 * rj * rj * Jet3.from_axis_jet(pj, _X)
 
-    return PotentialField(ev, label=f"dkp-wp[a={a:g},b={b:g}]",
-                          params={"a": a, "b": b})
+    return PotentialField(ev, label=f"dkp-wp[a={a:g},b={b:g}]")
 
 
 def hypercr_tanh_family(params: HyperCRParams) -> PotentialField:
@@ -110,7 +108,7 @@ def hypercr_tanh_family(params: HyperCRParams) -> PotentialField:
         t = w.tanh()
         return cj * t * t * t + ck * t + cl
 
-    return PotentialField(ev, label="hypercr-tanh3", params=asdict(params))
+    return PotentialField(ev, label="hypercr-tanh3")
 
 
 def hr2_potential(c: float, h: ScalarField1D) -> PotentialField:
@@ -121,8 +119,7 @@ def hr2_potential(c: float, h: ScalarField1D) -> PotentialField:
         rj = Jet3.variable(p, _R)
         return c * Jet3.from_axis_jet(h(p.x), _X) * rj * rj
 
-    return PotentialField(ev, label=f"hr2[{h.label};c={c:g}]",
-                          params={"c": c})
+    return PotentialField(ev, label=f"hr2[{h.label};c={c:g}]")
 
 
 # --------------------------------------------------------------------------

@@ -49,9 +49,13 @@ _COTTON_IDX = tuple((a, b, c) for a in range(3)
 _COTTON_NAMES = tuple(f"{_AXIS_NAMES[a]}.{_AXIS_NAMES[b]}_{_AXIS_NAMES[c]}"
                       for a, b, c in _COTTON_IDX)
 
-# fixed off-axis slice for 1D plot sweeps
+# fixed off-axis slice for 1D plot sweeps, and the x range they ask for
 _PLOT_NU = 0.3
 _PLOT_R = 0.7
+_PLOT_X = (-3.0, 3.0)
+
+# points of a (nu, r) plane per PointBatch, at most: about 14 KB each
+_PLANE_SLICE = 256
 
 
 def thread_count() -> int:
@@ -271,8 +275,7 @@ class Setup:
     `residuals[0]` is the evaluator export-plot sweeps.  `profiles` is
     the (h or None, F) pair a profile sweep tabulates beside it;
     `narrow`, when set, shrinks the default x axis (never an explicit
-    one); `unreported` names components evaluated but left out of the
-    report.
+    one).
     """
 
     claim: str
@@ -282,7 +285,6 @@ class Setup:
     residuals: tuple
     profiles: tuple = None
     narrow: object = None
-    unreported: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -362,18 +364,16 @@ def _build_prop1(p):
                           f"got {p['F']!r}")
     d = NearHorizonData(h=h, F=F, c=-0.5)
     g = nh_metric(d)
+    residuals = (Residual(_COTTON_NAMES, lambda q: cotton(g, q), _COTTON_IDX),)
+    # F = one reports Cotton only: its defect is the input, not a residual
+    if p["F"] == "flat":
+        residuals += (Residual(("defect",), lambda x: flatness_defect(d, x),
+                               per_x=True),)
     return Setup(
         claim=("the near-horizon metric is conformally flat exactly when "
                "F' = F h"),
-        window=d.window, tolerance=1e-9, params=p,
-        residuals=(Residual(_COTTON_NAMES, lambda q: cotton(g, q),
-                            _COTTON_IDX),
-                   Residual(("defect",), lambda x: flatness_defect(d, x),
-                            per_x=True)),
-        profiles=(h, F),
-        # the converse branch: report the Cotton size only, the defect
-        # is the (nonzero) diagnostic input, not the residual
-        unreported=() if p["F"] == "flat" else ("defect",))
+        window=d.window, tolerance=1e-9, params=p, residuals=residuals,
+        profiles=(h, F))
 
 
 def _build_dkp(p):
@@ -510,11 +510,12 @@ def _setup(check_id, params):
 
 def _reduce(setup, grid, x_axis, skip):
     """Max |component| over the grid.  The x axis is walked once,
-    outermost: at each x the per-point residuals, each evaluated once
-    over the whole (nu, r) plane as one PointBatch, then the per-x
-    residuals, so each profile is evaluated once per x.  NaN
-    propagates.  With `skip`, points whose evaluation raises EwhError
-    are left out, and DomainError is raised when no point is left."""
+    outermost: at each x the per-point residuals, each evaluated over
+    the (nu, r) plane as PointBatches of at most _PLANE_SLICE points,
+    then the per-x residuals, so each profile is evaluated once per x.
+    NaN propagates.  With `skip`, points whose evaluation raises
+    EwhError are left out, and DomainError is raised when no point is
+    left."""
     # every check declares its per-point residuals first, so this keeps
     # the declared component order
     point_rs, x_rs = ([r for r in setup.residuals if r.per_x == per_x]
@@ -537,13 +538,17 @@ def _reduce(setup, grid, x_axis, skip):
             return None
 
     def plane_rows(x):
-        batch = PointBatch(nus, rs, x)
-        try:
-            return list(np.array(values(point_rs, batch)).T)
-        except EwhError:
-            # point by point, so the error raised (or, with skip, the
-            # points left out) is that of the first failing point
-            return [row(point_rs, q) for q in batch.points()]
+        rows = []
+        for i in range(0, len(nus), _PLANE_SLICE):
+            batch = PointBatch(nus[i:i + _PLANE_SLICE],
+                               rs[i:i + _PLANE_SLICE], x)
+            try:
+                rows.extend(np.array(values(point_rs, batch)).T)
+            except EwhError:
+                # point by point, so the error raised (or, with skip, the
+                # points left out) is that of the first failing point
+                rows.extend(row(point_rs, q) for q in batch.points())
+        return rows
 
     for x in _axis_values(x_axis):
         if point_rs:
@@ -560,8 +565,6 @@ def _reduce(setup, grid, x_axis, skip):
                               f"(window {setup.window!r})")
         names = [n for r in group for n in r.names]
         comps.update(zip(names, map(float, np.max(np.array(rows), axis=0))))
-    for name in setup.unreported:
-        comps.pop(name)
     return comps
 
 
@@ -630,8 +633,9 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     (c, status, x_start, x_end, periodic, period) per value.
 
     Statuses: ok (full span), blowup (|h| or |h'| exceeded caps),
-    guard (|h| fell to the division floor, or step-size collapse),
-    singular-start (seed |h| <= 1e-6, nothing integrated).
+    guard (|h| fell to the division floor, or the step size collapsed or
+    its budget ran out), singular-start (seed |h| <= 1e-6, nothing
+    integrated).
     """
     if steps < 1:
         raise DomainError("scan-c needs steps >= 1")
@@ -676,13 +680,12 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
                 sides.append((traj, flag or "guard"))
             except StiffnessError:
                 sides.append((None, "guard"))
-        x_end = sides[0][0].x_end if sides[0][0] is not None else x0
-        x_start = sides[1][0].x_end if sides[1][0] is not None else x0
+        (fwd, _), (bwd, _) = sides
+        x_end = fwd.x_end if fwd is not None else x0
+        x_start = bwd.x_end if bwd is not None else x0
         flags = {s for _, s in sides}
         status = ("blowup" if "blowup" in flags
                   else "guard" if "guard" in flags else "ok")
-
-        fwd, bwd = sides[0][0], sides[1][0]
         period = None if fwd is None else _knot_return(fwd)
         periodic = False
         if period is not None:
@@ -714,15 +717,14 @@ def scan_rows_csv(rows) -> str:
 # plot export
 # --------------------------------------------------------------------------
 
-def _sweep_window(window, lo=-3.0, hi=3.0):
-    """Intersect the requested sweep with the admissible window; report
-    whether clipping happened."""
+def _sweep_window(window):
+    """Intersect the x range of a sweep with the admissible window;
+    report whether clipping happened."""
+    lo, hi = _PLOT_X
     wlo, whi = window
-    span = (whi - wlo) if math.isfinite(wlo) and math.isfinite(whi) \
-        else None
-    pad = 0.02 * span if span is not None else 0.0
-    a = max(lo, wlo + pad)
-    b = min(hi, whi - pad)
+    pad = 0.02 * (whi - wlo) if math.isfinite(wlo) and math.isfinite(whi) \
+        else 0.0
+    a, b = max(lo, wlo + pad), min(hi, whi - pad)
     clipped = a > lo or b < hi
     if not a < b:
         raise DomainError(f"empty sweep range inside window {window!r}")

@@ -109,8 +109,7 @@ def sn_imaginary_modulus(u: float) -> float:
     dn(., 1/sqrt2) >= 1/sqrt2; satisfies w'' = -2 w^3 with w(0) = 0,
     w'(0) = 1, first integral w'^2 = 1 - w^4.
     """
-    sn, _, dn = jacobi_sn_cn_dn(_SQRT2 * u, _INV_SQRT2)
-    return sn / dn * _INV_SQRT2
+    return sn_imaginary_modulus_jet(u).value
 
 
 def sn_imaginary_modulus_jet(u: float) -> Jet1:
@@ -131,7 +130,7 @@ def sn_imaginary_modulus_jet(u: float) -> Jet1:
 
 # --- Weierstrass elliptic function, g2 = 0 ---------------------------------
 
-_DEFAULT_DELTA = 1e-3
+_POLE_DELTA = 1e-3  # least distance of a wp argument from a real pole
 
 
 def _lattice(g3n: float) -> tuple:
@@ -167,26 +166,26 @@ def _pole_free_cell(a: float, b: float, margin: float) -> tuple:
     return lo, hi
 
 
-def wp(z: float, b: float, delta: float = _DEFAULT_DELTA):
+def wp(z: float, b: float):
     """Weierstrass (wp(z; 0, b), wp'(z; 0, b)) for real z.
 
     Satisfies wp'^2 = 4 wp^3 - b and wp'' = 6 wp^2.  Arguments closer than
-    `delta` to a real pole raise PoleProximityError carrying the pole.
+    _POLE_DELTA to a real pole raise PoleProximityError carrying the pole.
     """
     if b == 0.0:
-        if abs(z) < delta:
+        if abs(z) < _POLE_DELTA:
             raise PoleProximityError(
-                f"wp argument {z!r} within {delta} of the pole at 0", nearest_pole=0.0
-            )
+                f"wp argument {z!r} within {_POLE_DELTA} of the pole at 0",
+                nearest_pole=0.0)
         return 1.0 / z**2, -2.0 / z**3
     e2, h2, k, t, scheme = _LATTICE[math.copysign(1.0, b)]
     scale = abs(b) ** (1.0 / 6.0)
     zs = z * scale
     m = round(zs / t)
     zf = zs - m * t  # folded into [-t/2, t/2], the pole at 0
-    if abs(zf) / scale < delta:
+    if abs(zf) / scale < _POLE_DELTA:
         raise PoleProximityError(
-            f"wp argument {z!r} within {delta} of a pole",
+            f"wp argument {z!r} within {_POLE_DELTA} of a pole",
             nearest_pole=m * t / scale)
     sqrt_h2 = math.sqrt(h2)
     phi = _amplitude(2.0 * sqrt_h2 * zf, scheme)
@@ -197,13 +196,13 @@ def wp(z: float, b: float, delta: float = _DEFAULT_DELTA):
     return p * scale**2, q * scale**3
 
 
-def wp_jet(z: Jet1, b: float, delta: float = _DEFAULT_DELTA):
+def wp_jet(z: Jet1, b: float):
     """Jet version of `wp`: jets of wp and wp' in the variable of `z`.
 
     Value and slope come from the float `wp`; derivatives 2..4 of wp, and
     4 of wp', follow from wp'' = 6 wp^2 (g2 = 0).
     """
-    p, q = wp(z.value, b, delta)
+    p, q = wp(z.value, b)
     d2, d3, d4 = 6.0 * p * p, 12.0 * p * q, 12.0 * q * q + 72.0 * p ** 3
     return (z._compose((p, q, d2, d3, d4)),
             z._compose((q, d2, d3, d4, 360.0 * p * p * q)))

@@ -359,11 +359,11 @@ def test_thm1_unreached_edges_cost_a_bounded_march(monkeypatch):
     # the march runs its full 1000 units
     evals, quad = [0], nearhorizon.quad
 
-    def counting(f, a, b, **kw):
+    def counting(f, a, b):
         def g(t):
             evals[0] += 1
             return f(t)
-        return quad(g, a, b, **kw)
+        return quad(g, a, b)
 
     monkeypatch.setattr(nearhorizon, "quad", counting)
     F = thm1_F_field(field_one(), a=3.0, b=0.0)

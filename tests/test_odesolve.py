@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewhorizon import odesolve
 from ewhorizon.errors import AccuracyError, StiffnessError
 from ewhorizon.odesolve import (IvpSpec, Trajectory, _rms_norm,
                                 integrate, quad)
@@ -120,6 +121,19 @@ def test_infinite_starting_slope_raises_stiffness():
                    y0=[1.0])
     with pytest.raises(StiffnessError, match="no starting step"):
         integrate(spec, 1.0)
+
+
+def test_step_budget_raises_stiffness(monkeypatch):
+    # steps of at most 0.125 need more than 80 of them to cross [0, 10]
+    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1.0]), x0=0.0,
+                   y0=[0.0], max_step=0.125)
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 50)
+    with pytest.raises(StiffnessError,
+                       match="step budget of 50 attempted steps spent at x="):
+        integrate(spec, 10.0)
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 100)
+    assert integrate(spec, 10.0).x_end == 10.0
+
 
 def test_rms_norm_is_the_numpy_mean_bit_for_bit():
     # the step controller's error norm sums in Python floats; it must

@@ -15,7 +15,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from ewhorizon import cli, curvature, pdeverify, report
+from ewhorizon import cli, curvature, odesolve, pdeverify, report
 from ewhorizon.errors import DomainError, SingularJetError
 from ewhorizon.jets import PointBatch
 from ewhorizon.nearhorizon import ode4_monomials
@@ -340,6 +340,14 @@ def test_scan_c_is_deterministic(monkeypatch, seed, params, line, knots,
     assert scan_rows_csv(rows).splitlines()[1] == line
     assert tuple(n for n, _ in runs) == knots
     assert tuple(r for _, r in runs) == rhs_calls
+
+
+def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
+    # at c = 1e6 the tanh seed's steps shrink to ~5e-7: the budget, not
+    # the span, ends both sides, long before any blowup
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 1000)
+    assert scan_c(1e6, 1e6, 1, seed="tanh") == [
+        (1e6, "guard", 1.0, 1.0, False, None)]
 
 
 def test_quartic_rhs_is_the_numpy_scalar_form_bit_for_bit():
@@ -676,3 +684,39 @@ def test_batch_error_is_that_of_the_first_failing_point():
                         for r in report._axis_values(grid.r)})
     with pytest.raises(DomainError, match="no grid point"):
         report._reduce(s, grid, (-1.0, 1.0, 2), skip=True)
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_sliced_plane_error_is_that_of_the_first_failing_point(monkeypatch,
+                                                               size):
+    # the failing points lie in the second and third slice of 7
+    monkeypatch.setattr(report, "_PLANE_SLICE", size)
+    s = _failing_setup({(0.5, -1.0), (-0.5, 0.5)})
+    with pytest.raises(SingularJetError, match="bad point -0.5 0.5"):
+        report._reduce(s, GridSpec(), (-1.0, 1.0, 2), skip=False)
+    assert report._reduce(s, GridSpec(), (-1.0, 1.0, 2), skip=True) == {
+        "v": 0.0}
+
+
+def test_plane_is_assembled_in_slices(monkeypatch):
+    batches, init = [], curvature._Assembly.__init__
+
+    def counting(self, g_jets, batch=(), label=""):
+        batches.append(batch)
+        init(self, g_jets, batch, label)
+
+    monkeypatch.setattr(curvature._Assembly, "__init__", counting)
+    monkeypatch.setattr(report, "_PLANE_SLICE", 7)
+    run_check("thm1", grid=GridSpec(nu=(-1.0, 1.0, 9), r=(-1.0, 1.0, 9)))
+    assert batches == ([(7,)] * 11 + [(4,)]) * 5
+
+
+@pytest.mark.parametrize("check, params", _PLANE_CHECKS)
+def test_reports_are_identical_across_plane_slices(monkeypatch, check,
+                                                   params):
+    grid = GridSpec(nu=(-1.0, 1.0, 9), r=(-1.0, 1.0, 9))
+    texts = set()
+    for size in (1, 7, 81):
+        monkeypatch.setattr(report, "_PLANE_SLICE", size)
+        texts.add(run_check(check, params, grid=grid).to_json())
+    assert len(texts) == 1

@@ -1,0 +1,122 @@
+"""The Einstein-Weyl reduction the code certifies, derived symbolically.
+
+sympy derives the trace-free Einstein-Weyl tensor E of the near-horizon
+ansatz
+
+    g = r^2 F dnu^2 + 2 dnu dr + 2 r h dnu dx + dx^2,
+    X = c h dx + r ((2c+1) h' + c (2c+1) h^2 - 2F) dnu,
+
+in the conventions of curvature.py, with h(x), F(x) and c symbolic.  The
+package's own formulas, evaluated on sympy symbols, must match it:
+
+* only E_nunu and E_nux are nonzero;
+* E_nux = r (2c+1) (h'' + 4c h h' + 2c^2 h^3 - 2F h) / 2, and F_from_h is
+  the one F that kills it (c != -1/2);
+* with that F, E_nunu = r^2 Q / h^3, where Q is the quartic: the sum of
+  ode4_monomials plus -h^2 h''''/4;
+* at c = -1/2, E_nux vanishes identically and E_nunu is r^2/4 times
+  F_ode_residual_chalf.
+"""
+
+import pytest
+
+from ewhorizon.nearhorizon import (F_from_h, F_ode_residual_chalf,
+                                   ode4_monomials, ode4_residual)
+
+sp = pytest.importorskip("sympy")
+
+nu, r, x, c = sp.symbols("nu r x c")
+h = sp.Function("h")(x)
+F = sp.Function("F")(x)
+COORDS = (nu, r, x)
+NU, X_ = 0, 2
+
+
+class _SymJet:
+    """A profile jet whose value and derivatives are sympy expressions in
+    x: what the package's jet readers (value, derivative(k)) see."""
+
+    def __init__(self, f):
+        self.value = f
+
+    def derivative(self, k):
+        return self.value.diff(x, k)
+
+
+def _exact(expr):
+    """The package writes its constants as floats (0.5, 2.25, ...); they
+    are exact binary fractions, so they convert to rationals exactly."""
+    return sp.nsimplify(expr, rational=True)
+
+
+def _zero(expr) -> bool:
+    return sp.simplify(sp.expand(expr)) == 0
+
+
+@pytest.fixture(scope="module")
+def E():
+    """The trace-free part of nabla_(a X_b) + X_a X_b + P_ab."""
+    g = sp.Matrix([[r**2 * F, 1, r * h], [1, 0, 0], [r * h, 0, 1]])
+    gi = g.inv()
+    one_form = [r * ((2 * c + 1) * h.diff(x) + c * (2 * c + 1) * h**2
+                     - 2 * F), sp.S(0), c * h]
+    n = range(3)
+    gam = [[[sum(gi[a, d] * (g[d, k].diff(COORDS[b])
+                             + g[d, b].diff(COORDS[k])
+                             - g[b, k].diff(COORDS[d])) for d in n) / 2
+             for k in n] for b in n] for a in n]
+    ric = sp.Matrix(3, 3, lambda b, d: (
+        sum(gam[a][d][b].diff(COORDS[a]) - gam[a][a][b].diff(COORDS[d])
+            for a in n)
+        + sum(gam[a][a][e] * gam[e][d][b] - gam[a][d][e] * gam[e][a][b]
+              for a in n for e in n)))
+    scalar = sum(gi[a, b] * ric[a, b] for a in n for b in n)
+    t = sp.Matrix(3, 3, lambda a, b: (
+        (one_form[b].diff(COORDS[a]) + one_form[a].diff(COORDS[b])) / 2
+        - sum(gam[e][a][b] * one_form[e] for e in n)
+        + one_form[a] * one_form[b] + ric[a, b] - scalar / 4 * g[a, b]))
+    trace = sum(gi[a, b] * t[a, b] for a in n for b in n)
+    return (t - trace / 3 * g).applyfunc(sp.expand)
+
+
+def _package_F():
+    """F_from_h on a symbolic h.  Its |h| floor must decide on symbols,
+    so it sees h = 1 + s with s > 0, and s = h - 1 is put back after: an
+    identity of rational functions of (h, h', h'') on h > 1 holds
+    everywhere."""
+    s = sp.Function("s", positive=True)(x)
+    Fs = F_from_h(lambda _: _SymJet(1 + s), c, x)
+    return _exact(Fs).subs(s, h - 1).doit()
+
+
+def test_only_the_nunu_and_nux_components_are_nonzero(E):
+    for a in range(3):
+        for b in range(3):
+            nonzero = {a, b} in ({NU}, {NU, X_})
+            assert (E[a, b] != 0) == nonzero, (a, b)
+    assert E == E.T
+
+
+def test_F_from_h_is_the_F_that_kills_E_nux(E):
+    h1, h2 = h.diff(x), h.diff(x, 2)
+    assert _zero(E[NU, X_] - r * (2 * c + 1) * (
+        h2 + 4 * c * h * h1 + 2 * c**2 * h**3 - 2 * F * h) / 2)
+    assert _zero(E[NU, X_].subs(F, _package_F()))
+    # linear in F with coefficient -r (2c+1) h: for c != -1/2 the root
+    # is unique
+    assert _zero(E[NU, X_].diff(F) + r * (2 * c + 1) * h)
+
+
+def test_E_nunu_with_F_from_h_is_the_quartic(E):
+    d = [h.diff(x, k) for k in range(5)]
+    quartic = _exact(sum(ode4_monomials(*d[:4], c))) - d[0]**2 * d[4] / 4
+    assert _zero(_exact(ode4_residual(_SymJet(h), c)) - quartic)
+    e_nunu = E[NU, NU].subs(F, _package_F()).doit()
+    assert _zero(e_nunu * h**3 / r**2 - quartic)
+
+
+def test_c_minus_half_leaves_only_the_F_equation(E):
+    half = sp.Rational(-1, 2)
+    assert _zero(E[NU, X_].subs(c, half))
+    chalf = _exact(F_ode_residual_chalf(_SymJet(F), _SymJet(h)))
+    assert _zero(E[NU, NU].subs(c, half) - r**2 / 4 * chalf)
