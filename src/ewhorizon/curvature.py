@@ -6,11 +6,11 @@ order 4, and everything here (Christoffel symbols, Ricci, Schouten,
 Cotton, the trace-free Einstein-Weyl residual) is assembled from those
 numeric partials with plain numpy contractions.
 
-Every function takes either one Point or a PointBatch of B points that
-share one x.  A batch is assembled in one pass, with a batch index on
-every contraction, and its results carry a trailing batch axis: a (3, 3)
-tensor at a Point is (3, 3, B) over a batch, column k equal bit for bit
-to the tensor at point k.
+Every function takes either one Point or a PointBatch of B points, at
+one x or each at its own.  A batch is assembled in one pass, with a
+batch index on every contraction, and its results carry a trailing
+batch axis: a (3, 3) tensor at a Point is (3, 3, B) over a batch,
+column k equal bit for bit to the tensor at point k.
 
 Conventions, fixed once and validated end-to-end by the closed-form
 structure checks:

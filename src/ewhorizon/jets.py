@@ -11,11 +11,13 @@ cross-check.
 Coordinates are always ordered (nu, r, x) = (0, 1, 2).
 
 A Jet3 is taken either at one Point (coefficients of shape (N3,)) or at a
-PointBatch of points that share one x (shape (N3, B), one column per
-point).  A jet of x alone stays unbatched and broadcasts against batched
-ones.  Every column is computed with the same floating-point operations,
-in the same order, as the jet at that single point, so a batch equals the
-stack of its points bit for bit.
+PointBatch of B points (shape (N3, B), one column per point).  The points
+of a batch may share one x, and then a jet of x alone stays unbatched and
+broadcasts against batched ones; or each may have its own x, and then a
+Jet1 of x carries a trailing batch axis too (shape (5, B)).  Every column
+is computed with the same floating-point operations, in the same order,
+as the jet at that single point, so a batch equals the stack of its
+points bit for bit.
 """
 
 from __future__ import annotations
@@ -60,23 +62,29 @@ class Point:
 
 @dataclass(frozen=True)
 class PointBatch:
-    """B points (nu[k], r[k], x) that share one x; nu and r are arrays
-    of shape (B,).  Jets taken at a batch carry a trailing batch axis."""
+    """B points (nu[k], r[k], x[k]); nu and r are arrays of shape (B,),
+    and x is either one float the points share or an array of shape
+    (B,).  Jets taken at a batch carry a trailing batch axis."""
 
     nu: np.ndarray
     r: np.ndarray
-    x: float
+    x: object
 
     def __post_init__(self):
-        nu, r = (np.asarray(v, dtype=float) for v in (self.nu, self.r))
-        if nu.ndim != 1 or nu.shape != r.shape:
-            raise ValueError(f"nu and r must be 1-D of one length, got "
-                             f"shapes {nu.shape} and {r.shape}")
-        for name, v in (("nu", nu), ("r", r), ("x", self.x)):
+        nu, r, x = (np.asarray(v, dtype=float)
+                    for v in (self.nu, self.r, self.x))
+        if nu.ndim != 1 or nu.shape != r.shape or x.ndim and \
+                x.shape != nu.shape:
+            raise ValueError(f"nu and r must be 1-D of one length, and x a "
+                             f"number or of their length, got shapes "
+                             f"{nu.shape}, {r.shape} and {x.shape}")
+        for name, v in (("nu", nu), ("r", r), ("x", x)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "r", r)
+        if x.ndim:
+            object.__setattr__(self, "x", x)
 
     @property
     def size(self) -> int:
@@ -87,8 +95,10 @@ class PointBatch:
 
     def points(self):
         """The batch's points, in column order."""
-        return [Point(nu, r, self.x)
-                for nu, r in zip(self.nu.tolist(), self.r.tolist())]
+        x = self.x
+        xs = x.tolist() if isinstance(x, np.ndarray) else [x] * self.size
+        return [Point(nu, r, x)
+                for nu, r, x in zip(self.nu.tolist(), self.r.tolist(), xs)]
 
 
 def _build_multi_indices():
@@ -142,6 +152,8 @@ _AXIS_POS = tuple(np.array([INDEX3[tuple(k if a == axis else 0
                             for k in range(ORDER + 1)])
                   for axis in range(3))
 _UNIT_POS = tuple(int(pos[1]) for pos in _AXIS_POS)
+
+_D1_FAC = np.arange(1.0, ORDER + 1)  # d/dx of the orders 1..4
 
 _PARTIAL_FAC = np.array([_FACT[i] * _FACT[j] * _FACT[k] for (i, j, k) in MULTI_INDICES])
 
@@ -285,7 +297,9 @@ class _JetBase:
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        """f itself: a float, or an array over a batch."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[0].copy()
 
     def __repr__(self):
         return f"{type(self).__name__}({self.coeffs.tolist()})"
@@ -441,7 +455,8 @@ class _JetBase:
 
 
 class Jet1(_JetBase):
-    """One-variable jet: Taylor coefficients of f at a point, orders 0..4."""
+    """One-variable jet: Taylor coefficients of f at a point, orders 0..4,
+    shape (5,); a stack of jets at B points has shape (5, B)."""
 
     __slots__ = ()
     _N = ORDER + 1
@@ -476,8 +491,9 @@ class Jet1(_JetBase):
 
     def d(self):
         """Jet of f'.  The top coefficient is out of range and set to 0."""
-        c = np.zeros(self._N)
-        c[:ORDER] = self.coeffs[1:] * np.arange(1, ORDER + 1)
+        a = self.coeffs
+        c = np.zeros(a.shape)
+        c[:ORDER] = a[1:] * _D1_FAC.reshape((ORDER,) + (1,) * (a.ndim - 1))
         return Jet1._raw(c)
 
 
@@ -511,12 +527,6 @@ class Jet3(_JetBase):
         c[0] = v
         return cls._raw(c)
 
-    @property
-    def value(self):
-        """f itself: a float, or an array over a batch."""
-        c = self.coeffs
-        return float(c[0]) if c.ndim == 1 else c[0].copy()
-
     @classmethod
     def variable(cls, p, axis):
         """Jet of the coordinate function p[axis] (batched when p[axis]
@@ -529,9 +539,11 @@ class Jet3(_JetBase):
 
     @classmethod
     def from_axis_jet(cls, jet1, axis):
-        """Lift a Jet1 to a Jet3 that depends on a single coordinate."""
-        c = np.zeros(N3)
-        c[_AXIS_POS[axis]] = jet1.coeffs
+        """Lift a Jet1 (or a stack of them) to a Jet3 that depends on a
+        single coordinate."""
+        a = jet1.coeffs
+        c = np.zeros((N3,) + a.shape[1:])
+        c[_AXIS_POS[axis]] = a
         return cls._raw(c)
 
     @staticmethod

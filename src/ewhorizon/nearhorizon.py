@@ -59,7 +59,9 @@ class ScalarField1D:
 
     A call keeps its (x, jet) and answers a repeat call at the same x
     with that jet, so every residual at one x shares one evaluation.
-    The returned jet is shared and read-only.
+    `at` also takes an array of x, one per point of a PointBatch; the
+    memo then holds that batch, and answers a call at any of its x from
+    the jet evaluated there.  Returned jets are shared and read-only.
     """
 
     evaluator: object
@@ -67,13 +69,18 @@ class ScalarField1D:
     period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
-    _last: list = _dcfield(default_factory=lambda: [None, None], init=False,
-                           repr=False, compare=False)
+    # [x, jet, None] after a call at one x; [xs, stacked jet, {x: jet}]
+    # after a call at an array of x
+    _last: list = _dcfield(default_factory=lambda: [None, None, None],
+                           init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Jet1:
-        last = self._last
-        if x == last[0]:
-            return last[1]
+        key, jet, columns = self._last
+        if columns is None:
+            if x == key:
+                return jet
+        elif x in columns:
+            return columns[x]
         lo, hi = self.window
         if not lo <= x <= hi:
             raise WindowError(
@@ -81,7 +88,26 @@ class ScalarField1D:
                 f"{self.label!r}")
         jet = self.evaluator(x)
         jet.coeffs.flags.writeable = False
-        last[:] = x, jet
+        self._last[:] = x, jet, None
+        return jet
+
+    def at(self, x) -> Jet1:
+        """The jet at x, a float; or at every x of an array, as one Jet1
+        with a trailing batch axis whose column k is the jet at x[k].
+        Each distinct x is evaluated once, by a call at that x."""
+        if not isinstance(x, np.ndarray):
+            return self(x)
+        key, jet, columns = self._last
+        if columns is not None and (key is x or np.array_equal(key, x)):
+            return jet
+        xs = x.tolist()
+        columns = {}
+        for v in xs:
+            if v not in columns:
+                columns[v] = self(v)
+        jet = Jet1._raw(np.stack([columns[v].coeffs for v in xs], axis=1))
+        jet.coeffs.flags.writeable = False
+        self._last[:] = x, jet, columns
         return jet
 
 
@@ -207,8 +233,8 @@ def nh_metric(d: NearHorizonData) -> MetricField:
 
     def comp(p):
         rj = Jet3.variable(p, _R)
-        h3 = Jet3.from_axis_jet(d.h(p.x), _X)
-        F3 = Jet3.from_axis_jet(d.F(p.x), _X)
+        h3 = Jet3.from_axis_jet(d.h.at(p.x), _X)
+        F3 = Jet3.from_axis_jet(d.F.at(p.x), _X)
         one = Jet3.constant(1.0)
         zero = Jet3.constant(0.0)
         gnx = rj * h3
@@ -229,10 +255,10 @@ def weyl_oneform_generic(d: NearHorizonData) -> OneFormField:
 
     def comp(p):
         rj = Jet3.variable(p, _R)
-        hj = d.h(p.x)
+        hj = d.h.at(p.x)
         h3 = Jet3.from_axis_jet(hj, _X)
         hp3 = Jet3.from_axis_jet(hj.d(), _X)
-        F3 = Jet3.from_axis_jet(d.F(p.x), _X)
+        F3 = Jet3.from_axis_jet(d.F.at(p.x), _X)
         xnu = rj * ((2 * c + 1) * hp3 + c * (2 * c + 1) * h3 * h3 - 2.0 * F3)
         return [xnu, Jet3.constant(0.0), c * h3]
 

@@ -55,6 +55,15 @@ _ORDER_EXP = 1.0 / 5.0
 # attempted steps (accepted, rejected, guard-shortened) integrate may take:
 # a solution that needs more is too stiff for an explicit method
 _MAX_STEPS = 100_000
+# progress floor: after every _FLOOR_EVERY attempted steps the average
+# pace must be at least _FLOOR_PACE of the pace that ends the span within
+# _MAX_STEPS; slower, the budget would run out before a tenth of the span.
+# The floor is that loose because many solutions start slowly and then
+# speed up: at large |c| the c scan has sides that reach their end from
+# below a sixth of that pace.  The first check comes after 2 000 steps,
+# so a guard that stops a crawling solution sooner still gets to stop it.
+_FLOOR_EVERY = 2_000
+_FLOOR_PACE = 0.1
 
 
 @dataclass
@@ -160,11 +169,12 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
 
     Raises StiffnessError when error control forces the step below the
     resolution floor, when the starting slope is too steep for any
-    starting step, or after _MAX_STEPS attempted steps; a failing guard
+    starting step, after _MAX_STEPS attempted steps, or earlier when its
+    pace falls below the progress floor; a failing guard
     instead ends the trajectory early with status "guard".
     """
     rhs = spec.rhs
-    x = float(spec.x0)
+    x = x0 = float(spec.x0)
     y = spec.y0.copy()
     span = x_end - x
     if span == 0.0:
@@ -191,10 +201,16 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     attempts = 0
 
     while (x_end - x) * direction > 0:
-        attempts += 1
-        if attempts > _MAX_STEPS:
+        if attempts == _MAX_STEPS:
             raise StiffnessError(f"step budget of {_MAX_STEPS} attempted "
                                  f"steps spent at x={x!r}; problem too stiff")
+        if attempts % _FLOOR_EVERY == 0 and abs(x - x0) < \
+                _FLOOR_PACE * abs(span) * (attempts / _MAX_STEPS):
+            raise StiffnessError(
+                f"{attempts} attempted steps covered {abs(x - x0)!r} of the "
+                f"span {abs(span)!r} at x={x!r}: at that pace {_MAX_STEPS} "
+                f"would not cover a tenth of it; problem too stiff")
+        attempts += 1
         h = min(h, abs(x_end - x))
         if not h >= h_floor:  # a NaN step fails this too
             raise StiffnessError(

@@ -10,7 +10,8 @@ Two scalar PDEs certify the same geometry from the potential side:
   tanh profile h = (sqrt(c l)/c) tanh(sqrt(c l)(x + b)).
 
 Every potential, structure and residual here also takes a PointBatch in
-place of a Point, and then gives one value per point.
+place of a Point, its points at one x or each at its own, and then gives
+one value per point.
 """
 
 from __future__ import annotations
@@ -87,10 +88,12 @@ def dkp_wp_potential(a: float, b: float) -> PotentialField:
     """u = -(r^2/2) wp(x + a; 0, b), the dKP solution behind the h = 0
     Einstein-Weyl structures."""
 
+    wp = ScalarField1D(lambda x: wp_jet(Jet1.variable(x) + a, b)[0],
+                       label=f"wp[a={a:g},b={b:g}]")
+
     def ev(p):
-        pj, _ = wp_jet(Jet1.variable(p.x) + a, b)
         rj = Jet3.variable(p, _R)
-        return -0.5 * rj * rj * Jet3.from_axis_jet(pj, _X)
+        return -0.5 * rj * rj * Jet3.from_axis_jet(wp.at(p.x), _X)
 
     return PotentialField(ev, label=f"dkp-wp[a={a:g},b={b:g}]")
 
@@ -117,7 +120,7 @@ def hr2_potential(c: float, h: ScalarField1D) -> PotentialField:
 
     def ev(p):
         rj = Jet3.variable(p, _R)
-        return c * Jet3.from_axis_jet(h(p.x), _X) * rj * rj
+        return c * Jet3.from_axis_jet(h.at(p.x), _X) * rj * rj
 
     return PotentialField(ev, label=f"hr2[{h.label};c={c:g}]")
 
@@ -171,7 +174,7 @@ def prop4_structures(c: float, ell: float, b: float = 0.0):
 
     def gcomp(p):
         rj = Jet3.variable(p, _R)
-        hj1 = h(p.x)
+        hj1 = h.at(p.x)
         h3 = Jet3.from_axis_jet(hj1, _X)
         hp3 = Jet3.from_axis_jet(hj1.d(), _X)
         one = Jet3.constant(1.0)
@@ -183,7 +186,7 @@ def prop4_structures(c: float, ell: float, b: float = 0.0):
 
     def xcomp(p):
         rj = Jet3.variable(p, _R)
-        hj1 = h(p.x)
+        hj1 = h.at(p.x)
         h3 = Jet3.from_axis_jet(hj1, _X)
         hp3 = Jet3.from_axis_jet(hj1.d(), _X)
         return [-c * rj * (c * h3 * h3 + hp3),

@@ -4,7 +4,8 @@ Every check is one entry of the CHECKS registry.  run_check samples a
 deterministic grid, evaluates the entry's per-point residuals once per
 (nu, r) plane of each grid x, reduces per-component maxima, and wraps
 the outcome in a ResidualReport; export_plot sweeps the same residuals
-along a line, and the CLI derives its parameter flags from the entries.
+along a line, in batches of samples, and the CLI derives its parameter
+flags from the entries.
 Reports serialize to a flat, versioned JSON schema with fixed key order
 and 17-significant-digit floats, so identical invocations produce
 byte-identical files.
@@ -54,8 +55,9 @@ _PLOT_NU = 0.3
 _PLOT_R = 0.7
 _PLOT_X = (-3.0, 3.0)
 
-# points of a (nu, r) plane per PointBatch, at most: about 14 KB each
-_PLANE_SLICE = 256
+# points per PointBatch, at most, of a (nu, r) plane or of a plot sweep:
+# about 14 KB each
+_PLANE_SLICE = 64
 
 
 def thread_count() -> int:
@@ -633,9 +635,9 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     (c, status, x_start, x_end, periodic, period) per value.
 
     Statuses: ok (full span), blowup (|h| or |h'| exceeded caps),
-    guard (|h| fell to the division floor, or the step size collapsed or
-    its budget ran out), singular-start (seed |h| <= 1e-6, nothing
-    integrated).
+    guard (|h| fell to the division floor, or the step size collapsed,
+    or its budget ran out, or its pace fell below the progress floor),
+    singular-start (seed |h| <= 1e-6, nothing integrated).
     """
     if steps < 1:
         raise DomainError("scan-c needs steps >= 1")
@@ -731,6 +733,15 @@ def _sweep_window(window):
     return a, b, clipped
 
 
+def _sweep_batch(k, vs, coords):
+    """The PointBatch of the sweep values `vs` along axis `k`, the other
+    axes at `coords`; a sweep of nu or r keeps its one x."""
+    cols = [np.full(len(vs), coords[0]), np.full(len(vs), coords[1]),
+            coords[2]]
+    cols[k] = np.array(vs)
+    return PointBatch(*cols)
+
+
 def export_plot(check_id: str, params: dict = None, axis: str = "x",
                 samples: int = 200) -> list:
     """CSV lines for a 1D sweep of a check's first residual.
@@ -742,6 +753,11 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
     sweeps truncated by the admissible window.  A sample whose
     evaluation raises EwhError is dropped only where the check skips
     points; elsewhere the error propagates.
+
+    A per-point residual is evaluated over PointBatches of at most
+    _PLANE_SLICE samples; a slice that raises EwhError is evaluated
+    again sample by sample, so the error raised (or, with skip, the
+    samples dropped) is that of the first failing sample.
     """
     if samples < 2:
         raise DomainError("export-plot needs samples >= 2")
@@ -755,23 +771,45 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
         else (-1.0, 1.0, False)
     coords = [_PLOT_NU, _PLOT_R, 0.0 if not all(map(math.isfinite, s.window))
               else 0.5 * (s.window[0] + s.window[1])]
-    lines = ["x,h,F,residual" if s.profiles else f"{axis},residual"]
-    for v in np.linspace(a, b, samples):
-        v = float(v)
-        coords[_AXIS_NAMES.index(axis)] = v
+    k = _AXIS_NAMES.index(axis)
+
+    def row(v, worst=None):
+        """The CSV line of the sample at v, or None where it is skipped;
+        `worst` is its residual cell when already evaluated."""
+        coords[k] = v
         try:
             cells = [f"{v:.12g}"]
             if s.profiles:
                 h, F = s.profiles
                 cells.append("" if h is None else f"{h(v).value:.12g}")
                 cells.append(f"{F(v).value:.12g}")
-            raw = primary.fn(v if primary.per_x else Point(*coords))
-            cells.append(f"{float(np.max(np.abs(raw))):.12g}")
+            if worst is None:
+                raw = primary.fn(v if primary.per_x else Point(*coords))
+                worst = float(np.max(np.abs(raw)))
+            cells.append(f"{worst:.12g}")
         except EwhError:
             if not check.skip:
                 raise
-            continue
-        lines.append(",".join(cells))
+            return None
+        return ",".join(cells)
+
+    def slice_rows(vs):
+        if primary.per_x:
+            return [row(v) for v in vs]
+        try:
+            raw = primary.fn(_sweep_batch(k, vs, coords))
+        except EwhError:
+            return [row(v) for v in vs]
+        # max |entry| per sample: the batch axis is last
+        worst = np.max(np.abs(np.asarray(raw, dtype=float)).reshape(
+            -1, len(vs)), axis=0)
+        return [row(v, w) for v, w in zip(vs, worst.tolist())]
+
+    vs = [float(v) for v in np.linspace(a, b, samples)]
+    lines = ["x,h,F,residual" if s.profiles else f"{axis},residual"]
+    for i in range(0, samples, _PLANE_SLICE):
+        lines += [ln for ln in slice_rows(vs[i:i + _PLANE_SLICE])
+                  if ln is not None]
     if clipped:
         lines.append("# window-clipped")
     return lines

@@ -293,6 +293,51 @@ def test_scalar_jet_times_batched_jet(size):
     _assert_columns(lambda p: (p.nu - hx / p.r).coeffs, batch)
 
 
+def _x_batch(size, seed=4):
+    """A batch whose points each have their own x, some x repeated."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-0.9, 0.9, 7)
+    return PointBatch(rng.uniform(-1.5, 1.5, size),
+                      rng.uniform(-1.5, 1.5, size), xs[np.arange(size) % 7])
+
+
+@pytest.mark.parametrize("size", (1, 7, 25))
+def test_x_spanning_batch_matches_columns(size):
+    batch = _x_batch(size)
+    assert Jet3.variable(batch, 2).coeffs.shape == (Jet3._N, size)
+    for fn in list(_RING.values()) + list(_ELEMENTARY.values()):
+        _assert_columns(lambda p: fn(*_vars(p)).coeffs, batch)
+    for axis in range(3):
+        _assert_columns(lambda p: _field(p).d(axis).coeffs, batch)
+    for order in range(ORDER + 1):
+        _assert_columns(
+            lambda p: stacked_partials(_field(p).coeffs, order), batch)
+
+
+def _profile(x):
+    return (Jet1.variable(x).sin() * 2.0 + 0.5).exp()
+
+
+def test_stacked_jet1_lifts_and_differentiates_column_for_column():
+    batch = _x_batch(25)
+    hs = [_profile(x) for x in batch.x.tolist()]
+    stacked = Jet1._raw(np.stack([h.coeffs for h in hs], axis=1))
+    assert stacked.coeffs.shape == (ORDER + 1, 25)
+    assert np.array_equal(_bits(stacked.value), _bits([h.value for h in hs]))
+    assert np.array_equal(_bits(stacked.d().coeffs),
+                          _bits(np.stack([h.d().coeffs for h in hs], -1)))
+
+    def lifted(p):
+        # at the batch, the stacked jets; at a point, that x's own jet
+        h = stacked if p is batch else _profile(p.x)
+        h3, hp3 = Jet3.from_axis_jet(h, 2), Jet3.from_axis_jet(h.d(), 2)
+        return h3, hp3, h3 * Jet3.variable(p, 1) + hp3 * hp3
+
+    for k in range(3):
+        _assert_columns(lambda p: lifted(p)[k].coeffs, batch)
+        _assert_columns(lambda p: lifted(p)[k].d(2).coeffs, batch)
+
+
 def test_batch_value_and_partial_types():
     batch, point = _batch(4), Point(0.1, 0.2, 0.3)
     assert isinstance(Jet3.variable(point, 1).value, float)
@@ -315,6 +360,13 @@ def test_point_batch_validation():
     with pytest.raises(ValueError):
         PointBatch(np.array([0.0, np.nan]), np.zeros(2), 0.0)
     assert [p.r for p in _batch(3).points()] == _batch(3).r.tolist()
+    with pytest.raises(ValueError):
+        PointBatch(np.zeros(2), np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        PointBatch(np.zeros(2), np.zeros(2), np.array([0.0, np.inf]))
+    batch = _x_batch(9)
+    assert [p.x for p in batch.points()] == batch.x.tolist()
+    assert _batch(3).x == 0.37  # a shared x stays one number
 
 
 @pytest.mark.parametrize("fn, v", [

@@ -135,6 +135,25 @@ def test_step_budget_raises_stiffness(monkeypatch):
     assert integrate(spec, 10.0).x_end == 10.0
 
 
+def test_progress_floor_stops_an_integration_behind_its_pace(monkeypatch):
+    # the steps grow tenfold from 1e-4 up to max_step; a check every 20
+    # attempted steps wants a tenth of the pace that would cross [0, 10]
+    # within the budget of 200 steps: 0.1 more of the span each time
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 200)
+    monkeypatch.setattr(odesolve, "_FLOOR_EVERY", 20)
+    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1.0]), x0=0.0,
+                   y0=[0.0], max_step=0.004)
+    with pytest.raises(StiffnessError,
+                       match="20 attempted steps covered 0.0731"):
+        integrate(spec, 10.0)
+    # above the floor, too slow for the budget: the budget stops it
+    spec.max_step = 0.045
+    with pytest.raises(StiffnessError, match="step budget of 200"):
+        integrate(spec, 10.0)
+    spec.max_step = 0.06  # 170 steps
+    assert integrate(spec, 10.0).x_end == 10.0
+
+
 def test_rms_norm_is_the_numpy_mean_bit_for_bit():
     # the step controller's error norm sums in Python floats; it must
     # keep the exact bits of the numpy form it replaced

@@ -6,8 +6,10 @@ verified, 1 usage or runtime error) and are asserted by driving
 ``cli.main`` in process.
 """
 
+import hashlib
 import json
 import math
+import time
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from ewhorizon import cli, curvature, odesolve, pdeverify, report
-from ewhorizon.errors import DomainError, SingularJetError
+from ewhorizon.errors import DomainError, EwhError, SingularJetError
 from ewhorizon.jets import PointBatch
 from ewhorizon.nearhorizon import ode4_monomials
 from ewhorizon.odesolve import integrate
@@ -350,6 +352,35 @@ def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
         (1e6, "guard", 1.0, 1.0, False, None)]
 
 
+def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
+    # at c = 1e6 the tanh seed's steps shrink to ~5e-7 on both sides: the
+    # forward side blows up after 1 337 steps, and the first progress
+    # check stops the backward one, long before its step budget
+    calls = []
+
+    def counting(spec, x_end):
+        n, rhs = [0], spec.rhs
+
+        def counted(x, y):
+            n[0] += 1
+            return rhs(x, y)
+
+        spec.rhs = counted
+        try:
+            return integrate(spec, x_end)
+        finally:
+            spec.rhs = rhs
+            calls.append(n[0])
+
+    monkeypatch.setattr(report, "integrate", counting)
+    t0 = time.perf_counter()
+    assert scan_c(1e6, 1e6, 1, seed="tanh") == [
+        (1e6, "blowup", 1.0, 1.0000188048124907, False, None)]
+    assert time.perf_counter() - t0 < 1.0
+    # 6 rhs calls per attempted step, 2 for the starting step
+    assert calls[1] == 6 * odesolve._FLOOR_EVERY + 2
+
+
 def test_quartic_rhs_is_the_numpy_scalar_form_bit_for_bit():
     # scan-c's rhs multiplies Python floats; it must keep the exact bits
     # of the numpy-scalar form it replaced
@@ -542,25 +573,16 @@ def test_run_check_evaluates_each_profile_once_per_grid_x(monkeypatch,
         assert set(n.values()) == {1}
 
 
-def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
-    counts, setup = [], report._setup
-
-    def counting(*args):
-        check, s = setup(*args)
-        _count_evaluations(s, counts)
-        return check, s
-
-    monkeypatch.setattr(report, "_setup", counting)
-    lines = export_plot("thm1", {"h": "sin"}, samples=200)
-    xs = [float(ln.split(",")[0]) for ln in lines[1:] if ln[0] != "#"]
-    assert len(counts) == 2
-    for n in counts:
-        assert sum(n.values()) == len(n) == 200
-        assert [float(f"{x:.12g}") for x in n] == xs
+# the export-plot sweeps of the sweep-1d benchmark workload
+_SWEEP_1D = [("thm1", {"h": "zero"}), ("thm1", {"h": "sin"}),
+             ("thm2-ode", {"family": "tanh"}),
+             ("thm2-ode", {"family": "jacobi"}),
+             ("prop1-iff", {"h": "linear"}), ("dkp", {}), ("prop4", {})]
 
 
-def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
-    counts = []
+def _counted_tanh_profiles(monkeypatch, counts):
+    """Make every tanh_profile field count its evaluator calls per x,
+    one Counter per field appended to `counts`."""
 
     def counted_profile(*args, make=report.tanh_profile):
         f = make(*args)
@@ -576,6 +598,47 @@ def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
 
     for module in (report, pdeverify):
         monkeypatch.setattr(module, "tanh_profile", counted_profile)
+
+
+def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
+    # a profile of x is counted where its evaluator runs: inside the
+    # batch, F's evaluator reads h from the batch's jets, and the h and
+    # F cells of each row read both from there again
+    counts, setup = [], report._setup
+
+    def counting(*args):
+        c, s = setup(*args)
+        if s.profiles:
+            _count_evaluations(s, counts)
+        return c, s
+
+    monkeypatch.setattr(report, "_setup", counting)
+    _counted_tanh_profiles(monkeypatch, counts)
+    wp_calls = Counter()
+
+    def counted_wp(z, b, wp=pdeverify.wp_jet):
+        wp_calls[z.value] += 1
+        return wp(z, b)
+
+    monkeypatch.setattr(pdeverify, "wp_jet", counted_wp)
+    for check, params in _SWEEP_1D:
+        counts.clear()
+        wp_calls.clear()
+        lines = export_plot(check, params, samples=200)
+        xs = [float(ln.split(",")[0]) for ln in lines[1:] if ln[0] != "#"]
+        assert len(xs) == 200
+        # dkp's one profile is wp(x + a); prop4 sweeps one of its fields
+        evaluated = [n for n in counts + [wp_calls] if n]
+        assert len(evaluated) == {"dkp": 1, "prop4": 1}.get(check, 2)
+        for n in evaluated:
+            assert sum(n.values()) == len(n) == 200
+            if n is not wp_calls:
+                assert [float(f"{x:.12g}") for x in n] == xs
+
+
+def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
+    counts = []
+    _counted_tanh_profiles(monkeypatch, counts)
     rep = run_check("prop4")
     assert counts
     for n in counts:
@@ -634,6 +697,31 @@ def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
             continue
         got = np.asarray(r.fn(batch), dtype=float)
         want = np.stack([np.asarray(r.fn(q), dtype=float)
+                         for q in batch.points()], axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("check, params", _PLANE_CHECKS)
+def test_x_spanning_batch_equals_its_points_bit_for_bit(check, params):
+    # 7 distinct x of the check's default axis, some repeated, each with
+    # its own nu and r; the points are evaluated on a second, fresh
+    # Setup, so no jet of the batch is reused for them
+    _, s = report._setup(check, params)
+    x_axis = GridSpec().resolve_x(s.window)
+    if s.narrow is not None:
+        x_axis = s.narrow(x_axis)
+    xs = np.linspace(x_axis[0], x_axis[1], 7)[[0, 3, 1, 6, 2, 2, 5, 4, 3, 0]]
+    rng = np.random.default_rng(11)
+    batch = PointBatch(rng.uniform(-1.2, 1.2, 30), rng.uniform(-1.2, 1.2, 30),
+                       np.resize(xs, 30))
+    assert len(set(batch.x.tolist())) == 7
+    fresh = report._setup(check, params)[1]
+    for r, r1 in zip(s.residuals, fresh.residuals):
+        if r.per_x:
+            continue
+        got = np.asarray(r.fn(batch), dtype=float)
+        want = np.stack([np.asarray(r1.fn(q), dtype=float)
                          for q in batch.points()], axis=-1)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -720,3 +808,89 @@ def test_reports_are_identical_across_plane_slices(monkeypatch, check,
         monkeypatch.setattr(report, "_PLANE_SLICE", size)
         texts.add(run_check(check, params, grid=grid).to_json())
     assert len(texts) == 1
+
+
+# ---------------------------------------------------------------------------
+# export-plot sweeps as batches of samples
+
+
+def _batched_rows_only(*args):
+    raise SingularJetError("no batch: every slice goes sample by sample")
+
+
+# every check with a per-point primary residual, along each axis it sweeps
+_SWEEP_CASES = [(c, p, axis) for c, p in _PLANE_CHECKS
+                for axis in (("x", "nu", "r")
+                             if c in ("dkp", "hypercr-family", "prop4")
+                             else ("x",))]
+
+
+def _sweep_outcome(*args, **kwargs):
+    """export_plot's lines, or the type and text of the error it raises."""
+    try:
+        return export_plot(*args, **kwargs)
+    except EwhError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("check, params, axis", _SWEEP_CASES)
+def test_batched_export_plot_equals_the_per_sample_path(monkeypatch, check,
+                                                        params, axis):
+    # 150 samples: two full slices and a short one; the rational family's
+    # sweep meets its pole at x = 0 and raises on both paths
+    batched = _sweep_outcome(check, params, axis=axis, samples=150)
+    monkeypatch.setattr(report, "_sweep_batch", _batched_rows_only)
+    assert _sweep_outcome(check, params, axis=axis, samples=150) == batched
+
+
+# sha256 of each sweep-1d CSV as `ewh export-plot` writes it, recorded
+# before sweeps were batched
+_SWEEP_1D_SHA256 = [
+    "0bab6d513b686a81f463542ffa97c988b888e164de8f233e5b93fe58b8c0d78e",
+    "78787d4309a2c1baf481cf64d212e78d0308fc516f7891d36a9e89da56641543",
+    "3d9b02f02fba39415d823ad30d01ba28735b44256fbc7245636c76ccde5b1181",
+    "39c7b3a9978fed86a3d63d6fd5967afb845c8ba85d878f689038b5a6cf7c2e49",
+    "d55351ee22fd652ae00e9a33b83bbc17015e9c89537f363c9cb25b3e7948338b",
+    "3a0fc24f8bc2cf01f88e1babb2b90701a7a8808cef0cd61e51a972140863dfcc",
+    "e5ed7ba7f2e363bb6ad1113071b823fc3ef954ec2c9b4138c4695b680a3912d1",
+]
+
+
+@pytest.mark.parametrize("spec, digest", zip(range(7), _SWEEP_1D_SHA256))
+def test_sweep_1d_csv_bytes_are_pinned(spec, digest):
+    check, params = _SWEEP_1D[spec]
+    text = "\n".join(export_plot(check, params, samples=200)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _sampled_check(monkeypatch, bad, skip):
+    """Register a check "sampled" whose one per-point residual is 1, but
+    raises at the x of `bad`, naming the x, and on a batch holding any
+    of them, naming none."""
+
+    def fn(q):
+        if isinstance(q, PointBatch):
+            if bad & set(q.x.tolist()):
+                raise SingularJetError("somewhere in the batch")
+            return np.ones(q.size)
+        if q.x in bad:
+            raise SingularJetError(f"bad sample {q.x!r}")
+        return 1.0
+
+    setup = report.Setup(claim="", window=(-math.inf, math.inf),
+                         tolerance=1.0, params={},
+                         residuals=(report.Residual(("v",), fn),))
+    monkeypatch.setitem(report.CHECKS, "sampled",
+                        report.Check({}, lambda p: setup, skip=skip))
+
+
+def test_sweep_batch_error_is_that_of_the_first_failing_sample(monkeypatch):
+    xs = [float(v) for v in np.linspace(-3.0, 3.0, 150)]
+    bad = {xs[100], xs[70]}  # both in the second slice
+    _sampled_check(monkeypatch, bad, skip=False)
+    with pytest.raises(SingularJetError, match=f"bad sample {xs[70]!r}"):
+        export_plot("sampled", samples=150)
+    _sampled_check(monkeypatch, bad, skip=True)
+    lines = export_plot("sampled", samples=150)
+    assert lines == ["x,residual"] + [f"{v:.12g},1" for v in xs
+                                      if v not in bad]
