@@ -327,11 +327,13 @@ def ode4_monomials(h0, h1, h2, h3, c):
     So h'''' = 4 (their sum) / h^2.
     """
     cm = c - 1.0
-    return (h0 ** 3 * h1 ** 2 * cm ** 2,
-            -0.5 * cm ** 2 * h0 ** 4 * h2,
+    # each repeated power once: the same pow calls, so the same bits
+    cm2, h0_3, h1_2 = cm ** 2, h0 ** 3, h1 ** 2
+    return (h0_3 * h1_2 * cm2,
+            -0.5 * cm2 * h0 ** 4 * h2,
             2.25 * cm * h0 ** 2 * h1 * h2,
-            -0.75 * cm * h0 ** 3 * h3,
-            -0.5 * h1 ** 2 * h2,
+            -0.75 * cm * h0_3 * h3,
+            -0.5 * h1_2 * h2,
             0.5 * h0 * h1 * h3,
             h0 * h2 ** 2)
 

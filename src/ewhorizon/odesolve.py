@@ -6,12 +6,21 @@ for the smooth reduction ODEs handled here.  A user-supplied guard
 predicate stops the integration cleanly ahead of singular loci (the
 solved-for forms divide by powers of the solution).
 
+Its step is the plain numpy form of the method, bit for bit, at fewer
+numpy calls: the tableau sums (stages, solution, error estimate and
+dense-output coefficients) are BLAS `ndarray.dot` calls, and the error
+norm with its scale atol + rtol * max(|y|, |y_new|) runs in Python
+floats in numpy's order, each product and sum rounded on its own and a
+NaN on either side of the max kept, as np.maximum keeps it.  A float
+sum of the tableau rows would round differently, so those stay in BLAS.
+
 `quad` is adaptive Gauss-Kronrod (G7, K15) with deterministic bisection.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +56,7 @@ _P = np.array([
 _A_ROWS = [_A[i, :i] for i in range(6)]
 _B_ROW = _B[:6]  # the b row has zero weight on k7
 _C_STEP = _C.tolist()
+_STAGES = list(zip(range(1, 6), _A_ROWS[1:], _C_STEP[1:6]))  # (i, row, c)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -108,7 +118,7 @@ class Trajectory:
         # searches -xs for -x.  Built once, not on every dense evaluation.
         xs = self.xs
         self._ascending = bool(xs[0] <= xs[-1])
-        self._keys = xs if self._ascending else -xs
+        self._keys = (xs if self._ascending else -xs).tolist()
         self._span = (float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1])))
 
     @property
@@ -127,12 +137,12 @@ class Trajectory:
         if len(self._segs) == 0:
             return self.ys[0].copy()
         # Find the step whose interval contains x (knots are monotone).
-        idx = np.searchsorted(self._keys, x if self._ascending else -x)
-        idx = min(max(int(idx) - 1, 0), len(self._segs) - 1)
+        idx = bisect_left(self._keys, x if self._ascending else -x)
+        idx = min(max(idx - 1, 0), len(self._segs) - 1)
         x0, h, y0, q = self._segs[idx]
         t = (x - x0) / h
         tv = np.array([t, t * t, t**3, t**4])
-        return y0 + h * (q @ tv)
+        return y0 + h * q.dot(tv)
 
 
 def _rms_norm(e, scale):
@@ -173,20 +183,21 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     pace falls below the progress floor; a failing guard
     instead ends the trajectory early with status "guard".
     """
-    rhs = spec.rhs
+    rhs, guard, max_step = spec.rhs, spec.guard, spec.max_step
+    atol, rtol = spec.atol, spec.rtol
     x = x0 = float(spec.x0)
     y = spec.y0.copy()
     span = x_end - x
     if span == 0.0:
         return Trajectory(np.array([x]), np.array([y]), "ok")
     direction = 1.0 if span > 0 else -1.0
-    if spec.guard is not None and not spec.guard(x, y):
+    if guard is not None and not guard(x, y):
         return Trajectory(np.array([x]), np.array([y]), "guard",
                           reason="guard failed at the initial point")
 
     f = np.asarray(rhs(x, y), dtype=float)
-    h = _initial_step(rhs, x, y, f, direction, spec.rtol, spec.atol,
-                      min(spec.max_step, abs(span)))
+    h = _initial_step(rhs, x, y, f, direction, rtol, atol,
+                      min(max_step, abs(span)))
     h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
 
     xs = [x]
@@ -197,6 +208,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     k[0] = f  # FSAL: row 0 always holds rhs at the current point
     k_heads = [k[:i].T for i in range(7)]
     k_t = k.T
+    y_abs = [abs(v) for v in y.tolist()]
     status, reason = "ok", ""
     attempts = 0
 
@@ -216,17 +228,21 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             raise StiffnessError(
                 f"step size underflow at x={x!r} (h={h!r}); problem too stiff")
         hs = h * direction
-        for i in range(1, 6):
-            yi = y + hs * (k_heads[i] @ _A_ROWS[i])
-            k[i] = rhs(x + _C_STEP[i] * hs, yi)
-        y_new = y + hs * (k_heads[6] @ _B_ROW)
+        for i, row, c in _STAGES:
+            k[i] = rhs(x + c * hs, y + hs * k_heads[i].dot(row))
+        y_new = y + hs * k_heads[6].dot(_B_ROW)
         k[6] = rhs(x + hs, y_new)
-        err_vec = hs * (k_t @ _E)
-        scale = spec.atol + spec.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms_norm(err_vec, scale)
+        # _rms_norm of the error against atol + rtol * max(|y|, |y_new|),
+        # in floats; the max keeps a NaN from either side, as np.maximum.
+        new_abs = [abs(v) for v in y_new.tolist()]
+        total = 0.0
+        for a, b, e in zip(y_abs, new_abs, k_t.dot(_E).tolist()):
+            q = hs * e / (atol + rtol * (a if a >= b or a != a else b))
+            total += q * q
+        err = math.sqrt(total / spec.dim)
 
         if err <= 1.0:
-            if spec.guard is not None and not spec.guard(x + hs, y_new):
+            if guard is not None and not guard(x + hs, y_new):
                 # Shrink toward the guard boundary instead of stepping past it.
                 if h <= 64 * h_floor:
                     status, reason = "guard", f"guard stopped integration at x={x!r}"
@@ -235,15 +251,15 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
                 continue
             # y and y_new are never written in place, so knots and
             # segments can hold them without copies.
-            segs.append((x, hs, y, k_t @ _P))
+            segs.append((x, hs, y, k_t.dot(_P)))
             x += hs
-            y = y_new
+            y, y_abs = y_new, new_abs
             k[0] = k[6]  # FSAL: the last stage is rhs at the new point
             xs.append(x)
             ys.append(y)
             factor = _SAFETY * (err + 1e-300) ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             err_prev = max(err, 1e-10)
-            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), spec.max_step)
+            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP))
 

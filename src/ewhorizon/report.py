@@ -17,8 +17,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -602,7 +600,8 @@ def _quartic_rhs_factory(c):
     def rhs(x, y):
         # Python floats: the same bits as numpy scalars, at half the cost
         h0, h1, h2, h3 = y.tolist()
-        top = reduce(add, ode4_monomials(h0, h1, h2, h3, c))
+        m1, m2, m3, m4, m5, m6, m7 = ode4_monomials(h0, h1, h2, h3, c)
+        top = m1 + m2 + m3 + m4 + m5 + m6 + m7  # left to right
         return np.array([h1, h2, h3, 4.0 * top / (h0 * h0)])
 
     return rhs
@@ -724,8 +723,12 @@ def _sweep_window(window):
     report whether clipping happened."""
     lo, hi = _PLOT_X
     wlo, whi = window
-    pad = 0.02 * (whi - wlo) if math.isfinite(wlo) and math.isfinite(whi) \
-        else 0.0
+    # 2% of the window in from each finite end; a half-open window takes
+    # 2% of the sweep's length inside it, so no sample sits on its edge
+    if math.isfinite(wlo) and math.isfinite(whi):
+        pad = 0.02 * (whi - wlo)
+    else:
+        pad = 0.02 * (min(hi, whi) - max(lo, wlo))
     a, b = max(lo, wlo + pad), min(hi, whi - pad)
     clipped = a > lo or b < hi
     if not a < b:

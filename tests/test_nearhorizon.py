@@ -25,7 +25,8 @@ from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    field_zero, flatness_defect,
                                    named_h_field, nh_metric, nlode_residual,
                                    ode2_jet, ode2_residual,
-                                   ode3_first_integral, ode4_residual,
+                                   ode3_first_integral, ode4_monomials,
+                                   ode4_residual,
                                    reduction_consistency, thm1_F_field,
                                    thm1_structure, weyl_oneform_generic)
 from ewhorizon.specfun import real_period, wp
@@ -223,6 +224,26 @@ def test_ode2_jet_and_quartic_factorization():
         assert abs(ode2_residual(hj, alpha, beta)) < 1e-12
         worst = max(worst, abs(ode4_residual(hj, c)))
     assert worst < 1e-9
+
+
+def test_ode4_monomials_keep_the_literal_formula_bit_for_bit():
+    # the monomials share their repeated powers; written out term by term
+    # they must give the same bits, in floats and in numpy scalars
+    rng = np.random.default_rng(20261018)
+    for _ in range(3000):
+        c = float(rng.uniform(-3.0, 3.0))
+        y = rng.standard_normal(4) * 10.0 ** rng.uniform(-6, 6, 4)
+        for h0, h1, h2, h3 in (y.tolist(), tuple(y)):
+            cm = c - 1.0
+            want = (h0 ** 3 * h1 ** 2 * cm ** 2,
+                    -0.5 * cm ** 2 * h0 ** 4 * h2,
+                    2.25 * cm * h0 ** 2 * h1 * h2,
+                    -0.75 * cm * h0 ** 3 * h3,
+                    -0.5 * h1 ** 2 * h2,
+                    0.5 * h0 * h1 * h3,
+                    h0 * h2 ** 2)
+            got = ode4_monomials(h0, h1, h2, h3, c)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_quartic_detects_non_solutions():

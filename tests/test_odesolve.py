@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewhorizon import odesolve
+from ewhorizon import odesolve, report
 from ewhorizon.errors import AccuracyError, StiffnessError
+from ewhorizon.nearhorizon import build_family
 from ewhorizon.odesolve import (IvpSpec, Trajectory, _rms_norm,
                                 integrate, quad)
 
@@ -165,6 +166,150 @@ def test_rms_norm_is_the_numpy_mean_bit_for_bit():
                 rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 6, dim))
             want = float(np.sqrt(np.mean((e / scale) ** 2)))
             assert _rms_norm(e, scale) == want
+
+
+# ---------------------------------------------------------------------------
+# bit oracle: the numpy form of the step loop
+
+
+def _numpy_integrate(spec, x_end):
+    """The DOPRI step loop in its numpy form (`@` sums, np.maximum in the
+    scale, _rms_norm), without the step budget and the progress floor.
+    Returns (xs, ys, status, reason, segs, rejected, guard_halvings)."""
+    rhs = spec.rhs
+    x = float(spec.x0)
+    y = spec.y0.copy()
+    direction = 1.0 if x_end > x else -1.0
+    f = np.asarray(rhs(x, y), dtype=float)
+    h = odesolve._initial_step(rhs, x, y, f, direction, spec.rtol,
+                               spec.atol, min(spec.max_step, abs(x_end - x)))
+    h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
+    xs, ys, segs = [x], [y.copy()], []
+    err_prev = 1.0
+    k = np.empty((7, spec.dim))
+    k[0] = f
+    status, reason = "ok", ""
+    rejected = halvings = 0
+    while (x_end - x) * direction > 0:
+        h = min(h, abs(x_end - x))
+        if not h >= h_floor:
+            raise StiffnessError(
+                f"step size underflow at x={x!r} (h={h!r}); problem too stiff")
+        hs = h * direction
+        for i in range(1, 6):
+            yi = y + hs * (k[:i].T @ odesolve._A_ROWS[i])
+            k[i] = rhs(x + odesolve._C_STEP[i] * hs, yi)
+        y_new = y + hs * (k[:6].T @ odesolve._B_ROW)
+        k[6] = rhs(x + hs, y_new)
+        err_vec = hs * (k.T @ odesolve._E)
+        scale = spec.atol + spec.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms_norm(err_vec, scale)
+        if err <= 1.0:
+            if spec.guard is not None and not spec.guard(x + hs, y_new):
+                if h <= 64 * h_floor:
+                    status = "guard"
+                    reason = f"guard stopped integration at x={x!r}"
+                    break
+                h *= 0.5
+                halvings += 1
+                continue
+            segs.append((x, hs, y, k.T @ odesolve._P))
+            x += hs
+            y = y_new
+            k[0] = k[6]
+            xs.append(x)
+            ys.append(y)
+            factor = 0.9 * (err + 1e-300) ** (-0.7 / 5) * err_prev ** (0.4 / 5)
+            err_prev = max(err, 1e-10)
+            h = min(h * min(10.0, max(0.2, factor)), spec.max_step)
+        else:
+            h *= max(0.2, 0.9 * err ** (-0.2))
+            rejected += 1
+    return (np.asarray(xs), np.asarray(ys), status, reason, segs,
+            rejected, halvings)
+
+
+def _numpy_dense(segs, x):
+    """The dense output of `segs` at x, in its numpy form."""
+    keys = np.array([s[0] for s in segs] + [segs[-1][0] + segs[-1][1]])
+    ascending = segs[0][1] > 0
+    idx = np.searchsorted(keys if ascending else -keys,
+                          x if ascending else -x)
+    x0, h, y0, q = segs[min(max(int(idx) - 1, 0), len(segs) - 1)]
+    t = (x - x0) / h
+    return y0 + h * (q @ np.array([t, t * t, t**3, t**4]))
+
+
+def _quartic_spec(seed, params):
+    # the scan's integration at c = -1 from x0 = 1, with its guard
+    jet = build_family(seed, **params).field(1.0)
+    return IvpSpec(dim=4, rhs=report._quartic_rhs_factory(-1.0), x0=1.0,
+                   y0=[jet.derivative(k) for k in range(4)],
+                   guard=lambda x, y: 1e-6 < abs(y[0]) < 1e6
+                   and abs(y[1]) < 1e8)
+
+
+def _oscillator(**kw):
+    return IvpSpec(dim=2, rhs=lambda x, y: np.array([y[1], -y[0]]),
+                   x0=0.0, y0=[1.0, 0.0], **kw)
+
+
+_ORACLE_CASES = [
+    ("oscillator-forward", _oscillator, 10.0),
+    ("oscillator-backward", _oscillator, -10.0),
+    ("oscillator-max-step", lambda: _oscillator(max_step=0.3), 10.0),
+    ("quartic-quadratic-fwd", lambda: _quartic_spec("quadratic", {}), 7.0),
+    ("quartic-quadratic-bwd", lambda: _quartic_spec("quadratic", {}), -5.0),
+    ("quartic-tanh-b6-fwd", lambda: _quartic_spec("tanh", {"b": 6.0}), 7.0),
+    ("quartic-tanh-b6-bwd", lambda: _quartic_spec("tanh", {"b": 6.0}), -5.0),
+]
+
+
+def test_integrate_is_the_numpy_step_loop_bit_for_bit():
+    # the step loop sums the tableau with ndarray.dot and does the rest in
+    # floats; every knot, segment, status and dense value must keep the
+    # bits of the numpy form, on smooth, capped, guarded and rejected steps
+    rejected = halvings = 0
+    for name, make, x_end in _ORACLE_CASES:
+        xs, ys, status, reason, segs, rej, hal = _numpy_integrate(make(),
+                                                                  x_end)
+        rejected, halvings = rejected + rej, halvings + hal
+        traj = integrate(make(), x_end)
+        assert traj.xs.tobytes() == xs.tobytes(), name
+        assert traj.ys.tobytes() == ys.tobytes(), name
+        assert (traj.status, traj.reason) == (status, reason), name
+        assert len(traj._segs) == len(segs), name
+        for (x0, h, y0, q), (rx0, rh, ry0, rq) in zip(traj._segs, segs):
+            assert (x0, h) == (rx0, rh), name
+            assert (y0.tobytes(), q.tobytes()) == (ry0.tobytes(),
+                                                   rq.tobytes()), name
+        for x0, h, _, _ in segs[::7]:
+            for t in (0.125, 0.5, 0.8):
+                x = x0 + t * h
+                assert traj(x).tobytes() == _numpy_dense(segs, x).tobytes()
+    # the cases do take the rejection and guard-halving branches
+    assert rejected > 0 and halvings > 0
+
+
+def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():
+    # past x = 0.5 the second slope is NaN: every step that reaches there
+    # is rejected until the step size underflows just short of 0.5; both
+    # loops must evaluate the rhs at the same bits and fail with one text
+    def run(fn):
+        calls = []
+
+        def rhs(x, y):
+            calls.append((x, y.tobytes()))
+            return np.array([y[1], -y[0] if x <= 0.5 else math.nan])
+
+        with pytest.raises(StiffnessError) as err:
+            fn(IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=[1.0, 0.0]), 1.0)
+        return str(err.value), calls
+
+    text, calls = run(integrate)
+    assert (text, calls) == run(_numpy_integrate)
+    assert text.startswith("step size underflow at x=0.4999")
+    assert any(x > 0.5 for x, _ in calls)
 
 
 def test_max_step_is_respected():

@@ -316,10 +316,8 @@ _SCAN_PINS = [
 ]
 
 
-@pytest.mark.parametrize("seed, params, line, knots, rhs_calls", _SCAN_PINS,
-                         ids=["quadratic", "tanh", "tanh-b6"])
-def test_scan_c_is_deterministic(monkeypatch, seed, params, line, knots,
-                                 rhs_calls):
+def _count_integrations(monkeypatch):
+    """Patch scan_c's integrate to record (knots, rhs calls) per run."""
     runs = []
 
     def counting(spec, x_end):
@@ -338,10 +336,31 @@ def test_scan_c_is_deterministic(monkeypatch, seed, params, line, knots,
         return traj
 
     monkeypatch.setattr(report, "integrate", counting)
+    return runs
+
+
+@pytest.mark.parametrize("seed, params, line, knots, rhs_calls", _SCAN_PINS,
+                         ids=["quadratic", "tanh", "tanh-b6"])
+def test_scan_c_is_deterministic(monkeypatch, seed, params, line, knots,
+                                 rhs_calls):
+    runs = _count_integrations(monkeypatch)
     rows = scan_c(-1.0, -1.0, 1, seed=seed, seed_params=params)
     assert scan_rows_csv(rows).splitlines()[1] == line
     assert tuple(n for n, _ in runs) == knots
     assert tuple(r for _, r in runs) == rhs_calls
+
+
+def test_scan_c_benchmark_values_take_pinned_work(monkeypatch):
+    # one scan per c, 13 per seed: the quadratic seed on [-1, 2], tanh on
+    # [-2, 1]; 52 integrations whose knot and rhs totals are pinned
+    runs = _count_integrations(monkeypatch)
+    for seed, lo, hi in (("quadratic", -1.0, 2.0), ("tanh", -2.0, 1.0)):
+        for i in range(13):
+            c = lo + (hi - lo) * i / 12
+            scan_c(c, c, 1, seed=seed)
+    assert len(runs) == 52
+    assert sum(n for n, _ in runs) == 42557
+    assert sum(r for _, r in runs) == 265904
 
 
 def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
@@ -497,6 +516,20 @@ def test_export_plot_unbounded_window_not_clipped():
     assert len(data) == 20
     xs = [float(ln.split(",")[0]) for ln in data]
     assert xs[0] == -3.0 and xs[-1] == 3.0
+
+
+def test_export_plot_pads_the_finite_end_of_a_half_open_window():
+    # the rational family's window is (0, inf) with its pole at 0: the
+    # sweep starts 2% of its in-window length [0, 3] in, not on the pole
+    for samples in (37, 200):
+        lines = export_plot("thm2-ode", {"family": "rational"},
+                            samples=samples)
+        assert lines[0] == "x,h,F,residual"
+        assert lines[-1] == "# window-clipped"
+        data = [ln.split(",") for ln in lines[1:-1]]
+        assert len(data) == samples
+        assert float(data[0][0]) == 0.06 and float(data[-1][0]) == 3.0
+        assert all(float(row[3]) < 1e-8 for row in data)
 
 
 def test_export_plot_validation():
