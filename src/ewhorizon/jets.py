@@ -18,6 +18,15 @@ Jet1 of x carries a trailing batch axis too (shape (5, B)).  Every column
 is computed with the same floating-point operations, in the same order,
 as the jet at that single point, so a batch equals the stack of its
 points bit for bit.
+
+A Jet1 has coefficients of shape (5,) at one x or (5, B) at B of them.
+The scalar Jet1 product is `np.convolve`; the batched one reproduces it
+column for column (recipe in `_convolve_columns`, pinned by
+`test_batched_jet1_product_is_np_convolve_bit_for_bit`).  Values only
+scalar math computes (derivative tables of the elementary functions,
+quadratures, special-function values) are taken one x at a time by
+`per_x`, so the profile evaluators of `nearhorizon` take a float or a
+1-D array of x alike and run their jet algebra once per array.
 """
 
 from __future__ import annotations
@@ -155,6 +164,13 @@ _UNIT_POS = tuple(int(pos[1]) for pos in _AXIS_POS)
 
 _D1_FAC = np.arange(1.0, ORDER + 1)  # d/dx of the orders 1..4
 
+
+def _along_orders(fac, ndim):
+    """Per-order factors `fac`, shaped to scale the first axis of an
+    ndim-dimensional coefficient array."""
+    return fac if ndim == 1 else fac.reshape(fac.shape + (1,) * (ndim - 1))
+
+
 _PARTIAL_FAC = np.array([_FACT[i] * _FACT[j] * _FACT[k] for (i, j, k) in MULTI_INDICES])
 
 
@@ -179,7 +195,7 @@ def stacked_partials(coeffs, order):
     out[a1, ..., ak, *rest] = d_a1 ... d_ak of the jet at coeffs[:, *rest].
     Entry for entry, the same product as Jet3.partial."""
     pos, fac = _PARTIAL_TABLES[order]
-    return coeffs[pos] * fac.reshape(fac.shape + (1,) * (coeffs.ndim - 1))
+    return coeffs[pos] * _along_orders(fac, coeffs.ndim)
 
 
 # Derivative tables for elementary functions: (f, f', f'', f''', f'''') at v.
@@ -249,7 +265,7 @@ def _dt_recip(v):
     return (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4, 24.0 / v**5)
 
 
-def _table(dt, v, *args):
+def _table(v, dt, *args):
     """The derivative table dt(v, *args); a float overflow in it (or a
     division by an underflowed power) is a SingularJetError naming the
     function and the value."""
@@ -258,6 +274,19 @@ def _table(dt, v, *args):
     except (OverflowError, ZeroDivisionError):
         raise SingularJetError(f"{dt.__name__[4:]} jet overflows at value "
                                f"{v!r}") from None
+
+
+def per_x(fn, x, *args):
+    """fn(x, *args) at a number x.  At a 1-D array of numbers, fn at each
+    in turn, by the same scalar math, stacked along a trailing axis: jets
+    into one batched jet, numbers and tuples of numbers into an array.
+    The first x at which fn raises raises."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    out = [fn(v, *args) for v in x.tolist()]
+    if out and isinstance(out[0], _JetBase):
+        return type(out[0])._raw(np.stack([j.coeffs for j in out], axis=1))
+    return np.array(out).T
 
 
 def _lift(a, b):
@@ -291,7 +320,9 @@ class _JetBase:
 
     @classmethod
     def constant(cls, v):
-        c = np.zeros(cls._N)
+        """The constant jet v; a batch of numbers gives a batched jet."""
+        c = np.zeros((cls._N,) + v.shape if isinstance(v, np.ndarray)
+                     else cls._N)
         c[0] = v
         return cls._raw(c)
 
@@ -409,11 +440,7 @@ class _JetBase:
         """Compose with the function whose derivative table at the value
         is dt(value, *args).  A batch takes its table column by column,
         from the same scalar math as a single jet."""
-        v = self.value
-        if isinstance(v, float):
-            return self._compose(_table(dt, v, *args))
-        return self._compose(
-            np.array([_table(dt, u, *args) for u in v.tolist()]).T)
+        return self._compose(per_x(_table, self.value, dt, *args))
 
     def _compose(self, derivs):
         """Compose with a function given its derivatives at value(self):
@@ -454,6 +481,29 @@ class _JetBase:
         return self._apply(_dt_pow, p)
 
 
+def _convolve_columns(a, b):
+    """np.convolve(a[:, k], b[:, k])[:5] for every column k of (5, B)
+    coefficient arrays (one of them may have a single column, which is
+    broadcast), bit for bit.  np.convolve takes orders 1..3 as BLAS dot
+    products, which np.matmul repeats with the same dot; it sums orders
+    0 and 4 left to right from +0.0, each product rounded on its own.
+    Like np.convolve, it warns of no overflow."""
+    at = np.ascontiguousarray(a.T)
+    bt = np.ascontiguousarray(b[::-1].T)  # bt[:, i] holds b[4 - i]
+    out = np.empty((ORDER + 1, max(len(at), len(bt))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0] = 0.0 + a[0] * b[0]
+        for k in (1, 2, 3):
+            out[k] = np.matmul(at[:, None, :k + 1],
+                               bt[:, ORDER - k:, None])[:, 0, 0]
+        p = at * bt
+        top = 0.0 + p[:, 0]
+        for i in range(1, ORDER + 1):
+            top = top + p[:, i]
+        out[ORDER] = top
+    return out
+
+
 class Jet1(_JetBase):
     """One-variable jet: Taylor coefficients of f at a point, orders 0..4,
     shape (5,); a stack of jets at B points has shape (5, B)."""
@@ -463,37 +513,48 @@ class Jet1(_JetBase):
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (self._N,):
-            raise ValueError(f"Jet1 needs {self._N} coefficients, got shape {c.shape}")
+        if c.ndim not in (1, 2) or c.shape[0] != self._N:
+            raise ValueError(f"Jet1 needs {self._N} coefficients (per "
+                             f"column), got shape {c.shape}")
         self.coeffs = c.copy()
 
     @classmethod
     def variable(cls, x):
-        """Jet of the coordinate itself: value x, first derivative 1."""
-        return cls._raw(np.array([x, 1.0] + [0.0] * (ORDER - 1)))
+        """Jet of the coordinate itself: value x, first derivative 1
+        (batched when x is an array)."""
+        j = cls.constant(x)
+        j.coeffs[1] = 1.0
+        return j
 
     @classmethod
     def from_derivatives(cls, derivs):
-        """Build a jet from raw derivative values f, f', ..., f''''."""
-        return cls._raw(np.asarray(derivs, dtype=float) / _FACT)
+        """Build a jet from raw derivative values f, f', ..., f'''' (or
+        arrays of them over a batch)."""
+        d = np.asarray(derivs, dtype=float)
+        return cls._raw(d / _along_orders(_FACT, d.ndim))
 
     @staticmethod
     def _mul_coeffs(a, b):
-        return np.convolve(a, b)[: ORDER + 1]
+        if a.ndim == 1:
+            return np.convolve(a, b)[: ORDER + 1]
+        return _convolve_columns(a, b)
 
     def derivative(self, k):
-        """k-th derivative value, d^k f / dx^k."""
-        return float(self.coeffs[k] * _FACT[k])
+        """k-th derivative value, d^k f / dx^k: a float, or an array over
+        a batch."""
+        v = self.coeffs[k] * _FACT[k]
+        return v if v.ndim else float(v)
 
     def derivatives(self):
-        """All derivative values as an array of length 5."""
-        return self.coeffs * _FACT
+        """All derivative values as an array of length 5 (shape (5, B)
+        over a batch)."""
+        return self.coeffs * _along_orders(_FACT, self.coeffs.ndim)
 
     def d(self):
         """Jet of f'.  The top coefficient is out of range and set to 0."""
         a = self.coeffs
         c = np.zeros(a.shape)
-        c[:ORDER] = a[1:] * _D1_FAC.reshape((ORDER,) + (1,) * (a.ndim - 1))
+        c[:ORDER] = a[1:] * _along_orders(_D1_FAC, a.ndim)
         return Jet1._raw(c)
 
 
@@ -519,13 +580,6 @@ class Jet3(_JetBase):
             raise ValueError(f"Jet3 needs {N3} coefficients (per column), "
                              f"got shape {c.shape}")
         self.coeffs = c.copy()
-
-    @classmethod
-    def constant(cls, v):
-        """The constant jet v; a batch of numbers gives a batched jet."""
-        c = np.zeros((N3,) + v.shape if isinstance(v, np.ndarray) else N3)
-        c[0] = v
-        return cls._raw(c)
 
     @classmethod
     def variable(cls, p, axis):

@@ -16,14 +16,17 @@ solution, and a catalog of closed-form solution families.
 
 Scalar profiles are ScalarField1D objects: an evaluator producing Jet1
 values (derivatives to order 4), an admissible window, an optional
-declared period, and an optional exact antiderivative.
+declared period, and an optional exact antiderivative.  Every evaluator
+takes a float x or a 1-D array of x (then one batched Jet1, column k at
+x[k]); the closed forms run their jet algebra once per array, and only
+quadratures and special-function values go one x at a time (`per_x`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _dcfield
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from .curvature import MetricField, OneFormField
 from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
                      PoleProximityError, WindowError)
-from .jets import Jet1, Jet3
+from .jets import _D1_FAC, Jet1, Jet3, _along_orders, per_x
 from .odesolve import IvpSpec, integrate, quad
 from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
                       real_period, sn_imaginary_modulus_jet, wp_jet)
@@ -52,16 +55,20 @@ _SN_ZERO = math.sqrt(2.0) * complete_elliptic_k(1.0 / math.sqrt(2.0))
 class ScalarField1D:
     """A profile function of x carrying derivatives to order 4.
 
-    `evaluator(x)` returns the Jet1 of the profile at x.  `window` is
-    the admissible open interval (evaluation outside raises
-    WindowError); `period`, when set, is a declared exact period;
-    `integral`, when set, maps (x0, x1) to the exact definite integral.
+    `evaluator(x)` returns the Jet1 of the profile at x, a float; given
+    a 1-D array of x it returns one Jet1 with a trailing batch axis whose
+    column k equals, bit for bit, the jet at x[k].  `window` is the
+    admissible open interval (evaluation outside raises WindowError);
+    `period`, when set, is a declared exact period; `integral`, when
+    set, maps (x0, x1) to the exact definite integral.
 
-    A call keeps its (x, jet) and answers a repeat call at the same x
-    with that jet, so every residual at one x shares one evaluation.
-    `at` also takes an array of x, one per point of a PointBatch; the
-    memo then holds that batch, and answers a call at any of its x from
-    the jet evaluated there.  Returned jets are shared and read-only.
+    A call takes one float x.  It keeps its (x, jet) and answers a
+    repeat call at the same x with that jet, so every residual at one x
+    shares one evaluation.  `at` also takes an array of x, one per
+    point of a PointBatch, and calls the evaluator once for the whole
+    array; the memo then holds that batch, and answers a call at any of
+    its x from the jet's column there.  Returned jets are shared and
+    read-only.
     """
 
     evaluator: object
@@ -69,7 +76,7 @@ class ScalarField1D:
     period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
-    # [x, jet, None] after a call at one x; [xs, stacked jet, {x: jet}]
+    # [x, jet, None] after a call at one x; [xs, batched jet, {x: column}]
     # after a call at an array of x
     _last: list = _dcfield(default_factory=lambda: [None, None, None],
                            init=False, repr=False, compare=False)
@@ -80,7 +87,7 @@ class ScalarField1D:
             if x == key:
                 return jet
         elif x in columns:
-            return columns[x]
+            return Jet1._raw(jet.coeffs[:, columns[x]])
         lo, hi = self.window
         if not lo <= x <= hi:
             raise WindowError(
@@ -92,22 +99,31 @@ class ScalarField1D:
         return jet
 
     def at(self, x) -> Jet1:
-        """The jet at x, a float; or at every x of an array, as one Jet1
-        with a trailing batch axis whose column k is the jet at x[k].
-        Each distinct x is evaluated once, by a call at that x."""
+        """The jet at x, a float; or at every x of a 1-D array, as one
+        Jet1 with a trailing batch axis whose column k is the jet at x[k].
+        An array is evaluated in one evaluator call.  Where that raises
+        EwhError (or an x lies outside the window) it is evaluated x by
+        x, so the error raised is that of the first failing x."""
         if not isinstance(x, np.ndarray):
             return self(x)
         key, jet, columns = self._last
         if columns is not None and (key is x or np.array_equal(key, x)):
             return jet
+        lo, hi = self.window
+        jet = None
+        if np.all((lo <= x) & (x <= hi)):
+            try:
+                jet = self.evaluator(x)
+            except EwhError:
+                pass
         xs = x.tolist()
-        columns = {}
-        for v in xs:
-            if v not in columns:
-                columns[v] = self(v)
-        jet = Jet1._raw(np.stack([columns[v].coeffs for v in xs], axis=1))
+        if jet is None:
+            jet = Jet1._raw(np.stack([self(v).coeffs for v in xs], axis=1))
+        elif jet.coeffs.shape != (5, len(xs)):
+            raise ValueError(f"evaluator of field {self.label!r} gave jets "
+                             f"of shape {jet.coeffs.shape} at {len(xs)} x")
         jet.coeffs.flags.writeable = False
-        self._last[:] = x, jet, columns
+        self._last[:] = x, jet, {v: k for k, v in enumerate(xs)}
         return jet
 
 
@@ -115,7 +131,7 @@ def field_const(k: float, label: str = "") -> ScalarField1D:
     k = float(k)
 
     def ev(x):
-        return Jet1.constant(k)
+        return Jet1.constant(np.full(np.shape(x), k))
 
     return ScalarField1D(ev, label=label or f"const({k:g})",
                          integral=lambda x0, x1: k * (x1 - x0))
@@ -141,7 +157,9 @@ def field_linear(ell: float, b: float = 0.0) -> ScalarField1D:
     ell, b = float(ell), float(b)
 
     def ev(x):
-        return Jet1(np.array([ell * x + b, ell, 0.0, 0.0, 0.0]))
+        j = Jet1.constant(ell * x + b)
+        j.coeffs[1] = ell
+        return j
 
     def integ(x0, x1):
         return 0.5 * ell * (x1 * x1 - x0 * x0) + b * (x1 - x0)
@@ -190,11 +208,15 @@ def antiderivative(h: ScalarField1D, x0: float, x1: float) -> float:
     return quad(lambda t: h(t).value, x0, x1)
 
 
-def _integral_jet(value: float, deriv_jet: Jet1) -> Jet1:
-    """Jet of an antiderivative with the given value, its derivative
-    coefficients shifted up from the integrand's jet."""
-    return Jet1(np.concatenate(
-        ([float(value)], deriv_jet.coeffs[:4] / np.arange(1.0, 5.0))))
+def _integral_jet(value, deriv_jet: Jet1) -> Jet1:
+    """Jet of an antiderivative with the given value (a number, or an
+    array over a batch), its derivative coefficients shifted up from the
+    integrand's jet."""
+    d = deriv_jet.coeffs
+    c = np.empty(d.shape)
+    c[0] = value
+    c[1:] = d[:4] / _along_orders(_D1_FAC, d.ndim)
+    return Jet1._raw(c)
 
 
 def F_flat_from_h(h: ScalarField1D, x0: float = 0.0) -> ScalarField1D:
@@ -204,8 +226,8 @@ def F_flat_from_h(h: ScalarField1D, x0: float = 0.0) -> ScalarField1D:
     """
 
     def ev(x):
-        hj = h(x)
-        return _integral_jet(antiderivative(h, x0, x), hj).exp()
+        H = per_x(lambda t: antiderivative(h, x0, t), x)
+        return _integral_jet(H, h.at(x)).exp()
 
     return ScalarField1D(ev, label=f"flat[{h.label}]", window=h.window)
 
@@ -273,6 +295,15 @@ def flatness_defect(d: NearHorizonData, x: float) -> float:
     return Fj.derivative(1) - Fj.value * hj.value
 
 
+def _check_h_floor(x, v):
+    """DomainError at the first x (a number, or an entry of an array)
+    where the value v of h lies within _H_FLOOR of 0."""
+    for xk, vk in zip(np.atleast_1d(x).tolist(), np.atleast_1d(v).tolist()):
+        if abs(vk) <= _H_FLOOR:
+            raise DomainError(f"h({xk!r}) = {vk!r}: F_from_h needs "
+                              f"|h| > {_H_FLOOR}")
+
+
 def F_from_h(h: ScalarField1D, c: float, x: float) -> float:
     """F = (h'' + 4 c h h' + 2 c^2 h^3) / (2 h) at x.
 
@@ -280,9 +311,7 @@ def F_from_h(h: ScalarField1D, c: float, x: float) -> float:
     equations for c != -1/2.
     """
     hj = h(x)
-    if abs(hj.value) <= _H_FLOOR:
-        raise DomainError(
-            f"h({x!r}) = {hj.value!r}: F_from_h needs |h| > {_H_FLOOR}")
+    _check_h_floor(x, hj.value)
     return ((hj.derivative(2) + 4.0 * c * hj.value * hj.derivative(1)
              + 2.0 * c * c * hj.value ** 3) / (2.0 * hj.value))
 
@@ -297,16 +326,13 @@ def F_from_h_field(h: ScalarField1D, c: float) -> ScalarField1D:
     """
 
     def ev(x):
-        hj = h(x)
-        if abs(hj.value) <= _H_FLOOR:
-            raise DomainError(
-                f"h({x!r}) = {hj.value!r}: F_from_h needs |h| > {_H_FLOOR}")
+        hj = h.at(x)
+        _check_h_floor(x, hj.value)
         hp = hj.d()
         Fj = (hp.d() + 4.0 * c * hj * hp + 2.0 * c * c * hj * hj * hj) \
             / (2.0 * hj)
-        coeffs = Fj.coeffs.copy()
-        coeffs[3:] = 0.0
-        return Jet1(coeffs)
+        Fj.coeffs[3:] = 0.0
+        return Fj
 
     return ScalarField1D(ev, label=f"F_from_h[{h.label};c={c:g}]",
                          window=h.window, period=h.period)
@@ -552,8 +578,10 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float,
         return math.exp(0.5 * antiderivative(h, x0, t))
 
     def ev(x):
-        Hj = _integral_jet(antiderivative(h, x0, x), h(x))
-        Gj = _integral_jet(quad(dG, x0, x), (0.5 * Hj).exp())
+        Hj = _integral_jet(per_x(lambda t: antiderivative(h, x0, t), x),
+                           h.at(x))
+        Gj = _integral_jet(per_x(lambda t: quad(dG, x0, t), x),
+                           (0.5 * Hj).exp())
         Pj, _ = wp_jet(Gj + a, b)
         return Hj.exp() * Pj
 
@@ -655,7 +683,11 @@ def _family_linear(ell, b):
 def _family_quadratic(b):
     def ev(x):
         w = x - b
-        return Jet1.from_derivatives([w * w, 2.0 * w, 2.0, 0.0, 0.0])
+        # from_derivatives([w^2, 2 w, 2, 0, 0]): coefficients w^2, 2 w, 1
+        j = Jet1.constant(w * w)
+        j.coeffs[1] = 2.0 * w
+        j.coeffs[2] = 1.0
+        return j
 
     return ScalarField1D(ev, label="quadratic"), 1.0, {"first_integral": 0.0}
 
@@ -665,11 +697,14 @@ def _family_rational(gamma, b, alpha, c):
         raise DomainError("RationalPole needs gamma != 0")
     beta = (2.0 + alpha * gamma) / (gamma * gamma)
 
-    def ev(x):
+    def off_pole(x):
         if abs(x - b) < _POLE_TOL:
             raise PoleProximityError(
                 f"x = {x!r} within {_POLE_TOL} of the pole at {b!r}",
                 nearest_pole=b)
+
+    def ev(x):
+        per_x(off_pole, x)
         return gamma / (Jet1.variable(x) - b)
 
     return (ScalarField1D(ev, label="rational", window=(b, math.inf)),
@@ -682,13 +717,16 @@ def _family_tan(alpha, ell, b):
         raise DomainError("TanFamily needs ell * alpha > 0")
     s = math.sqrt(2.0 * ell * alpha)
 
-    def ev(x):
+    def off_pole(x):
         u = 0.5 * s * (x + b)
         if abs(math.cos(u)) < _POLE_TOL:
             k = round((u - 0.5 * math.pi) / math.pi)
             pole = (2.0 * (0.5 * math.pi + k * math.pi)) / s - b
             raise PoleProximityError(
                 f"x = {x!r} near a tan pole", nearest_pole=pole)
+
+    def ev(x):
+        per_x(off_pole, x)
         return (s / alpha) * (0.5 * s * (Jet1.variable(x) + b)).tan()
 
     fld = ScalarField1D(ev, label="tan", period=2.0 * math.pi / s,
@@ -710,14 +748,17 @@ def _family_jacobi(m, c, b):
         raise DomainError("JacobiReduction needs m != 0 and c != 1")
     s = abs(c - 1.0) * abs(m)
 
-    def ev(x):
+    def sn_jet(x):
         u = s * (x + b)
         u_mod = u - round(u / _SN_ZERO) * _SN_ZERO
         if abs(u_mod) < _POLE_TOL * s:
             raise PoleProximityError(
                 f"x = {x!r} near a pole of the Jacobi profile",
                 nearest_pole=round(u / _SN_ZERO) * _SN_ZERO / s - b)
-        w = sn_imaginary_modulus_jet(u).coeffs.copy()
+        return sn_imaginary_modulus_jet(u)
+
+    def ev(x):
+        w = per_x(sn_jet, x).coeffs.copy()
         for k in range(1, 5):
             w[k:] *= s  # chain rule for w(s (x + b)): coefficient k gains s^k
         return m / Jet1(w)
@@ -792,7 +833,8 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
             zj = _integral_jet(z, dz_dx(zj))
         return (gamma / broot) * (1.0 - zj).powr(-0.25)
 
-    return (ScalarField1D(ev, label="hypergeometric", window=ends),
+    return (ScalarField1D(partial(per_x, ev), label="hypergeometric",
+                          window=ends),
             1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta})
 
 
@@ -815,7 +857,8 @@ def _family_numeric(alpha, c, x0, h0, h1, span):
         v = traj(x)
         return ode2_jet(v[0], v[1], alpha, beta)
 
-    fld = ScalarField1D(ev, label="numeric", window=(bwd.x_end, fwd.x_end))
+    fld = ScalarField1D(partial(per_x, ev), label="numeric",
+                        window=(bwd.x_end, fwd.x_end))
     return fld, c, {"alpha": alpha, "beta": beta,
                     "status_forward": fwd.status,
                     "status_backward": bwd.status}

@@ -84,12 +84,16 @@ def hypercr_residual(H: PotentialField, p: Point) -> float:
 # solution families
 # --------------------------------------------------------------------------
 
+def wp_field(a: float, b: float) -> ScalarField1D:
+    """The profile wp(x + a; 0, b) of x."""
+    return ScalarField1D(lambda x: wp_jet(Jet1.variable(x) + a, b)[0],
+                         label=f"wp[a={a:g},b={b:g}]")
+
+
 def dkp_wp_potential(a: float, b: float) -> PotentialField:
     """u = -(r^2/2) wp(x + a; 0, b), the dKP solution behind the h = 0
     Einstein-Weyl structures."""
-
-    wp = ScalarField1D(lambda x: wp_jet(Jet1.variable(x) + a, b)[0],
-                       label=f"wp[a={a:g},b={b:g}]")
+    wp = wp_field(a, b)
 
     def ev(p):
         rj = Jet3.variable(p, _R)

@@ -17,13 +17,14 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
-from .jets import Jet1, Point, PointBatch
+from .jets import Jet1, Point, PointBatch, per_x
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           _FAMILIES, NearHorizonData, ScalarField1D,
                           build_family, field_one, first_return,
@@ -696,7 +697,7 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
                     raise DomainError("outside integrated range")
                 return _quartic_jet(traj(x), cc)
 
-            fld = ScalarField1D(ev, label=f"scan[c={c:g}]",
+            fld = ScalarField1D(partial(per_x, ev), label=f"scan[c={c:g}]",
                                 window=(x_start, x_end))
             periodic = periodicity_check(fld, period)
             if not periodic:

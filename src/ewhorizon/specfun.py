@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .errors import AccuracyError, DomainError, PoleProximityError
-from .jets import Jet1
+from .jets import Jet1, per_x
 
 # --- Jacobi elliptic functions ----------------------------------------------
 
@@ -196,16 +196,19 @@ def wp(z: float, b: float):
     return p * scale**2, q * scale**3
 
 
-def wp_jet(z: Jet1, b: float):
-    """Jet version of `wp`: jets of wp and wp' in the variable of `z`.
+def _wp_table(z: float, b: float) -> tuple:
+    """wp and its first five derivatives at z: value and slope from
+    `wp`, the rest from wp'' = 6 wp^2 (g2 = 0)."""
+    p, q = wp(z, b)
+    return (p, q, 6.0 * p * p, 12.0 * p * q, 12.0 * q * q + 72.0 * p ** 3,
+            360.0 * p * p * q)
 
-    Value and slope come from the float `wp`; derivatives 2..4 of wp, and
-    4 of wp', follow from wp'' = 6 wp^2 (g2 = 0).
-    """
-    p, q = wp(z.value, b)
-    d2, d3, d4 = 6.0 * p * p, 12.0 * p * q, 12.0 * q * q + 72.0 * p ** 3
-    return (z._compose((p, q, d2, d3, d4)),
-            z._compose((q, d2, d3, d4, 360.0 * p * p * q)))
+
+def wp_jet(z: Jet1, b: float):
+    """Jet version of `wp`: jets of wp and wp' in the variable of `z`
+    (a batched z gives batched jets, the table taken per column)."""
+    t = per_x(_wp_table, z.value, b)
+    return z._compose(t[:5]), z._compose(t[1:])
 
 
 # --- Gauss hypergeometric function ------------------------------------------

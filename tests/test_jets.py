@@ -381,3 +381,93 @@ def test_overflowing_derivative_table_is_a_singular_jet(fn, v):
                                          0.0), 0)):
         with pytest.raises(SingularJetError, match=re.escape(repr(v))):
             fn(jet)
+
+
+# ---------------------------------------------------------------------------
+# batched Jet1: every column is the scalar jet, bit for bit
+# ---------------------------------------------------------------------------
+
+# ±0, subnormals, values whose products overflow, and ordinary numbers
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.7e-315,
+                     1e300, -1e300, 1.0, -1.0])
+
+
+def _mixed_columns(rng, n):
+    """(5, n) coefficients: normal values over 20 decades, about a third
+    of the entries replaced by special ones."""
+    c = rng.standard_normal((ORDER + 1, n)) * 10.0 ** rng.integers(
+        -10, 10, (ORDER + 1, n))
+    special = rng.random(c.shape) < 0.35
+    c[special] = rng.choice(_SPECIAL, int(special.sum()))
+    return c
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 64, 65))
+def test_batched_jet1_product_is_np_convolve_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    n = 20_000 // size * size + size  # over 20 000 columns in all
+    a, b = _mixed_columns(rng, n), _mixed_columns(rng, n)
+    want = np.stack([np.convolve(a[:, k], b[:, k])[:ORDER + 1]
+                     for k in range(n)], axis=1)
+    assert np.isinf(want).any() and np.isnan(want).any()
+    got = np.concatenate(
+        [(Jet1(a[:, i:i + size]) * Jet1(b[:, i:i + size])).coeffs
+         for i in range(0, n, size)], axis=1)
+    assert np.array_equal(_bits(got), _bits(want))
+    # one single-column factor broadcasts against a batch
+    got = (Jet1(a[:, :1]) * Jet1(b[:, :size])).coeffs
+    want = np.stack([np.convolve(a[:, 0], b[:, k])[:ORDER + 1]
+                     for k in range(size)], axis=1)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+_JET1_FNS = {
+    "ring": lambda j: (j * j - 2.0 * j + 1.5) * (j + 0.25) - j / 3.0,
+    "scalar-left": lambda j: 2.0 - j + 0.5 * j - 1,
+    "pow-int": lambda j: j ** 3 + (j + 4.0) ** -2,
+    "reciprocal": lambda j: (j + 4.0)._reciprocal(),
+    "quotient": lambda j: (j * j + 1.0) / (j - 5.0),
+    "exp": lambda j: (0.8 * j).exp(),
+    "sin": lambda j: (j * j).sin(),
+    "tanh": lambda j: (1.3 * j - 0.2).tanh(),
+    "powr": lambda j: (j * j + 2.0).powr(-0.75),
+    "d": lambda j: (j.sin() * j).d().d(),
+}
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 64, 65))
+@pytest.mark.parametrize("name", sorted(_JET1_FNS))
+def test_batched_jet1_operations_match_columns(size, name):
+    fn = _JET1_FNS[name]
+    xs = np.random.default_rng(7).uniform(-1.5, 1.5, size)
+    xs[0] = -0.0  # a signed zero keeps its bits
+    got = fn(Jet1.variable(xs)).coeffs
+    want = np.stack([fn(Jet1.variable(x)).coeffs for x in xs.tolist()],
+                    axis=1)
+    assert got.shape == (ORDER + 1, size)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_jet1_batch_parity_with_jet3():
+    xs = np.array([0.5, -1.0, 2.0])
+    j = Jet1(np.zeros((ORDER + 1, 3)))
+    assert j.coeffs.shape == (ORDER + 1, 3)
+    assert Jet1.constant(xs).coeffs.shape == (ORDER + 1, 3)
+    assert np.array_equal(Jet1.constant(xs).value, xs)
+    v = Jet1.variable(xs)
+    assert np.array_equal(v.coeffs[:2], [xs, np.ones(3)])
+    assert np.array_equal(v.derivative(1), np.ones(3))
+    assert np.array_equal(v.exp().derivative(2),
+                          [math.exp(x) for x in xs.tolist()])
+    assert isinstance(Jet1.variable(0.5).derivative(1), float)
+    assert np.array_equal(Jet1.from_derivatives(v.derivatives()).coeffs,
+                          v.coeffs)
+    with pytest.raises(ValueError, match=r"\(4, 3\)"):
+        Jet1(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        Jet1(np.zeros((ORDER + 1, 3, 2)))
+
+
+def test_batched_jet1_raises_at_its_first_failing_column():
+    with pytest.raises(SingularJetError, match="-2.0"):
+        Jet1.variable(np.array([1.0, -2.0, -3.0])).log()

@@ -15,9 +15,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.curvature import cotton, ew_residual
-from ewhorizon.errors import DomainError, WindowError
+from ewhorizon.errors import (DomainError, EwhError, PoleProximityError,
+                              WindowError)
 from ewhorizon.jets import Jet1, Point
-from ewhorizon import nearhorizon
+from ewhorizon import nearhorizon, pdeverify
 from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    F_ode_residual_chalf, NearHorizonData,
                                    ScalarField1D, antiderivative,
@@ -29,7 +30,8 @@ from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    ode4_residual,
                                    reduction_consistency, thm1_F_field,
                                    thm1_structure, weyl_oneform_generic)
-from ewhorizon.specfun import real_period, wp
+from ewhorizon.report import _sweep_window
+from ewhorizon.specfun import _pole_free_cell, real_period, wp
 
 RNG = np.random.default_rng(20240917)
 
@@ -407,3 +409,153 @@ def test_data_window_intersection():
     F = ScalarField1D(lambda x: Jet1.constant(1.0), window=(1.0, 9.0))
     d = NearHorizonData(h=h, F=F, c=0.0)
     assert d.window == (1.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# a field at an array of x: one evaluator call, the scalar jets bit for bit
+
+
+def _family_h(tag):
+    return lambda: nearhorizon.build_family(tag).field
+
+
+def _family_F(tag):
+    def make():
+        fam = nearhorizon.build_family(tag)
+        return F_from_h_field(fam.field, fam.c)
+
+    return make
+
+
+def _dkp_wp():
+    return pdeverify.wp_field(0.5 * real_period(1.0), 1.0)
+
+
+# name -> (field factory, the window its export-plot sweep spans)
+_BATCH_FIELDS = {
+    **{f"family:{t}": (_family_h(t), None) for t in nearhorizon.FAMILY_TAGS},
+    **{f"named:{n}": (lambda n=n: named_h_field(n), None)
+       for n in ("zero", "one", "sin", "linear")},
+    **{f"F_from_h:{t}": (_family_F(t), None)
+       for t in nearhorizon.FAMILY_TAGS if t != "Weierstrass"},  # h ones
+    **{f"flat:{n}": (lambda n=n: F_flat_from_h(named_h_field(n)), None)
+       for n in ("zero", "one", "sin", "linear")},
+    **{f"thm1:{n}": (lambda n=n: thm1_F_field(named_h_field(n), 0.1, 1.0),
+                     None) for n in ("zero", "sin")},
+    "dkp-wp": (_dkp_wp,
+               _pole_free_cell(0.5 * real_period(1.0), 1.0, 0.3)),
+}
+
+
+def _sweep_xs(name, samples=200):
+    make, window = _BATCH_FIELDS[name]
+    a, b, _ = _sweep_window(window or make().window)
+    return np.linspace(a, b, samples)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _first_scalar_error(make, xs):
+    """The error of the first failing scalar call over xs, or None."""
+    f = make()
+    for x in xs.tolist():
+        try:
+            f(x)
+        except EwhError as e:
+            return e
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_FIELDS))
+def test_field_at_an_array_is_the_stack_of_scalar_calls(name):
+    make = _BATCH_FIELDS[name][0]
+    xs = _sweep_xs(name)
+    ref, f = make(), make()
+    want = np.stack([ref(x).coeffs for x in xs.tolist()], axis=1)
+    runs = []
+    ev = f.evaluator
+    object.__setattr__(f, "evaluator", lambda x: runs.append(x) or ev(x))
+    got = f.at(xs)
+    assert len(runs) == 1 and runs[0] is xs  # one call for the array
+    assert np.array_equal(_bits(got.coeffs), _bits(want))
+    assert f.at(xs.copy()) is got  # the memo answers an equal array
+    for k in (0, 57, 199):  # and a float call at any of its x
+        assert np.array_equal(_bits(f(xs[k].item()).coeffs),
+                              _bits(want[:, k]))
+    assert len(runs) == 1
+
+
+def _with(xs, k, x):
+    """xs with x inserted before position k."""
+    return np.insert(xs, k, x)
+
+
+def _bad_batches():
+    """(field name, batch) pairs whose scalar calls fail: an x beyond
+    each finite window end, and x at the poles of the jacobi, rational
+    and tan profiles."""
+    out = []
+    for name, (make, _) in sorted(_BATCH_FIELDS.items()):
+        xs = _sweep_xs(name)
+        lo, hi = make().window
+        if math.isfinite(hi):
+            out.append((name, _with(xs, 120, hi + 0.5)))
+        if math.isfinite(lo):
+            # two failures: the first one in the batch is raised
+            out.append((name, _with(_with(xs, 150, lo - 0.5), 40,
+                                    lo - 0.25)))
+    jac = nearhorizon.build_family("jacobi").field.window
+    for name in ("family:JacobiReduction", "F_from_h:JacobiReduction"):
+        out.append((name, _with(_sweep_xs(name), 10, jac[0])))
+        out.append((name, _with(_sweep_xs(name), 190, jac[1])))
+    for name in ("family:RationalPole", "F_from_h:RationalPole"):
+        out.append((name, _with(_sweep_xs(name), 70, 0.0)))
+    tan = nearhorizon.build_family("tan").field.window
+    out.append(("family:TanFamily", _with(_sweep_xs("family:TanFamily"),
+                                          5, tan[1])))
+    # h = tan(0) = 0: F_from_h's floor
+    out.append(("F_from_h:TanFamily",
+                _with(_sweep_xs("F_from_h:TanFamily"), 30, 0.0)))
+    # the floor at x = 0 comes first, but the batch meets the pole of h
+    # at a later x first (h is evaluated before F's floor is checked)
+    out.append(("F_from_h:TanFamily", np.array([0.5, 0.0, 0.75, tan[1]])))
+    return out
+
+
+@pytest.mark.parametrize("name, xs", _bad_batches(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_field_at_an_array_raises_the_first_scalar_error(name, xs):
+    make = _BATCH_FIELDS[name][0]
+    want = _first_scalar_error(make, xs)
+    assert want is not None
+    with pytest.raises(EwhError) as got:
+        make().at(xs)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+
+
+_JACOBI_POLE = "x = 0.0 near a pole of the Jacobi profile"
+
+
+@pytest.mark.parametrize("name, xs, error, text", [
+    # x = 0 is on the closed window edge and at a pole: the window admits
+    # it, the evaluator's guard rejects it
+    ("family:JacobiReduction", [0.5, 0.25, 0.0, 0.75, 0.0],
+     PoleProximityError, _JACOBI_POLE),
+    ("F_from_h:JacobiReduction", [0.5, 0.0, 0.75], PoleProximityError,
+     _JACOBI_POLE),
+    ("family:RationalPole", [2.0, 0.0, 1e-7], PoleProximityError,
+     "x = 0.0 within 1e-06 of the pole at 0.0"),
+    ("F_from_h:TanFamily", [0.5, -0.25, 0.0, 1e-11], DomainError,
+     "h(0.0) = -0.0: F_from_h needs |h| > 1e-10"),
+])
+def test_evaluator_raises_the_first_scalar_error_of_its_batch(name, xs,
+                                                              error, text):
+    make, xs = _BATCH_FIELDS[name][0], np.array(xs)
+    want = _first_scalar_error(make, xs)
+    assert type(want) is error and str(want) == text
+    with pytest.raises(error) as got:
+        make().evaluator(xs)
+    assert str(got.value) == text

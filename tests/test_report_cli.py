@@ -20,7 +20,7 @@ import pytest
 from ewhorizon import cli, curvature, odesolve, pdeverify, report
 from ewhorizon.errors import DomainError, EwhError, SingularJetError
 from ewhorizon.jets import PointBatch
-from ewhorizon.nearhorizon import ode4_monomials
+from ewhorizon.nearhorizon import ScalarField1D, ode4_monomials
 from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
                               run_check, scan_c, scan_rows_csv, thread_count)
@@ -565,16 +565,24 @@ def test_cli_export_plot_writes_file(tmp_path, capsys):
 # profile evaluations
 
 
+def _tally(n, x):
+    """Count one evaluator run in `n.runs`, and each x it takes, a float
+    or every entry of an array, in `n`."""
+    n.runs = getattr(n, "runs", 0) + 1
+    n.update(x.tolist() if isinstance(x, np.ndarray) else [x])
+
+
 def _count_evaluations(setup, counts):
-    """Wrap each profile field's evaluator to count its calls per x; one
-    Counter per field is appended to `counts`."""
+    """Wrap each profile field's evaluator to count its runs and its
+    evaluations per x (`_tally`); one Counter per field is appended to
+    `counts`."""
     for f in setup.profiles:
         if f is None:
             continue
         n, ev = Counter(), f.evaluator
 
         def counted(x, ev=ev, n=n):
-            n[x] += 1
+            _tally(n, x)
             return ev(x)
 
         counts.append(n)
@@ -614,15 +622,16 @@ _SWEEP_1D = [("thm1", {"h": "zero"}), ("thm1", {"h": "sin"}),
 
 
 def _counted_tanh_profiles(monkeypatch, counts):
-    """Make every tanh_profile field count its evaluator calls per x,
-    one Counter per field appended to `counts`."""
+    """Make every tanh_profile field count its evaluator runs and its
+    evaluations per x (`_tally`), one Counter per field appended to
+    `counts`."""
 
     def counted_profile(*args, make=report.tanh_profile):
         f = make(*args)
         n, ev = Counter(), f.evaluator
 
         def counted(x):
-            n[x] += 1
+            _tally(n, x)
             return ev(x)
 
         counts.append(n)
@@ -634,9 +643,9 @@ def _counted_tanh_profiles(monkeypatch, counts):
 
 
 def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
-    # a profile of x is counted where its evaluator runs: inside the
-    # batch, F's evaluator reads h from the batch's jets, and the h and
-    # F cells of each row read both from there again
+    # a profile of x is counted where its evaluator runs, once per slice
+    # of the sweep: F's evaluator reads h from the slice's jets, and the
+    # h and F cells of each row read both from there again
     counts, setup = [], report._setup
 
     def counting(*args):
@@ -650,13 +659,14 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
     wp_calls = Counter()
 
     def counted_wp(z, b, wp=pdeverify.wp_jet):
-        wp_calls[z.value] += 1
+        _tally(wp_calls, z.value)
         return wp(z, b)
 
     monkeypatch.setattr(pdeverify, "wp_jet", counted_wp)
     for check, params in _SWEEP_1D:
         counts.clear()
         wp_calls.clear()
+        wp_calls.runs = 0
         lines = export_plot(check, params, samples=200)
         xs = [float(ln.split(",")[0]) for ln in lines[1:] if ln[0] != "#"]
         assert len(xs) == 200
@@ -665,6 +675,7 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
         assert len(evaluated) == {"dkp": 1, "prop4": 1}.get(check, 2)
         for n in evaluated:
             assert sum(n.values()) == len(n) == 200
+            assert n.runs <= math.ceil(200 / report._PLANE_SLICE) == 4
             if n is not wp_calls:
                 assert [float(f"{x:.12g}") for x in n] == xs
 
@@ -693,6 +704,25 @@ _PLANE_CHECKS = [
     ("prop1-iff", {"F": "one"}), ("dkp", {}), ("hypercr-family", {}),
     ("prop4", {}),
 ]
+
+
+def test_profiles_are_called_at_float_x_only(monkeypatch):
+    # a field answers a call at one float x; an array goes through `at`.
+    # Outside-in tracers count profile calls by x in a set, which an
+    # array, being unhashable, would break
+    call, xs = ScalarField1D.__call__, []
+
+    def float_only(field, x):
+        assert type(x) is float, f"{field.label} called at {x!r}"
+        xs.append(x)
+        return call(field, x)
+
+    monkeypatch.setattr(ScalarField1D, "__call__", float_only)
+    for check, params in _SWEEP_1D:
+        export_plot(check, params, samples=200)
+    for check, params in _PLANE_CHECKS:
+        run_check(check, params)
+    assert len(xs) > 2000
 
 
 def _plane(check, params, grid=GridSpec()):
