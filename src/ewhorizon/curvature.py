@@ -10,7 +10,8 @@ Every function takes either one Point or a PointBatch of B points, at
 one x or each at its own.  A batch is assembled in one pass, with a
 batch index on every contraction, and its results carry a trailing
 batch axis: a (3, 3) tensor at a Point is (3, 3, B) over a batch,
-column k equal bit for bit to the tensor at point k.
+column k equal bit for bit to the tensor at point k.  `report` assembles
+once per slice: three times (50, 50, 25 points) on the default grid.
 
 Conventions, fixed once and validated end-to-end by the closed-form
 structure checks:

@@ -11,13 +11,13 @@ cross-check.
 Coordinates are always ordered (nu, r, x) = (0, 1, 2).
 
 A Jet3 is taken either at one Point (coefficients of shape (N3,)) or at a
-PointBatch of B points (shape (N3, B), one column per point).  The points
-of a batch may share one x, and then a jet of x alone stays unbatched and
-broadcasts against batched ones; or each may have its own x, and then a
-Jet1 of x carries a trailing batch axis too (shape (5, B)).  Every column
-is computed with the same floating-point operations, in the same order,
-as the jet at that single point, so a batch equals the stack of its
-points bit for bit.
+PointBatch of B points (shape (N3, B), one column per point).  Each point
+may have its own x (as in every batch `report` walks), and then a Jet1 of
+x carries a trailing batch axis too (shape (5, B)); or the points share
+one x, and then a jet of x alone stays unbatched and broadcasts.  Every
+column is computed with the same floating-point operations, in the same
+order, as the jet at that single point, so a batch equals the stack of
+its points bit for bit.
 
 A Jet1 has coefficients of shape (5,) at one x or (5, B) at B of them.
 The scalar Jet1 product is `np.convolve`; the batched one reproduces it
@@ -487,7 +487,13 @@ def _convolve_columns(a, b):
     broadcast), bit for bit.  np.convolve takes orders 1..3 as BLAS dot
     products, which np.matmul repeats with the same dot; it sums orders
     0 and 4 left to right from +0.0, each product rounded on its own.
-    Like np.convolve, it warns of no overflow."""
+    Like np.convolve, it warns of no overflow.  Up to 4 columns (a grid
+    slice's few distinct x), np.convolve itself is faster."""
+    n = max(a.shape[1], b.shape[1])
+    if n <= 4:
+        return np.stack([np.convolve(a[:, k % a.shape[1]],
+                                     b[:, k % b.shape[1]])[: ORDER + 1]
+                         for k in range(n)], axis=1)
     at = np.ascontiguousarray(a.T)
     bt = np.ascontiguousarray(b[::-1].T)  # bt[:, i] holds b[4 - i]
     out = np.empty((ORDER + 1, max(len(at), len(bt))))

@@ -62,13 +62,11 @@ class ScalarField1D:
     `period`, when set, is a declared exact period; `integral`, when
     set, maps (x0, x1) to the exact definite integral.
 
-    A call takes one float x.  It keeps its (x, jet) and answers a
-    repeat call at the same x with that jet, so every residual at one x
-    shares one evaluation.  `at` also takes an array of x, one per
-    point of a PointBatch, and calls the evaluator once for the whole
-    array; the memo then holds that batch, and answers a call at any of
-    its x from the jet's column there.  Returned jets are shared and
-    read-only.
+    A call takes one float x; `at` also an array of x, one per point of
+    a PointBatch.  The field keeps its last evaluation, at one x or at
+    an array's distinct x, and answers from it a float call at any x it
+    holds, or an array whose x it all holds, so every residual at one x
+    shares one evaluation.  Returned jets are shared and read-only.
     """
 
     evaluator: object
@@ -76,8 +74,7 @@ class ScalarField1D:
     period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
-    # [x, jet, None] after a call at one x; [xs, batched jet, {x: column}]
-    # after a call at an array of x
+    # [x, jet, None], or [distinct xs, batched jet, {x: column}]
     _last: list = _dcfield(default_factory=lambda: [None, None, None],
                            init=False, repr=False, compare=False)
 
@@ -100,30 +97,41 @@ class ScalarField1D:
 
     def at(self, x) -> Jet1:
         """The jet at x, a float; or at every x of a 1-D array, as one
-        Jet1 with a trailing batch axis whose column k is the jet at x[k].
-        An array is evaluated in one evaluator call.  Where that raises
-        EwhError (or an x lies outside the window) it is evaluated x by
-        x, so the error raised is that of the first failing x."""
+        Jet1 with a trailing batch axis whose column k is the jet at x[k]:
+        from the memo, or from one evaluator call at the array's distinct
+        x, else x by x (where that raises EwhError, or an x lies outside
+        the window), so the error raised is that of the first failing x."""
         if not isinstance(x, np.ndarray):
             return self(x)
         key, jet, columns = self._last
-        if columns is not None and (key is x or np.array_equal(key, x)):
+        if x is key:
             return jet
-        lo, hi = self.window
-        jet = None
-        if np.all((lo <= x) & (x <= hi)):
-            try:
-                jet = self.evaluator(x)
-            except EwhError:
-                pass
         xs = x.tolist()
-        if jet is None:
-            jet = Jet1._raw(np.stack([self(v).coeffs for v in xs], axis=1))
-        elif jet.coeffs.shape != (5, len(xs)):
-            raise ValueError(f"evaluator of field {self.label!r} gave jets "
-                             f"of shape {jet.coeffs.shape} at {len(xs)} x")
-        jet.coeffs.flags.writeable = False
-        self._last[:] = x, jet, {v: k for k, v in enumerate(xs)}
+        if columns is None or not columns.keys() >= set(xs):
+            distinct = list(dict.fromkeys(xs))
+            key = x if len(distinct) == len(xs) else np.array(distinct)
+            lo, hi = self.window
+            jet = None
+            if np.all((lo <= key) & (key <= hi)):
+                try:
+                    jet = self.evaluator(key)
+                except EwhError:
+                    pass
+            if jet is None:
+                jet = per_x(self, key)
+            elif jet.coeffs.shape != (5, len(distinct)):
+                raise ValueError(
+                    f"evaluator of field {self.label!r} gave jets of shape "
+                    f"{jet.coeffs.shape} at {len(distinct)} x")
+            jet.coeffs.flags.writeable = False
+            columns = {v: k for k, v in enumerate(distinct)}
+            self._last[:] = key, jet, columns
+            if key is x:
+                return jet
+        idx = [columns[v] for v in xs]
+        if idx != list(range(len(key))):  # not the memo's own x, in order
+            jet = Jet1._raw(jet.coeffs[:, idx])
+            jet.coeffs.flags.writeable = False
         return jet
 
 
@@ -257,8 +265,7 @@ def nh_metric(d: NearHorizonData) -> MetricField:
         rj = Jet3.variable(p, _R)
         h3 = Jet3.from_axis_jet(d.h.at(p.x), _X)
         F3 = Jet3.from_axis_jet(d.F.at(p.x), _X)
-        one = Jet3.constant(1.0)
-        zero = Jet3.constant(0.0)
+        one, zero = Jet3.constant(1.0), Jet3.constant(0.0)
         gnx = rj * h3
         return [[rj * rj * F3, one, gnx],
                 [one, zero, zero],

@@ -10,8 +10,8 @@ Two scalar PDEs certify the same geometry from the potential side:
   tanh profile h = (sqrt(c l)/c) tanh(sqrt(c l)(x + b)).
 
 Every potential, structure and residual here also takes a PointBatch in
-place of a Point, its points at one x or each at its own, and then gives
-one value per point.
+place of a Point, its points at one x or each at its own (as the grid
+walker of `report` sends them), and then gives one value per point.
 """
 
 from __future__ import annotations
@@ -146,9 +146,7 @@ def hypercr_structures(H: PotentialField):
         j = H.jets(p)
         hr = j.d(_R)
         hx = j.d(_X)
-        one = Jet3.constant(1.0)
-        zero = Jet3.constant(0.0)
-        mtwo = Jet3.constant(-2.0)
+        one, zero, mtwo = (Jet3.constant(v) for v in (1.0, 0.0, -2.0))
         return [[hr * hr + 4.0 * hx, mtwo, hr],
                 [mtwo, zero, zero],
                 [hr, zero, one]]
@@ -176,23 +174,22 @@ def prop4_structures(c: float, ell: float, b: float = 0.0):
     """
     h = tanh_profile(c, ell, b)
 
-    def gcomp(p):
-        rj = Jet3.variable(p, _R)
+    def jets(p):
+        """The jets of r, h and h' at p."""
         hj1 = h.at(p.x)
-        h3 = Jet3.from_axis_jet(hj1, _X)
-        hp3 = Jet3.from_axis_jet(hj1.d(), _X)
-        one = Jet3.constant(1.0)
-        zero = Jet3.constant(0.0)
+        return (Jet3.variable(p, _R), Jet3.from_axis_jet(hj1, _X),
+                Jet3.from_axis_jet(hj1.d(), _X))
+
+    def gcomp(p):
+        rj, h3, hp3 = jets(p)
+        one, zero = Jet3.constant(1.0), Jet3.constant(0.0)
         gnx = -c * h3 * rj
         return [[rj * rj * (c * hp3 + c * c * h3 * h3), one, gnx],
                 [one, zero, zero],
                 [gnx, zero, one]]
 
     def xcomp(p):
-        rj = Jet3.variable(p, _R)
-        hj1 = h.at(p.x)
-        h3 = Jet3.from_axis_jet(hj1, _X)
-        hp3 = Jet3.from_axis_jet(hj1.d(), _X)
+        rj, h3, hp3 = jets(p)
         return [-c * rj * (c * h3 * h3 + hp3),
                 Jet3.constant(0.0),
                 c * h3]

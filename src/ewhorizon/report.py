@@ -1,14 +1,14 @@
 """Check pipelines, residual reports, and plot/scan data assembly.
 
-Every check is one entry of the CHECKS registry.  run_check samples a
-deterministic grid, evaluates the entry's per-point residuals once per
-(nu, r) plane of each grid x, reduces per-component maxima, and wraps
-the outcome in a ResidualReport; export_plot sweeps the same residuals
-along a line, in batches of samples, and the CLI derives its parameter
-flags from the entries.
-Reports serialize to a flat, versioned JSON schema with fixed key order
-and 17-significant-digit floats, so identical invocations produce
-byte-identical files.
+Every check is one entry of the CHECKS registry; the CLI derives its
+parameter flags from the entries.  One grid walker (`_rows`) evaluates
+a check's residuals in PointBatch slices of whole (nu, r) planes: for
+run_check a plane at each grid x, for export_plot a one-point plane at
+each sample x (or one plane of samples at one x).  Errors are raised
+slice by slice, per-point residuals before per-x ones.  run_check wraps
+the per-component maxima in a ResidualReport, whose flat, versioned
+JSON has a fixed key order and 17-significant-digit floats, so
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
-from .jets import Jet1, Point, PointBatch, per_x
+from .jets import Jet1, PointBatch, per_x
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           _FAMILIES, NearHorizonData, ScalarField1D,
                           build_family, field_one, first_return,
@@ -54,8 +54,7 @@ _PLOT_NU = 0.3
 _PLOT_R = 0.7
 _PLOT_X = (-3.0, 3.0)
 
-# points per PointBatch, at most, of a (nu, r) plane or of a plot sweep:
-# about 14 KB each
+# points per PointBatch of the grid walker, at most: about 14 KB each
 _PLANE_SLICE = 64
 
 
@@ -118,24 +117,18 @@ def _nonzero_x_interval(h: ScalarField1D, base: tuple) -> tuple:
     """Longest contiguous sub-interval of `base` with |h| > 1e-3,
     shrunk 10 percent per side; used where F = (...)/2h divides by h."""
     lo, hi, n = base
-    xs = np.linspace(lo, hi, 201)
-    good = []
-    for x in xs:
-        try:
-            good.append(abs(h(float(x)).value) > 1e-3)
-        except EwhError:
-            good.append(False)
-    best, start = (0, 0), None  # first longest run of good samples
+    xs = np.linspace(lo, hi, 201).tolist()
+    good = [bool(_skipping(lambda x: abs(h(x).value) > 1e-3, x, True))
+            for x in xs]
+    best, start = (0, 0), 0  # first longest run of good samples
     for i, g in enumerate(good + [False]):
-        if g and start is None:
-            start = i
-        elif not g and start is not None:
+        if not g:
             if i - 1 - start > best[1] - best[0]:
                 best = (start, i - 1)
-            start = None
+            start = i + 1
     if best[1] <= best[0]:
         raise DomainError("no sub-interval with |h| > 1e-3 in the window")
-    a, b = float(xs[best[0]]), float(xs[best[1]])
+    a, b = xs[best[0]], xs[best[1]]
     pad = 0.1 * (b - a)
     return (a + pad, b - pad, n)
 
@@ -509,63 +502,74 @@ def _setup(check_id, params):
     return check, (check.build(p, tag) if colon else check.build(p))
 
 
+def _values(group, q):
+    """The components of the residuals of `group` at q: a point or an x,
+    or a PointBatch, and then each an array over its points."""
+    return [v for r in group for v in r.read(r.fn(q))]
+
+
+def _skipping(fn, q, skip):
+    """fn(q), or None where it raises EwhError and `skip` is set."""
+    try:
+        return fn(q)
+    except EwhError:
+        if not skip:
+            raise
+        return None
+
+
+def _batch_rows(group, batch, skip):
+    """The _values at each point of `batch`, as one batch, else point by
+    point: the first failing point raises, or with skip each one is None."""
+    try:
+        return np.moveaxis(np.array(_values(group, batch)), -1, 0)
+    except EwhError:
+        return [_skipping(partial(_values, group), q, skip)
+                for q in batch.points()]
+
+
+def _rows(residuals, nus, rs, xs, skip):
+    """Walk the plane (nus[k], rs[k]) at each x of `xs`, x outermost, in
+    slices of as many whole planes as fit in _PLANE_SLICE points (or one
+    plane in PointBatches of that size).  Per slice, yield its x, the rows
+    of the per-point residuals (`_batch_rows`), then those of the per-x
+    residuals at its x, evaluated as they are read, before the next slice:
+    each profile is evaluated once per x, and errors come slice by slice,
+    per-point residuals first."""
+    point_rs, x_rs = ([r for r in residuals if r.per_x == per_x]
+                      for per_x in (False, True))
+    n = len(nus)
+    points = (np.tile(nus, len(xs)), np.tile(rs, len(xs)), np.repeat(xs, n))
+    per = max(1, _PLANE_SLICE // n)
+    for i in range(0, len(xs), per):
+        xi = xs[i:i + per]
+        end = (i + len(xi)) * n if point_rs else i * n
+        point_rows = [row for j in range(i * n, end, _PLANE_SLICE)
+                      for row in _batch_rows(point_rs, PointBatch(
+                          *(c[j:end][:_PLANE_SLICE] for c in points)), skip)]
+        yield xi, point_rows, (_skipping(partial(_values, x_rs), x, skip)
+                               for x in xi if x_rs)
+
+
 def _reduce(setup, grid, x_axis, skip):
-    """Max |component| over the grid.  The x axis is walked once,
-    outermost: at each x the per-point residuals, each evaluated over
-    the (nu, r) plane as PointBatches of at most _PLANE_SLICE points,
-    then the per-x residuals, so each profile is evaluated once per x.
-    NaN propagates.  With `skip`, points whose evaluation raises
-    EwhError are left out, and DomainError is raised when no point is
-    left."""
+    """Max |component| over the grid walked by `_rows`; NaN propagates.
+    With `skip`, points raising EwhError are left out (DomainError if all)."""
+    nu_axis, r_axis = _axis_values(grid.nu), _axis_values(grid.r)
+    slices = [(xi, p, list(x)) for xi, p, x in _rows(
+        setup.residuals, np.repeat(nu_axis, len(r_axis)),
+        np.tile(r_axis, len(nu_axis)), _axis_values(x_axis), skip)]
+    comps = {}
     # every check declares its per-point residuals first, so this keeps
     # the declared component order
-    point_rs, x_rs = ([r for r in setup.residuals if r.per_x == per_x]
-                      for per_x in (False, True))
-    if point_rs:  # the (nu, r) plane, nu outermost
-        nu_axis, r_axis = _axis_values(grid.nu), _axis_values(grid.r)
-        nus = np.repeat(nu_axis, len(r_axis))
-        rs = np.tile(r_axis, len(nu_axis))
-    point_rows, x_rows = [], []
-
-    def values(group, q):
-        return [v for r in group for v in r.read(r.fn(q))]
-
-    def row(group, q):
-        try:
-            return values(group, q)
-        except EwhError:
-            if not skip:
-                raise
-            return None
-
-    def plane_rows(x):
-        rows = []
-        for i in range(0, len(nus), _PLANE_SLICE):
-            batch = PointBatch(nus[i:i + _PLANE_SLICE],
-                               rs[i:i + _PLANE_SLICE], x)
-            try:
-                rows.extend(np.array(values(point_rs, batch)).T)
-            except EwhError:
-                # point by point, so the error raised (or, with skip, the
-                # points left out) is that of the first failing point
-                rows.extend(row(point_rs, q) for q in batch.points())
-        return rows
-
-    for x in _axis_values(x_axis):
-        if point_rs:
-            point_rows += plane_rows(x)
-        if x_rs:
-            x_rows.append(row(x_rs, x))
-    comps = {}
-    for group, rows in ((point_rs, point_rows), (x_rs, x_rows)):
-        if not group:
-            continue
-        rows = [v for v in rows if v is not None]
-        if not rows:
+    for k, per_x in ((1, False), (2, True)):
+        names = [n for r in setup.residuals if r.per_x == per_x
+                 for n in r.names]
+        rows = [row for s in slices for row in s[k] if row is not None]
+        if names and not rows:
             raise DomainError(f"no grid point could be evaluated "
                               f"(window {setup.window!r})")
-        names = [n for r in group for n in r.names]
-        comps.update(zip(names, map(float, np.max(np.array(rows), axis=0))))
+        if names:
+            comps.update(zip(names, map(float, np.max(rows, axis=0))))
     return comps
 
 
@@ -737,13 +741,20 @@ def _sweep_window(window):
     return a, b, clipped
 
 
-def _sweep_batch(k, vs, coords):
-    """The PointBatch of the sweep values `vs` along axis `k`, the other
-    axes at `coords`; a sweep of nu or r keeps its one x."""
-    cols = [np.full(len(vs), coords[0]), np.full(len(vs), coords[1]),
-            coords[2]]
-    cols[k] = np.array(vs)
-    return PointBatch(*cols)
+def _profile_cells(profiles, xs, skip):
+    """The (h, F) cells of the sweep samples at xs ("" for an absent h),
+    one `at` per field; where that raises EwhError, sample by sample,
+    with None for a sample that `skip` drops."""
+    def cells(x):
+        return list(zip(*[[""] * len(x) if f is None else
+                          [f"{v:.12g}" for v in f.at(x).value.tolist()]
+                          for f in profiles]))
+
+    try:
+        return cells(np.array(xs))
+    except EwhError:
+        return [_skipping(lambda x: cells(np.array([x]))[0], x, skip)
+                for x in xs]
 
 
 def export_plot(check_id: str, params: dict = None, axis: str = "x",
@@ -751,17 +762,13 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
     """CSV lines for a 1D sweep of a check's first residual.
 
     Profile checks emit (x, h, F, residual) along x; PDE checks emit
-    (axis, residual) along any axis.  Points sit on the fixed off-axis
-    slice nu = 0.3, r = 0.7 (x at the window's middle, or 0, when
-    sweeping nu or r).  A trailing `# window-clipped` comment marks
-    sweeps truncated by the admissible window.  A sample whose
-    evaluation raises EwhError is dropped only where the check skips
-    points; elsewhere the error propagates.
-
-    A per-point residual is evaluated over PointBatches of at most
-    _PLANE_SLICE samples; a slice that raises EwhError is evaluated
-    again sample by sample, so the error raised (or, with skip, the
-    samples dropped) is that of the first failing sample.
+    (axis, residual) along any axis; the residual cell is max |entry|.
+    `_rows` walks a one-point plane (nu = 0.3, r = 0.7) at each sample
+    x, or one plane of the samples at the window's middle x (or 0).  A
+    sample whose evaluation raises EwhError is dropped where the check
+    skips points; elsewhere the first failing sample's error propagates.
+    A trailing `# window-clipped` comment marks sweeps truncated by the
+    admissible window.
     """
     if samples < 2:
         raise DomainError("export-plot needs samples >= 2")
@@ -770,50 +777,31 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
     check, s = _setup(check_id, params)
     if s.profiles and axis != "x":
         raise DomainError(f"check {check_id!r} sweeps x only")
-    primary = s.residuals[0]
+    sweep = Residual(("residual",), s.residuals[0].fn,
+                     per_x=s.residuals[0].per_x)
     a, b, clipped = _sweep_window(s.window) if axis == "x" \
         else (-1.0, 1.0, False)
-    coords = [_PLOT_NU, _PLOT_R, 0.0 if not all(map(math.isfinite, s.window))
-              else 0.5 * (s.window[0] + s.window[1])]
-    k = _AXIS_NAMES.index(axis)
-
-    def row(v, worst=None):
-        """The CSV line of the sample at v, or None where it is skipped;
-        `worst` is its residual cell when already evaluated."""
-        coords[k] = v
-        try:
-            cells = [f"{v:.12g}"]
-            if s.profiles:
-                h, F = s.profiles
-                cells.append("" if h is None else f"{h(v).value:.12g}")
-                cells.append(f"{F(v).value:.12g}")
-            if worst is None:
-                raw = primary.fn(v if primary.per_x else Point(*coords))
-                worst = float(np.max(np.abs(raw)))
-            cells.append(f"{worst:.12g}")
-        except EwhError:
-            if not check.skip:
-                raise
-            return None
-        return ",".join(cells)
-
-    def slice_rows(vs):
-        if primary.per_x:
-            return [row(v) for v in vs]
-        try:
-            raw = primary.fn(_sweep_batch(k, vs, coords))
-        except EwhError:
-            return [row(v) for v in vs]
-        # max |entry| per sample: the batch axis is last
-        worst = np.max(np.abs(np.asarray(raw, dtype=float)).reshape(
-            -1, len(vs)), axis=0)
-        return [row(v, w) for v, w in zip(vs, worst.tolist())]
-
     vs = [float(v) for v in np.linspace(a, b, samples)]
+    plane, xs = [[_PLOT_NU], [_PLOT_R]], vs
+    if axis != "x":
+        plane = [[_PLOT_NU] * samples, [_PLOT_R] * samples]
+        plane[_AXIS_NAMES.index(axis)] = vs
+        xs = [0.5 * sum(s.window) if all(map(math.isfinite, s.window))
+              else 0.0]
+    rows, cells = [], []
+    for xi, point_rows, x_rows in _rows((sweep,), *plane, xs, check.skip):
+        # the cells first: a per-x sweep's rows then read the slice's jets
+        if s.profiles:
+            cells += _profile_cells(s.profiles, xi, check.skip)
+        rows += point_rows + list(x_rows)
+    kept = np.array([row for row in rows if row is not None])
+    worst = iter(np.max(kept, axis=tuple(range(1, kept.ndim))).tolist())
     lines = ["x,h,F,residual" if s.profiles else f"{axis},residual"]
-    for i in range(0, samples, _PLANE_SLICE):
-        lines += [ln for ln in slice_rows(vs[i:i + _PLANE_SLICE])
-                  if ln is not None]
+    lines += [",".join([f"{v:.12g}", *c, f"{w:.12g}"])
+              for v, w, c in zip(vs, [None if row is None else next(worst)
+                                     for row in rows],
+                                 cells or [()] * samples)
+              if w is not None and c is not None]
     if clipped:
         lines.append("# window-clipped")
     return lines

@@ -402,7 +402,9 @@ def _mixed_columns(rng, n):
     return c
 
 
-@pytest.mark.parametrize("size", (1, 2, 3, 64, 65))
+# up to 4 columns a product loops over np.convolve, above it takes the
+# matmul recipe
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 64, 65))
 def test_batched_jet1_product_is_np_convolve_bit_for_bit(size):
     rng = np.random.default_rng(size)
     n = 20_000 // size * size + size  # over 20 000 columns in all

@@ -485,6 +485,23 @@ def test_field_at_an_array_is_the_stack_of_scalar_calls(name):
         assert np.array_equal(_bits(f(xs[k].item()).coeffs),
                               _bits(want[:, k]))
     assert len(runs) == 1
+    # repeated x, as in a slice of whole (nu, r) planes: the evaluator
+    # sees each distinct x once, in order of first appearance
+    pick = [3, 3, 150, 3, 0, 150, 199, 0, 150]
+    f = make()
+    runs = []
+    ev = f.evaluator
+    object.__setattr__(f, "evaluator", lambda x: runs.append(x) or ev(x))
+    got = f.at(xs[pick])
+    assert len(runs) == 1
+    assert runs[0].tolist() == xs[[3, 150, 0, 199]].tolist()
+    assert np.array_equal(_bits(got.coeffs), _bits(want[:, pick]))
+    # the memo answers a float call or a sub-array at the x it holds
+    assert np.array_equal(_bits(f(xs[150].item()).coeffs),
+                          _bits(want[:, 150]))
+    sub = f.at(xs[[199, 199, 3]])
+    assert np.array_equal(_bits(sub.coeffs), _bits(want[:, [199, 199, 3]]))
+    assert len(runs) == 1
 
 
 def _with(xs, k, x):

@@ -497,6 +497,24 @@ def test_export_plot_family_columns():
     assert float(row[3]) < 1e-12
 
 
+def test_family_sweep_drops_exactly_the_samples_whose_cells_fail():
+    # family:tanh's F = F_from_h divides by h, and h(0) = 0: the slice
+    # holding x = 0 reads its h and F cells sample by sample, and the
+    # check, which skips points, drops that sample alone; every other
+    # row holds the cells the float calls give
+    fam = report.build_family("tanh")
+    h, F = fam.field, report.F_from_h_field(fam.field, fam.c)
+    want = []
+    for x in np.linspace(-3.0, 3.0, 201).tolist():
+        try:
+            want.append(f"{x:.12g},{h(x).value:.12g},{F(x).value:.12g}")
+        except DomainError:
+            assert x == 0.0
+    lines = export_plot("family:tanh", samples=201)
+    assert len(want) == 200 and lines[0] == "x,h,F,residual"
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == want
+
+
 def test_export_plot_pde_axis_sweep():
     lines = export_plot("dkp", {}, axis="r", samples=40)
     assert lines[0] == "r,residual"
@@ -680,6 +698,27 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
                 assert [float(f"{x:.12g}") for x in n] == xs
 
 
+@pytest.mark.parametrize("check, params", [("chalf-Fode", {"h": "sin"}),
+                                           ("family:tanh", {})])
+def test_per_x_sweep_evaluates_each_profile_once_per_slice(monkeypatch,
+                                                           check, params):
+    # a sweep whose residual takes float x reads the slice's h and F cells
+    # first, so its per-x rows find every x in the memo
+    counts, setup = [], report._setup
+
+    def counting(*args):
+        c, s = setup(*args)
+        _count_evaluations(s, counts)
+        return c, s
+
+    monkeypatch.setattr(report, "_setup", counting)
+    export_plot(check, params, samples=200)
+    assert len(counts) == 2
+    for n in counts:
+        assert sum(n.values()) == len(n) == 200
+        assert n.runs == math.ceil(200 / report._PLANE_SLICE)
+
+
 def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
     counts = []
     _counted_tanh_profiles(monkeypatch, counts)
@@ -722,7 +761,9 @@ def test_profiles_are_called_at_float_x_only(monkeypatch):
         export_plot(check, params, samples=200)
     for check, params in _PLANE_CHECKS:
         run_check(check, params)
-    assert len(xs) > 2000
+    # the sweeps read every profile through `at`; run_check's per-x
+    # residuals make these calls
+    assert len(xs) > 1000
 
 
 def _plane(check, params, grid=GridSpec()):
@@ -792,7 +833,7 @@ def test_x_spanning_batch_equals_its_points_bit_for_bit(check, params):
 
 @pytest.mark.parametrize("check", ["thm1", "prop1-iff", "prop4",
                                    "hypercr-family"])
-def test_one_curvature_assembly_per_grid_x(monkeypatch, check):
+def test_one_curvature_assembly_per_slice(monkeypatch, check):
     batches, init = [], curvature._Assembly.__init__
 
     def counting(self, g_jets, batch=(), label=""):
@@ -802,8 +843,9 @@ def test_one_curvature_assembly_per_grid_x(monkeypatch, check):
     monkeypatch.setattr(curvature._Assembly, "__init__", counting)
     run_check(check)
     # one geometric residual each (EW, or Cotton for prop1-iff), built
-    # once per grid x over its 5 x 5 plane
-    assert batches == [(25,)] * 5
+    # once per slice: two 5 x 5 planes fit in 64 points, so the 5 grid x
+    # take three slices
+    assert batches == [(50,), (50,), (25,)]
 
 
 def _failing_setup(bad):
@@ -877,8 +919,17 @@ def test_reports_are_identical_across_plane_slices(monkeypatch, check,
 # export-plot sweeps as batches of samples
 
 
-def _batched_rows_only(*args):
-    raise SingularJetError("no batch: every slice goes sample by sample")
+def _point_by_point(monkeypatch):
+    """Make every PointBatch evaluation of the grid walker raise, so each
+    slice goes point by point."""
+
+    def values(group, q, values=report._values):
+        if isinstance(q, PointBatch):
+            raise SingularJetError("no batch: every slice goes point by "
+                                   "point")
+        return values(group, q)
+
+    monkeypatch.setattr(report, "_values", values)
 
 
 # every check with a per-point primary residual, along each axis it sweeps
@@ -902,8 +953,27 @@ def test_batched_export_plot_equals_the_per_sample_path(monkeypatch, check,
     # 150 samples: two full slices and a short one; the rational family's
     # sweep meets its pole at x = 0 and raises on both paths
     batched = _sweep_outcome(check, params, axis=axis, samples=150)
-    monkeypatch.setattr(report, "_sweep_batch", _batched_rows_only)
+    _point_by_point(monkeypatch)
     assert _sweep_outcome(check, params, axis=axis, samples=150) == batched
+
+
+@pytest.mark.parametrize("grid", ["default", "9x9", "2x2x40"])
+@pytest.mark.parametrize("check, params", _PLANE_CHECKS)
+def test_batched_run_check_equals_the_per_point_path(monkeypatch, check,
+                                                     params, grid):
+    # 9 x 9: slices of 64 and 17 points; 2 x 2 x 40: 16 planes of 4
+    # points per slice, over 40 x of the check's default x range
+    _, s = report._setup(check, params)
+    x_axis = GridSpec().resolve_x(s.window)
+    if s.narrow is not None:
+        x_axis = s.narrow(x_axis)
+    grid = {"default": GridSpec(),
+            "9x9": GridSpec(nu=(-1.0, 1.0, 9), r=(-1.0, 1.0, 9)),
+            "2x2x40": GridSpec(nu=(-1.0, 1.0, 2), r=(-1.0, 1.0, 2),
+                               x=x_axis[:2] + (40,))}[grid]
+    batched = run_check(check, params, grid=grid).to_json()
+    _point_by_point(monkeypatch)
+    assert run_check(check, params, grid=grid).to_json() == batched
 
 
 # sha256 of each sweep-1d CSV as `ewh export-plot` writes it, recorded
@@ -957,3 +1027,31 @@ def test_sweep_batch_error_is_that_of_the_first_failing_sample(monkeypatch):
     lines = export_plot("sampled", samples=150)
     assert lines == ["x,residual"] + [f"{v:.12g},1" for v in xs
                                       if v not in bad]
+
+
+def test_profile_cells_fail_as_their_float_calls(monkeypatch):
+    # a profile that fails at two samples of the second slice, beside a
+    # residual that never reads it: its cells alone decide the outcome
+    xs = [float(v) for v in np.linspace(-3.0, 3.0, 150)]
+    bad = {xs[100], xs[70]}
+
+    def ev(x):
+        for v in np.atleast_1d(x).tolist():
+            if v in bad:
+                raise DomainError(f"no profile at {v!r}")
+        return report.Jet1.variable(x)
+
+    h = ScalarField1D(ev, label="holes")
+    for skip in (False, True):
+        setup = report.Setup(
+            claim="", window=(-math.inf, math.inf), tolerance=1.0,
+            params={}, profiles=(h, h),
+            residuals=(report.Residual(("v",), lambda x: 0.0, per_x=True),))
+        monkeypatch.setitem(report.CHECKS, "holes",
+                            report.Check({}, lambda p: setup, skip=skip))
+        if not skip:
+            with pytest.raises(DomainError, match=f"at {xs[70]!r}"):
+                export_plot("holes", samples=150)
+            continue
+        assert export_plot("holes", samples=150) == ["x,h,F,residual"] + [
+            f"{v:.12g},{v:.12g},{v:.12g},0" for v in xs if v not in bad]
