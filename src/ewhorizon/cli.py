@@ -57,6 +57,8 @@ def _parse_grid(text: str) -> GridSpec:
         axis = axis.strip()
         if axis not in ("nu", "r", "x"):
             raise _UsageError(f"unknown grid axis {axis!r}")
+        if axis in kwargs:
+            raise _UsageError(f"grid axis {axis!r} given twice")
         parts = spec.split(":")
         if len(parts) != 3:
             raise _UsageError(f"bad grid spec {spec!r}; "

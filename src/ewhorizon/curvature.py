@@ -7,10 +7,11 @@ Cotton, the trace-free Einstein-Weyl residual) is assembled from those
 numeric partials with plain numpy contractions.
 
 Every function takes either one Point or a PointBatch of B points, at
-one x or each at its own.  A batch is assembled in one pass, with a
-batch index on every contraction, and its results carry a trailing
-batch axis: a (3, 3) tensor at a Point is (3, 3, B) over a batch,
-column k equal bit for bit to the tensor at point k.  `report` assembles
+one x or each at its own, and assembles in one layout: a leading batch
+axis on every array and every contraction, with a Point a batch of one.
+Over a batch, results carry a trailing batch axis: a (3, 3) tensor at a
+Point is (3, 3, B) over a batch, column k equal bit for bit to the
+tensor at point k; a Point gets its one column.  `report` assembles
 once per slice: three times (50, 50, 25 points) on the default grid.
 
 Conventions, fixed once and validated end-to-end by the closed-form
@@ -86,43 +87,45 @@ class CurvaturePack:
 
 
 def _batch_shape(p):
-    """() for a Point, (B,) for a PointBatch of B points."""
-    return (p.size,) if isinstance(p, PointBatch) else ()
+    """(B,) for a PointBatch of B points, (1,) for a Point."""
+    return (p.size,) if isinstance(p, PointBatch) else (1,)
 
 
 def _coeffs(jets, shape, batch):
     """Taylor coefficients of `jets`, a flat list in the C order of
-    `shape`, as one (N3, *shape, *batch) array; over a batch, x-only
-    (unbatched) jets are repeated for every point."""
-    c = [j.coeffs for j in jets]
-    if batch:
-        c = np.broadcast_arrays(*[a if a.ndim > 1 else a[:, None] for a in c])
+    `shape`, as one (N3, *shape, *batch) array; unbatched jets (a
+    Point's, or x-only ones over a batch) are repeated for every point."""
+    c = np.broadcast_arrays(*[j.coeffs if j.coeffs.ndim > 1
+                              else j.coeffs[:, None] for j in jets])
     c = np.array(c).reshape(shape + (-1,) + batch)
     k = len(shape)
     return c.transpose((k,) + tuple(range(k)) + tuple(range(k + 1, c.ndim)))
 
 
-def _partials(coeffs, order, batch):
+def _partials(coeffs, order):
     """stacked_partials of `coeffs`, with the batch axis moved first and
-    C-ordered.  Each point's slab then has the layout it has for a
-    single Point, and the einsums below sum it in the same order (the
-    tests check this bit for bit; _sum_bd is the one exception)."""
-    out = stacked_partials(coeffs, order)
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0)) if batch else out
+    C-ordered.  Each point's slab then has one layout, and the einsums
+    below sum it in one order whatever the batch size (the tests check
+    this bit for bit; _sum_bd is the one exception)."""
+    return np.ascontiguousarray(np.moveaxis(stacked_partials(coeffs, order),
+                                            -1, 0))
 
 
-def _trailing(a, batch):
-    """An array with its leading batch axis moved last (the layout of
-    batched jets and residuals)."""
-    return np.moveaxis(a, 0, -1) if batch else a
+def _result(a, p):
+    """Per-point values, batch axis first, as p takes them: the batch
+    axis moved last over a PointBatch (the layout of batched jets and
+    residuals), the one point's value at a Point (a float for R)."""
+    if isinstance(p, PointBatch):
+        return np.moveaxis(a, 0, -1)
+    return a[0] if a.ndim > 1 else float(a[0])
 
 
 def _sum_bd(u, v):
     """sum_b sum_d u[..., b, d] v[..., b, d], each inner sum over d
-    taken first.  That is the order np.einsum takes for one point when
-    u and v lay (b, d) out in opposite orders (the Ricci arrays are
-    transposed); over a batch np.einsum may take another, so it is
-    written out."""
+    taken first.  That is the order np.einsum takes for one unbatched
+    pair laid out (b, d) in opposite orders (the Ricci arrays are
+    transposed), in which the pinned per-point bits were computed; with
+    a batch axis np.einsum may take another, so it is written out."""
     w = u * v
     s = w[..., 0] + w[..., 1] + w[..., 2]
     return s[..., 0] + s[..., 1] + s[..., 2]
@@ -131,26 +134,25 @@ def _sum_bd(u, v):
 class _Assembly:
     """Partial-derivative arrays of one metric evaluation, with curvature.
 
-    Every array carries the batch axis first (none for a single Point),
+    Every array carries the batch axis first (length 1 for a Point),
     and every einsum runs over it with '...'.
     """
 
     __slots__ = ("batch", "g0", "g1", "g2", "ginv0", "ginv1", "s0", "s1",
                  "gamma0", "gamma1", "ric0", "scal0", "p0", "_coeffs")
 
-    def __init__(self, g_jets, batch=(), label=""):
+    def __init__(self, g_jets, batch, label=""):
         self.batch = batch
         # gN[..., d1..dN, a, b] is d_d1 ... d_dN g_ab
         self._coeffs = _coeffs([g for row in g_jets for g in row], (3, 3),
                                batch)
-        self.g0 = _partials(self._coeffs, 0, batch)
-        det = np.linalg.det(self.g0)
-        for d in det.tolist() if batch else (det,):
+        self.g0 = _partials(self._coeffs, 0)
+        for d in np.linalg.det(self.g0).tolist():
             if abs(d) <= _DET_FLOOR:
                 raise DegenerateMetricError(
                     f"metric {label!r} degenerate: |det g| = {abs(d)!r}")
-        self.g1 = _partials(self._coeffs, 1, batch)
-        self.g2 = _partials(self._coeffs, 2, batch)
+        self.g1 = _partials(self._coeffs, 1)
+        self.g2 = _partials(self._coeffs, 2)
         self.ginv0 = np.linalg.inv(self.g0)
         self.ginv1 = -np.einsum("...ae,...deh,...hb->...dab", self.ginv0,
                                 self.g1, self.ginv0)
@@ -173,18 +175,12 @@ class _Assembly:
                                  self.gamma0)
                      - np.einsum("...ade,...eab->...bd", self.gamma0,
                                  self.gamma0))
-        scal0 = np.einsum("...bd,...bd->...", self.ginv0, self.ric0)
-        self.scal0 = scal0 if batch else float(scal0)
-        self.p0 = self.ric0 - 0.25 * self._per_point(self.scal0) * self.g0
-
-    def _per_point(self, v, rank=2):
-        """A per-point number, shaped to scale the point's rank-`rank`
-        tensors."""
-        return v.reshape(v.shape + (1,) * rank) if self.batch else v
+        self.scal0 = np.einsum("...bd,...bd->...", self.ginv0, self.ric0)
+        self.p0 = self.ric0 - 0.25 * self.scal0[:, None, None] * self.g0
 
     def cotton(self):
         """C_abc; needs third metric partials, extracted on demand."""
-        g3 = _partials(self._coeffs, 3, self.batch)
+        g3 = _partials(self._coeffs, 3)
         ginv2 = -(np.einsum("...cae,...deh,...hb->...cdab", self.ginv1,
                             self.g1, self.ginv0)
                   + np.einsum("...ae,...cdeh,...hb->...cdab", self.ginv0,
@@ -213,7 +209,7 @@ class _Assembly:
         scal1 = (_sum_bd(self.ginv1, self.ric0[..., None, :, :])
                  + _sum_bd(self.ginv0[..., None, :, :], ric1))
         p1 = (ric1 - 0.25 * np.einsum("...c,...ab->...cab", scal1, self.g0)
-              - 0.25 * self._per_point(self.scal0, 3) * self.g1)
+              - 0.25 * self.scal0[:, None, None, None] * self.g1)
 
         return (np.einsum("...cab->...abc", p1)
                 - np.einsum("...bac->...abc", p1)
@@ -227,37 +223,35 @@ def _assemble(g: MetricField, p) -> _Assembly:
 
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Gamma^a_bc of g at p, shape (3,3,3), symmetric in (b,c)."""
-    asm = _assemble(g, p)
-    return _trailing(asm.gamma0, asm.batch)
+    return _result(_assemble(g, p).gamma0, p)
 
 
 def ricci_scalar_schouten(g: MetricField, p):
     """(R_ab, R, P_ab) of g at p."""
     asm = _assemble(g, p)
-    return (_trailing(asm.ric0, asm.batch), asm.scal0,
-            _trailing(asm.p0, asm.batch))
+    return (_result(asm.ric0, p), _result(asm.scal0, p),
+            _result(asm.p0, p))
 
 
 def cotton(g: MetricField, p) -> np.ndarray:
     """Cotton tensor C_abc = nabla_c P_ab - nabla_b P_ac at p."""
-    asm = _assemble(g, p)
-    return _trailing(asm.cotton(), asm.batch)
+    return _result(_assemble(g, p).cotton(), p)
 
 
 def curvature_pack(g: MetricField, p) -> CurvaturePack:
     """Every curvature quantity of g at p in one evaluation."""
     asm = _assemble(g, p)
-    b = asm.batch
-    return CurvaturePack(christoffel=_trailing(asm.gamma0, b),
-                         ricci=_trailing(asm.ric0, b), scalar=asm.scal0,
-                         schouten=_trailing(asm.p0, b),
-                         cotton=_trailing(asm.cotton(), b))
+    return CurvaturePack(christoffel=_result(asm.gamma0, p),
+                         ricci=_result(asm.ric0, p),
+                         scalar=_result(asm.scal0, p),
+                         schouten=_result(asm.p0, p),
+                         cotton=_result(asm.cotton(), p))
 
 
 def _oneform_partials(x_jets, batch):
     coeffs = _coeffs(x_jets, (3,), batch)
     # x1[..., a, b] = d_a X_b
-    return _partials(coeffs, 0, batch), _partials(coeffs, 1, batch)
+    return _partials(coeffs, 0), _partials(coeffs, 1)
 
 
 def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
@@ -273,14 +267,13 @@ def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
               - np.einsum("...eab,...e->...ab", asm.gamma0, x0))
     t = covsym + x0[..., :, None] * x0[..., None, :] + asm.p0
     trace = np.einsum("...ab,...ab->...", asm.ginv0, t)
-    return _trailing(t - asm._per_point(trace / 3.0) * asm.g0, asm.batch)
+    return _result(t - (trace / 3.0)[:, None, None] * asm.g0, p)
 
 
 def faraday(X: OneFormField, p) -> np.ndarray:
     """(dX)_ab = d_a X_b - d_b X_a at p, antisymmetric 3x3."""
-    batch = _batch_shape(p)
-    _, x1 = _oneform_partials(X.jets(p), batch)
-    return _trailing(x1 - x1.swapaxes(-1, -2), batch)
+    _, x1 = _oneform_partials(X.jets(p), _batch_shape(p))
+    return _result(x1 - x1.swapaxes(-1, -2), p)
 
 
 def conformal_rescale(g: MetricField, X: OneFormField, ln_omega):

@@ -17,7 +17,8 @@ x carries a trailing batch axis too (shape (5, B)); or the points share
 one x, and then a jet of x alone stays unbatched and broadcasts.  Every
 column is computed with the same floating-point operations, in the same
 order, as the jet at that single point, so a batch equals the stack of
-its points bit for bit.
+its points bit for bit.  The Jet3 product and `d` take one batched form,
+a Point's jet being a batch of one to them.
 
 A Jet1 has coefficients of shape (5,) at one x or (5, B) at B of them.
 The scalar Jet1 product is `np.convolve`; the batched one reproduces it
@@ -609,13 +610,11 @@ class Jet3(_JetBase):
     @staticmethod
     def _mul_coeffs(a, b):
         # np.bincount adds each bin's weights in table order, so a batch
-        # column sums exactly as the single jet does
+        # column sums exactly as the single jet (a batch of one) does
         p = a[_MUL_A] * b[_MUL_B]
-        if p.ndim == 1:
-            return np.bincount(_MUL_T, weights=p, minlength=N3)
-        batch = p.shape[1]
+        batch = p[0].size
         return np.bincount(_mul_targets(batch), weights=p.ravel(),
-                           minlength=N3 * batch).reshape(N3, batch)
+                           minlength=N3 * batch).reshape((N3,) + p.shape[1:])
 
     def partial(self, i, j=None, k=None):
         """Partial derivative value for the multi-index (i, j, k): a
@@ -632,8 +631,8 @@ class Jet3(_JetBase):
         information and are set to 0; lower orders are exact.
         """
         c = self.coeffs
-        fac = _D_FAC[axis] if c.ndim == 1 else _D_FAC[axis][:, None]
-        return Jet3._raw(c[_D_SRC[axis]] * fac)
+        return Jet3._raw(c[_D_SRC[axis]]
+                         * _along_orders(_D_FAC[axis], c.ndim))
 
 
 # Finite-difference oracle.  Central stencils of O(step^2) accuracy with one

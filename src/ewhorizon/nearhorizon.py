@@ -63,10 +63,11 @@ class ScalarField1D:
     set, maps (x0, x1) to the exact definite integral.
 
     A call takes one float x; `at` also an array of x, one per point of
-    a PointBatch.  The field keeps its last evaluation, at one x or at
-    an array's distinct x, and answers from it a float call at any x it
-    holds, or an array whose x it all holds, so every residual at one x
-    shares one evaluation.  Returned jets are shared and read-only.
+    a PointBatch.  One memo serves both: the last evaluation as one
+    (5, n) jet with the column of each x it holds, and the last query
+    with its jet.  A query whose x it all holds is answered from it (the
+    same array by identity), so every residual at one x shares one
+    evaluation.  Returned jets are shared and read-only.
     """
 
     evaluator: object
@@ -74,25 +75,26 @@ class ScalarField1D:
     period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
-    # [x, jet, None], or [distinct xs, batched jet, {x: column}]
-    _last: list = _dcfield(default_factory=lambda: [None, None, None],
+    # [{x: column}, the (5, n) jet, the last query, its jet]
+    _memo: list = _dcfield(default_factory=lambda: [{}, None, None, None],
                            init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Jet1:
-        key, jet, columns = self._last
-        if columns is None:
-            if x == key:
-                return jet
-        elif x in columns:
-            return Jet1._raw(jet.coeffs[:, columns[x]])
-        lo, hi = self.window
-        if not lo <= x <= hi:
-            raise WindowError(
-                f"x={x!r} outside window [{lo!r}, {hi!r}] of field "
-                f"{self.label!r}")
-        jet = self.evaluator(x)
-        jet.coeffs.flags.writeable = False
-        self._last[:] = x, jet, None
+        columns, held, key, jet = self._memo
+        if x is key or type(key) is float and x == key:  # the last query
+            return jet
+        if x in columns:
+            jet = Jet1._raw(held.coeffs[:, columns[x]])  # a read-only view
+        else:
+            lo, hi = self.window
+            if not lo <= x <= hi:
+                raise WindowError(
+                    f"x={x!r} outside window [{lo!r}, {hi!r}] of field "
+                    f"{self.label!r}")
+            jet = self.evaluator(x)
+            jet.coeffs.flags.writeable = False
+            columns, held = {x: 0}, Jet1._raw(jet.coeffs[:, None])
+        self._memo[:] = columns, held, x, jet
         return jet
 
     def at(self, x) -> Jet1:
@@ -103,35 +105,33 @@ class ScalarField1D:
         the window), so the error raised is that of the first failing x."""
         if not isinstance(x, np.ndarray):
             return self(x)
-        key, jet, columns = self._last
+        columns, held, key, jet = self._memo
         if x is key:
             return jet
         xs = x.tolist()
-        if columns is None or not columns.keys() >= set(xs):
+        if not columns.keys() >= set(xs):
             distinct = list(dict.fromkeys(xs))
-            key = x if len(distinct) == len(xs) else np.array(distinct)
+            xd = x if len(distinct) == len(xs) else np.array(distinct)
             lo, hi = self.window
-            jet = None
-            if np.all((lo <= key) & (key <= hi)):
+            held = None
+            if np.all((lo <= xd) & (xd <= hi)):
                 try:
-                    jet = self.evaluator(key)
+                    held = self.evaluator(xd)
                 except EwhError:
                     pass
-            if jet is None:
-                jet = per_x(self, key)
-            elif jet.coeffs.shape != (5, len(distinct)):
+            if held is None:
+                held = per_x(self, xd)
+            elif held.coeffs.shape != (5, len(distinct)):
                 raise ValueError(
                     f"evaluator of field {self.label!r} gave jets of shape "
-                    f"{jet.coeffs.shape} at {len(distinct)} x")
-            jet.coeffs.flags.writeable = False
+                    f"{held.coeffs.shape} at {len(distinct)} x")
+            held.coeffs.flags.writeable = False
             columns = {v: k for k, v in enumerate(distinct)}
-            self._last[:] = key, jet, columns
-            if key is x:
-                return jet
-        idx = [columns[v] for v in xs]
-        if idx != list(range(len(key))):  # not the memo's own x, in order
-            jet = Jet1._raw(jet.coeffs[:, idx])
+        jet = held
+        if xs != list(columns):  # not the memo's own x, in order
+            jet = Jet1._raw(held.coeffs[:, [columns[v] for v in xs]])
             jet.coeffs.flags.writeable = False
+        self._memo[:] = columns, held, x, jet
         return jet
 
 

@@ -504,6 +504,28 @@ def test_field_at_an_array_is_the_stack_of_scalar_calls(name):
     assert len(runs) == 1
 
 
+@pytest.mark.parametrize("name", ["family:TanhHyperCR", "F_from_h:NumericODE",
+                                  "thm1:sin", "dkp-wp"])
+def test_repeated_array_is_answered_by_identity(name):
+    # a slice's x repeats each grid x once per (nu, r) point; asked for
+    # the same array again, the field returns the same jet, evaluated once
+    make = _BATCH_FIELDS[name][0]
+    xs = _sweep_xs(name)[[5, 5, 90, 5, 90, 140, 140, 5]]
+    f, runs = make(), []
+    ev = f.evaluator
+    object.__setattr__(f, "evaluator", lambda x: runs.append(x) or ev(x))
+    got = f.at(xs)
+    assert f.at(xs) is got
+    assert len(runs) == 1
+    for k in (0, 2, 5):  # a later float call: the same bits, no evaluation
+        assert np.array_equal(_bits(f(xs[k].item()).coeffs),
+                              _bits(got.coeffs[:, k]))
+    assert len(runs) == 1
+    assert np.array_equal(_bits(got.coeffs),
+                          _bits(np.stack([make()(x).coeffs
+                                          for x in xs.tolist()], axis=1)))
+
+
 def _with(xs, k, x):
     """xs with x inserted before position k."""
     return np.insert(xs, k, x)

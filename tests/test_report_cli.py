@@ -19,7 +19,7 @@ import pytest
 
 from ewhorizon import cli, curvature, odesolve, pdeverify, report
 from ewhorizon.errors import DomainError, EwhError, SingularJetError
-from ewhorizon.jets import PointBatch
+from ewhorizon.jets import Point, PointBatch
 from ewhorizon.nearhorizon import ScalarField1D, ode4_monomials
 from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
@@ -232,6 +232,8 @@ def test_cli_verify_expected_fail(capsys):
      "numeric", "--x0", "0.5", "--span", "1"],
     # F = exp(x^2/2) overflows a float there: an error, not a traceback
     ["verify", "prop1-iff", "--h", "linear", "--grid", "x=40:45:5"],
+    # an axis given twice: neither spec is silently dropped
+    ["verify", "thm1", "--grid", "nu=0:1:3,nu=0:2:3"],
 ])
 def test_cli_usage_errors(capsys, argv):
     code, _, err = run_cli(argv, capsys)
@@ -806,6 +808,49 @@ def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# sha256 of every per-point residual of a check, shape and bits, at 7 x of
+# its default axis times 6 seeded (nu, r), recorded from a scalar per-Point
+# assembly: these stored values are its reference now that a Point is
+# assembled as a batch of one
+_POINT_DIGESTS = [
+    "ef8b693551f24437acc3b80aabdde25683dc3c9489a8b3ca72236e9dd35d1da1",
+    "3ad23cf4ea0f864b6a99d2f40cdf291c10d8e396481581cdda9a5347505863eb",
+    "3de795fd874e3d7b34bf44fb05580fd9f921deed77a1900fd04cd935e2ad22ac",
+    "6da2b91f53b4e3e0578d7a9c256880c9b35d9afbccd2c55405acabfdb0bc1361",
+    "9af8df8cfa488e82fd46ccf42a16b77f26b45f9aeecbb8a7e10bd651fc5112c3",
+    "96818e724abbc8b1b7451662f81029d06132413463081ea3d48c0d60da41886c",
+    "7cc3702d3b2c58e60f5aef050d8a8cd6a41513d4c78c8d0d71cf236d2fb49771",
+    "c080ded8e828cb6a831deb9c11e622b7ac6f606bb4c661bf646ca7f33ff4e54c",
+    "09b8d5db2e2cbe6cb91da5dd4ab4ffaa62ed95cf5749e72b332e074967731eb0",
+    "1e4a17312513d0275acf63b42b02befe28d4132dbe440751a463f6ca5fe54551",
+    "138a01fd393311c4cebdfee36920c51777159194534f28af4631328920c59271",
+    "0b0002c3f07a34cb81d6701acdefe94cca7870ffdb9726d484019d278ca77232",
+    "27e283e7345a46a26b2310e7e3ab2075b2631231d0fda22d32e9ead33732c304",
+    "630cc86333307d9fa7115116e60493fa51ae9a6987ab0c7c4fbd69c58b509e3b",
+]
+
+
+@pytest.mark.parametrize("check, params, digest",
+                         [(*c, d) for c, d in zip(_PLANE_CHECKS,
+                                                  _POINT_DIGESTS)])
+def test_per_point_residual_bits_are_pinned(check, params, digest):
+    _, s = report._setup(check, params)
+    x_axis = GridSpec().resolve_x(s.window)
+    if s.narrow is not None:
+        x_axis = s.narrow(x_axis)
+    nu_r = np.random.default_rng(16).uniform(-1.2, 1.2, (6, 2)).tolist()
+    h = hashlib.sha256()
+    for r in s.residuals:
+        if r.per_x:
+            continue
+        for x in np.linspace(x_axis[0], x_axis[1], 7).tolist():
+            for nu, rr in nu_r:
+                v = np.asarray(r.fn(Point(nu, rr, x)), dtype=float)
+                h.update(repr(v.shape).encode())
+                h.update(v.tobytes())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("check, params", _PLANE_CHECKS)
 def test_x_spanning_batch_equals_its_points_bit_for_bit(check, params):
     # 7 distinct x of the check's default axis, some repeated, each with
@@ -836,7 +881,7 @@ def test_x_spanning_batch_equals_its_points_bit_for_bit(check, params):
 def test_one_curvature_assembly_per_slice(monkeypatch, check):
     batches, init = [], curvature._Assembly.__init__
 
-    def counting(self, g_jets, batch=(), label=""):
+    def counting(self, g_jets, batch, label=""):
         batches.append(batch)
         init(self, g_jets, batch, label)
 
@@ -846,6 +891,13 @@ def test_one_curvature_assembly_per_slice(monkeypatch, check):
     # once per slice: two 5 x 5 planes fit in 64 points, so the 5 grid x
     # take three slices
     assert batches == [(50,), (50,), (25,)]
+    # and a Point (the fallback of a failing slice) as a batch of one
+    s, plane = _plane(check, {})
+    batches.clear()
+    for r in s.residuals:
+        if not r.per_x:
+            r.fn(plane.points()[7])
+    assert batches == [(1,)]
 
 
 def _failing_setup(bad):
