@@ -445,6 +445,16 @@ def ode2_jet(value: float, slope: float, alpha: float, beta: float) -> Jet1:
     return Jet1.from_derivatives([h0, h1, h2, h3, h4])
 
 
+def _ode2_rhs(alpha: float, beta: float):
+    """The rhs of h'' = alpha h h' + beta h^3 as the system in (h, h'),
+    for `integrate`: Python floats, with the bits of numpy's scalar form."""
+    def rhs(x, y):
+        h, dh = y
+        return dh, alpha * h * dh + beta * h ** 3
+
+    return rhs
+
+
 # --------------------------------------------------------------------------
 # Abel equation and its parametric solution
 # --------------------------------------------------------------------------
@@ -848,14 +858,11 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
 def _family_numeric(alpha, c, x0, h0, h1, span):
     beta = reduction_consistency(alpha, c)
 
-    def rhs(x, y):
-        return np.array([y[1], alpha * y[0] * y[1] + beta * y[0] ** 3])
-
     def guard(x, y):
         return abs(y[0]) < 1e6 and abs(y[1]) < 1e8
 
-    spec = IvpSpec(dim=2, rhs=rhs, x0=x0, y0=[h0, h1], guard=guard,
-                   rtol=1e-11, atol=1e-12)
+    spec = IvpSpec(dim=2, rhs=_ode2_rhs(alpha, beta), x0=x0, y0=[h0, h1],
+                   guard=guard, rtol=1e-11, atol=1e-12)
     fwd = integrate(spec, x0 + span)
     bwd = integrate(spec, x0 - span)
 

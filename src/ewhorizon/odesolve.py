@@ -7,12 +7,16 @@ predicate stops the integration cleanly ahead of singular loci (the
 solved-for forms divide by powers of the solution).
 
 Its step is the plain numpy form of the method, bit for bit, at fewer
-numpy calls: the tableau sums (stages, solution, error estimate and
-dense-output coefficients) are BLAS `ndarray.dot` calls, and the error
-norm with its scale atol + rtol * max(|y|, |y_new|) runs in Python
-floats in numpy's order, each product and sum rounded on its own and a
-NaN on either side of the max kept, as np.maximum keeps it.  A float
-sum of the tableau rows would round differently, so those stay in BLAS.
+numpy calls.  The tableau sums (stages, solution, error estimate and
+dense-output coefficients) are BLAS `ndarray.dot` calls over the (7, dim)
+array of stage slopes; a float sum of the tableau rows would round
+differently, so those stay in BLAS.  Everything else runs in Python
+floats: the state y, each stage point and the new solution are lists of
+floats, and a stage point y + hs * d is `a + hs * b` per entry, the same
+two roundings numpy's `y + hs * d` makes, since a float product and sum
+round on their own as a ufunc does.  The error norm with its scale
+atol + rtol * max(|y|, |y_new|) runs in numpy's order, a NaN on either
+side of the max kept, as np.maximum keeps it.
 
 `quad` is adaptive Gauss-Kronrod (G7, K15) with deterministic bisection.
 """
@@ -78,10 +82,17 @@ _FLOOR_PACE = 0.1
 
 @dataclass
 class IvpSpec:
-    """An initial value problem y' = rhs(x, y) with solver settings."""
+    """An initial value problem y' = rhs(x, y) with solver settings.
+
+    `rhs(x, y)` receives y as a list of dim Python floats and returns a
+    sequence of dim floats (a tuple, a list or an array): the step loop
+    holds its states as floats, so an rhs that unpacks y and does float
+    arithmetic avoids numpy's per-call cost, with numpy scalars' bits.
+    `guard(x, y)` receives the same list and returns False to stop.
+    """
 
     dim: int
-    rhs: object  # callable (x, y: ndarray) -> ndarray
+    rhs: object  # callable (x, y: list of floats) -> sequence of floats
     x0: float
     y0: object  # array-like, length dim
     rtol: float = 1e-10
@@ -111,7 +122,7 @@ class Trajectory:
     ys: np.ndarray
     status: str
     reason: str = ""
-    _segs: list = field(default_factory=list, repr=False)  # (x0, h, y0, Q) per step
+    _segs: list = field(default_factory=list, repr=False)  # (x0, h, Q) per step
 
     def __post_init__(self):
         # Ascending search keys for the knots: a backward trajectory
@@ -139,10 +150,10 @@ class Trajectory:
         # Find the step whose interval contains x (knots are monotone).
         idx = bisect_left(self._keys, x if self._ascending else -x)
         idx = min(max(idx - 1, 0), len(self._segs) - 1)
-        x0, h, y0, q = self._segs[idx]
+        x0, h, q = self._segs[idx]  # the step from knot idx
         t = (x - x0) / h
         tv = np.array([t, t * t, t**3, t**4])
-        return y0 + h * q.dot(tv)
+        return self.ys[idx] + h * q.dot(tv)
 
 
 def _rms_norm(e, scale):
@@ -165,7 +176,7 @@ def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
         raise StiffnessError(
             f"no starting step at x={x0!r}: slope norm {d1!r}")
     y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(rhs(x0 + h0 * direction, y1), dtype=float)
+    f1 = np.asarray(rhs(x0 + h0 * direction, y1.tolist()), dtype=float)
     d2 = _rms_norm(f1 - f0, scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -181,12 +192,16 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     resolution floor, when the starting slope is too steep for any
     starting step, after _MAX_STEPS attempted steps, or earlier when its
     pace falls below the progress floor; a failing guard
-    instead ends the trajectory early with status "guard".
+    instead ends the trajectory early with status "guard".  A step
+    whose error estimate is not finite (a NaN or an overflow in the rhs)
+    is rejected like any other, since a smaller one may avoid it; if the
+    step size then underflows, the error names the component and the
+    step where the estimate first went non-finite.
     """
     rhs, guard, max_step = spec.rhs, spec.guard, spec.max_step
     atol, rtol = spec.atol, spec.rtol
     x = x0 = float(spec.x0)
-    y = spec.y0.copy()
+    y = spec.y0.tolist()
     span = x_end - x
     if span == 0.0:
         return Trajectory(np.array([x]), np.array([y]), "ok")
@@ -195,22 +210,22 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
         return Trajectory(np.array([x]), np.array([y]), "guard",
                           reason="guard failed at the initial point")
 
-    f = np.asarray(rhs(x, y), dtype=float)
-    h = _initial_step(rhs, x, y, f, direction, rtol, atol,
+    k = np.empty((7, spec.dim))
+    k[0] = rhs(x, y)  # FSAL: row 0 always holds rhs at the current point
+    h = _initial_step(rhs, x, spec.y0, k[0], direction, rtol, atol,
                       min(max_step, abs(span)))
     h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
 
     xs = [x]
-    ys = [y.copy()]
+    ys = y[:]  # the knots' entries, one after another
     segs = []
     err_prev = 1.0
-    k = np.empty((7, spec.dim))
-    k[0] = f  # FSAL: row 0 always holds rhs at the current point
     k_heads = [k[:i].T for i in range(7)]
     k_t = k.T
-    y_abs = [abs(v) for v in y.tolist()]
+    y_abs = [abs(v) for v in y]
     status, reason = "ok", ""
     attempts = 0
+    nonfinite = ""  # names the first non-finite estimate since the last knot
 
     while (x_end - x) * direction > 0:
         if attempts == _MAX_STEPS:
@@ -225,16 +240,19 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
         attempts += 1
         h = min(h, abs(x_end - x))
         if not h >= h_floor:  # a NaN step fails this too
-            raise StiffnessError(
-                f"step size underflow at x={x!r} (h={h!r}); problem too stiff")
+            raise StiffnessError(f"step size underflow at x={x!r} (h={h!r})"
+                                 + (nonfinite or "; problem too stiff"))
         hs = h * direction
+        # y + hs * (k^T a) in floats: the same two roundings per entry
         for i, row, c in _STAGES:
-            k[i] = rhs(x + c * hs, y + hs * k_heads[i].dot(row))
-        y_new = y + hs * k_heads[6].dot(_B_ROW)
+            k[i] = rhs(x + c * hs, [a + hs * b for a, b in
+                                    zip(y, k_heads[i].dot(row).tolist())])
+        y_new = [a + hs * b for a, b in
+                 zip(y, k_heads[6].dot(_B_ROW).tolist())]
         k[6] = rhs(x + hs, y_new)
         # _rms_norm of the error against atol + rtol * max(|y|, |y_new|),
         # in floats; the max keeps a NaN from either side, as np.maximum.
-        new_abs = [abs(v) for v in y_new.tolist()]
+        new_abs = [abs(v) for v in y_new]
         total = 0.0
         for a, b, e in zip(y_abs, new_abs, k_t.dot(_E).tolist()):
             q = hs * e / (atol + rtol * (a if a >= b or a != a else b))
@@ -249,21 +267,39 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
                     break
                 h *= 0.5
                 continue
-            # y and y_new are never written in place, so knots and
-            # segments can hold them without copies.
-            segs.append((x, hs, y, k_t.dot(_P)))
+            segs.append((x, hs, k_t.dot(_P)))
             x += hs
             y, y_abs = y_new, new_abs
             k[0] = k[6]  # FSAL: the last stage is rhs at the new point
             xs.append(x)
-            ys.append(y)
+            ys += y
+            nonfinite = ""
             factor = _SAFETY * (err + 1e-300) ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             err_prev = max(err, 1e-10)
             h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
         else:
+            if not nonfinite and not err < math.inf:
+                i = _first_nonfinite(y_abs, new_abs, k_t.dot(_E), hs, atol,
+                                     rtol)
+                nonfinite = (f": component {i} of the error estimate first "
+                             f"went non-finite on the step of h={hs!r} from "
+                             f"x={x!r}")
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP))
 
-    return Trajectory(np.asarray(xs), np.asarray(ys), status, reason, segs)
+    return Trajectory(np.array(xs), np.array(ys).reshape(-1, spec.dim),
+                      status, reason, segs)
+
+
+def _first_nonfinite(y_abs, new_abs, e, hs, atol, rtol):
+    """The component at which the error norm's running sum of squares
+    first stops being finite, summed as `integrate` sums it."""
+    total = 0.0
+    for i, (a, b, v) in enumerate(zip(y_abs, new_abs, e.tolist())):
+        q = hs * v / (atol + rtol * (a if a >= b or a != a else b))
+        total += q * q
+        if not total < math.inf:
+            break
+    return i
 
 
 # --- adaptive Gauss-Kronrod quadrature --------------------------------------

@@ -117,9 +117,13 @@ def _nonzero_x_interval(h: ScalarField1D, base: tuple) -> tuple:
     """Longest contiguous sub-interval of `base` with |h| > 1e-3,
     shrunk 10 percent per side; used where F = (...)/2h divides by h."""
     lo, hi, n = base
-    xs = np.linspace(lo, hi, 201).tolist()
-    good = [bool(_skipping(lambda x: abs(h(x).value) > 1e-3, x, True))
-            for x in xs]
+    grid = np.linspace(lo, hi, 201)
+    xs = grid.tolist()
+    try:
+        good = (np.abs(h.at(grid).value) > 1e-3).tolist()
+    except EwhError:  # x by x: an x that raises is not good
+        good = [bool(_skipping(lambda x: abs(h(x).value) > 1e-3, x, True))
+                for x in xs]
     best, start = (0, 0), 0  # first longest run of good samples
     for i, g in enumerate(good + [False]):
         if not g:
@@ -604,17 +608,17 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
 def _quartic_rhs_factory(c):
     def rhs(x, y):
         # Python floats: the same bits as numpy scalars, at half the cost
-        h0, h1, h2, h3 = y.tolist()
+        h0, h1, h2, h3 = y
         m1, m2, m3, m4, m5, m6, m7 = ode4_monomials(h0, h1, h2, h3, c)
         top = m1 + m2 + m3 + m4 + m5 + m6 + m7  # left to right
-        return np.array([h1, h2, h3, 4.0 * top / (h0 * h0)])
+        return h1, h2, h3, 4.0 * top / (h0 * h0)
 
     return rhs
 
 
 def _quartic_jet(y, c):
-    h4 = float(_quartic_rhs_factory(c)(0.0, y)[3])
-    return Jet1.from_derivatives([y[0], y[1], y[2], y[3], h4])
+    y = y.tolist()
+    return Jet1.from_derivatives([*y, _quartic_rhs_factory(c)(0.0, y)[3]])
 
 
 def _knot_return(traj):

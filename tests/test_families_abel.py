@@ -160,6 +160,18 @@ def test_numeric_family_records_guard_stops():
     assert abs(ode4_residual(fam.field(0.5 * hi), fam.c)) < 1e-8
 
 
+def test_numeric_rhs_is_the_numpy_scalar_form_bit_for_bit():
+    # the numeric family's rhs multiplies Python floats; it must keep the
+    # exact bits of the numpy-scalar form it replaced
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        alpha, beta = (float(v) for v in rng.uniform(-10.0, 10.0, 2))
+        y = rng.standard_normal(2) * 10.0 ** rng.uniform(-6, 6, 2)
+        want = np.array([y[1], alpha * y[0] * y[1] + beta * y[0] ** 3])
+        got = np.array(nearhorizon._ode2_rhs(alpha, beta)(0.0, y.tolist()))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_catalog_families_induce_einstein_weyl_structures():
     for tag, params, xwin in [
             ("tan", dict(alpha=-1.0, ell=-0.5, b=0.0), (0.4, 2.6)),

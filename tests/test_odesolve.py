@@ -1,12 +1,13 @@
 """Runge-Kutta integration and adaptive quadrature against closed forms."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewhorizon import odesolve, report
+from ewhorizon import nearhorizon, odesolve, report
 from ewhorizon.errors import AccuracyError, StiffnessError
 from ewhorizon.nearhorizon import build_family
 from ewhorizon.odesolve import (IvpSpec, Trajectory, _rms_norm,
@@ -72,14 +73,15 @@ def test_tolerance_scaling():
 
 def test_nonautonomous_rhs():
     # y' = 2 x y  ->  y = exp(x^2)
-    spec = IvpSpec(dim=1, rhs=lambda x, y: 2.0 * x * y, x0=0.0, y0=[1.0])
+    spec = IvpSpec(dim=1, rhs=lambda x, y: [2.0 * x * y[0]], x0=0.0,
+                   y0=[1.0])
     assert_allclose(integrate(spec, 1.5).y_end[0], math.exp(2.25),
                     rtol=1e-9)
 
 
 def test_guard_stops_integration():
     # y' = -y crosses 0.1 at x = ln(10)
-    spec = IvpSpec(dim=1, rhs=lambda x, y: -y, x0=0.0, y0=[1.0],
+    spec = IvpSpec(dim=1, rhs=lambda x, y: [-y[0]], x0=0.0, y0=[1.0],
                    guard=lambda x, y: y[0] > 0.1)
     traj = integrate(spec, 10.0)
     assert traj.status == "guard"
@@ -90,15 +92,34 @@ def test_guard_stops_integration():
 
 
 def test_guard_never_tripped_is_ok():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: -y, x0=0.0, y0=[1.0],
+    spec = IvpSpec(dim=1, rhs=lambda x, y: [-y[0]], x0=0.0, y0=[1.0],
                    guard=lambda x, y: y[0] > 0.1)
     assert integrate(spec, 1.0).status == "ok"
 
 
 def test_blowup_raises_stiffness():
     # y' = y^2 from y(0) = 1 has a pole at x = 1
-    spec = IvpSpec(dim=1, rhs=lambda x, y: y * y, x0=0.0, y0=[1.0])
-    with pytest.raises(StiffnessError):
+    spec = IvpSpec(dim=1, rhs=lambda x, y: [y[0] * y[0]], x0=0.0,
+                   y0=[1.0])
+    with pytest.raises(StiffnessError, match="problem too stiff"):
+        integrate(spec, 2.0)
+
+
+def test_a_nan_trial_step_is_retried_and_not_blamed_once_passed():
+    # a NaN from the rhs fails one trial step, and a smaller step gets
+    # past it; a later stiff underflow is not blamed on that NaN
+    calls = [0]
+
+    def rhs(x, y):
+        calls[0] += 1
+        return [math.nan if calls[0] == 20 else y[0] * y[0]]
+
+    spec = IvpSpec(dim=1, rhs=rhs, x0=0.0, y0=[1.0])
+    assert_allclose(integrate(spec, 0.5).y_end[0], 2.0, rtol=1e-9)
+    calls[0] = 0
+    with pytest.raises(StiffnessError,
+                       match=r"^step size underflow at x=0\.9999.*\); "
+                             r"problem too stiff$"):
         integrate(spec, 2.0)
 
 
@@ -175,12 +196,13 @@ def test_rms_norm_is_the_numpy_mean_bit_for_bit():
 def _numpy_integrate(spec, x_end):
     """The DOPRI step loop in its numpy form (`@` sums, np.maximum in the
     scale, _rms_norm), without the step budget and the progress floor.
+    The rhs and the guard receive each state as a list of floats.
     Returns (xs, ys, status, reason, segs, rejected, guard_halvings)."""
     rhs = spec.rhs
     x = float(spec.x0)
     y = spec.y0.copy()
     direction = 1.0 if x_end > x else -1.0
-    f = np.asarray(rhs(x, y), dtype=float)
+    f = np.asarray(rhs(x, y.tolist()), dtype=float)
     h = odesolve._initial_step(rhs, x, y, f, direction, spec.rtol,
                                spec.atol, min(spec.max_step, abs(x_end - x)))
     h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
@@ -190,22 +212,29 @@ def _numpy_integrate(spec, x_end):
     k[0] = f
     status, reason = "ok", ""
     rejected = halvings = 0
+    nonfinite = None  # (component, x, h) of the first non-finite estimate
     while (x_end - x) * direction > 0:
         h = min(h, abs(x_end - x))
         if not h >= h_floor:
+            text = f"step size underflow at x={x!r} (h={h!r})"
+            if nonfinite is None:
+                raise StiffnessError(text + "; problem too stiff")
+            i, x_bad, h_bad = nonfinite
             raise StiffnessError(
-                f"step size underflow at x={x!r} (h={h!r}); problem too stiff")
+                text + f": component {i} of the error estimate first went "
+                f"non-finite on the step of h={h_bad!r} from x={x_bad!r}")
         hs = h * direction
         for i in range(1, 6):
             yi = y + hs * (k[:i].T @ odesolve._A_ROWS[i])
-            k[i] = rhs(x + odesolve._C_STEP[i] * hs, yi)
+            k[i] = rhs(x + odesolve._C_STEP[i] * hs, yi.tolist())
         y_new = y + hs * (k[:6].T @ odesolve._B_ROW)
-        k[6] = rhs(x + hs, y_new)
+        k[6] = rhs(x + hs, y_new.tolist())
         err_vec = hs * (k.T @ odesolve._E)
         scale = spec.atol + spec.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _rms_norm(err_vec, scale)
         if err <= 1.0:
-            if spec.guard is not None and not spec.guard(x + hs, y_new):
+            if spec.guard is not None and not spec.guard(x + hs,
+                                                         y_new.tolist()):
                 if h <= 64 * h_floor:
                     status = "guard"
                     reason = f"guard stopped integration at x={x!r}"
@@ -219,10 +248,16 @@ def _numpy_integrate(spec, x_end):
             k[0] = k[6]
             xs.append(x)
             ys.append(y)
+            nonfinite = None
             factor = 0.9 * (err + 1e-300) ** (-0.7 / 5) * err_prev ** (0.4 / 5)
             err_prev = max(err, 1e-10)
             h = min(h * min(10.0, max(0.2, factor)), spec.max_step)
         else:
+            if nonfinite is None and not np.isfinite(err):
+                # where the left-to-right sum of squares stops being finite
+                sums = np.cumsum((err_vec / scale) ** 2)
+                nonfinite = (int(np.flatnonzero(~np.isfinite(sums))[0]), x,
+                             hs)
             h *= max(0.2, 0.9 * err ** (-0.2))
             rejected += 1
     return (np.asarray(xs), np.asarray(ys), status, reason, segs,
@@ -279,16 +314,87 @@ def test_integrate_is_the_numpy_step_loop_bit_for_bit():
         assert traj.ys.tobytes() == ys.tobytes(), name
         assert (traj.status, traj.reason) == (status, reason), name
         assert len(traj._segs) == len(segs), name
-        for (x0, h, y0, q), (rx0, rh, ry0, rq) in zip(traj._segs, segs):
-            assert (x0, h) == (rx0, rh), name
-            assert (y0.tobytes(), q.tobytes()) == (ry0.tobytes(),
-                                                   rq.tobytes()), name
+        for (x0, h, q), (rx0, rh, _, rq) in zip(traj._segs, segs):
+            assert (x0, h, q.tobytes()) == (rx0, rh, rq.tobytes()), name
         for x0, h, _, _ in segs[::7]:
             for t in (0.125, 0.5, 0.8):
                 x = x0 + t * h
                 assert traj(x).tobytes() == _numpy_dense(segs, x).tobytes()
     # the cases do take the rejection and guard-halving branches
     assert rejected > 0 and halvings > 0
+
+
+def _oracle_matches(spec, x_end, traj, rhs_calls):
+    """Assert that `traj`, integrated from `spec` to x_end with rhs_calls
+    rhs calls, keeps every bit of the numpy step loop's run."""
+    xs, ys, status, reason, segs, rejected, halvings = _numpy_integrate(
+        spec, x_end)
+    # two rhs calls choose the first step, then six per attempted step:
+    # accepted, rejected, halved toward the guard, or stopped by it
+    attempts = len(xs) - 1 + rejected + halvings + (status == "guard")
+    assert traj.xs.tobytes() == xs.tobytes()
+    assert traj.ys.tobytes() == ys.tobytes()
+    assert (traj.status, traj.reason, rhs_calls) == (status, reason,
+                                                     2 + 6 * attempts)
+    # a segment starts at its knot, whose bits the ys compare covers
+    assert [(x0, h, q.tobytes()) for x0, h, q in traj._segs] \
+        == [(x0, h, q.tobytes()) for x0, h, _, q in segs]
+
+
+def _recording(monkeypatch, module):
+    """Patch module's integrate to record (spec, x_end, trajectory, rhs
+    calls) of each run."""
+    runs = []
+
+    def recording(spec, x_end):
+        calls, rhs = [0], spec.rhs
+
+        def counted(x, y):
+            calls[0] += 1
+            return rhs(x, y)
+
+        spec.rhs = counted
+        try:
+            traj = integrate(spec, x_end)
+        finally:
+            spec.rhs = rhs
+        runs.append((spec, x_end, traj, calls[0]))
+        return traj
+
+    monkeypatch.setattr(module, "integrate", recording)
+    return runs
+
+
+# the scan-c benchmark's (seed, c): 13 values of c per seed
+_SCAN_VALUES = [(seed, lo + (hi - lo) * i / 12)
+                for seed, lo, hi in (("quadratic", -1.0, 2.0),
+                                     ("tanh", -2.0, 1.0))
+                for i in range(13)]
+# scan_rows_csv of their 26 rows, as first recorded
+_SCAN_VALUES_SHA256 = (
+    "4c0b6ee44a8599b714829c044bb7562eb7a593bff53bf08bc529ffc8250fdd15")
+
+
+def test_scan_c_benchmark_integrations_are_the_numpy_step_loop(monkeypatch):
+    # both sides of every scan-c benchmark op, with scan_c's own guard:
+    # 52 integrations, each with the numpy loop's bits; the CSV of the
+    # 26 rows is pinned by its sha256
+    runs = _recording(monkeypatch, report)
+    rows = [row for seed, c in _SCAN_VALUES
+            for row in report.scan_c(c, c, 1, seed=seed)]
+    assert len(runs) == 52
+    for spec, x_end, traj, calls in runs:
+        _oracle_matches(spec, x_end, traj, calls)
+    assert hashlib.sha256(report.scan_rows_csv(rows).encode()).hexdigest() \
+        == _SCAN_VALUES_SHA256
+
+
+def test_numeric_family_integrations_are_the_numpy_step_loop(monkeypatch):
+    runs = _recording(monkeypatch, nearhorizon)
+    build_family("numeric")
+    assert [x_end for _, x_end, _, _ in runs] == [6.0, -6.0]
+    for spec, x_end, traj, calls in runs:
+        _oracle_matches(spec, x_end, traj, calls)
 
 
 def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():
@@ -299,8 +405,8 @@ def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():
         calls = []
 
         def rhs(x, y):
-            calls.append((x, y.tobytes()))
-            return np.array([y[1], -y[0] if x <= 0.5 else math.nan])
+            calls.append((x, [v.hex() for v in y]))
+            return y[1], -y[0] if x <= 0.5 else math.nan
 
         with pytest.raises(StiffnessError) as err:
             fn(IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=[1.0, 0.0]), 1.0)
@@ -308,8 +414,12 @@ def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():
 
     text, calls = run(integrate)
     assert (text, calls) == run(_numpy_integrate)
-    assert text.startswith("step size underflow at x=0.4999")
-    assert any(x > 0.5 for x, _ in calls)
+    assert text == (
+        "step size underflow at x=0.49999999999998446 "
+        "(h=6.637692571157556e-15): component 0 of the error estimate first "
+        "went non-finite on the step of h=1.659423142789389e-13 from "
+        "x=0.49999999999998446")
+    assert len(calls) == 692 and any(x > 0.5 for x, _ in calls)
 
 
 def test_max_step_is_respected():

@@ -20,7 +20,8 @@ import pytest
 from ewhorizon import cli, curvature, odesolve, pdeverify, report
 from ewhorizon.errors import DomainError, EwhError, SingularJetError
 from ewhorizon.jets import Point, PointBatch
-from ewhorizon.nearhorizon import ScalarField1D, ode4_monomials
+from ewhorizon.nearhorizon import (FAMILY_TAGS, ScalarField1D, field_const,
+                                   ode4_monomials)
 from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
                               run_check, scan_c, scan_rows_csv, thread_count)
@@ -412,7 +413,7 @@ def test_quartic_rhs_is_the_numpy_scalar_form_bit_for_bit():
         h0, h1, h2, h3 = y
         top = reduce(add, ode4_monomials(h0, h1, h2, h3, c))
         want = np.array([h1, h2, h3, 4.0 * top / (h0 * h0)])
-        got = report._quartic_rhs_factory(c)(0.0, y)
+        got = np.array(report._quartic_rhs_factory(c)(0.0, y.tolist()))
         assert got.tobytes() == want.tobytes()
 
 
@@ -430,6 +431,13 @@ def test_scan_c_statuses_form_known_set():
     cs = [r[0] for r in rows]
     assert cs == sorted(cs)
     assert cs[0] == -1.0 and cs[-1] == 2.0
+
+
+def test_scan_c_13_step_csv_bytes_are_pinned():
+    # `ewh scan-c --from -1 --to 2 --steps 13`, as first recorded
+    text = scan_rows_csv(scan_c(-1.0, 2.0, 13))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ebb4fecb556c040aa32170a121e1f569e1722ad1d585d536664ba39da3cb86b8")
 
 
 def test_scan_c_rejects_bad_input():
@@ -763,9 +771,44 @@ def test_profiles_are_called_at_float_x_only(monkeypatch):
         export_plot(check, params, samples=200)
     for check, params in _PLANE_CHECKS:
         run_check(check, params)
-    # the sweeps read every profile through `at`; run_check's per-x
-    # residuals make these calls
-    assert len(xs) > 1000
+    # the sweeps and thm2-ode's |h| probe read every profile through `at`;
+    # the per-x residuals make these calls, one per profile and grid x:
+    # 5 thm2-ode checks and prop4 with one profile, 2 prop1-iff with two
+    assert len(xs) == 50
+
+
+def _narrowed_axes():
+    """thm2-ode's narrowed x axis of every profile (h) family, with one
+    batched `at` per family."""
+    out = {}
+    for tag in FAMILY_TAGS:
+        try:
+            _, s = report._setup("thm2-ode", {"family": tag})
+        except DomainError:  # not a profile family
+            continue
+        out[tag] = s.narrow(GridSpec().resolve_x(s.window))
+    return out
+
+
+def test_thm2_narrowing_matches_its_x_by_x_fallback(monkeypatch):
+    # one batched |h| probe finds the axis the x-by-x walk finds, which
+    # is also what runs where the batch raises
+    batched = _narrowed_axes()
+    assert len(batched) == 8
+
+    def failing(field, x):
+        raise DomainError("no batch")
+
+    monkeypatch.setattr(ScalarField1D, "at", failing)
+    assert _narrowed_axes() == batched
+
+
+def test_thm2_narrowing_skips_the_x_a_batch_cannot_take():
+    # the batch raises at the x outside the window; x by x, those are
+    # left out of the longest run of |h| > 1e-3
+    h = ScalarField1D(field_const(1.0).evaluator, window=(0.0, 2.0))
+    lo, hi, n = report._nonzero_x_interval(h, (-1.0, 1.0, 5))
+    assert (lo, hi, n) == (0.1, 0.9, 5)
 
 
 def _plane(check, params, grid=GridSpec()):
