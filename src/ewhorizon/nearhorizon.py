@@ -839,19 +839,22 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
         raise AccuracyError(f"no convergence of z(x) at x={x!r}",
                             estimate=z, error_bound=hi - lo)
 
-    def ev(x):
+    def z_in_window(x):
         if not ends[0] <= x <= ends[1]:
             raise WindowError(f"x={x!r} outside the parametric window "
                               f"[{ends[0]!r}, {ends[1]!r}]")
-        z = z_of_x(x)
+        return z_of_x(x)
+
+    def ev(x):
+        # z per x (Newton on hyp2f1); the jet algebra once per array
+        z = per_x(z_in_window, x)
         # z(x) solves dz/dx = dz_dx(z): each pass is exact to one more order
         zj = Jet1.constant(z)
         for _ in range(4):
             zj = _integral_jet(z, dz_dx(zj))
         return (gamma / broot) * (1.0 - zj).powr(-0.25)
 
-    return (ScalarField1D(partial(per_x, ev), label="hypergeometric",
-                          window=ends),
+    return (ScalarField1D(ev, label="hypergeometric", window=ends),
             1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta})
 
 

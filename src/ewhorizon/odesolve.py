@@ -307,21 +307,23 @@ def _first_nonfinite(y_abs, new_abs, e, hs, atol, rtol):
 _QUAD_TOL = 1e-10  # quad's absolute (split between halves) and relative
 _QUAD_DEPTH = 50
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1].
-_XGK = np.array([
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1], as Python
+# floats: the rule's sums are then float arithmetic, the same IEEE
+# operations in the same order as on numpy scalars, at less cost.
+_XGK = (
     0.991455371120813, 0.949107912342759, 0.864864423359769,
     0.741531185599394, 0.586087235467691, 0.405845151377397,
     0.207784955007898, 0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469,
-])
+)
 
 
 def _gk15(f, a, b):

@@ -3,9 +3,13 @@
 Every check is one entry of the CHECKS registry; the CLI derives its
 parameter flags from the entries.  One grid walker (`_rows`) evaluates
 a check's residuals in PointBatch slices of whole (nu, r) planes: for
-run_check a plane at each grid x, for export_plot a one-point plane at
-each sample x (or one plane of samples at one x).  Errors are raised
-slice by slice, per-point residuals before per-x ones.  run_check wraps
+run_check a plane at each grid x (a one-point plane for a check with
+no per-point residual), for export_plot a one-point plane at each
+sample x (or one plane of samples at one x).  Per-x residuals are
+evaluated on the array of a slice's x: each profile they read once,
+as one batched jet, then their formulas per x in Python floats, which
+keeps the bits of a float x.  Errors are raised slice by slice,
+per-point residuals before per-x ones.  run_check wraps
 the per-component maxima in a ResidualReport, whose flat, versioned
 JSON has a fixed key order and 17-significant-digit floats, so
 identical invocations produce byte-identical files.
@@ -251,17 +255,32 @@ class Residual:
 
     `fn` maps a grid point (an x when `per_x`) to a residual value or
     array.  A per-point `fn` also takes a PointBatch, for one value or
-    array per point along a trailing batch axis.  Component `names[k]`
-    is |entry `index[k]`| of it, or |value| when `index` is None; an
-    export-plot sweep reads max |entry|.
+    array per point along a trailing batch axis.  A per-x `fn` takes one
+    float x; `fields` are the profiles it reads, in the order it reads
+    them.  Component `names[k]` is |entry `index[k]`| of it, or |value|
+    when `index` is None; an export-plot sweep reads max |entry|.
     """
 
     names: tuple
     fn: object
     index: tuple = None
     per_x: bool = False
+    fields: tuple = ()
 
-    def read(self, raw) -> list:
+    def values(self, q) -> list:
+        """The components at q: a point or a PointBatch, or for a per-x
+        residual an x or an array of x.  At an array, each field is
+        evaluated once on it with `at`, and `fn` then runs at each x in
+        turn, reading the fields' columns through float calls.  The
+        formulas stay per x in Python floats because numpy's array `**`
+        rounds unlike Python's pow (0.08% of random doubles at p = 2,
+        about 2.7% at p = 3), so the bits stay those of a float x."""
+        if self.per_x:
+            for f in self.fields:
+                f.at(q)
+            raw = per_x(self.fn, q)
+        else:
+            raw = self.fn(q)
         vals = np.abs(np.asarray(raw, dtype=float))
         return [vals] if self.index is None else [vals[i] for i in self.index]
 
@@ -346,7 +365,7 @@ def _build_thm2(p):
         params={"family": fam.tag, "c": fam.c, **fam.parameters},
         residuals=(_ew(nh_metric(d), weyl_oneform_generic(d)),
                    Residual(("ode4",), lambda x: _ode4_relative(h(x), fam.c),
-                            per_x=True)),
+                            per_x=True, fields=(h,))),
         profiles=(h, F),
         narrow=lambda axis: _nonzero_x_interval(h, axis))
 
@@ -366,7 +385,7 @@ def _build_prop1(p):
     # F = one reports Cotton only: its defect is the input, not a residual
     if p["F"] == "flat":
         residuals += (Residual(("defect",), lambda x: flatness_defect(d, x),
-                               per_x=True),)
+                               per_x=True, fields=(h, F)),)
     return Setup(
         claim=("the near-horizon metric is conformally flat exactly when "
                "F' = F h"),
@@ -410,7 +429,7 @@ def _build_prop4(p):
                    Residual(("alignment",), align),
                    Residual(("ode2",),
                             lambda x: ode2_residual(h(x), -2.0 * c, 0.0),
-                            per_x=True)))
+                            per_x=True, fields=(h,))))
 
 
 def _build_chalf(p):
@@ -423,7 +442,7 @@ def _build_chalf(p):
         params=p,
         residuals=(Residual(("residual",),
                             lambda x: F_ode_residual_chalf(F(x), h(x)),
-                            per_x=True),),
+                            per_x=True, fields=(F, h)),),
         profiles=(h, F))
 
 
@@ -433,12 +452,12 @@ def _build_family(p, tag):
     if fam.role == "h":
         residuals = (Residual(("ode4",),
                               lambda x: _ode4_relative(f(x), fam.c),
-                              per_x=True),)
+                              per_x=True, fields=(f,)),)
         fi = fam.info.get("first_integral")
         if fi is not None:
             residuals += (Residual(("first_integral",),
                                    lambda x: ode3_first_integral(f(x)) - fi,
-                                   per_x=True),)
+                                   per_x=True, fields=(f,)),)
         claim = (f"the {fam.tag} profile solves the quartic reduction "
                  f"with its cataloged c")
         profiles = (f, F_from_h_field(f, fam.c))
@@ -446,7 +465,7 @@ def _build_family(p, tag):
         residuals = (Residual(
             ("fode",),
             lambda x: F_ode_residual_chalf(f(x), Jet1.constant(0.0)),
-            per_x=True),)
+            per_x=True, fields=(f,)),)
         claim = ("the weierstrass profile F satisfies 2 F'' = 12 F^2, "
                  "the h = 0 reduction at c = -1/2")
         profiles = (None, f)
@@ -508,8 +527,8 @@ def _setup(check_id, params):
 
 def _values(group, q):
     """The components of the residuals of `group` at q: a point or an x,
-    or a PointBatch, and then each an array over its points."""
-    return [v for r in group for v in r.read(r.fn(q))]
+    or a PointBatch or an array of x, and then each an array over them."""
+    return [v for r in group for v in r.values(q)]
 
 
 def _skipping(fn, q, skip):
@@ -523,23 +542,25 @@ def _skipping(fn, q, skip):
 
 
 def _batch_rows(group, batch, skip):
-    """The _values at each point of `batch`, as one batch, else point by
-    point: the first failing point raises, or with skip each one is None."""
+    """The _values at each point of `batch`, a PointBatch or an array of
+    x, as one batch, else one by one: the first failing point (or x)
+    raises, or with skip each one is None."""
     try:
         return np.moveaxis(np.array(_values(group, batch)), -1, 0)
     except EwhError:
         return [_skipping(partial(_values, group), q, skip)
-                for q in batch.points()]
+                for q in (batch.points() if isinstance(batch, PointBatch)
+                          else batch.tolist())]
 
 
 def _rows(residuals, nus, rs, xs, skip):
     """Walk the plane (nus[k], rs[k]) at each x of `xs`, x outermost, in
     slices of as many whole planes as fit in _PLANE_SLICE points (or one
     plane in PointBatches of that size).  Per slice, yield its x, the rows
-    of the per-point residuals (`_batch_rows`), then those of the per-x
-    residuals at its x, evaluated as they are read, before the next slice:
-    each profile is evaluated once per x, and errors come slice by slice,
-    per-point residuals first."""
+    of the per-point residuals, then those of the per-x residuals on the
+    array of its x, each as one batch (`_batch_rows`): each profile is
+    evaluated once per slice, and errors come slice by slice, per-point
+    residuals first."""
     point_rs, x_rs = ([r for r in residuals if r.per_x == per_x]
                       for per_x in (False, True))
     n = len(nus)
@@ -551,17 +572,21 @@ def _rows(residuals, nus, rs, xs, skip):
         point_rows = [row for j in range(i * n, end, _PLANE_SLICE)
                       for row in _batch_rows(point_rs, PointBatch(
                           *(c[j:end][:_PLANE_SLICE] for c in points)), skip)]
-        yield xi, point_rows, (_skipping(partial(_values, x_rs), x, skip)
-                               for x in xi if x_rs)
+        yield xi, point_rows, \
+            _batch_rows(x_rs, np.array(xi), skip) if x_rs else []
 
 
 def _reduce(setup, grid, x_axis, skip):
     """Max |component| over the grid walked by `_rows`; NaN propagates.
-    With `skip`, points raising EwhError are left out (DomainError if all)."""
+    With `skip`, points raising EwhError are left out (DomainError if all).
+    A check without per-point residuals walks a one-point plane, so its
+    x axis (up to _PLANE_SLICE x) is one slice."""
     nu_axis, r_axis = _axis_values(grid.nu), _axis_values(grid.r)
-    slices = [(xi, p, list(x)) for xi, p, x in _rows(
-        setup.residuals, np.repeat(nu_axis, len(r_axis)),
-        np.tile(r_axis, len(nu_axis)), _axis_values(x_axis), skip)]
+    nus, rs = np.repeat(nu_axis, len(r_axis)), np.tile(r_axis, len(nu_axis))
+    if all(r.per_x for r in setup.residuals):
+        nus, rs = nus[:1], rs[:1]
+    slices = list(_rows(setup.residuals, nus, rs, _axis_values(x_axis),
+                        skip))
     comps = {}
     # every check declares its per-point residuals first, so this keeps
     # the declared component order
@@ -745,20 +770,17 @@ def _sweep_window(window):
     return a, b, clipped
 
 
-def _profile_cells(profiles, xs, skip):
-    """The (h, F) cells of the sweep samples at xs ("" for an absent h),
-    one `at` per field; where that raises EwhError, sample by sample,
-    with None for a sample that `skip` drops."""
-    def cells(x):
-        return list(zip(*[[""] * len(x) if f is None else
-                          [f"{v:.12g}" for v in f.at(x).value.tolist()]
-                          for f in profiles]))
-
-    try:
-        return cells(np.array(xs))
-    except EwhError:
-        return [_skipping(lambda x: cells(np.array([x]))[0], x, skip)
-                for x in xs]
+def _profile_cells(profiles, xs):
+    """The (h, F) cells of the kept sweep samples at xs ("" for an absent
+    h), one `at` per field: the walker has evaluated both on the slice,
+    a per-point residual on its PointBatch and a per-x sweep through its
+    fields, so this only formats them."""
+    if not xs:
+        return []
+    x = np.array(xs)
+    return list(zip(*[[""] * len(xs) if f is None else
+                      [f"{v:.12g}" for v in f.at(x).value.tolist()]
+                      for f in profiles]))
 
 
 def export_plot(check_id: str, params: dict = None, axis: str = "x",
@@ -781,8 +803,12 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
     check, s = _setup(check_id, params)
     if s.profiles and axis != "x":
         raise DomainError(f"check {check_id!r} sweeps x only")
-    sweep = Residual(("residual",), s.residuals[0].fn,
-                     per_x=s.residuals[0].per_x)
+    # a per-x sweep also reads the profiles of its cells, so a sample
+    # whose cells fail is dropped (or raises) with its row
+    r0 = s.residuals[0]
+    cell_fields = tuple(f for f in s.profiles or () if f is not None)
+    sweep = Residual(("residual",), r0.fn, per_x=r0.per_x,
+                     fields=r0.fields + cell_fields if r0.per_x else ())
     a, b, clipped = _sweep_window(s.window) if axis == "x" \
         else (-1.0, 1.0, False)
     vs = [float(v) for v in np.linspace(a, b, samples)]
@@ -794,18 +820,17 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
               else 0.0]
     rows, cells = [], []
     for xi, point_rows, x_rows in _rows((sweep,), *plane, xs, check.skip):
-        # the cells first: a per-x sweep's rows then read the slice's jets
+        slice_rows = [*point_rows, *x_rows]
+        rows += slice_rows
         if s.profiles:
-            cells += _profile_cells(s.profiles, xi, check.skip)
-        rows += point_rows + list(x_rows)
-    kept = np.array([row for row in rows if row is not None])
-    worst = iter(np.max(kept, axis=tuple(range(1, kept.ndim))).tolist())
+            cells += _profile_cells(s.profiles, [
+                x for x, row in zip(xi, slice_rows) if row is not None])
+    kept = [(v, row) for v, row in zip(vs, rows) if row is not None]
+    worst = np.array([row for _, row in kept])
+    worst = np.max(worst, axis=tuple(range(1, worst.ndim))).tolist()
     lines = ["x,h,F,residual" if s.profiles else f"{axis},residual"]
     lines += [",".join([f"{v:.12g}", *c, f"{w:.12g}"])
-              for v, w, c in zip(vs, [None if row is None else next(worst)
-                                     for row in rows],
-                                 cells or [()] * samples)
-              if w is not None and c is not None]
+              for (v, _), w, c in zip(kept, worst, cells or [()] * len(kept))]
     if clipped:
         lines.append("# window-clipped")
     return lines

@@ -481,3 +481,55 @@ def test_quad_sharp_peak():
 def test_quad_endpoint_singularity_raises():
     with pytest.raises(AccuracyError):
         quad(lambda t: t ** -0.5, 0.0, 1.0)
+
+
+# the Gauss-Kronrod rule as it was written on numpy arrays, so every
+# weight and node product was numpy-scalar arithmetic
+_NP_XGK = np.array(odesolve._XGK)
+_NP_WGK = np.array(odesolve._WGK)
+_NP_WG = np.array(odesolve._WG)
+
+
+def _numpy_gk15(f, a, b):
+    c = 0.5 * (a + b)
+    hw = 0.5 * (b - a)
+    fc = f(c)
+    gauss = _NP_WG[3] * fc
+    kron = _NP_WGK[7] * fc
+    for j in range(7):
+        x = hw * _NP_XGK[j]
+        fsum = f(c - x) + f(c + x)
+        kron += _NP_WGK[j] * fsum
+        if j % 2 == 1:
+            gauss += _NP_WG[(j - 1) // 2] * fsum
+    kron *= hw
+    gauss *= hw
+    return kron, abs(kron - gauss)
+
+
+def _quad_outcome(f, a, b):
+    """quad's value, or the text, estimate and bound of its AccuracyError,
+    as bit patterns."""
+    try:
+        v = quad(f, a, b)
+        return type(v), float(v).hex()
+    except AccuracyError as e:
+        return str(e), float(e.estimate).hex(), float(e.error_bound).hex()
+
+
+def test_quad_is_the_numpy_scalar_rule_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(18)
+    fields = (nearhorizon.field_sin(), build_family("tanh").field)
+    integrands = [math.exp, lambda t: 1.0 / (1.0 + t * t),
+                  lambda t: math.sin(7.0 * t) * math.exp(-0.3 * t),
+                  lambda t: fields[0](t).value * fields[1](t).value]
+    cases = [(f, *rng.uniform(-3.0, 3.0, 2).tolist())
+             for f in integrands for _ in range(12)]
+    cases += [(lambda t: t ** -0.5, 0.0, 1.0)]  # raises AccuracyError
+    got = [_quad_outcome(*case) for case in cases]
+    assert all(g[0] is float for g in got[:-1])
+    assert got[-1][0].startswith("quadrature on [0.0, 1.0] did not converge")
+    monkeypatch.setattr(odesolve, "_gk15", _numpy_gk15)
+    want = [_quad_outcome(*case) for case in cases]
+    assert [g[1:] for g in got] == [w[1:] for w in want]
+    assert got[-1] == want[-1]

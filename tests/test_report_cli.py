@@ -622,6 +622,8 @@ def _count_evaluations(setup, counts):
     ("thm2-ode", {"family": "tanh"}),
     ("prop1-iff", {"h": "sin"}),
     ("chalf-Fode", {"h": "sin"}),
+    ("family:hypergeometric", {}),
+    ("family:tanh", {}),
 ])
 def test_run_check_evaluates_each_profile_once_per_grid_x(monkeypatch,
                                                           check, params):
@@ -637,9 +639,14 @@ def test_run_check_evaluates_each_profile_once_per_grid_x(monkeypatch,
     rep = run_check(check, params)
     xs = report._axis_values(rep.grid["x"])
     assert len(counts) == 2
-    for n in counts:
+    # a family's F is only tabulated by export-plot: no residual reads it
+    read = counts[:1] if check.startswith("family:") else counts
+    for n in read:
         assert sorted(n) == xs
         assert set(n.values()) == {1}
+        if list(rep.grid) == ["x"]:  # x only: the 33 x are one slice
+            assert n.runs == 1
+    assert not any(counts[len(read):])
 
 
 # the export-plot sweeps of the sweep-1d benchmark workload
@@ -712,8 +719,9 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
                                            ("family:tanh", {})])
 def test_per_x_sweep_evaluates_each_profile_once_per_slice(monkeypatch,
                                                            check, params):
-    # a sweep whose residual takes float x reads the slice's h and F cells
-    # first, so its per-x rows find every x in the memo
+    # a sweep whose residual takes float x lists the profiles of its h and
+    # F cells among its fields: the walker evaluates each once per slice,
+    # and the residual at each x and the cells read them from the memo
     counts, setup = [], report._setup
 
     def counting(*args):
@@ -1150,3 +1158,141 @@ def test_profile_cells_fail_as_their_float_calls(monkeypatch):
             continue
         assert export_plot("holes", samples=150) == ["x,h,F,residual"] + [
             f"{v:.12g},{v:.12g},{v:.12g},0" for v in xs if v not in bad]
+
+
+# ---------------------------------------------------------------------------
+# x-only checks: each profile once per slice, as one batched jet
+
+_X41 = GridSpec(x=(-3.0, 3.0, 41))
+
+# every x-only check of the profile-catalog benchmark workload, two more
+# profiles, and explicit x axes that cross a window edge or a pole (the
+# family checks skip those x; chalf-Fode raises at the first)
+_X_ONLY_CASES = [
+    *[(f"family:{tag}", {}, None)
+      for tag in ("linear", "quadratic", "rational", "tan", "tanh", "jacobi",
+                  "weierstrass", "hypergeometric", "numeric")],
+    *[("chalf-Fode", {"h": h}, None)
+      for h in ("zero", "sin", "linear", "one")],
+    ("thm2-ode", {"family": "hypergeometric"}, None),
+    *[(f"family:{tag}", {}, _X41)
+      for tag in ("tan", "rational", "jacobi", "weierstrass",
+                  "hypergeometric", "numeric")],
+    ("family:tan", {}, GridSpec(x=(-4.0, 4.0, 41))),
+    ("family:numeric", {}, GridSpec(x=(-9.0, 9.0, 41))),
+    ("chalf-Fode", {"h": "sin"}, _X41),
+    ("chalf-Fode", {"h": "sin"}, GridSpec(x=(0.5, 3.0, 41))),
+]
+
+# sha256 of each case's report JSON (or "<error type>: <text>"), recorded
+# while x-only residuals were evaluated one float x at a time
+_X_ONLY_SHA256 = [
+    "0c3f8fd26c6ec90df49f6806414b8a2b4e68928956d0cf16fee4822dbe2d11da",
+    "28be916c6e58ceb2718db493737cdfeed684b5552a3c611ba00797f760aa5b27",
+    "d993c34373091cbcdfa6d77517d1bd23f166655b2786a7d33f3261c838992870",
+    "86d886d8df6066148392f8e2568550e386b9fa926e3cc0ed82e680085af16071",
+    "63de63d8fe29b3d7931c042ee94010ea58ed3e15f8333e46280cbc03dc699047",
+    "2920d8bdbdac086a560b7daf3367d1f3554d2553ec34c7d0fa94d04055e9303d",
+    "f1625f40de7d33c6bc908b913fb880bf2df0c86cf847175365509e0fcc93c4b9",
+    "b6163edd86797bf27869b0962fd09e3c37f05c426a388f9b97b6955bf698621a",
+    "9be5bce4b7cd570ec4ad13a1a06306a67a4696f93a37869bc4268a59d6da3804",
+    "42a1c3b94f2089b7bd5b510f598e77e1ef787b77bc277d7154e23aeb56739cb3",
+    "fde52ddacfc716262dc17cc6b0de48a4d3ba6d0dc8579a9d746991b7eb1a8392",
+    "e07b365ac8e1974e8f6da0d5e21e34be25ee44e7a5de92df7f1e01803dfd3f0c",
+    "9ba8549e229cf39c15f0fcdce0eca1e0d2ef22f50981c79e42e322159b9ca905",
+    "dc93af6450f0329b5cb190697c16a24147de12d42394d1c511fd00fd439bc565",
+    "75b2c6ce8ab85009738363ebab1a4d2c2339b1c27aa57cb68a62ef23af804e21",
+    "efa9fadb835336c98cd873ffcad21f39d2b171146a9bcf73733c076e13c755c0",
+    "19f711d7b41fd4f65d6e4a83456d7d77f266bab96d53695a6a3a4f77ac25854d",
+    "c09f3af3b8e48576b0025ad08b0848e4382abdea5bbec8e9c2379bb99bdf9735",
+    "7f04920b2e05aac20a0997cd24acff23740ecf6778063711ef19353d7350e72f",
+    "67be0a2e7b6080904d2f2dbb7a5bd00b349ea37542a95b357e6240762942f9ae",
+    "f4318e86ef1ce9507c644f4bcf1f18a5e0233588391ee77f2b2574e5b62b4926",
+    "b99782b4b7555ee210cc75350c5009637f6dcd5856cfc45b4a962046d324d12f",
+    "a90d56424e771acaf25021795fd0384a12f58fcbaa32a708d35c7dfb0a0224f6",
+    "c8981417f7544b3985b79e45bf7dcef561094994de8c280f328f5b8f0ac4e057",
+]
+
+# the per-x sweeps, and the sha256 of the CSV each writes at 200 samples
+_X_SWEEPS = ["chalf-Fode", "family:tanh", "family:hypergeometric"]
+_X_SWEEP_SHA256 = [
+    "fe6440372d0c38094b296466790d710aa098848223e883ee494d9befb26cb3bb",
+    "d4b3e53927cd118e0d6115d619121334dcd7e9b81c4fc38ea89b42955d33e2d5",
+    "daee888648ac2b8dfba65a9552647afbf19592d2e5ed10f4e16e2cbce892d41e",
+]
+
+
+def _x_only_outcome(check, params, grid):
+    """run_check's report JSON, or the type and text of its error."""
+    try:
+        return run_check(check, params, grid=grid).to_json()
+    except EwhError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _x_sweep_csv(check):
+    return "\n".join(export_plot(check, samples=200)) + "\n"
+
+
+@pytest.mark.parametrize("case, digest", zip(_X_ONLY_CASES, _X_ONLY_SHA256))
+def test_x_only_report_bytes_are_pinned(case, digest):
+    text = _x_only_outcome(*case)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("check, digest", zip(_X_SWEEPS, _X_SWEEP_SHA256))
+def test_x_sweep_csv_bytes_are_pinned(check, digest):
+    text = _x_sweep_csv(check)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _x_by_x(monkeypatch):
+    """Make every x-array evaluation of the grid walker raise, so each
+    slice's per-x residuals go x by x."""
+
+    def values(group, q, values=report._values):
+        if isinstance(q, np.ndarray):
+            raise SingularJetError("no batch: every slice goes x by x")
+        return values(group, q)
+
+    monkeypatch.setattr(report, "_values", values)
+
+
+@pytest.mark.parametrize("case", _X_ONLY_CASES)
+def test_x_only_run_check_equals_its_x_by_x_path(monkeypatch, case):
+    batched = _x_only_outcome(*case)
+    _x_by_x(monkeypatch)
+    assert _x_only_outcome(*case) == batched
+
+
+# every per-x sweep; at 201 samples family:tanh's F divides by h(0) = 0,
+# so its slice holding x = 0 goes x by x on both paths and drops x = 0
+@pytest.mark.parametrize("check, params, samples", [
+    *[(f"family:{tag}", {}, 150)
+      for tag in ("linear", "quadratic", "rational", "tan", "tanh", "jacobi",
+                  "weierstrass", "hypergeometric", "numeric")],
+    *[("chalf-Fode", {"h": h}, 150) for h in ("zero", "sin", "linear")],
+    ("family:tanh", {}, 201),
+])
+def test_per_x_sweep_equals_its_x_by_x_path(monkeypatch, check, params,
+                                            samples):
+    batched = _sweep_outcome(check, params, samples=samples)
+    _x_by_x(monkeypatch)
+    assert _sweep_outcome(check, params, samples=samples) == batched
+
+
+def test_x_by_x_path_is_taken_where_forced(monkeypatch):
+    # the forced path evaluates each profile at each x alone, as a float
+    counts, setup = [], report._setup
+
+    def counting(*args):
+        c, s = setup(*args)
+        _count_evaluations(s, counts)
+        return c, s
+
+    monkeypatch.setattr(report, "_setup", counting)
+    _x_by_x(monkeypatch)
+    rep = run_check("family:tanh")
+    f_count, F_count = counts
+    assert f_count.runs == len(f_count) == 33 and not F_count
+    assert sorted(f_count) == report._axis_values(rep.grid["x"])
