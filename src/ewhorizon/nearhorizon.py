@@ -102,13 +102,18 @@ class ScalarField1D:
         Jet1 with a trailing batch axis whose column k is the jet at x[k]:
         from the memo, or from one evaluator call at the array's distinct
         x, else x by x (where that raises EwhError, or an x lies outside
-        the window), so the error raised is that of the first failing x."""
+        the window), so the error raised is that of the first failing x.
+        An empty array gives a jet with no columns."""
         if not isinstance(x, np.ndarray):
             return self(x)
         columns, held, key, jet = self._memo
         if x is key:
             return jet
         xs = x.tolist()
+        if not xs:
+            jet = Jet1._raw(np.zeros((5, 0)))
+            jet.coeffs.flags.writeable = False
+            return jet
         if not columns.keys() >= set(xs):
             distinct = list(dict.fromkeys(xs))
             xd = x if len(distinct) == len(xs) else np.array(distinct)
@@ -120,7 +125,7 @@ class ScalarField1D:
                 except EwhError:
                     pass
             if held is None:
-                held = per_x(self, xd)
+                held = self._x_by_x(distinct)
             elif held.coeffs.shape != (5, len(distinct)):
                 raise ValueError(
                     f"evaluator of field {self.label!r} gave jets of shape "
@@ -133,6 +138,24 @@ class ScalarField1D:
             jet.coeffs.flags.writeable = False
         self._memo[:] = columns, held, x, jet
         return jet
+
+    def _x_by_x(self, xs):
+        """The jets at the distinct floats xs, from a call at each in
+        turn, stacked.  Where one raises EwhError, the memo keeps the
+        jets of the x before it, so a caller that goes on x by x reads
+        them instead of evaluating them again."""
+        jets = []
+        try:
+            for v in xs:
+                jets.append(self(v).coeffs)
+        except EwhError:
+            if jets:
+                held = Jet1._raw(np.stack(jets, axis=1))
+                held.coeffs.flags.writeable = False
+                self._memo[:] = (dict(zip(xs, range(len(jets)))), held,
+                                 None, None)
+            raise
+        return Jet1._raw(np.stack(jets, axis=1))
 
 
 def field_const(k: float, label: str = "") -> ScalarField1D:
@@ -349,6 +372,37 @@ def F_from_h_field(h: ScalarField1D, c: float) -> ScalarField1D:
 # reduction ODE residuals
 # --------------------------------------------------------------------------
 
+# The monomials of the quartic reduction ODE (see ode4_monomials), written
+# once, as float expressions in h0..h3 = h, h', h'', h''', cm = c - 1 and
+# the powers cm2 = cm ** 2, h0_3 = h0 ** 3 and h1_2 = h1 ** 2, each taken
+# once (the same pow calls, so the same bits).  ode4_monomials and
+# ode4_rhs are compiled from them.
+_ODE4_TERMS = (
+    "h0_3 * h1_2 * cm2",
+    "-0.5 * cm2 * h0 ** 4 * h2",
+    "2.25 * cm * h0 ** 2 * h1 * h2",
+    "-0.75 * cm * h0_3 * h3",
+    "-0.5 * h1_2 * h2",
+    "0.5 * h0 * h1 * h3",
+    "h0 * h2 ** 2",
+)
+_ode4 = {}
+exec(compile(f"""
+def monomials(h0, h1, h2, h3, cm, cm2):
+    h0_3, h1_2 = h0 ** 3, h1 ** 2
+    return ({", ".join(_ODE4_TERMS)})
+
+
+def rhs_at(cm, cm2):
+    def rhs(x, y):
+        h0, h1, h2, h3 = y
+        h0_3, h1_2 = h0 ** 3, h1 ** 2
+        return h1, h2, h3, 4.0 * ({" + ".join(_ODE4_TERMS)}) / (h0 * h0)
+
+    return rhs
+""", "<quartic reduction ODE>", "exec"), _ode4)
+
+
 def ode4_monomials(h0, h1, h2, h3, c):
     """The signed monomials of the quartic reduction ODE for h at fixed
     c, in order, except the last one, -1/4 h^2 h'''':
@@ -360,15 +414,16 @@ def ode4_monomials(h0, h1, h2, h3, c):
     So h'''' = 4 (their sum) / h^2.
     """
     cm = c - 1.0
-    # each repeated power once: the same pow calls, so the same bits
-    cm2, h0_3, h1_2 = cm ** 2, h0 ** 3, h1 ** 2
-    return (h0_3 * h1_2 * cm2,
-            -0.5 * cm2 * h0 ** 4 * h2,
-            2.25 * cm * h0 ** 2 * h1 * h2,
-            -0.75 * cm * h0_3 * h3,
-            -0.5 * h1_2 * h2,
-            0.5 * h0 * h1 * h3,
-            h0 * h2 ** 2)
+    return _ode4["monomials"](h0, h1, h2, h3, cm, cm ** 2)
+
+
+def ode4_rhs(c):
+    """The quartic at fixed c as the system y' = rhs(x, y) in
+    y = (h, h', h'', h''') of Python floats: h'''' is 4 times the sum,
+    left to right, of ode4_monomials over h^2.  c - 1 and its square are
+    taken once, here, and the sum is one expression, with no tuple."""
+    cm = c - 1.0
+    return _ode4["rhs_at"](cm, cm ** 2)
 
 
 def _ode4_terms(h: Jet1, c: float) -> tuple:

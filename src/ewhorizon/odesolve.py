@@ -9,20 +9,24 @@ solved-for forms divide by powers of the solution).
 Its step is the plain numpy form of the method, bit for bit, at fewer
 numpy calls.  The tableau sums (stages, solution, error estimate and
 dense-output coefficients) are BLAS `ndarray.dot` calls over the (7, dim)
-array of stage slopes; a float sum of the tableau rows would round
-differently, so those stay in BLAS.  Everything else runs in Python
-floats: the state y, each stage point and the new solution are lists of
-floats, and a stage point y + hs * d is `a + hs * b` per entry, the same
-two roundings numpy's `y + hs * d` makes, since a float product and sum
-round on their own as a ufunc does.  The error norm with its scale
-atol + rtol * max(|y|, |y_new|) runs in numpy's order, a NaN on either
-side of the max kept, as np.maximum keeps it.
+array of stage slopes.  They stay in BLAS because its sums round unlike
+both a left-to-right float sum and a fused multiply-add chain of the
+tableau rows.  Everything else runs in Python floats, in a step kernel
+generated for the state's dimension on the first integration at that
+dim (`_step_kernel`): straight-line code with one name per entry, no
+loop.  The state y, each stage point and the new solution are lists of
+floats, and a stage point y + hs * d is `y_j + hs * d_j` per entry j,
+the same two roundings numpy's `y + hs * d` makes, since a float product
+and sum round on their own as a ufunc does.  The error norm with its
+scale atol + rtol * max(|y|, |y_new|) runs in numpy's order, a NaN on
+either side of the max kept, as np.maximum keeps it.
 
 `quad` is adaptive Gauss-Kronrod (G7, K15) with deterministic bisection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -60,7 +64,6 @@ _P = np.array([
 _A_ROWS = [_A[i, :i] for i in range(6)]
 _B_ROW = _B[:6]  # the b row has zero weight on k7
 _C_STEP = _C.tolist()
-_STAGES = list(zip(range(1, 6), _A_ROWS[1:], _C_STEP[1:6]))  # (i, row, c)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -102,6 +105,8 @@ class IvpSpec:
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
         if self.y0.shape != (self.dim,):
             raise ValueError(f"y0 must have shape ({self.dim},)")
         if self.rtol <= 0 or self.atol <= 0:
@@ -166,6 +171,71 @@ def _rms_norm(e, scale):
     return math.sqrt(total / len(e))
 
 
+# One trial step of `integrate`, written out for a state of dim entries:
+# {Y} and the like stand for one name or term per entry.  `bind` closes
+# it over the (7, dim) stage slopes k, whose rows it writes.  Per entry
+# j, a stage point is y_j + hs * d_j and the scale of the error norm is
+# atol + rtol * max(|y_j|, |y_new_j|), the max keeping a NaN from either
+# side as np.maximum does.  The sum of squares starts from its first
+# square, not from 0.0: a square is never -0.0, so 0.0 + it is itself.
+_STEP_TEMPLATE = """\
+def bind(k, rhs, atol, rtol):
+    dot1, dot2, dot3, dot4, dot5, dot6 = [k[:i].T.dot for i in range(1, 7)]
+    dot_e = k.T.dot
+    _, r1, r2, r3, r4, r5 = _A_ROWS
+    _, c1, c2, c3, c4, c5, _ = _C_STEP
+    b, e, sqrt = _B_ROW, _E, math.sqrt
+
+    def step(x, hs, y, y_abs):
+        {Y} = y
+        {D} = dot1(r1).tolist()
+        k[1] = rhs(x + c1 * hs, [{STAGE}])
+        {D} = dot2(r2).tolist()
+        k[2] = rhs(x + c2 * hs, [{STAGE}])
+        {D} = dot3(r3).tolist()
+        k[3] = rhs(x + c3 * hs, [{STAGE}])
+        {D} = dot4(r4).tolist()
+        k[4] = rhs(x + c4 * hs, [{STAGE}])
+        {D} = dot5(r5).tolist()
+        k[5] = rhs(x + c5 * hs, [{STAGE}])
+        {D} = dot6(b).tolist()
+        y_new = [{STAGE}]
+        k[6] = rhs(x + hs, y_new)
+        {N} = y_new
+        {U} = y_abs
+        {V} = new_abs = [{ABS}]
+        {E} = dot_e(e).tolist()
+        {Q}
+        return y_new, new_abs, sqrt(({SQUARES}) / {dim})
+
+    return step
+"""
+
+
+@functools.cache
+def _step_kernel(dim):
+    """`bind(k, rhs, atol, rtol)` -> `step(x, hs, y, y_abs)`: the stages
+    at x + c_i * hs, y_new (a list), |y_new| (a list) and the error norm
+    of the trial step of size hs from (x, y), for states of dim entries.
+    Built on the first integration at dim, as straight-line float code.
+    """
+    def each(term, sep=", "):
+        return sep.join(term.format(j=j) for j in range(dim))
+
+    source = _STEP_TEMPLATE.format(
+        dim=dim, Y=each("y{j},", " "), D=each("d{j},", " "),
+        N=each("n{j},", " "), U=each("u{j},", " "), V=each("v{j},", " "),
+        E=each("e{j},", " "), STAGE=each("y{j} + hs * d{j}"),
+        ABS=each("abs(n{j})"), SQUARES=each("q{j} * q{j}", " + "),
+        Q=each("q{j} = hs * e{j} / (atol + rtol * "
+               "(u{j} if u{j} >= v{j} or u{j} != u{j} else v{j}))",
+               "\n        "))
+    namespace = {"math": math, "_A_ROWS": _A_ROWS, "_B_ROW": _B_ROW,
+                 "_C_STEP": _C_STEP, "_E": _E}
+    exec(compile(source, f"<integrate step, dim {dim}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
     """Hairer-Norsett-Wanner starting step selection."""
     scale = atol + rtol * np.abs(y0)
@@ -220,7 +290,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     ys = y[:]  # the knots' entries, one after another
     segs = []
     err_prev = 1.0
-    k_heads = [k[:i].T for i in range(7)]
+    step = _step_kernel(spec.dim)(k, rhs, atol, rtol)
     k_t = k.T
     y_abs = [abs(v) for v in y]
     status, reason = "ok", ""
@@ -243,21 +313,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             raise StiffnessError(f"step size underflow at x={x!r} (h={h!r})"
                                  + (nonfinite or "; problem too stiff"))
         hs = h * direction
-        # y + hs * (k^T a) in floats: the same two roundings per entry
-        for i, row, c in _STAGES:
-            k[i] = rhs(x + c * hs, [a + hs * b for a, b in
-                                    zip(y, k_heads[i].dot(row).tolist())])
-        y_new = [a + hs * b for a, b in
-                 zip(y, k_heads[6].dot(_B_ROW).tolist())]
-        k[6] = rhs(x + hs, y_new)
-        # _rms_norm of the error against atol + rtol * max(|y|, |y_new|),
-        # in floats; the max keeps a NaN from either side, as np.maximum.
-        new_abs = [abs(v) for v in y_new]
-        total = 0.0
-        for a, b, e in zip(y_abs, new_abs, k_t.dot(_E).tolist()):
-            q = hs * e / (atol + rtol * (a if a >= b or a != a else b))
-            total += q * q
-        err = math.sqrt(total / spec.dim)
+        y_new, new_abs, err = step(x, hs, y, y_abs)
 
         if err <= 1.0:
             if guard is not None and not guard(x + hs, y_new):

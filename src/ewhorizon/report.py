@@ -34,7 +34,7 @@ from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
                           build_family, field_one, first_return,
                           flatness_defect, named_h_field, nh_metric,
                           ode2_residual, ode3_first_integral,
-                          ode4_condition, ode4_monomials, ode4_residual,
+                          ode4_condition, ode4_residual, ode4_rhs,
                           periodicity_check, tanh_profile, thm1_F_field,
                           weyl_oneform_generic)
 from .odesolve import IvpSpec, integrate
@@ -630,15 +630,8 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
 # c-scan
 # --------------------------------------------------------------------------
 
-def _quartic_rhs_factory(c):
-    def rhs(x, y):
-        # Python floats: the same bits as numpy scalars, at half the cost
-        h0, h1, h2, h3 = y
-        m1, m2, m3, m4, m5, m6, m7 = ode4_monomials(h0, h1, h2, h3, c)
-        top = m1 + m2 + m3 + m4 + m5 + m6 + m7  # left to right
-        return h1, h2, h3, 4.0 * top / (h0 * h0)
-
-    return rhs
+# scan-c's rhs: the quartic solved for h'''' as a first-order system
+_quartic_rhs_factory = ode4_rhs
 
 
 def _quartic_jet(y, c):

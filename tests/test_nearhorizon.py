@@ -526,6 +526,15 @@ def test_repeated_array_is_answered_by_identity(name):
                                           for x in xs.tolist()], axis=1)))
 
 
+def test_field_at_an_empty_array_is_a_jet_with_no_columns():
+    # a fresh memo holds no x, and an empty array asks for none
+    f = nearhorizon.field_sin()
+    got = f.at(np.array([]))
+    assert isinstance(got, Jet1) and got.coeffs.shape == (5, 0)
+    f.at(np.array([0.5, 1.5]))
+    assert f.at(np.array([])).coeffs.shape == (5, 0)
+
+
 def _with(xs, k, x):
     """xs with x inserted before position k."""
     return np.insert(xs, k, x)

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,7 +292,38 @@ def _oscillator(**kw):
                    x0=0.0, y0=[1.0, 0.0], **kw)
 
 
+def _growth():
+    # dim 1: y' = cos(x) y, y = exp(sin x)
+    return IvpSpec(dim=1, rhs=lambda x, y: [math.cos(x) * y[0]], x0=0.0,
+                   y0=[1.0])
+
+
+def _rotation():
+    # dim 3: y' = w x y, a rotation about the axis w
+    w0, w1, w2 = 0.3, -1.2, 0.8
+    return IvpSpec(dim=3, rhs=lambda x, y: [w1 * y[2] - w2 * y[1],
+                                             w2 * y[0] - w0 * y[2],
+                                             w0 * y[1] - w1 * y[0]],
+                   x0=0.0, y0=[1.0, 0.5, -0.25])
+
+
+def _coupled_oscillators():
+    # dim 6: two oscillators (q1, p1), (q2, p2) coupled by a spring, one
+    # of them stiffened by a cubic term, driven by the harmonic (u, v)
+    def rhs(x, y):
+        q1, q2, p1, p2, u, v = y
+        spring = 0.4 * (q2 - q1)
+        return (p1, p2, -q1 - 0.5 * q1 ** 3 + spring + 0.2 * u,
+                -2.0 * q2 - spring, v, -u)
+
+    return IvpSpec(dim=6, rhs=rhs, x0=0.0,
+                   y0=[1.0, -0.5, 0.0, 0.3, 1.0, 0.0])
+
+
 _ORACLE_CASES = [
+    ("growth-dim1", _growth, 8.0),
+    ("rotation-dim3", _rotation, -12.0),
+    ("coupled-oscillators-dim6", _coupled_oscillators, 15.0),
     ("oscillator-forward", _oscillator, 10.0),
     ("oscillator-backward", _oscillator, -10.0),
     ("oscillator-max-step", lambda: _oscillator(max_step=0.3), 10.0),
@@ -322,6 +356,46 @@ def test_integrate_is_the_numpy_step_loop_bit_for_bit():
                 assert traj(x).tobytes() == _numpy_dense(segs, x).tobytes()
     # the cases do take the rejection and guard-halving branches
     assert rejected > 0 and halvings > 0
+
+
+@pytest.mark.parametrize("name, make, x_end", _ORACLE_CASES,
+                         ids=[case[0] for case in _ORACLE_CASES])
+def test_integrate_calls_the_rhs_as_the_numpy_step_loop(name, make, x_end):
+    # every dim the step kernel is built for: the same rhs calls, in
+    # order, at the same bits of x and y
+    def run(fn):
+        spec, calls = make(), []
+        rhs = spec.rhs
+
+        def recording(x, y):
+            calls.append((x.hex(), [v.hex() for v in y]))
+            return rhs(x, y)
+
+        spec.rhs = recording
+        fn(spec, x_end)
+        return calls
+
+    calls = run(integrate)
+    assert calls == run(_numpy_integrate)
+    assert {len(y) for _, y in calls} == {make().dim}
+
+
+def test_step_kernel_is_built_once_per_dim_on_first_use():
+    # importing the package builds no kernel
+    src = os.path.dirname(os.path.dirname(odesolve.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import ewhorizon, ewhorizon.cli; "
+         "print(ewhorizon.odesolve._step_kernel.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout == "0\n"
+    # each integration at a dim reuses the kernel the first one built
+    odesolve._step_kernel.cache_clear()
+    for make, x_end in ((_oscillator, 1.0), (_rotation, 1.0),
+                        (_oscillator, -1.0), (_growth, 1.0)):
+        integrate(make(), x_end)
+    info = odesolve._step_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
 
 
 def _oracle_matches(spec, x_end, traj, rhs_calls):
@@ -436,6 +510,11 @@ def test_spec_validation():
         IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.0, y0=[1.0], rtol=0.0)
     with pytest.raises(ValueError):
         IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.0, y0=[1.0], max_step=-1.0)
+
+
+def test_spec_needs_a_state():
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        IvpSpec(dim=0, rhs=lambda x, y: y, x0=0.0, y0=[])
 
 
 def test_zero_length_target():

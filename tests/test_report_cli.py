@@ -1281,6 +1281,23 @@ def test_per_x_sweep_equals_its_x_by_x_path(monkeypatch, check, params,
     assert _sweep_outcome(check, params, samples=samples) == batched
 
 
+def test_a_failing_x_only_slice_evaluates_each_x_once(monkeypatch):
+    # family:numeric's window ends inside [-1, 3], so the one slice of 41
+    # x goes x by x up to the first x outside it; the walker's own x-by-x
+    # pass then reads the 24 x inside from the memo
+    counts, reduce_grid = [], report._reduce
+
+    def counting(setup, *args):
+        _count_evaluations(setup, counts)
+        return reduce_grid(setup, *args)
+
+    monkeypatch.setattr(report, "_reduce", counting)
+    rep = run_check("family:numeric", grid=GridSpec(x=(-1.0, 3.0, 41)))
+    n = counts[0]
+    assert sorted(n) == report._axis_values(rep.grid["x"])[:24]
+    assert set(n.values()) == {1}
+
+
 def test_x_by_x_path_is_taken_where_forced(monkeypatch):
     # the forced path evaluates each profile at each x alone, as a float
     counts, setup = [], report._setup
