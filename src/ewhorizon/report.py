@@ -556,11 +556,11 @@ def _batch_rows(group, batch, skip):
 def _rows(residuals, nus, rs, xs, skip):
     """Walk the plane (nus[k], rs[k]) at each x of `xs`, x outermost, in
     slices of as many whole planes as fit in _PLANE_SLICE points (or one
-    plane in PointBatches of that size).  Per slice, yield its x, the rows
-    of the per-point residuals, then those of the per-x residuals on the
-    array of its x, each as one batch (`_batch_rows`): each profile is
-    evaluated once per slice, and errors come slice by slice, per-point
-    residuals first."""
+    plane in PointBatches of that size).  Per slice, yield its x, the
+    blocks of rows of the per-point residuals (one per PointBatch), then
+    those of the per-x residuals on the array of its x, each block one
+    batch (`_batch_rows`): each profile is evaluated once per slice, and
+    errors come slice by slice, per-point residuals first."""
     point_rs, x_rs = ([r for r in residuals if r.per_x == per_x]
                       for per_x in (False, True))
     n = len(nus)
@@ -569,11 +569,11 @@ def _rows(residuals, nus, rs, xs, skip):
     for i in range(0, len(xs), per):
         xi = xs[i:i + per]
         end = (i + len(xi)) * n if point_rs else i * n
-        point_rows = [row for j in range(i * n, end, _PLANE_SLICE)
-                      for row in _batch_rows(point_rs, PointBatch(
-                          *(c[j:end][:_PLANE_SLICE] for c in points)), skip)]
-        yield xi, point_rows, \
-            _batch_rows(x_rs, np.array(xi), skip) if x_rs else []
+        point_blocks = [_batch_rows(point_rs, PointBatch(
+            *(c[j:end][:_PLANE_SLICE] for c in points)), skip)
+            for j in range(i * n, end, _PLANE_SLICE)]
+        yield xi, point_blocks, \
+            [_batch_rows(x_rs, np.array(xi), skip)] if x_rs else []
 
 
 def _reduce(setup, grid, x_axis, skip):
@@ -593,7 +593,8 @@ def _reduce(setup, grid, x_axis, skip):
     for k, per_x in ((1, False), (2, True)):
         names = [n for r in setup.residuals if r.per_x == per_x
                  for n in r.names]
-        rows = [row for s in slices for row in s[k] if row is not None]
+        rows = [row for s in slices for block in s[k] for row in block
+                if row is not None]
         if names and not rows:
             raise DomainError(f"no grid point could be evaluated "
                               f"(window {setup.window!r})")
@@ -776,6 +777,14 @@ def _profile_cells(profiles, xs):
                       for f in profiles]))
 
 
+def _worst_entries(block):
+    """max |entry| of each row of a `_batch_rows` block: one max over a
+    batch's array, or row by row (None for a skipped row)."""
+    if isinstance(block, np.ndarray):
+        return np.max(block, axis=tuple(range(1, block.ndim))).tolist()
+    return [None if row is None else float(np.max(row)) for row in block]
+
+
 def export_plot(check_id: str, params: dict = None, axis: str = "x",
                 samples: int = 200) -> list:
     """CSV lines for a 1D sweep of a check's first residual.
@@ -811,19 +820,19 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
         plane[_AXIS_NAMES.index(axis)] = vs
         xs = [0.5 * sum(s.window) if all(map(math.isfinite, s.window))
               else 0.0]
-    rows, cells = [], []
-    for xi, point_rows, x_rows in _rows((sweep,), *plane, xs, check.skip):
-        slice_rows = [*point_rows, *x_rows]
-        rows += slice_rows
+    worst, cells = [], []
+    for xi, point_blocks, x_blocks in _rows((sweep,), *plane, xs,
+                                            check.skip):
+        slice_worst = [w for b in (*point_blocks, *x_blocks)
+                       for w in _worst_entries(b)]
+        worst += slice_worst
         if s.profiles:
             cells += _profile_cells(s.profiles, [
-                x for x, row in zip(xi, slice_rows) if row is not None])
-    kept = [(v, row) for v, row in zip(vs, rows) if row is not None]
-    worst = np.array([row for _, row in kept])
-    worst = np.max(worst, axis=tuple(range(1, worst.ndim))).tolist()
+                x for x, w in zip(xi, slice_worst) if w is not None])
+    kept = [(v, w) for v, w in zip(vs, worst) if w is not None]
     lines = ["x,h,F,residual" if s.profiles else f"{axis},residual"]
     lines += [",".join([f"{v:.12g}", *c, f"{w:.12g}"])
-              for (v, _), w, c in zip(kept, worst, cells or [()] * len(kept))]
+              for (v, w), c in zip(kept, cells or [()] * len(kept))]
     if clipped:
         lines.append("# window-clipped")
     return lines

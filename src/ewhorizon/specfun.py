@@ -215,6 +215,10 @@ def wp_jet(z: Jet1, b: float):
 
 _HYP_RTOL = sys.float_info.epsilon
 _HYP_MAX_TERMS = 10_000
+# The largest integer |c - a - b| summed by DLMF 15.8.10, whose finite
+# part takes that many terms; past it the series in z is used, as c then
+# exceeds a + b by enough for it to converge fast up to z near 1.
+_HYP_DEGENERATE_MAX = 20
 
 
 def _nonpositive_integer(v: float) -> bool:
@@ -254,14 +258,84 @@ def _hyp_series(a, b, c, z):
     )
 
 
+def _digamma(x: float) -> float:
+    """psi(x) for real x not a non-positive integer: x is shifted past 10
+    by psi(x) = psi(x + 1) - 1/x, then the asymptotic series DLMF 5.11.2
+    is summed through x^-14 (the next term is below 5e-17 there)."""
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    x2 = 1.0 / (x * x)
+    tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (
+        1 / 240 - x2 * (1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    return shift + math.log(x) - 0.5 / x - tail
+
+
+def _hyp_degenerate(a, b, m, w):
+    """2F1(a, b; a + b + m; 1 - w) for an integer m >= 0, in the
+    arithmetic of w (float or Jet1), by the connection formula DLMF
+    15.8.10 (Abramowitz & Stegun 15.3.10-11): a finite sum of m terms,
+    and a series in w with ln w and digamma factors, summed until three
+    consecutive terms fall below machine precision relative.  Neither a
+    nor b may be a non-positive integer."""
+    g = math.gamma
+    c = a + b + m
+    log_w = math.log(w) if isinstance(w, float) else w.log()
+    # sum_{n<m} (a)_n (b)_n / (n! (1 - m)_n) w^n
+    head = w * 0.0
+    if m:
+        head = term = head + 1.0
+        for n in range(1, m):
+            term = term * ((a + n - 1) * (b + n - 1) / (n * (n - m))) * w
+            head = head + term
+        head = head * (g(m) * g(c) / (g(a + m) * g(b + m)))
+    # sum_n (a+m)_n (b+m)_n / (n! (n+m)!) w^n
+    #       (ln w - psi(n+1) - psi(n+m+1) + psi(a+n+m) + psi(b+n+m))
+    psi = (_digamma(1.0), _digamma(m + 1.0), _digamma(a + m), _digamma(b + m))
+    coef = 1.0 / math.factorial(m)
+    power = w * 0.0 + 1.0
+    total = w * 0.0
+    small = 0
+    for n in range(_HYP_MAX_TERMS):
+        term = coef * power * (log_w + (psi[2] + psi[3] - psi[0] - psi[1]))
+        total = total + term
+        if isinstance(term, float):
+            tval, sval = abs(term), abs(total)
+        else:
+            tval = float(np.max(np.abs(term.coeffs)))
+            sval = float(np.max(np.abs(total.coeffs)))
+        if tval <= _HYP_RTOL * max(sval, 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+        coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0))
+        power = power * w
+        psi = (psi[0] + 1.0 / (n + 1.0), psi[1] + 1.0 / (n + m + 1.0),
+               psi[2] + 1.0 / (a + n + m), psi[3] + 1.0 / (b + n + m))
+    else:
+        raise AccuracyError(
+            f"2F1 series did not converge in {_HYP_MAX_TERMS} terms",
+            estimate=total if isinstance(total, float) else total.value,
+            error_bound=tval)
+    return head - (-1.0) ** m * g(c) / (g(a) * g(b)) * w ** m * total
+
+
 def hyp2f1(a: float, b: float, c: float, z):
     """Gauss 2F1(a, b; c; z) for |z| < 1.
 
     `z` may be a float or a Jet1 (the sums run in jet arithmetic, giving
-    derivatives with respect to z).  For z > 1/2 with c - a - b not an
-    integer and no gamma pole, the connection formula DLMF 15.8.4 sums
-    two series in 1 - z; otherwise the series in z is summed directly
-    (hard cap 10^4 terms).
+    derivatives with respect to z).  For z <= 1/2, or a or b a
+    non-positive integer, the series in z is summed directly (hard cap
+    10^4 terms).  For z > 1/2 with c - a or c - b a non-positive integer,
+    Euler's transformation (DLMF 15.8.1) makes it a terminating series;
+    otherwise a connection formula sums series in 1 - z: DLMF 15.8.4
+    when c - a - b is not an integer, DLMF 15.8.10 when it is an integer
+    m (or one up to rounding) with 0 <= m <= 20, after Euler's
+    transformation when -20 <= m < 0.  A larger |m| takes the series
+    in z.
     """
     if _nonpositive_integer(c):
         raise DomainError(f"2F1 parameter c={c!r} is a non-positive integer")
@@ -269,10 +343,21 @@ def hyp2f1(a: float, b: float, c: float, z):
     if abs(zval) >= 1.0:
         raise DomainError(f"2F1 series needs |z| < 1, got z={zval!r}")
     s = c - a - b
-    if zval <= 0.5 or s == round(s) or any(
-            _nonpositive_integer(v) for v in (c - a, c - b, a, b)):
+    if zval <= 0.5 or _nonpositive_integer(a) or _nonpositive_integer(b):
         return _hyp_series(a, b, c, z)
     w = 1.0 - z
+    if _nonpositive_integer(c - a) or _nonpositive_integer(c - b):
+        # Euler's transformation to a terminating series
+        return w ** s * _hyp_series(c - a, c - b, c, z)
+    m = round(s)
+    if abs(s - m) <= 8.0 * _HYP_RTOL * max(abs(a), abs(b), abs(c), 1.0):
+        # an integer, or one up to the rounding of c - a - b, where the
+        # gamma factors of DLMF 15.8.4 cancel catastrophically
+        if abs(m) > _HYP_DEGENERATE_MAX:
+            return _hyp_series(a, b, c, z)
+        if m < 0:
+            return w ** s * _hyp_degenerate(c - a, c - b, -m, w)
+        return _hyp_degenerate(a, b, m, w)
     g = math.gamma
     return (g(c) * g(s) / (g(c - a) * g(c - b)) * _hyp_series(a, b, 1.0 - s, w)
             + g(c) * g(-s) / (g(a) * g(b)) * w ** s

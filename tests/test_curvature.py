@@ -5,12 +5,16 @@ coordinates, hyperbolic half-space, conformally flat metrics), never
 from the implementation itself.
 """
 
+import ast
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewhorizon import curvature
 from ewhorizon.curvature import (MetricField, OneFormField, christoffel,
                                  conformal_rescale, cotton, curvature_pack,
                                  ew_residual, faraday,
@@ -233,3 +237,97 @@ def test_metric_symmetry_enforced():
 
     with pytest.raises(ValueError):
         curvature_pack(MetricField(comp), PT)
+
+
+def test_nan_metric_entry_gives_nan_curvature_without_a_warning():
+    # a NaN pair, one jet (as every metric here builds it) or two equal
+    # ones, is symmetric: the residuals come out NaN instead of raising
+    def comp(p, same):
+        nu, r, x = coords(p)
+        zero = const(0.0)
+        off = [Jet3.constant(math.nan) for _ in range(2)]
+        off[1] = off[0] if same else off[1]
+        return [[const(1.0), off[0], zero],
+                [off[1], const(1.0), zero],
+                [zero, zero, const(1.0)]]
+
+    X = OneFormField(lambda p: [const(0.1), const(0.0), const(0.0)])
+    for same in (True, False):
+        g = MetricField(lambda p: comp(p, same))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isnan(ew_residual(g, X, PT)))
+            assert np.all(np.isnan(cotton(g, PT)))
+
+
+# --- the explicit contractions against np.einsum ---------------------------
+#
+# Each sum of the assembly is written out in the order np.einsum takes it
+# on the old batch-first layout; with seeded inputs that hold exact zeros,
+# -0.0, infinities and NaN, the two agree in every bit (a NaN only in
+# being NaN), and neither warns.
+
+_CALLS = [n for n in ast.walk(ast.parse(inspect.getsource(curvature)))
+          if isinstance(n, ast.Call)]
+_SPECS = sorted({n.args[0].value for n in _CALLS
+                 if getattr(n.func, "id", None) == "_contract"})
+_BATCHES = (1, 2, 7, 25, 50, 64)
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _operand(rng, shape):
+    """Batch-last random array, about one entry in twelve special."""
+    a = rng.standard_normal(shape)
+    hit = rng.random(shape) < 1 / 12
+    a[hit] = rng.choice(_SPECIAL, hit.sum())
+    return a
+
+
+def _batch_first(a):
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64),
+                          want[~nan].view(np.uint64))
+
+
+def test_every_contraction_of_the_module_is_covered():
+    # the 25 einsums of the old assembly that multiply, and none left
+    assert len(_SPECS) == 25
+    assert "einsum" not in {getattr(n.func, "attr", None) for n in _CALLS}
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_contraction_equals_einsum_bit_for_bit(spec):
+    rng = np.random.default_rng(len(spec) * 1009 + sum(map(ord, spec)))
+    ins, out = spec.split("->")
+    for B in _BATCHES:
+        ops = [_operand(rng, (3,) * len(s) + (B,)) for s in ins.split(",")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = curvature._contract(spec, *ops)
+        want = np.einsum("..." + ins.replace(",", ",...") + "->..." + out,
+                         *map(_batch_first, ops))
+        _assert_same_bits(got, np.moveaxis(want, 0, -1))
+
+
+@pytest.mark.parametrize("B", _BATCHES)
+def test_scalar_sums_equal_einsum_bit_for_bit(B):
+    rng = np.random.default_rng(B)
+    u, v = _operand(rng, (3, 3, B)), _operand(rng, (3, 3, B))
+    # the last point's nine products are all -0.0, which sum to +0.0
+    u[..., -1], v[..., -1] = -0.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bd, tr = curvature._sum_bd(u, v), curvature._trace(u, v)
+    # R = g^bd R_bd: the Ricci array was laid out (d, b) per point
+    ric = np.moveaxis(v, -1, 0).swapaxes(1, 2).copy().swapaxes(1, 2)
+    _assert_same_bits(bd, np.einsum("...bd,...bd->...", _batch_first(u),
+                                    ric))
+    # the EW trace: both operands C-ordered per point
+    _assert_same_bits(tr, np.einsum("...ab,...ab->...", _batch_first(u),
+                                    _batch_first(v)))

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -17,9 +18,10 @@ from operator import add
 import numpy as np
 import pytest
 
-from ewhorizon import cli, curvature, odesolve, pdeverify, report
+from ewhorizon import (cli, curvature, nearhorizon, odesolve, pdeverify,
+                       report)
 from ewhorizon.errors import DomainError, EwhError, SingularJetError
-from ewhorizon.jets import Point, PointBatch
+from ewhorizon.jets import Jet1, Point, PointBatch
 from ewhorizon.nearhorizon import (FAMILY_TAGS, ScalarField1D, field_const,
                                    ode4_monomials)
 from ewhorizon.odesolve import integrate
@@ -163,6 +165,20 @@ def test_nan_component_fails_the_check():
     assert doc["overall_max"] is None
     assert doc["component.a"] == 1e-20
     assert doc["component.b"] is None and doc["component.c"] is None
+
+
+def test_nan_profile_fails_the_check_without_a_warning(monkeypatch):
+    # a NaN entry of the metric (here r h, from h = NaN) is symmetric to
+    # itself: the Cotton tensor comes out NaN, and the check fails
+    nan_h = ScalarField1D(
+        lambda x: Jet1(np.full((5,) + np.shape(x), math.nan)), label="nanh")
+    monkeypatch.setitem(nearhorizon._NAMED_H, "nanh", lambda: nan_h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_check("prop1-iff", {"h": "nanh", "F": "one"})
+    assert rep.status == "fail"
+    assert math.isnan(rep.overall_max)
+    assert all(math.isnan(v) for v in rep.components.values())
 
 
 def test_expect_fail_flips_status_label():

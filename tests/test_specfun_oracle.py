@@ -98,6 +98,40 @@ def test_hyp2f1_other_parameters_against_mpmath(a, b, c):
         assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-14 * abs(ref), z
 
 
+_Z_TO_ONE = [float(z) for z in np.linspace(0.5, 0.9999, 41)] + [0.999]
+
+
+@pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 2.0), (0.5, 0.5, 1.0),
+                                     (0.25, 0.75, 2.0), (0.3, 0.7, 3.0),
+                                     (0.5, 1.5, 1.0), (0.3, 1.7, 3.0)])
+def test_hyp2f1_integer_c_minus_a_minus_b_against_mpmath(a, b, c):
+    # c - a - b = 0, 0, 1, 2, -1 and 1 up to rounding: the degenerate
+    # connection formula (DLMF 15.8.10) towards z = 1, where the series
+    # in z would need far more than its 10^4 terms
+    for z in _Z_TO_ONE:
+        ref = mp.hyp2f1(a, b, c, z)
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 4e-15 * abs(ref), z
+
+
+@pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0)])
+def test_hyp2f1_euler_terminating_against_mpmath(a, b, c):
+    # c - a or c - b a non-positive integer: (1 - z)^(c-a-b) times a
+    # polynomial, which the series in z reaches only slowly near z = 1
+    for z in _Z_TO_ONE:
+        ref = mp.hyp2f1(a, b, c, z)
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 4e-15 * abs(ref), z
+
+
+@pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 2.0), (0.5, 0.5, 1.0)])
+def test_hyp2f1_jet_at_integer_c_minus_a_minus_b_against_mpmath(a, b, c):
+    for z in (0.55, 0.9, 0.999, 0.9999):
+        jet = hyp2f1(a, b, c, Jet1.variable(z))
+        for k in range(5):
+            ref = (mp.rf(a, k) * mp.rf(b, k) / mp.rf(c, k)
+                   * mp.hyp2f1(a + k, b + k, c + k, z))
+            assert abs(jet.derivative(k) - ref) <= 1e-14 * abs(ref), (z, k)
+
+
 def test_hyp2f1_jet_against_mpmath():
     # d^k/dz^k 2F1(a, b; c; z) = (a)_k (b)_k / (c)_k 2F1(a+k, b+k; c+k; z)
     a, b, c = 0.5, 0.75, 1.5
