@@ -44,6 +44,8 @@ _H_FLOOR = 1e-10         # F_from_h division guard
 _POLE_TOL = 1e-6         # closed-form field pole guards, in x units
 _THM1_MARGIN = 0.3       # thm1 window inset from the wp poles, in G units
 _PERIOD_TOL = 1e-8       # periodicity_check match (and least move) of h, h'
+_H_SWITCH = 10.0         # numeric family: |h| where a pole tail may begin
+_TAIL_S = 1e3            # numeric family: the pole tail's range in s
 _SN_ZERO = math.sqrt(2.0) * complete_elliptic_k(1.0 / math.sqrt(2.0))
 
 
@@ -913,27 +915,145 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
             1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta})
 
 
+def _numeric_guard(x, y):
+    """The numeric family's window ends where this fails."""
+    return abs(y[0]) < 1e6 and abs(y[1]) < 1e8
+
+
+def _pole_ahead(alpha, beta, p, sigma):
+    """Whether p = h'/h^2 lies in the basin of a real root p* of
+    2 p^2 - alpha p - beta that attracts it as s runs in the direction
+    sigma, with sigma p* > 0, so that u = 1/h decays to 0 ahead.
+
+    dp/ds = -2 (p - lo)(p - hi): increasing s carries every p > lo to
+    hi, decreasing s every p < hi to lo (a double root attracts from
+    one side only)."""
+    disc = alpha * alpha + 8.0 * beta  # (3 alpha + 4 (c - 1))^2 on a family
+    if disc < 0.0:
+        return False
+    d = math.sqrt(disc)
+    lo, hi = (alpha - d) / 4.0, (alpha + d) / 4.0
+    root, far = (hi, lo) if sigma > 0.0 else (lo, hi)
+    return sigma * (p - far) > 0.0 and sigma * root > 0.0
+
+
+def _tail_rhs(alpha: float, beta: float):
+    """The reduction in u = 1/h, p = h'/h^2 and s with ds = h dx, as the
+    system in (x, u, p) for `integrate`: dx/ds = u, du/ds = -p u,
+    dp/ds = beta + alpha p - 2 p^2."""
+    def rhs(s, y):
+        _, u, p = y
+        return u, -p * u, beta + alpha * p - 2.0 * p * p
+
+    return rhs
+
+
+def _pole_tail(alpha, beta, x, h, dh, x_end):
+    """The integration of the tail system from (x, h, h') towards the
+    pole, or None where no pole lies ahead (`_pole_ahead`) or the tail
+    reaches the span end x_end (or its s range) before the guard.
+
+    The system (`_tail_rhs`) is regular at a pole, where u -> 0 and p
+    tends to a root of 2 p^2 - alpha p - beta.  Its guard is
+    `_numeric_guard` in these variables, |u| > 1e-6 and |p| < 1e8 u^2,
+    with x short of x_end.  Its atol is below rtol times the least |u|
+    the guard admits, so u is held to rtol, yet lets x or p start at 0.
+    """
+    direction = 1.0 if x_end > x else -1.0
+    sigma = math.copysign(1.0, h) * direction  # the direction of s
+    p0 = dh / (h * h)
+    if not _pole_ahead(alpha, beta, p0, sigma):
+        return None
+    inside = [True]  # whether the guard's last failure left x inside
+
+    def guard(s, y):
+        xs, u, p = y
+        inside[0] = (x_end - xs) * direction > 0.0
+        return inside[0] and abs(u) > 1e-6 and abs(p) < 1e8 * u * u
+
+    tail = integrate(IvpSpec(dim=3, rhs=_tail_rhs(alpha, beta), x0=0.0,
+                             y0=[x, 1.0 / h, p0], guard=guard,
+                             rtol=1e-8, atol=1e-14), sigma * _TAIL_S)
+    return tail if tail.status == "guard" and inside[0] else None
+
+
+class _NumericSide:
+    """One side of the numeric family, from (x0, y0) towards x_end.
+
+    `edge` is where `_numeric_guard` stops the solution (or x_end),
+    `status` that of the integration ending there, and `pole` the
+    estimate x + u/p of the pole beyond the edge, where the tail system
+    located it (else None).  Calling it at x between x0 and the edge
+    gives (h, h'): from the x-march up to its last knot, past that from
+    one march resumed there, built on the first such call.
+    """
+
+    def __init__(self, alpha, beta, x0, y0, x_end):
+        rhs = _ode2_rhs(alpha, beta)
+        self.direction = 1.0 if x_end >= x0 else -1.0
+        switch = [False]  # whether the guard's last failure was |h| only
+
+        def marching(x, y):
+            switch[0] = _numeric_guard(x, y)
+            return switch[0] and abs(y[0]) < _H_SWITCH
+
+        def march(x, y, end, guard):
+            return integrate(IvpSpec(dim=2, rhs=rhs, x0=x, y0=y, guard=guard,
+                                     rtol=1e-11, atol=1e-12), end)
+
+        head = march(x0, y0, x_end, marching)
+        self.head, self.rest, self.pole = head, None, None
+        self.edge, self.status = head.x_end, head.status
+        if head.status == "ok" or not switch[0]:
+            return
+        x, (h, dh) = head.x_end, head.y_end.tolist()
+        tail = _pole_tail(alpha, beta, x, h, dh, x_end)
+        if tail is None:
+            self.rest = march(x, head.y_end, x_end, _numeric_guard)
+            self.edge, self.status = self.rest.x_end, self.rest.status
+            return
+        self.edge, u, p = tail.y_end.tolist()
+        self.pole = self.edge + u / p
+        # the edge lies short of the pole, so this march needs no guard
+        self._resume = partial(march, x, head.y_end, self.edge, None)
+
+    def __call__(self, x):
+        head = self.head
+        if (x - head.x_end) * self.direction <= 0.0:
+            return head(x)
+        if self.rest is None:
+            self.rest = self._resume()
+        return self.rest(x)
+
+
 def _family_numeric(alpha, c, x0, h0, h1, span):
+    """The profile that integrates h'' = alpha h h' + beta h^3 from
+    (h, h')(x0) = (h0, h1), on the window where |h| < 1e6 and
+    |h'| < 1e8 (`_numeric_guard`), within x0 +- span.
+
+    Each side marches in x while also |h| < _H_SWITCH.  Where it stops
+    there, and a pole lies ahead (`_pole_ahead`), the tail system in
+    (u, p; s) of `_pole_tail`, regular at the pole, locates the edge:
+    the tail's last x.  Elsewhere (p outside the basin, a span end the
+    tail would cross) the march carries on in x under the guard alone,
+    so an edge at x0 +- span stays exactly there.  The solution past
+    the switch point comes from one x-march resumed at the switch knot
+    and run to the edge, on the first x there.
+    """
     beta = reduction_consistency(alpha, c)
-
-    def guard(x, y):
-        return abs(y[0]) < 1e6 and abs(y[1]) < 1e8
-
-    spec = IvpSpec(dim=2, rhs=_ode2_rhs(alpha, beta), x0=x0, y0=[h0, h1],
-                   guard=guard, rtol=1e-11, atol=1e-12)
-    fwd = integrate(spec, x0 + span)
-    bwd = integrate(spec, x0 - span)
+    fwd, bwd = (_NumericSide(alpha, beta, x0, [h0, h1], x0 + s * span)
+                for s in (1.0, -1.0))
 
     def ev(x):
-        traj = fwd if x >= x0 else bwd
-        v = traj(x)
-        return ode2_jet(v[0], v[1], alpha, beta)
+        h, dh = (fwd if x >= x0 else bwd)(x)
+        return ode2_jet(h, dh, alpha, beta)
 
     fld = ScalarField1D(partial(per_x, ev), label="numeric",
-                        window=(bwd.x_end, fwd.x_end))
+                        window=(bwd.edge, fwd.edge))
     return fld, c, {"alpha": alpha, "beta": beta,
                     "status_forward": fwd.status,
-                    "status_backward": bwd.status}
+                    "status_backward": bwd.status,
+                    "pole_forward": fwd.pole, "pole_backward": bwd.pole}
 
 
 # The family catalog: alias -> (canonical tag, parameter defaults, builder).

@@ -405,7 +405,9 @@ def quad(f, a: float, b: float) -> float:
 
     Deterministic subdivision (always left half first, absolute tolerance
     split evenly); intervals still failing at _QUAD_DEPTH raise
-    AccuracyError carrying the best estimate and its error bound.  Meant
+    AccuracyError carrying the best estimate and its error bound, and so
+    does, at once, an interval whose estimate is not finite (bisecting a
+    NaN integrand would run to that depth on every branch).  Meant
     for smooth integrands; endpoint singularities need a substitution by
     the caller and otherwise surface as AccuracyError.
     """
@@ -420,6 +422,10 @@ def quad(f, a: float, b: float) -> float:
         val, err = _gk15(f, lo, hi)
         if err <= max(tol, _QUAD_TOL * abs(val)):
             total += val
+        elif not err < math.inf:  # a NaN or infinite estimate
+            raise AccuracyError(
+                f"quadrature on [{a}, {b}]: non-finite Gauss-Kronrod "
+                f"estimate on [{lo}, {hi}]", estimate=val, error_bound=err)
         elif depth >= _QUAD_DEPTH:
             total += val
             bad_err += err

@@ -219,6 +219,11 @@ _HYP_MAX_TERMS = 10_000
 # part takes that many terms; past it the series in z is used, as c then
 # exceeds a + b by enough for it to converge fast up to z near 1.
 _HYP_DEGENERATE_MAX = 20
+# Below this z an integer c - a - b also takes the series in z: DLMF
+# 15.8.10's finite sum and log series cancel toward z = 1/2 (7e-14
+# relative at 2F1(2.5, 1.5; 5; 0.50001)), and the series in z, at most
+# a few hundred terms there, stays within 2e-15.
+_HYP_DEGENERATE_Z = 0.85
 
 
 def _nonpositive_integer(v: float) -> bool:
@@ -334,8 +339,9 @@ def hyp2f1(a: float, b: float, c: float, z):
     otherwise a connection formula sums series in 1 - z: DLMF 15.8.4
     when c - a - b is not an integer, DLMF 15.8.10 when it is an integer
     m (or one up to rounding) with 0 <= m <= 20, after Euler's
-    transformation when -20 <= m < 0.  A larger |m| takes the series
-    in z.
+    transformation when -20 <= m < 0, for z > 0.85: nearer z = 1/2 its
+    finite sum and log series cancel, and the series in z is summed up
+    to z = 0.85 instead.  A larger |m| takes the series in z.
     """
     if _nonpositive_integer(c):
         raise DomainError(f"2F1 parameter c={c!r} is a non-positive integer")
@@ -353,7 +359,7 @@ def hyp2f1(a: float, b: float, c: float, z):
     if abs(s - m) <= 8.0 * _HYP_RTOL * max(abs(a), abs(b), abs(c), 1.0):
         # an integer, or one up to the rounding of c - a - b, where the
         # gamma factors of DLMF 15.8.4 cancel catastrophically
-        if abs(m) > _HYP_DEGENERATE_MAX:
+        if abs(m) > _HYP_DEGENERATE_MAX or zval <= _HYP_DEGENERATE_Z:
             return _hyp_series(a, b, c, z)
         if m < 0:
             return w ** s * _hyp_degenerate(c - a, c - b, -m, w)

@@ -160,6 +160,72 @@ def test_numeric_family_records_guard_stops():
     assert abs(ode4_residual(fam.field(0.5 * hi), fam.c)) < 1e-8
 
 
+# the numeric family's window edges and statuses as they were when its
+# march in x ran into the guard, before a pole tail located them: every
+# numeric parameter set of these tests, one more with a pole each side,
+# and two whose sides fall back to the march in x at |h| = 10, as the
+# tail would cross the span end, or p lies outside the basin of the
+# attracting root
+_NUMERIC_EDGES = [
+    ({}, (-1.3109287771441533, 1.3109287771441533), "guard"),
+    (dict(c=3.0, h1=1.0), (-0.848364784519617, 0.5602858977971755), "guard"),
+    (*[p for t, p in CATALOG_CASES if t == "numeric"], (-0.8, 2.8), "ok"),
+    (dict(alpha=0.5, h1=0.3), (-3.025884236263105, 1.5780128620109588),
+     "guard"),
+    (dict(span=1.25), (-1.25, 1.25), "ok"),
+    (dict(alpha=4.0, c=-1.5, h0=9.99, h1=20.0, span=1.0), (-1.0, 1.0), "ok"),
+]
+
+
+@pytest.mark.parametrize("params, edges, status", _NUMERIC_EDGES)
+def test_numeric_window_edges_are_the_marched_edges(params, edges, status):
+    fam = build_family("numeric", **params)
+    p = fam.parameters
+    ends = (p["x0"] - p["span"], p["x0"] + p["span"])
+    for got, want, end in zip(fam.window, edges, ends):
+        if want == end:
+            assert got == want  # a span end stays exact
+        else:
+            assert abs(got - want) <= 1e-11 * abs(want)
+    assert fam.info["status_forward"] == fam.info["status_backward"] == status
+    assert (fam.info["pole_forward"] is None) == (status == "ok")
+    # every x of the window has a trajectory, up to both edges
+    jet = fam.field.at(np.linspace(*fam.window, 41))
+    assert np.isfinite(jet.coeffs).all()
+
+
+def test_numeric_family_records_its_poles():
+    # at the defaults h'' = 2 h^3 with h(0) = 1, h'(0) = 0, so
+    # h'^2 = h^4 - 1, with poles at +-int_1^inf dh / sqrt(h^4 - 1),
+    # which is B(1/4, 1/2)/4
+    fam = build_family("numeric")
+    x_star = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 4.0
+    assert abs(fam.info["pole_forward"] - x_star) <= 5e-12
+    assert abs(fam.info["pole_backward"] + x_star) <= 5e-12
+    # past |h| = 10 (x = +-1.211) the resumed march keeps the first integral
+    for x in (1.25, 1.3, fam.window[1], -1.3, fam.window[0]):
+        jet = fam.field(x)
+        h, dh = jet.value, jet.derivative(1)
+        assert abs(h) > 10.0
+        assert abs(dh * dh - h**4 + 1.0) <= 1e-10 * h**4
+
+
+def test_numeric_tail_may_start_at_x0():
+    # |h0| >= 10: the tail starts at x0 = 0 with h' = 0, so its x and p
+    # start at 0.  h'^2 = h^4 - 20^4 puts the poles at +-B(1/4, 1/2)/80,
+    # and the marched edges were +-0.06545143885630798, up to 64 of the
+    # march's least steps (6e-14 at span 6) short of the guard
+    fam = build_family("numeric", h0=20.0)
+    x_star = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 80.0
+    assert abs(fam.info["pole_forward"] - x_star) <= 5e-12
+    assert abs(fam.info["pole_backward"] + x_star) <= 5e-12
+    for got, want in zip(fam.window, (-0.06545143885630798,
+                                      0.06545143885630798)):
+        assert abs(got - want) <= 64 * 6e-14
+    jet = fam.field.at(np.linspace(*fam.window, 9))
+    assert np.isfinite(jet.coeffs).all()
+
+
 def test_numeric_rhs_is_the_numpy_scalar_form_bit_for_bit():
     # the numeric family's rhs multiplies Python floats; it must keep the
     # exact bits of the numpy-scalar form it replaced

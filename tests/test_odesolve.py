@@ -464,9 +464,20 @@ def test_scan_c_benchmark_integrations_are_the_numpy_step_loop(monkeypatch):
 
 
 def test_numeric_family_integrations_are_the_numpy_step_loop(monkeypatch):
+    # each side marches in x to |h| = 10, then the (u, p; s) tail runs to
+    # the guard in s; the first x past the switch point resumes the
+    # x-march there, to the edge.  At span 1.25 the tail would cross the
+    # span end, and each side's march resumes at once, to the span end
     runs = _recording(monkeypatch, nearhorizon)
-    build_family("numeric")
-    assert [x_end for _, x_end, _, _ in runs] == [6.0, -6.0]
+    fam = build_family("numeric")
+    lo, hi = fam.window
+    fam.field(hi), fam.field(lo)
+    build_family("numeric", span=1.25)
+    s = nearhorizon._TAIL_S
+    assert [x_end for _, x_end, _, _ in runs] == [
+        6.0, s, -6.0, -s, hi, lo, 1.25, s, 1.25, -1.25, -s, -1.25]
+    assert [spec.dim for spec, _, _, _ in runs] == [2, 3, 2, 3, 2, 2,
+                                                    2, 3, 2, 2, 3, 2]
     for spec, x_end, traj, calls in runs:
         _oracle_matches(spec, x_end, traj, calls)
 
@@ -560,6 +571,31 @@ def test_quad_sharp_peak():
 def test_quad_endpoint_singularity_raises():
     with pytest.raises(AccuracyError):
         quad(lambda t: t ** -0.5, 0.0, 1.0)
+
+
+def test_quad_raises_at_once_on_a_non_finite_estimate():
+    # a NaN estimate fails every convergence test, so bisecting on it
+    # would take about 2^50 rule evaluations: run it in a subprocess, so
+    # that a regression fails here instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(odesolve.__file__))
+    code = ("import math\n"
+            "from ewhorizon.errors import AccuracyError\n"
+            "from ewhorizon.odesolve import quad\n"
+            "for f in (lambda t: math.nan, lambda t: math.inf,\n"
+            "          lambda t: math.nan if t > 0.7 else 1.0):\n"
+            "    try:\n"
+            "        quad(f, 0.0, 1.0)\n"
+            "    except AccuracyError as e:\n"
+            "        print(e)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=10,
+                         check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("quadrature on [0.0, 1.0]: non-finite "
+                               "Gauss-Kronrod estimate on [")
+               for line in lines)
 
 
 # the Gauss-Kronrod rule as it was written on numpy arrays, so every

@@ -113,6 +113,17 @@ def test_hyp2f1_integer_c_minus_a_minus_b_against_mpmath(a, b, c):
         assert abs(hyp2f1(a, b, c, z) - ref) <= 4e-15 * abs(ref), z
 
 
+@pytest.mark.parametrize("a, b, c", [(2.5, 1.5, 5.0), (1.5, 0.5, 3.0),
+                                     (0.25, 0.75, 2.0), (1.0, 2.0, 4.0)])
+def test_hyp2f1_integer_c_minus_a_minus_b_near_one_half(a, b, c):
+    # c - a - b = 1: just past z = 1/2 the finite sum and the log series
+    # of DLMF 15.8.10 cancel (7e-14 relative at (2.5, 1.5; 5)), so the
+    # series in z is summed there
+    for z in np.linspace(0.50001, 0.95, 91).tolist():
+        ref = mp.hyp2f1(a, b, c, z)
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 3e-15 * abs(ref), z
+
+
 @pytest.mark.parametrize("a, b, c", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0)])
 def test_hyp2f1_euler_terminating_against_mpmath(a, b, c):
     # c - a or c - b a non-positive integer: (1 - z)^(c-a-b) times a

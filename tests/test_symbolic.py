@@ -16,12 +16,18 @@ package's own formulas, evaluated on sympy symbols, must match it:
   ode4_monomials plus -h^2 h''''/4;
 * at c = -1/2, E_nux vanishes identically and E_nunu is r^2/4 times
   F_ode_residual_chalf.
+
+It also derives the reduction h'' = alpha h h' + beta h^3 in the scaling
+variables u = 1/h, p = h'/h^2 and s with ds = h dx, which the numeric
+family integrates toward a pole (`_tail_rhs`), and the self-similar pole
+h = a0/(x - x*) as an equilibrium of its p equation.
 """
 
 import pytest
 
 from ewhorizon.nearhorizon import (F_from_h, F_ode_residual_chalf,
-                                   ode4_monomials, ode4_residual)
+                                   _tail_rhs, ode4_monomials, ode4_residual,
+                                   ode2_residual)
 
 sp = pytest.importorskip("sympy")
 
@@ -120,3 +126,38 @@ def test_c_minus_half_leaves_only_the_F_equation(E):
     assert _zero(E[NU, X_].subs(c, half))
     chalf = _exact(F_ode_residual_chalf(_SymJet(F), _SymJet(h)))
     assert _zero(E[NU, NU].subs(c, half) - r**2 / 4 * chalf)
+
+
+alpha, beta, a0, x_pole = sp.symbols("alpha beta a0 x_pole")
+
+
+def _on_reduction(expr):
+    """expr with h'' replaced through h'' = alpha h h' + beta h^3."""
+    h2 = _exact(-ode2_residual(_SymJet(h), alpha, beta)) + h.diff(x, 2)
+    return expr.subs(h.diff(x, 2), h2)
+
+
+def test_the_tail_system_follows_from_the_reduction():
+    u, p = 1 / h, h.diff(x) / h**2
+    d_ds = lambda f: f.diff(x) / h  # ds = h dx
+    want = [_exact(v) for v in _tail_rhs(alpha, beta)(None, [x, u, p])]
+    got = [d_ds(x), d_ds(u), _on_reduction(d_ds(p))]
+    for g, w in zip(got, want):
+        assert _zero(g - w)
+
+
+def test_the_self_similar_pole_is_an_equilibrium_of_p():
+    # h = a0/(x - x*) solves the reduction where beta a0^2 - alpha a0 = 2;
+    # there p = -1/a0 is constant, a root of 2 p^2 - alpha p - beta, and
+    # x + u/p is the pole itself
+    pole = a0 / (x - x_pole)
+    condition = beta * a0**2 - alpha * a0 - 2
+    on_it = {beta: sp.solve(condition, beta)[0]}
+    residual = pole.diff(x, 2) - alpha * pole * pole.diff(x) - beta * pole**3
+    assert _zero(residual * (x - x_pole)**3 / a0 + condition)
+    u, p = 1 / pole, sp.simplify(pole.diff(x) / pole**2)
+    assert p == -1 / a0
+    dp = _exact(_tail_rhs(alpha, beta)(None, [x, u, p])[2])
+    assert _zero(dp.subs(on_it))
+    assert _zero((2 * p**2 - alpha * p - beta).subs(on_it))
+    assert _zero(x + u / p - x_pole)
