@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _dcfield
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import add
 
 import numpy as np
 
 from .curvature import MetricField, OneFormField
 from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
-                     PoleProximityError, WindowError)
+                     PoleProximityError, StiffnessError, WindowError)
 from .jets import _D1_FAC, Jet1, Jet3, _along_orders, per_x
 from .odesolve import IvpSpec, integrate, quad
 from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
@@ -44,8 +44,8 @@ _H_FLOOR = 1e-10         # F_from_h division guard
 _POLE_TOL = 1e-6         # closed-form field pole guards, in x units
 _THM1_MARGIN = 0.3       # thm1 window inset from the wp poles, in G units
 _PERIOD_TOL = 1e-8       # periodicity_check match (and least move) of h, h'
-_H_SWITCH = 10.0         # numeric family: |h| where a pole tail may begin
-_TAIL_S = 1e3            # numeric family: the pole tail's range in s
+_H_SWITCH = 10.0         # numeric sides: |h| where a pole tail may begin
+_TAIL_S = 1e3            # numeric sides: the pole tail's range in s
 _SN_ZERO = math.sqrt(2.0) * complete_elliptic_k(1.0 / math.sqrt(2.0))
 
 
@@ -920,128 +920,134 @@ def _numeric_guard(x, y):
     return abs(y[0]) < 1e6 and abs(y[1]) < 1e8
 
 
-def _pole_ahead(alpha, beta, p, sigma):
-    """Whether p = h'/h^2 lies in the basin of a real root p* of
-    2 p^2 - alpha p - beta that attracts it as s runs in the direction
-    sigma, with sigma p* > 0, so that u = 1/h decays to 0 ahead.
-
-    dp/ds = -2 (p - lo)(p - hi): increasing s carries every p > lo to
-    hi, decreasing s every p < hi to lo (a double root attracts from
-    one side only)."""
-    disc = alpha * alpha + 8.0 * beta  # (3 alpha + 4 (c - 1))^2 on a family
-    if disc < 0.0:
-        return False
-    d = math.sqrt(disc)
-    lo, hi = (alpha - d) / 4.0, (alpha + d) / 4.0
-    root, far = (hi, lo) if sigma > 0.0 else (lo, hi)
-    return sigma * (p - far) > 0.0 and sigma * root > 0.0
+def _tail_rhs(rhs, order: int):
+    """The profile ODE y' = rhs(x, y), y = (h, ..., h^(order-1)), in
+    u = 1/h, p_k = h^(k)/h^(k+1) and s with ds = h dx, as the system in
+    (x, u, p_1, ...) for `integrate`: dx/ds = u, du/ds = -p_1 u and
+    dp_k/ds = p_(k+1) - (k+1) p_1 p_k.  Both reductions have every term
+    of weight order + 1 (h and d/dx of weight 1), so p_order is rhs at
+    h = 1; on h'' = alpha h h' + beta h^3 that is alpha p + beta."""
+    return _tail_binder(order)(rhs)
 
 
-def _tail_rhs(alpha: float, beta: float):
-    """The reduction in u = 1/h, p = h'/h^2 and s with ds = h dx, as the
-    system in (x, u, p) for `integrate`: dx/ds = u, du/ds = -p u,
-    dp/ds = beta + alpha p - 2 p^2."""
-    def rhs(s, y):
-        _, u, p = y
-        return u, -p * u, beta + alpha * p - 2.0 * p * p
+@cache
+def _tail_binder(order):
+    # `_tail_rhs` for one order in straight-line code, built on first use
+    ps = ", ".join(f"p{k}" for k in range(1, order))
+    dps = ", ".join(f"at_one[{k}] - {k + 1}.0 * p1 * p{k}"
+                    for k in range(1, order))
+    scope = {}
+    exec(f"def bind(rhs):\n    def tail(s, y):\n        x, u, {ps} = y\n"
+         f"        at_one = rhs(x, [1.0, {ps}])\n"
+         f"        return u, -p1 * u, {dps}\n    return tail\n", scope)
+    return scope["bind"]
 
-    return rhs
 
-
-def _pole_tail(alpha, beta, x, h, dh, x_end):
-    """The integration of the tail system from (x, h, h') towards the
-    pole, or None where no pole lies ahead (`_pole_ahead`) or the tail
-    reaches the span end x_end (or its s range) before the guard.
-
-    The system (`_tail_rhs`) is regular at a pole, where u -> 0 and p
-    tends to a root of 2 p^2 - alpha p - beta.  Its guard is
-    `_numeric_guard` in these variables, |u| > 1e-6 and |p| < 1e8 u^2,
-    with x short of x_end.  Its atol is below rtol times the least |u|
-    the guard admits, so u is held to rtol, yet lets x or p start at 0.
-    """
+def _pole_tail(rhs, x, y, x_end):
+    """The tail system (`_tail_rhs`) of y' = rhs from the knot (x, y)
+    towards a pole, where it is regular, if it ends at its guard short of
+    the span end x_end, else None.  The guard is the caps |h| < 1e6,
+    |h'| < 1e8 as |u| > 1e-6, |p_1| < 1e8 u^2, with x short of x_end and
+    |h| not below the lesser of _H_SWITCH and its start.  atol, below
+    rtol times the least |u| admitted, lets x or a p_k start at 0."""
     direction = 1.0 if x_end > x else -1.0
-    sigma = math.copysign(1.0, h) * direction  # the direction of s
-    p0 = dh / (h * h)
-    if not _pole_ahead(alpha, beta, p0, sigma):
+    h, power, ps = y[0], y[0], []
+    for v in y[1:]:  # powers as products, so p_1 = h' / (h * h)
+        power *= h
+        ps.append(v / power)
+    level = max(1.0 / abs(h), 1.0 / _H_SWITCH)
+    capped = [False]  # whether the guard's last failure was a cap
+
+    def guard(s, z):
+        u, p1 = z[1], z[2]
+        capped[0] = (x_end - z[0]) * direction > 0.0 and abs(u) <= level
+        return capped[0] and abs(u) > 1e-6 and abs(p1) < 1e8 * u * u
+
+    try:
+        tail = integrate(IvpSpec(dim=len(y) + 1,
+                                 rhs=_tail_rhs(rhs, len(y)), x0=0.0,
+                                 y0=[x, 1.0 / h, *ps], guard=guard, rtol=1e-8,
+                                 atol=1e-14),
+                         math.copysign(_TAIL_S, h) * direction)
+    except StiffnessError:
         return None
-    inside = [True]  # whether the guard's last failure left x inside
-
-    def guard(s, y):
-        xs, u, p = y
-        inside[0] = (x_end - xs) * direction > 0.0
-        return inside[0] and abs(u) > 1e-6 and abs(p) < 1e8 * u * u
-
-    tail = integrate(IvpSpec(dim=3, rhs=_tail_rhs(alpha, beta), x0=0.0,
-                             y0=[x, 1.0 / h, p0], guard=guard,
-                             rtol=1e-8, atol=1e-14), sigma * _TAIL_S)
-    return tail if tail.status == "guard" and inside[0] else None
+    return tail if tail.status == "guard" and capped[0] else None
 
 
 class _NumericSide:
-    """One side of the numeric family, from (x0, y0) towards x_end.
+    """One side of a profile ODE y' = rhs(x, y), y = (h, h', ...), from
+    (x0, y0) towards x_end under `guard`, which fails where |h| >= 1e6
+    or |h'| >= 1e8.  It marches in x while also |h| < _H_SWITCH; where
+    only that bound stopped it, a kept `_pole_tail` gives the `edge` and
+    the estimate x + u/p_1 of the `pole` beyond it, else the march goes
+    on from the switch knot under the guard alone.  `status` is that of
+    the integration ending at the edge.  Calling it at x up to the edge
+    gives y, past the switch knot from the march resumed there (to a
+    kept tail's edge, built on the first such call)."""
 
-    `edge` is where `_numeric_guard` stops the solution (or x_end),
-    `status` that of the integration ending there, and `pole` the
-    estimate x + u/p of the pole beyond the edge, where the tail system
-    located it (else None).  Calling it at x between x0 and the edge
-    gives (h, h'): from the x-march up to its last knot, past that from
-    one march resumed there, built on the first such call.
-    """
-
-    def __init__(self, alpha, beta, x0, y0, x_end):
-        rhs = _ode2_rhs(alpha, beta)
+    def __init__(self, rhs, x0, y0, x_end, guard, rtol, atol):
         self.direction = 1.0 if x_end >= x0 else -1.0
         switch = [False]  # whether the guard's last failure was |h| only
 
         def marching(x, y):
-            switch[0] = _numeric_guard(x, y)
+            switch[0] = guard(x, y)
             return switch[0] and abs(y[0]) < _H_SWITCH
 
-        def march(x, y, end, guard):
-            return integrate(IvpSpec(dim=2, rhs=rhs, x0=x, y0=y, guard=guard,
-                                     rtol=1e-11, atol=1e-12), end)
+        def march(x, y, end, stop):
+            return integrate(IvpSpec(dim=len(y), rhs=rhs, x0=x, y0=y,
+                                     guard=stop, rtol=rtol, atol=atol), end)
 
         head = march(x0, y0, x_end, marching)
-        self.head, self.rest, self.pole = head, None, None
-        self.edge, self.status = head.x_end, head.status
+        self.head, self.tail, self.rest, self.pole = head, None, None, None
+        self.edge, self.status, self._resume = head.x_end, head.status, None
         if head.status == "ok" or not switch[0]:
             return
-        x, (h, dh) = head.x_end, head.y_end.tolist()
-        tail = _pole_tail(alpha, beta, x, h, dh, x_end)
-        if tail is None:
-            self.rest = march(x, head.y_end, x_end, _numeric_guard)
+        x = head.x_end
+        self.tail = _pole_tail(rhs, x, head.y_end.tolist(), x_end)
+        if self.tail is None:
+            self.rest = march(x, head.y_end, x_end, guard)
             self.edge, self.status = self.rest.x_end, self.rest.status
             return
-        self.edge, u, p = tail.y_end.tolist()
+        self.edge, u, p = self.tail.y_end.tolist()[:3]
         self.pole = self.edge + u / p
         # the edge lies short of the pole, so this march needs no guard
         self._resume = partial(march, x, head.y_end, self.edge, None)
+
+    def knots(self):
+        """Rows (x, h, h') at the x-march's knots, then at the tail's,
+        read back as (x, 1/u, p_1/u^2), or else at the resumed march's."""
+        head, rest = self.head, self.rest
+        rows = [np.column_stack([head.xs, head.ys[:, :2]])]
+        if self.tail is not None:
+            x, u, p = self.tail.ys[1:, :3].T
+            rows.append(np.column_stack([x, 1.0 / u, p / (u * u)]))
+        elif rest is not None:
+            rows.append(np.column_stack([rest.xs, rest.ys[:, :2]])[1:])
+        return np.concatenate(rows)
 
     def __call__(self, x):
         head = self.head
         if (x - head.x_end) * self.direction <= 0.0:
             return head(x)
-        if self.rest is None:
-            self.rest = self._resume()
-        return self.rest(x)
+        if self._resume is not None:  # once: a failed march stays failed
+            resume, self._resume = self._resume, None
+            self.rest = resume()
+        return (head if self.rest is None else self.rest)(x)
 
 
 def _family_numeric(alpha, c, x0, h0, h1, span):
     """The profile that integrates h'' = alpha h h' + beta h^3 from
     (h, h')(x0) = (h0, h1), on the window where |h| < 1e6 and
-    |h'| < 1e8 (`_numeric_guard`), within x0 +- span.
-
-    Each side marches in x while also |h| < _H_SWITCH.  Where it stops
-    there, and a pole lies ahead (`_pole_ahead`), the tail system in
-    (u, p; s) of `_pole_tail`, regular at the pole, locates the edge:
-    the tail's last x.  Elsewhere (p outside the basin, a span end the
-    tail would cross) the march carries on in x under the guard alone,
-    so an edge at x0 +- span stays exactly there.  The solution past
-    the switch point comes from one x-march resumed at the switch knot
-    and run to the edge, on the first x there.
+    |h'| < 1e8 (`_numeric_guard`), within x0 +- span.  Past |h| = 10
+    each side (`_NumericSide`) locates those unchanged caps in the
+    regular (x, u, p; s) of `_pole_tail`, to about 1e-11; where that
+    tail does not end at them, the march goes on in x, so an edge at
+    x0 +- span stays exactly there.
     """
     beta = reduction_consistency(alpha, c)
-    fwd, bwd = (_NumericSide(alpha, beta, x0, [h0, h1], x0 + s * span)
+    rhs = _ode2_rhs(alpha, beta)
+    fwd, bwd = (_NumericSide(rhs, x0, [h0, h1], x0 + s * span,
+                             _numeric_guard, rtol=1e-11, atol=1e-12)
                 for s in (1.0, -1.0))
 
     def ev(x):

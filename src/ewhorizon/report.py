@@ -30,14 +30,13 @@ from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
 from .jets import Jet1, PointBatch, per_x
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
-                          _FAMILIES, NearHorizonData, ScalarField1D,
-                          build_family, field_one, first_return,
-                          flatness_defect, named_h_field, nh_metric,
-                          ode2_residual, ode3_first_integral,
+                          _FAMILIES, _NumericSide, NearHorizonData,
+                          ScalarField1D, build_family, field_one,
+                          first_return, flatness_defect, named_h_field,
+                          nh_metric, ode2_residual, ode3_first_integral,
                           ode4_condition, ode4_residual, ode4_rhs,
                           periodicity_check, tanh_profile, thm1_F_field,
                           weyl_oneform_generic)
-from .odesolve import IvpSpec, integrate
 from .pdeverify import (HyperCRParams, alignment, dkp_residual,
                         dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
@@ -631,27 +630,19 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
 # c-scan
 # --------------------------------------------------------------------------
 
-# scan-c's rhs: the quartic solved for h'''' as a first-order system
-_quartic_rhs_factory = ode4_rhs
-
-
-def _quartic_jet(y, c):
-    y = y.tolist()
-    return Jet1.from_derivatives([*y, _quartic_rhs_factory(c)(0.0, y)[3]])
-
-
-def _knot_return(traj):
-    """First return of a forward trajectory to its start's (h, h'): the
-    knots bracket it, the dense output of their step refines it.
-    Returns within the first 4/2048 of the span are skipped, as
+def _knot_return(side):
+    """First return of a forward side to its start's (h, h'): its knots
+    (`_NumericSide.knots`) bracket it, the side's dense output refines
+    it.  Returns within the first 4/2048 of the span are skipped, as
     detect_period skips its first four samples."""
-    x0, x_end = float(traj.xs[0]), traj.x_end
-    if not x_end > x0:
+    x0 = float(side.head.xs[0])
+    if not side.edge > x0:
         return None
-    ys = traj.ys
-    return first_return(
-        zip(traj.xs.tolist(), ys[:, 0].tolist(), ys[:, 1].tolist()),
-        traj, x0 + 4 * ((x_end - x0) / 2048))
+    try:
+        return first_return(iter(side.knots().tolist()), side,
+                            x0 + 4 * ((side.edge - x0) / 2048))
+    except StiffnessError:  # the march resumed past |h| = 10 is too stiff
+        return None
 
 
 def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
@@ -660,6 +651,10 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     """March c over [c_from, c_to] integrating the quartic profile ODE
     from a family seed jet; one row of
     (c, status, x_start, x_end, periodic, period) per value.
+
+    Each side is a `_NumericSide`: past |h| = 10 its tail in the regular
+    (x, u, p_1, p_2, p_3; s) locates the unchanged caps, so x_end is
+    still where |h| = 1e6 or |h'| = 1e8 trips, to about 1e-11.
 
     Statuses: ok (full span), blowup (|h| or |h'| exceeded caps),
     guard (|h| fell to the division floor, or the step size collapsed,
@@ -686,8 +681,7 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
         if abs(y0[0]) <= 1e-6:
             rows.append((c, "singular-start", x0, x0, False, None))
             continue
-        rhs = _quartic_rhs_factory(c)
-        reason = {"flag": None}
+        rhs, reason = ode4_rhs(c), {"flag": None}
 
         def guard(x, y, rec=reason):
             if abs(y[0]) >= 1e6 or abs(y[1]) >= 1e8:
@@ -698,31 +692,31 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
                 return False
             return True
 
-        spec = IvpSpec(dim=4, rhs=rhs, x0=x0, y0=y0, guard=guard,
-                       rtol=1e-10, atol=1e-12)
-        sides = []
+        sides, flags = [], set()
         for target in (x0 + span, x0 - span):
             reason["flag"] = None
             try:
-                traj = integrate(spec, target)
-                flag = reason["flag"] if traj.status == "guard" else "ok"
-                sides.append((traj, flag or "guard"))
+                side = _NumericSide(rhs, x0, y0, target, guard, rtol=1e-10,
+                                    atol=1e-12)
             except StiffnessError:
-                sides.append((None, "guard"))
-        (fwd, _), (bwd, _) = sides
-        x_end = fwd.x_end if fwd is not None else x0
-        x_start = bwd.x_end if bwd is not None else x0
-        flags = {s for _, s in sides}
+                side = None
+            sides.append(side)
+            flags.add("guard" if side is None
+                      else "blowup" if side.pole is not None
+                      else "ok" if side.status == "ok"
+                      else reason["flag"] or "guard")
+        fwd, bwd = sides
+        x_end, x_start = (x0 if s is None else s.edge for s in sides)
         status = ("blowup" if "blowup" in flags
                   else "guard" if "guard" in flags else "ok")
         period = None if fwd is None else _knot_return(fwd)
         periodic = False
         if period is not None:
-            def ev(x, f=fwd, bk=bwd, cc=c):
-                traj = f if x >= x0 else bk
-                if traj is None:
+            def ev(x, f=fwd, bk=bwd, rhs=rhs):
+                if x < x0 and bk is None:
                     raise DomainError("outside integrated range")
-                return _quartic_jet(traj(x), cc)
+                y = (f if x >= x0 else bk)(x).tolist()
+                return Jet1.from_derivatives([*y, rhs(0.0, y)[3]])
 
             fld = ScalarField1D(partial(per_x, ev), label=f"scan[c={c:g}]",
                                 window=(x_start, x_end))

@@ -19,7 +19,6 @@ from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
                                    periodicity_check, reduction_consistency,
                                    weyl_oneform_generic)
 from ewhorizon.nearhorizon import abel_parametric_jets
-from ewhorizon.odesolve import IvpSpec, integrate
 from ewhorizon.report import GridSpec, _knot_return, run_check
 from ewhorizon.specfun import hyp2f1, real_period, wp
 
@@ -337,10 +336,12 @@ def test_detect_period_on_sin():
 
 
 def _oscillator_from(x0, span):
-    # y'' = -y through (sin x0, cos x0): the forward trajectory of sin
-    spec = IvpSpec(dim=2, rhs=lambda x, y: np.array([y[1], -y[0]]),
-                   x0=x0, y0=[math.sin(x0), math.cos(x0)])
-    return integrate(spec, x0 + span)
+    # y'' = -y through (sin x0, cos x0): the forward side of sin, which
+    # stays below |h| = 10 and so is one x-march
+    return nearhorizon._NumericSide(
+        lambda x, y: np.array([y[1], -y[0]]), x0,
+        [math.sin(x0), math.cos(x0)], x0 + span, lambda x, y: True,
+        rtol=1e-10, atol=1e-12)
 
 
 def test_first_return_on_trajectory_knots():

@@ -20,10 +20,11 @@ import pytest
 
 from ewhorizon import (cli, curvature, nearhorizon, odesolve, pdeverify,
                        report)
-from ewhorizon.errors import DomainError, EwhError, SingularJetError
+from ewhorizon.errors import (DomainError, EwhError, SingularJetError,
+                              StiffnessError)
 from ewhorizon.jets import Jet1, Point, PointBatch
 from ewhorizon.nearhorizon import (FAMILY_TAGS, ScalarField1D, field_const,
-                                   ode4_monomials)
+                                   ode4_monomials, ode4_rhs)
 from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
                               run_check, scan_c, scan_rows_csv, thread_count)
@@ -324,11 +325,13 @@ def test_scan_c_stops_at_profile_zero():
 
 
 # (seed, seed params) at c = -1: the scan_rows_csv line, then the
-# accepted knots and rhs calls of the forward and backward integrations,
-# as first recorded.  Guards the DOPRI step against any change of bits.
+# accepted knots and rhs calls of each integration (forward side first;
+# the quadratic seed's forward x-march stops at |h| = 10 and its pole
+# tail runs to the caps), as recorded when the pole tails came in.
+# Guards the DOPRI step against any change of bits.
 _SCAN_PINS = [
     ("quadratic", {}, "-1,blowup,0.327461248874,1.95141343416,false,",
-     (1455, 221), (8906, 1616)),
+     (510, 94, 221), (3446, 950, 1616)),
     ("tanh", {}, "-1,guard,1.00000506372e-06,7,false,",
      (299, 160), (1790, 1286)),
     ("tanh", {"b": 6.0}, "-1,ok,-5,7,false,", (49, 284), (290, 1700)),
@@ -336,7 +339,8 @@ _SCAN_PINS = [
 
 
 def _count_integrations(monkeypatch):
-    """Patch scan_c's integrate to record (knots, rhs calls) per run."""
+    """Patch the integrate of scan_c's sides to record (knots, rhs calls)
+    per run."""
     runs = []
 
     def counting(spec, x_end):
@@ -354,7 +358,7 @@ def _count_integrations(monkeypatch):
         runs.append((len(traj.xs), calls[0]))
         return traj
 
-    monkeypatch.setattr(report, "integrate", counting)
+    monkeypatch.setattr(nearhorizon, "integrate", counting)
     return runs
 
 
@@ -371,15 +375,17 @@ def test_scan_c_is_deterministic(monkeypatch, seed, params, line, knots,
 
 def test_scan_c_benchmark_values_take_pinned_work(monkeypatch):
     # one scan per c, 13 per seed: the quadratic seed on [-1, 2], tanh on
-    # [-2, 1]; 52 integrations whose knot and rhs totals are pinned
+    # [-2, 1]; 75 integrations (52 x-marches, 22 pole tails, one march
+    # resumed at |h| = 10) whose knot and rhs totals are pinned.  Marching
+    # into the caps in x they took 42 557 knots and 265 904 rhs calls
     runs = _count_integrations(monkeypatch)
     for seed, lo, hi in (("quadratic", -1.0, 2.0), ("tanh", -2.0, 1.0)):
         for i in range(13):
             c = lo + (hi - lo) * i / 12
             scan_c(c, c, 1, seed=seed)
-    assert len(runs) == 52
-    assert sum(n for n, _ in runs) == 42557
-    assert sum(r for _, r in runs) == 265904
+    assert len(runs) == 75
+    assert sum(n for n, _ in runs) == 27044
+    assert sum(r for _, r in runs) == 184140
 
 
 def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
@@ -392,8 +398,9 @@ def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
 
 def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
     # at c = 1e6 the tanh seed's steps shrink to ~5e-7 on both sides: the
-    # forward side blows up after 1 337 steps, and the first progress
-    # check stops the backward one, long before its step budget
+    # forward side reaches |h| = 10 after 1 353 steps and its pole tail
+    # runs to the caps, and the first progress check stops the backward
+    # side, long before its step budget
     calls = []
 
     def counting(spec, x_end):
@@ -410,13 +417,14 @@ def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
             spec.rhs = rhs
             calls.append(n[0])
 
-    monkeypatch.setattr(report, "integrate", counting)
+    monkeypatch.setattr(nearhorizon, "integrate", counting)
     t0 = time.perf_counter()
     assert scan_c(1e6, 1e6, 1, seed="tanh") == [
-        (1e6, "blowup", 1.0, 1.0000188048124907, False, None)]
+        (1e6, "blowup", 1.0, 1.0000188047943515, False, None)]
     assert time.perf_counter() - t0 < 1.0
     # 6 rhs calls per attempted step, 2 for the starting step
-    assert calls[1] == 6 * odesolve._FLOOR_EVERY + 2
+    assert len(calls) == 3
+    assert calls[2] == 6 * odesolve._FLOOR_EVERY + 2
 
 
 def test_quartic_rhs_is_the_numpy_scalar_form_bit_for_bit():
@@ -429,7 +437,7 @@ def test_quartic_rhs_is_the_numpy_scalar_form_bit_for_bit():
         h0, h1, h2, h3 = y
         top = reduce(add, ode4_monomials(h0, h1, h2, h3, c))
         want = np.array([h1, h2, h3, 4.0 * top / (h0 * h0)])
-        got = np.array(report._quartic_rhs_factory(c)(0.0, y.tolist()))
+        got = np.array(ode4_rhs(c)(0.0, y.tolist()))
         assert got.tobytes() == want.tobytes()
 
 
@@ -450,10 +458,153 @@ def test_scan_c_statuses_form_known_set():
 
 
 def test_scan_c_13_step_csv_bytes_are_pinned():
-    # `ewh scan-c --from -1 --to 2 --steps 13`, as first recorded
+    # `ewh scan-c --from -1 --to 2 --steps 13`, as recorded when past
+    # |h| = 10 the sides' pole tails located the caps: 5 of the 52 edges
+    # moved in their last printed digit (rows 0.25, 1.25, 1.5 and 1.75)
     text = scan_rows_csv(scan_c(-1.0, 2.0, 13))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ebb4fecb556c040aa32170a121e1f569e1722ad1d585d536664ba39da3cb86b8")
+        "d454f106bf8edbc2b3950cab054e7ffc44ab2890a1077a9c118a4b069b7eaba2")
+
+
+# the scan-c benchmark's 26 rows as the x-march into the caps gave them,
+# before the pole tails: statuses, periodic flags and periods must stay,
+# and the edges within 1e-9 relative
+_SCAN_BENCHMARK_ROWS = {
+    "quadratic": [
+        (-1.0, "blowup", 0.32746124887429484, 1.9514134341617002, False, None),
+        (-0.75, "blowup", 0.3295474754714304, 2.0654380968725774, False, None),
+        (-0.5, "blowup", 0.32961823245893584, 2.19708627369612, False, None),
+        (-0.25, "blowup", 0.3271487599684064, 2.3415035985116535, False, None),
+        (0.0, "blowup", 0.32125227709342424, 2.500320674115495, False, None),
+        (0.25, "blowup", 0.31028493010701985, 2.6900707600647333, False, None),
+        (0.5, "blowup", 0.2906838455712018, 2.9549908303253947, False, None),
+        (0.75, "blowup", 0.2519402982933963, 3.4401147214532086, False, None),
+        (1.0, "guard", 0.0009999999806326449, 7.0, False, None),
+        (1.25, "blowup", 0.07468529130269007, 2.461815415429398, False, None),
+        (1.5, "blowup", 0.13914997298599344, 2.248003264969661, False, None),
+        (1.75, "blowup", 0.19505824472103014, 2.1368757236183273, False, None),
+        (2.0, "blowup", 0.24384843575139115, 2.063891979965484, False, None),
+    ],
+    "tanh": [
+        (-2.0, "blowup", -0.24687216587195726, 7.0, False, None),
+        (-1.75, "blowup", -0.4088107895511946, 7.0, False, None),
+        (-1.5, "guard", -0.07454203085192013, 7.0, False, None),
+        (-1.25, "guard", -0.022286770327219374, 7.0, False, None),
+        (-1.0, "guard", 1.0000050637201241e-06, 7.0, False, None),
+        (-0.75, "guard", 0.009341857637679354, 7.0, False, None),
+        (-0.5, "guard", 0.011081357668609348, 7.0, False, None),
+        (-0.25, "guard", 0.007566619407917197, 7.0, False, None),
+        (0.0, "guard", 1.0000021773445301e-06, 7.0, False, None),
+        (0.25, "guard", -0.010951229534964364, 7.0, False, None),
+        (0.5, "blowup", -0.02491903747427281, 5.393118182596451, False, None),
+        (0.75, "blowup", -0.041710110726366455, 4.062820517753858, False, None),
+        (1.0, "blowup", -0.061252798077741, 3.40488865543298, False, None),
+    ],
+}
+
+
+def test_scan_c_benchmark_rows_keep_the_marched_rows():
+    for seed, (lo, hi) in (("quadratic", (-1.0, 2.0)), ("tanh", (-2.0, 1.0))):
+        for i, want in enumerate(_SCAN_BENCHMARK_ROWS[seed]):
+            c = lo + (hi - lo) * i / 12
+            (got,) = scan_c(c, c, 1, seed=seed)
+            assert (got[:2], got[4:]) == (want[:2], want[4:])
+            for g, w in zip(got[2:4], want[2:4]):
+                assert abs(g - w) <= 1e-9 * abs(w), (seed, c)
+
+
+def _sides(monkeypatch):
+    """Patch nearhorizon's _pole_tail to record whether each tail was
+    kept, in the order scan_c's sides ran."""
+    kept, tail = [], nearhorizon._pole_tail
+
+    def recording(*args):
+        t = tail(*args)
+        kept.append(t is not None)
+        return t
+
+    monkeypatch.setattr(nearhorizon, "_pole_tail", recording)
+    return kept
+
+
+def test_scan_c_sides_whose_tail_falls_back_keep_the_marched_row(
+        monkeypatch):
+    kept = _sides(monkeypatch)
+    # quadratic c = 1 is h = x^2: the forward side passes |h| = 10 at
+    # x = sqrt(10), its tail would cross the span end, and the march
+    # resumed there ends ok at x = 7 with h = 49
+    assert scan_rows_csv(scan_c(1.0, 1.0, 1)).splitlines()[1] == \
+        "1,guard,0.000999999980633,7,false,"
+    assert kept == [False]
+    # b = -3 puts h(x0) = 16: both tails start at x0.  The forward one
+    # would cross the span end, the backward one falls back below
+    # |h| = 10 towards the zero of h at x = -3; each side is then the
+    # x-march from x0, and the row is the marched row to the bit
+    kept.clear()
+    assert scan_c(1.0, 1.0, 1, seed_params={"b": -3.0}) == [
+        (1.0, "guard", -2.9990000148935745, 7.0, False, None)]
+    assert kept == [False, False]
+
+
+def test_scan_c_tail_from_x0_keeps_the_marched_row(monkeypatch):
+    # h(x0) = 16 at c = 0: the forward tail starts at x0 and is kept, and
+    # the first-return search reads the march resumed at x0; the backward
+    # tail falls back below |h| = 10, and that side marches to x0 - span
+    kept = _sides(monkeypatch)
+    ((c, status, x_start, x_end, periodic, period),) = scan_c(
+        0.0, 0.0, 1, seed_params={"b": -3.0})
+    assert kept == [True, False]
+    assert (c, status, x_start, periodic, period) == (
+        0.0, "blowup", -5.0, False, None)
+    assert abs(x_end - 1.269117932387196) <= 1e-9 * 1.269117932387196
+
+
+def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
+    # a tail that raises StiffnessError leaves the side to the march
+    # resumed at |h| = 10, whose edge lies 1.2e-12 from the march's
+    def stiff_tails(spec, x_end):
+        if spec.dim == 5:
+            raise StiffnessError("stiff tail")
+        return integrate(spec, x_end)
+
+    monkeypatch.setattr(nearhorizon, "integrate", stiff_tails)
+    ((c, status, x_start, x_end, periodic, period),) = scan_c(-1.0, -1.0, 1)
+    assert scan_rows_csv([(c, status, x_start, x_end, periodic, period)]) \
+        .splitlines()[1] == "-1,blowup,0.327461248874,1.95141343416,false,"
+    assert x_start == 0.32746124887429484
+    assert abs(x_end - 1.9514134341617002) <= 1e-9 * 1.9514134341617002
+
+
+def test_scan_c_side_too_stiff_to_march_keeps_its_tail():
+    # at c = 40 with h(x0) = 16 the forward x-march spends its step budget
+    # at x = 3.0021 (the parent reported that side as guard at x0); the
+    # tail from x0 reaches the caps at x = 3.0030, and the first-return
+    # search, whose resumed march spends the budget the same way, finds
+    # no return instead of raising
+    assert scan_c(40.0, 40.0, 1, seed_params={"b": -3.0}) == [
+        (40.0, "blowup", 0.9872299374655903, 3.00303117826869, False, None)]
+
+
+def test_scan_c_side_knots_read_the_tail_back_as_h():
+    # the forward side at c = -1: 510 x-march knots, then the tail's,
+    # read back as (x, 1/u, p_1/u^2), agree with the march resumed at the
+    # switch knot, which the side's dense output reads
+    jet = nearhorizon.build_family("quadratic").field(1.0)
+    y0 = [jet.derivative(k) for k in range(4)]
+    side = nearhorizon._NumericSide(ode4_rhs(-1.0), 1.0, y0, 7.0,
+                                    lambda x, y: abs(y[0]) < 1e6
+                                    and abs(y[1]) < 1e8, rtol=1e-10,
+                                    atol=1e-12)
+    knots = side.knots()
+    n = len(side.head.xs)
+    assert (n, len(knots)) == (510, 510 + len(side.tail.xs) - 1)
+    assert knots[:n].tobytes() == np.column_stack(
+        [side.head.xs, side.head.ys[:, :2]]).tobytes()
+    assert np.all(np.diff(knots[:, 0]) > 0.0) and knots[-1, 0] == side.edge
+    for x, h, dh in knots[n::10].tolist():
+        y = side(x)
+        assert abs(h - y[0]) <= 1e-7 * abs(h)
+        assert abs(dh - y[1]) <= 1e-7 * abs(dh)
 
 
 def test_scan_c_rejects_bad_input():

@@ -17,17 +17,21 @@ package's own formulas, evaluated on sympy symbols, must match it:
 * at c = -1/2, E_nux vanishes identically and E_nunu is r^2/4 times
   F_ode_residual_chalf.
 
-It also derives the reduction h'' = alpha h h' + beta h^3 in the scaling
-variables u = 1/h, p = h'/h^2 and s with ds = h dx, which the numeric
-family integrates toward a pole (`_tail_rhs`), and the self-similar pole
-h = a0/(x - x*) as an equilibrium of its p equation.
+It also derives both reductions, h'' = alpha h h' + beta h^3 and the
+quartic, in the scaling variables u = 1/h, p_k = h^(k)/h^(k+1) and s
+with ds = h dx, in which the numeric family and scan-c integrate toward
+a pole (`_tail_rhs`): every monomial of the quartic has weight 7, so
+the generic tail, built from the x-rhs at h = 1, is each one's
+polynomial p-system.  The self-similar pole h = a0/(x - x*) is an
+equilibrium of the reduction's p equation.
 """
 
 import pytest
 
-from ewhorizon.nearhorizon import (F_from_h, F_ode_residual_chalf,
+from ewhorizon.nearhorizon import (_ODE4_TERMS, F_from_h,
+                                   F_ode_residual_chalf, _ode2_rhs,
                                    _tail_rhs, ode4_monomials, ode4_residual,
-                                   ode2_residual)
+                                   ode4_rhs, ode2_residual)
 
 sp = pytest.importorskip("sympy")
 
@@ -140,7 +144,8 @@ def _on_reduction(expr):
 def test_the_tail_system_follows_from_the_reduction():
     u, p = 1 / h, h.diff(x) / h**2
     d_ds = lambda f: f.diff(x) / h  # ds = h dx
-    want = [_exact(v) for v in _tail_rhs(alpha, beta)(None, [x, u, p])]
+    tail = _tail_rhs(_ode2_rhs(alpha, beta), 2)
+    want = [_exact(v) for v in tail(None, [x, u, p])]
     got = [d_ds(x), d_ds(u), _on_reduction(d_ds(p))]
     for g, w in zip(got, want):
         assert _zero(g - w)
@@ -157,7 +162,60 @@ def test_the_self_similar_pole_is_an_equilibrium_of_p():
     assert _zero(residual * (x - x_pole)**3 / a0 + condition)
     u, p = 1 / pole, sp.simplify(pole.diff(x) / pole**2)
     assert p == -1 / a0
-    dp = _exact(_tail_rhs(alpha, beta)(None, [x, u, p])[2])
+    dp = _exact(_tail_rhs(_ode2_rhs(alpha, beta), 2)(None, [x, u, p])[2])
     assert _zero(dp.subs(on_it))
     assert _zero((2 * p**2 - alpha * p - beta).subs(on_it))
     assert _zero(x + u / p - x_pole)
+
+
+def test_every_quartic_monomial_has_weight_7():
+    # h and d/dx of weight 1: h^(k) has weight k + 1, and each monomial
+    # scales by lam^7 under h^(k) -> lam^(k+1) h^(k)
+    lam, cm = sp.symbols("lam cm")
+    hs = sp.symbols("h0:4")
+
+    def term(expr, scale):
+        d = {f"h{k}": scale ** (k + 1) * hs[k] for k in range(4)}
+        d.update(cm=cm, cm2=cm**2, h0_3=d["h0"]**3, h1_2=d["h1"]**2)
+        return _exact(eval(expr, {}, d))
+
+    assert len(_ODE4_TERMS) == 7
+    for expr in _ODE4_TERMS:
+        assert _zero(term(expr, lam) - lam**7 * term(expr, 1)), expr
+
+
+def _on_quartic(expr):
+    """expr with h replaced through the quartic, h = 4 (the sum
+    of ode4_monomials) / h^2."""
+    d = [h.diff(x, k) for k in range(4)]
+    h4 = 4 * _exact(sum(ode4_monomials(*d, c))) / h**2
+    return expr.subs(h.diff(x, 4), h4)
+
+
+def test_the_quartic_tail_system_follows_from_the_quartic():
+    u = 1 / h
+    ps = [h.diff(x, k) / h**(k + 1) for k in (1, 2, 3)]
+    d_ds = lambda f: f.diff(x) / h  # ds = h dx
+    want = [_exact(v) for v in _tail_rhs(ode4_rhs(c), 4)(None, [x, u, *ps])]
+    got = [d_ds(x), d_ds(u), *(_on_quartic(d_ds(p)) for p in ps)]
+    for g, w in zip(got, want):
+        assert _zero(g - w)
+
+
+def test_the_generic_tail_is_both_p_systems():
+    # the tail built from each x-rhs at h = 1 is the polynomial system:
+    # dp/ds = beta + alpha p - 2 p^2 on the reduction; dp_k/ds =
+    # p_(k+1) - (k+1) p_1 p_k with p_4 the quartic at h = 1
+    u, p1, p2, p3 = sp.symbols("u p1 p2 p3")
+    reduction = [_exact(v) for v in
+                 _tail_rhs(_ode2_rhs(alpha, beta), 2)(None, [x, u, p1])]
+    assert reduction == [u, -p1 * u, sp.expand(beta + alpha * p1
+                                               - 2 * p1**2)]
+    cm = c - 1
+    p4 = (4 * cm**2 * p1**2 - 2 * cm**2 * p2 + 9 * cm * p1 * p2
+          - 3 * cm * p3 - 2 * p1**2 * p2 + 2 * p1 * p3 + 4 * p2**2)
+    quartic = [_exact(v) for v in
+               _tail_rhs(ode4_rhs(c), 4)(None, [x, u, p1, p2, p3])]
+    want = [u, -p1 * u, p2 - 2 * p1**2, p3 - 3 * p1 * p2, p4 - 4 * p1 * p3]
+    for g, w in zip(quartic, want):
+        assert _zero(g - w)
