@@ -12,8 +12,8 @@ from collections import Counter
 
 from .errors import EwhError
 from .nearhorizon import _family_row
-from .report import (CHECKS, GridSpec, export_plot, run_check, scan_c,
-                     scan_rows_csv)
+from .report import (_FAMILY_PARAMS, CHECKS, GridSpec, export_plot,
+                     run_check, scan_c, scan_rows_csv)
 
 
 class _UsageError(Exception):
@@ -33,10 +33,12 @@ def _param_types() -> dict:
             for name, default in check.params.items()}
 
 
-def _add_param_flags(parser):
+def _add_param_flags(parser, shown):
+    """The flags of `_param_types`, hidden from the help unless shown."""
     for name, kind in _param_types().items():
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=kind, default=None)
+                            type=kind, default=None, help=None
+                            if name in shown else argparse.SUPPRESS)
 
 
 def _collect_params(args):
@@ -80,7 +82,7 @@ def _build_parser() -> _Parser:
     pv = sub.add_parser("verify", parents=[], add_help=True,
                         help="run one named check and report residuals")
     pv.add_argument("check", type=str)
-    _add_param_flags(pv)
+    _add_param_flags(pv, _param_types())
     pv.add_argument("--grid", type=str, default=None,
                     help="axis=min:max:count[,axis=...]")
     pv.add_argument("--tol", type=float, default=None)
@@ -96,13 +98,13 @@ def _build_parser() -> _Parser:
     ps.add_argument("--to", dest="c_to", type=float, required=True)
     ps.add_argument("--steps", type=int, default=11)
     ps.add_argument("--seed", type=str, default="quadratic")
-    _add_param_flags(ps)
+    _add_param_flags(ps, _FAMILY_PARAMS)
     ps.add_argument("--csv", type=str, default=None, metavar="PATH")
 
     pp = sub.add_parser("export-plot",
                         help="write a 1d residual sweep as csv")
     pp.add_argument("check", type=str)
-    _add_param_flags(pp)
+    _add_param_flags(pp, _param_types())
     pp.add_argument("--axis", type=str, default="x",
                     choices=("nu", "r", "x"))
     pp.add_argument("--samples", type=int, default=200)
@@ -132,6 +134,10 @@ _SCAN_OWN = {"x0": "the scan's start", "span": "the scan's half-width"}
 
 def _cmd_scan_c(args) -> int:
     params = _collect_params(args)
+    # check flags no seed takes are hidden, so --e cannot abbreviate --ell
+    extra = sorted(params.keys() - _FAMILY_PARAMS.keys())
+    if extra:
+        raise _UsageError(f"no scan-c seed takes --{extra[0]}")
     seed_params = _family_row(args.seed)[1]
     clash = sorted(set(params) & set(_SCAN_OWN) & set(seed_params))
     if clash:

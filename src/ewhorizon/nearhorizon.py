@@ -44,6 +44,8 @@ _H_FLOOR = 1e-10         # F_from_h division guard
 _POLE_TOL = 1e-6         # closed-form field pole guards, in x units
 _THM1_MARGIN = 0.3       # thm1 window inset from the wp poles, in G units
 _PERIOD_TOL = 1e-8       # periodicity_check match (and least move) of h, h'
+_H_CAP = 1e6             # numeric sides: |h| < _H_CAP and |h'| < _DH_CAP,
+_DH_CAP = 1e8            # else the numeric window (or a scan side) ends
 _H_SWITCH = 10.0         # numeric sides: |h| where a pole tail may begin
 _TAIL_S = 1e3            # numeric sides: the pole tail's range in s
 _SN_ZERO = math.sqrt(2.0) * complete_elliptic_k(1.0 / math.sqrt(2.0))
@@ -64,12 +66,13 @@ class ScalarField1D:
     `period`, when set, is a declared exact period; `integral`, when
     set, maps (x0, x1) to the exact definite integral.
 
-    A call takes one float x; `at` also an array of x, one per point of
-    a PointBatch.  One memo serves both: the last evaluation as one
-    (5, n) jet with the column of each x it holds, and the last query
-    with its jet.  A query whose x it all holds is answered from it (the
-    same array by identity), so every residual at one x shares one
-    evaluation.  Returned jets are shared and read-only.
+    A call takes one float x, as the grid walker's x-by-x path does;
+    `at` also an array of x, one per point of a PointBatch.  One memo
+    serves both: the last evaluation as one (5, n) jet with the column
+    of each x it holds, and the last query with its jet.  A query whose
+    x it all holds is answered from it (the same array by identity), so
+    every residual at one x shares one evaluation.  Jets are shared and
+    read-only.
     """
 
     evaluator: object
@@ -77,9 +80,11 @@ class ScalarField1D:
     period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
-    # [{x: column}, the (5, n) jet, the last query, its jet]
-    _memo: list = _dcfield(default_factory=lambda: [{}, None, None, None],
-                           init=False, repr=False, compare=False)
+    # [{x: column}, the (5, n) jet, the last query, its jet]; a fresh
+    # memo holds a (read-only) jet of no columns for an empty array
+    _memo: list = _dcfield(default_factory=lambda: [
+        {}, Jet1._raw(np.broadcast_to(0.0, (5, 0))), None, None],
+        init=False, repr=False, compare=False)
 
     def __call__(self, x) -> Jet1:
         columns, held, key, jet = self._memo
@@ -88,11 +93,7 @@ class ScalarField1D:
         if x in columns:
             jet = Jet1._raw(held.coeffs[:, columns[x]])  # a read-only view
         else:
-            lo, hi = self.window
-            if not lo <= x <= hi:
-                raise WindowError(
-                    f"x={x!r} outside window [{lo!r}, {hi!r}] of field "
-                    f"{self.label!r}")
+            self._check_window([x])
             jet = self.evaluator(x)
             jet.coeffs.flags.writeable = False
             columns, held = {x: 0}, Jet1._raw(jet.coeffs[:, None])
@@ -101,34 +102,24 @@ class ScalarField1D:
 
     def at(self, x) -> Jet1:
         """The jet at x, a float; or at every x of a 1-D array, as one
-        Jet1 with a trailing batch axis whose column k is the jet at x[k]:
-        from the memo, or from one evaluator call at the array's distinct
-        x, else x by x (where that raises EwhError, or an x lies outside
-        the window), so the error raised is that of the first failing x.
-        An empty array gives a jet with no columns."""
+        Jet1 with a trailing batch axis whose column k is the jet at x[k],
+        from the memo or from one evaluator call at the array's distinct
+        x.  WindowError at the first x outside the window, before the
+        evaluator runs; any other error is the evaluator's, which need not
+        be the first failing x's (the grid walker finds that one).  An
+        empty array gives a jet with no columns."""
         if not isinstance(x, np.ndarray):
             return self(x)
         columns, held, key, jet = self._memo
         if x is key:
             return jet
         xs = x.tolist()
-        if not xs:
-            jet = Jet1._raw(np.zeros((5, 0)))
-            jet.coeffs.flags.writeable = False
-            return jet
         if not columns.keys() >= set(xs):
             distinct = list(dict.fromkeys(xs))
-            xd = x if len(distinct) == len(xs) else np.array(distinct)
-            lo, hi = self.window
-            held = None
-            if np.all((lo <= xd) & (xd <= hi)):
-                try:
-                    held = self.evaluator(xd)
-                except EwhError:
-                    pass
-            if held is None:
-                held = self._x_by_x(distinct)
-            elif held.coeffs.shape != (5, len(distinct)):
+            self._check_window(distinct)
+            held = self.evaluator(x if len(distinct) == len(xs)
+                                  else np.array(distinct))
+            if held.coeffs.shape != (5, len(distinct)):
                 raise ValueError(
                     f"evaluator of field {self.label!r} gave jets of shape "
                     f"{held.coeffs.shape} at {len(distinct)} x")
@@ -141,23 +132,14 @@ class ScalarField1D:
         self._memo[:] = columns, held, x, jet
         return jet
 
-    def _x_by_x(self, xs):
-        """The jets at the distinct floats xs, from a call at each in
-        turn, stacked.  Where one raises EwhError, the memo keeps the
-        jets of the x before it, so a caller that goes on x by x reads
-        them instead of evaluating them again."""
-        jets = []
-        try:
-            for v in xs:
-                jets.append(self(v).coeffs)
-        except EwhError:
-            if jets:
-                held = Jet1._raw(np.stack(jets, axis=1))
-                held.coeffs.flags.writeable = False
-                self._memo[:] = (dict(zip(xs, range(len(jets)))), held,
-                                 None, None)
-            raise
-        return Jet1._raw(np.stack(jets, axis=1))
+    def _check_window(self, xs):
+        """WindowError at the first of the floats xs outside the window."""
+        lo, hi = self.window
+        for x in xs:
+            if not lo <= x <= hi:
+                raise WindowError(
+                    f"x={x!r} outside window [{lo!r}, {hi!r}] of field "
+                    f"{self.label!r}")
 
 
 def field_const(k: float, label: str = "") -> ScalarField1D:
@@ -319,12 +301,10 @@ def weyl_oneform_generic(d: NearHorizonData) -> OneFormField:
     return OneFormField(comp, label=f"weyl[c={c:g}]")
 
 
-def flatness_defect(d: NearHorizonData, x: float) -> float:
-    """F'(x) - F(x) h(x); identically zero iff the metric is
-    conformally flat on the window."""
-    hj = d.h(x)
-    Fj = d.F(x)
-    return Fj.derivative(1) - Fj.value * hj.value
+def flatness_defect(h: Jet1, F: Jet1) -> float:
+    """F' - F h from the jets of h and F at one x; identically zero iff
+    the metric is conformally flat on the window."""
+    return F.derivative(1) - F.value * h.value
 
 
 def _check_h_floor(x, v):
@@ -917,7 +897,7 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
 
 def _numeric_guard(x, y):
     """The numeric family's window ends where this fails."""
-    return abs(y[0]) < 1e6 and abs(y[1]) < 1e8
+    return abs(y[0]) < _H_CAP and abs(y[1]) < _DH_CAP
 
 
 def _tail_rhs(rhs, order: int):
@@ -946,10 +926,11 @@ def _tail_binder(order):
 def _pole_tail(rhs, x, y, x_end):
     """The tail system (`_tail_rhs`) of y' = rhs from the knot (x, y)
     towards a pole, where it is regular, if it ends at its guard short of
-    the span end x_end, else None.  The guard is the caps |h| < 1e6,
-    |h'| < 1e8 as |u| > 1e-6, |p_1| < 1e8 u^2, with x short of x_end and
-    |h| not below the lesser of _H_SWITCH and its start.  atol, below
-    rtol times the least |u| admitted, lets x or a p_k start at 0."""
+    the span end x_end, else None.  The guard is the caps |h| < _H_CAP,
+    |h'| < _DH_CAP as |u| > 1/_H_CAP, |p_1| < _DH_CAP u^2, with x short
+    of x_end and |h| not below the lesser of _H_SWITCH and its start.
+    atol, below rtol times the least |u| admitted, lets x or a p_k start
+    at 0."""
     direction = 1.0 if x_end > x else -1.0
     h, power, ps = y[0], y[0], []
     for v in y[1:]:  # powers as products, so p_1 = h' / (h * h)
@@ -961,7 +942,8 @@ def _pole_tail(rhs, x, y, x_end):
     def guard(s, z):
         u, p1 = z[1], z[2]
         capped[0] = (x_end - z[0]) * direction > 0.0 and abs(u) <= level
-        return capped[0] and abs(u) > 1e-6 and abs(p1) < 1e8 * u * u
+        return (capped[0] and abs(u) > 1.0 / _H_CAP
+                and abs(p1) < _DH_CAP * u * u)
 
     try:
         tail = integrate(IvpSpec(dim=len(y) + 1,

@@ -6,10 +6,10 @@ a check's residuals in PointBatch slices of whole (nu, r) planes: for
 run_check a plane at each grid x (a one-point plane for a check with
 no per-point residual), for export_plot a one-point plane at each
 sample x (or one plane of samples at one x).  Per-x residuals are
-evaluated on the array of a slice's x: each profile they read once,
-as one batched jet, then their formulas per x in Python floats, which
-keeps the bits of a float x.  Errors are raised slice by slice,
-per-point residuals before per-x ones.  run_check wraps
+formulas of their profiles' jets, each profile evaluated once on a
+slice's x, then the formulas per x in Python floats, which keeps the
+bits of a float x.  Errors are raised slice by slice, per-point
+residuals before per-x ones.  run_check wraps
 the per-component maxima in a ResidualReport, whose flat, versioned
 JSON has a fixed key order and 17-significant-digit floats, so
 identical invocations produce byte-identical files.
@@ -30,13 +30,13 @@ from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
 from .jets import Jet1, PointBatch, per_x
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
-                          _FAMILIES, _NumericSide, NearHorizonData,
-                          ScalarField1D, build_family, field_one,
-                          first_return, flatness_defect, named_h_field,
-                          nh_metric, ode2_residual, ode3_first_integral,
-                          ode4_condition, ode4_residual, ode4_rhs,
-                          periodicity_check, tanh_profile, thm1_F_field,
-                          weyl_oneform_generic)
+                          _DH_CAP, _FAMILIES, _H_CAP, _NumericSide,
+                          NearHorizonData, ScalarField1D, build_family,
+                          field_one, first_return, flatness_defect,
+                          named_h_field, nh_metric, ode2_residual,
+                          ode3_first_integral, ode4_condition, ode4_residual,
+                          ode4_rhs, periodicity_check, tanh_profile,
+                          thm1_F_field, weyl_oneform_generic)
 from .pdeverify import (HyperCRParams, alignment, dkp_residual,
                         dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
@@ -252,34 +252,31 @@ class ResidualReport:
 class Residual:
     """One residual evaluator of a check.
 
-    `fn` maps a grid point (an x when `per_x`) to a residual value or
-    array.  A per-point `fn` also takes a PointBatch, for one value or
-    array per point along a trailing batch axis.  A per-x `fn` takes one
-    float x; `fields` are the profiles it reads, in the order it reads
-    them.  Component `names[k]` is |entry `index[k]`| of it, or |value|
-    when `index` is None; an export-plot sweep reads max |entry|.
+    Per point (no `fields`), `fn` maps a grid point or a PointBatch to a
+    residual value or array (per point along a trailing batch axis).
+    Per x, `fn` is a formula of the Jet1s of its `fields` (profiles) at
+    one x, giving one value.  Component `names[k]` is |entry `index[k]`|
+    of the value, or |value| when `index` is None.
     """
 
     names: tuple
     fn: object
     index: tuple = None
-    per_x: bool = False
     fields: tuple = ()
 
     def values(self, q) -> list:
         """The components at q: a point or a PointBatch, or for a per-x
-        residual an x or an array of x.  At an array, each field is
-        evaluated once on it with `at`, and `fn` then runs at each x in
-        turn, reading the fields' columns through float calls.  The
-        formulas stay per x in Python floats because numpy's array `**`
-        rounds unlike Python's pow (0.08% of random doubles at p = 2,
-        about 2.7% at p = 3), so the bits stay those of a float x."""
-        if self.per_x:
-            for f in self.fields:
-                f.at(q)
-            raw = per_x(self.fn, q)
-        else:
+        residual an x or an array of x, where each field is evaluated
+        once with `at` and `fn` runs on their jets at each x in turn: in
+        Python floats, as numpy's array `**` rounds unlike pow (0.08% of
+        random doubles at p = 2, about 2.7% at p = 3)."""
+        if not self.fields:
             raw = self.fn(q)
+        elif isinstance(q, np.ndarray):
+            columns = zip(*(f.at(q).coeffs.T for f in self.fields))
+            raw = [self.fn(*map(Jet1._raw, c)) for c in columns]
+        else:
+            raw = self.fn(*(f(q) for f in self.fields))
         vals = np.abs(np.asarray(raw, dtype=float))
         return [vals] if self.index is None else [vals[i] for i in self.index]
 
@@ -363,8 +360,8 @@ def _build_thm2(p):
                                       "HypergeometricParametric") else 1e-8,
         params={"family": fam.tag, "c": fam.c, **fam.parameters},
         residuals=(_ew(nh_metric(d), weyl_oneform_generic(d)),
-                   Residual(("ode4",), lambda x: _ode4_relative(h(x), fam.c),
-                            per_x=True, fields=(h,))),
+                   Residual(("ode4",), lambda hj: _ode4_relative(hj, fam.c),
+                            fields=(h,))),
         profiles=(h, F),
         narrow=lambda axis: _nonzero_x_interval(h, axis))
 
@@ -383,8 +380,7 @@ def _build_prop1(p):
     residuals = (Residual(_COTTON_NAMES, lambda q: cotton(g, q), _COTTON_IDX),)
     # F = one reports Cotton only: its defect is the input, not a residual
     if p["F"] == "flat":
-        residuals += (Residual(("defect",), lambda x: flatness_defect(d, x),
-                               per_x=True, fields=(h, F)),)
+        residuals += (Residual(("defect",), flatness_defect, fields=(h, F)),)
     return Setup(
         claim=("the near-horizon metric is conformally flat exactly when "
                "F' = F h"),
@@ -427,8 +423,8 @@ def _build_prop4(p):
         residuals=(_ew(g, X),
                    Residual(("alignment",), align),
                    Residual(("ode2",),
-                            lambda x: ode2_residual(h(x), -2.0 * c, 0.0),
-                            per_x=True, fields=(h,))))
+                            lambda hj: ode2_residual(hj, -2.0 * c, 0.0),
+                            fields=(h,))))
 
 
 def _build_chalf(p):
@@ -439,9 +435,8 @@ def _build_chalf(p):
                "second-order equation for F"),
         window=F.window, tolerance=1e-8 if p["h"] == "zero" else 1e-5,
         params=p,
-        residuals=(Residual(("residual",),
-                            lambda x: F_ode_residual_chalf(F(x), h(x)),
-                            per_x=True, fields=(F, h)),),
+        residuals=(Residual(("residual",), F_ode_residual_chalf,
+                            fields=(F, h)),),
         profiles=(h, F))
 
 
@@ -450,21 +445,21 @@ def _build_family(p, tag):
     f = fam.field
     if fam.role == "h":
         residuals = (Residual(("ode4",),
-                              lambda x: _ode4_relative(f(x), fam.c),
-                              per_x=True, fields=(f,)),)
+                              lambda hj: _ode4_relative(hj, fam.c),
+                              fields=(f,)),)
         fi = fam.info.get("first_integral")
         if fi is not None:
             residuals += (Residual(("first_integral",),
-                                   lambda x: ode3_first_integral(f(x)) - fi,
-                                   per_x=True, fields=(f,)),)
+                                   lambda hj: ode3_first_integral(hj) - fi,
+                                   fields=(f,)),)
         claim = (f"the {fam.tag} profile solves the quartic reduction "
                  f"with its cataloged c")
         profiles = (f, F_from_h_field(f, fam.c))
     else:
-        residuals = (Residual(
-            ("fode",),
-            lambda x: F_ode_residual_chalf(f(x), Jet1.constant(0.0)),
-            per_x=True, fields=(f,)),)
+        zero = Jet1.constant(0.0)
+        residuals = (Residual(("fode",),
+                              lambda Fj: F_ode_residual_chalf(Fj, zero),
+                              fields=(f,)),)
         claim = ("the weierstrass profile F satisfies 2 F'' = 12 F^2, "
                  "the h = 0 reduction at c = -1/2")
         profiles = (None, f)
@@ -557,11 +552,11 @@ def _rows(residuals, nus, rs, xs, skip):
     slices of as many whole planes as fit in _PLANE_SLICE points (or one
     plane in PointBatches of that size).  Per slice, yield its x, the
     blocks of rows of the per-point residuals (one per PointBatch), then
-    those of the per-x residuals on the array of its x, each block one
-    batch (`_batch_rows`): each profile is evaluated once per slice, and
-    errors come slice by slice, per-point residuals first."""
-    point_rs, x_rs = ([r for r in residuals if r.per_x == per_x]
-                      for per_x in (False, True))
+    the block of the per-x residuals on the array of its x, each block
+    one batch (`_batch_rows`): each profile is evaluated once per slice,
+    and errors come slice by slice, per-point residuals first."""
+    point_rs = [r for r in residuals if not r.fields]
+    x_rs = [r for r in residuals if r.fields]
     n = len(nus)
     points = (np.tile(nus, len(xs)), np.tile(rs, len(xs)), np.repeat(xs, n))
     per = max(1, _PLANE_SLICE // n)
@@ -582,7 +577,7 @@ def _reduce(setup, grid, x_axis, skip):
     x axis (up to _PLANE_SLICE x) is one slice."""
     nu_axis, r_axis = _axis_values(grid.nu), _axis_values(grid.r)
     nus, rs = np.repeat(nu_axis, len(r_axis)), np.tile(r_axis, len(nu_axis))
-    if all(r.per_x for r in setup.residuals):
+    if all(r.fields for r in setup.residuals):
         nus, rs = nus[:1], rs[:1]
     slices = list(_rows(setup.residuals, nus, rs, _axis_values(x_axis),
                         skip))
@@ -590,7 +585,7 @@ def _reduce(setup, grid, x_axis, skip):
     # every check declares its per-point residuals first, so this keeps
     # the declared component order
     for k, per_x in ((1, False), (2, True)):
-        names = [n for r in setup.residuals if r.per_x == per_x
+        names = [n for r in setup.residuals if bool(r.fields) == per_x
                  for n in r.names]
         rows = [row for s in slices for block in s[k] for row in block
                 if row is not None]
@@ -611,7 +606,7 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
     _require_finite({"tolerance": tolerance})
     check, s = _setup(check_id, params)
     # checks without per-point residuals grid x only, and more densely
-    x_only = all(r.per_x for r in s.residuals)
+    x_only = all(r.fields for r in s.residuals)
     x_axis = grid.resolve_x(s.window, count=33 if x_only else 5)
     if grid.x is None and s.narrow is not None:
         x_axis = s.narrow(x_axis)
@@ -684,7 +679,7 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
         rhs, reason = ode4_rhs(c), {"flag": None}
 
         def guard(x, y, rec=reason):
-            if abs(y[0]) >= 1e6 or abs(y[1]) >= 1e8:
+            if abs(y[0]) >= _H_CAP or abs(y[1]) >= _DH_CAP:
                 rec["flag"] = "blowup"
                 return False
             if abs(y[0]) <= 1e-6:
@@ -763,8 +758,6 @@ def _profile_cells(profiles, xs):
     h), one `at` per field: the walker has evaluated both on the slice,
     a per-point residual on its PointBatch and a per-x sweep through its
     fields, so this only formats them."""
-    if not xs:
-        return []
     x = np.array(xs)
     return list(zip(*[[""] * len(xs) if f is None else
                       [f"{v:.12g}" for v in f.at(x).value.tolist()]
@@ -772,10 +765,9 @@ def _profile_cells(profiles, xs):
 
 
 def _worst_entries(block):
-    """max |entry| of each row of a `_batch_rows` block: one max over a
-    batch's array, or row by row (None for a skipped row)."""
+    """The largest component of each `_batch_rows` row (None if skipped)."""
     if isinstance(block, np.ndarray):
-        return np.max(block, axis=tuple(range(1, block.ndim))).tolist()
+        return np.max(block, axis=1).tolist()
     return [None if row is None else float(np.max(row)) for row in block]
 
 
@@ -784,7 +776,8 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
     """CSV lines for a 1D sweep of a check's first residual.
 
     Profile checks emit (x, h, F, residual) along x; PDE checks emit
-    (axis, residual) along any axis; the residual cell is max |entry|.
+    (axis, residual) along any axis; the residual cell is the largest of
+    the components `run_check` reports for that residual.
     `_rows` walks a one-point plane (nu = 0.3, r = 0.7) at each sample
     x, or one plane of the samples at the window's middle x (or 0).  A
     sample whose evaluation raises EwhError is dropped where the check
@@ -801,10 +794,11 @@ def export_plot(check_id: str, params: dict = None, axis: str = "x",
         raise DomainError(f"check {check_id!r} sweeps x only")
     # a per-x sweep also reads the profiles of its cells, so a sample
     # whose cells fail is dropped (or raises) with its row
-    r0 = s.residuals[0]
-    cell_fields = tuple(f for f in s.profiles or () if f is not None)
-    sweep = Residual(("residual",), r0.fn, per_x=r0.per_x,
-                     fields=r0.fields + cell_fields if r0.per_x else ())
+    sweep = r0 = s.residuals[0]
+    if r0.fields:
+        sweep = Residual(r0.names, lambda *j: r0.fn(*j[:len(r0.fields)]),
+                         r0.index, r0.fields + tuple(
+                             f for f in s.profiles or () if f is not None))
     a, b, clipped = _sweep_window(s.window) if axis == "x" \
         else (-1.0, 1.0, False)
     vs = [float(v) for v in np.linspace(a, b, samples)]

@@ -230,9 +230,28 @@ def _nonpositive_integer(v: float) -> bool:
     return v <= 0.0 and v == round(v)
 
 
+def _hyp_small(term, total, small, n):
+    """The count `small` of consecutive 2F1 terms below machine precision
+    relative to the sum, carried past the term n.  A jet's size is its
+    largest |coefficient|, as those grow ~ n^k over the value term.
+    AccuracyError when the last term allowed leaves fewer than three."""
+    if isinstance(term, float):
+        tval, sval = abs(term), abs(total)
+    else:
+        tval = float(np.max(np.abs(term.coeffs)))
+        sval = float(np.max(np.abs(total.coeffs)))
+    small = small + 1 if tval <= _HYP_RTOL * max(sval, 1e-300) else 0
+    if small < 3 and n == _HYP_MAX_TERMS - 1:
+        raise AccuracyError(
+            f"2F1 series did not converge in {_HYP_MAX_TERMS} terms",
+            error_bound=tval,
+            estimate=total if isinstance(total, float) else total.value)
+    return small
+
+
 def _hyp_series(a, b, c, z):
     """The 2F1 series in the arithmetic of z (float or Jet1), summed until
-    three consecutive terms fall below machine precision relative."""
+    `_hyp_small` counts three terms below machine precision relative."""
     total = z * 0.0 + 1.0  # one, in the arithmetic of z
     term = total
     lost = z * 0.0  # Kahan compensation: the many small terms near
@@ -243,24 +262,9 @@ def _hyp_series(a, b, c, z):
         t = total + y
         lost = (t - total) - y
         total = t
-        if isinstance(term, float):
-            tval, sval = abs(term), abs(total)
-        else:
-            # jet coefficients pick up factors ~ n^k over the value term,
-            # so convergence must be judged on the whole coefficient vector
-            tval = float(np.max(np.abs(term.coeffs)))
-            sval = float(np.max(np.abs(total.coeffs)))
-        if tval <= _HYP_RTOL * max(sval, 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise AccuracyError(
-        f"2F1 series did not converge in {_HYP_MAX_TERMS} terms",
-        estimate=total if isinstance(total, float) else total.value,
-        error_bound=tval,
-    )
+        small = _hyp_small(term, total, small, n)
+        if small >= 3:
+            return total
 
 
 def _digamma(x: float) -> float:
@@ -281,9 +285,8 @@ def _hyp_degenerate(a, b, m, w):
     """2F1(a, b; a + b + m; 1 - w) for an integer m >= 0, in the
     arithmetic of w (float or Jet1), by the connection formula DLMF
     15.8.10 (Abramowitz & Stegun 15.3.10-11): a finite sum of m terms,
-    and a series in w with ln w and digamma factors, summed until three
-    consecutive terms fall below machine precision relative.  Neither a
-    nor b may be a non-positive integer."""
+    and a series in w with ln w and digamma factors, summed as
+    `_hyp_series` is.  Neither a nor b may be a non-positive integer."""
     g = math.gamma
     c = a + b + m
     log_w = math.log(w) if isinstance(w, float) else w.log()
@@ -305,26 +308,13 @@ def _hyp_degenerate(a, b, m, w):
     for n in range(_HYP_MAX_TERMS):
         term = coef * power * (log_w + (psi[2] + psi[3] - psi[0] - psi[1]))
         total = total + term
-        if isinstance(term, float):
-            tval, sval = abs(term), abs(total)
-        else:
-            tval = float(np.max(np.abs(term.coeffs)))
-            sval = float(np.max(np.abs(total.coeffs)))
-        if tval <= _HYP_RTOL * max(sval, 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
+        small = _hyp_small(term, total, small, n)
+        if small >= 3:
+            break
         coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0))
         power = power * w
         psi = (psi[0] + 1.0 / (n + 1.0), psi[1] + 1.0 / (n + m + 1.0),
                psi[2] + 1.0 / (a + n + m), psi[3] + 1.0 / (b + n + m))
-    else:
-        raise AccuracyError(
-            f"2F1 series did not converge in {_HYP_MAX_TERMS} terms",
-            estimate=total if isinstance(total, float) else total.value,
-            error_bound=tval)
     return head - (-1.0) ** m * g(c) / (g(a) * g(b)) * w ** m * total
 
 

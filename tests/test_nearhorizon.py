@@ -30,7 +30,7 @@ from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    ode4_residual,
                                    reduction_consistency, thm1_F_field,
                                    thm1_structure, weyl_oneform_generic)
-from ewhorizon.report import _sweep_window
+from ewhorizon.report import Residual, _rows, _sweep_window
 from ewhorizon.specfun import _pole_free_cell, real_period, wp
 
 RNG = np.random.default_rng(20240917)
@@ -193,7 +193,8 @@ def test_flat_F_gives_zero_cotton(make_h):
     worst = max(float(np.max(np.abs(cotton(g, p))))
                 for p in grid(-1.2, 1.2, 3))
     assert worst < 1e-9
-    assert max(abs(flatness_defect(d, x)) for x in (-1.0, 0.3, 1.1)) < 1e-12
+    assert max(abs(flatness_defect(d.h(x), d.F(x)))
+               for x in (-1.0, 0.3, 1.1)) < 1e-12
 
 
 def test_non_flat_pair_has_nonzero_cotton():
@@ -202,7 +203,7 @@ def test_non_flat_pair_has_nonzero_cotton():
     worst = max(float(np.max(np.abs(cotton(g, p))))
                 for p in grid(-1.2, 1.2, 3))
     assert worst > 1e-4
-    assert abs(flatness_defect(d, 0.3) - (0.0 - 1.0)) < 1e-12
+    assert abs(flatness_defect(d.h(0.3), d.F(0.3)) - (0.0 - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +576,24 @@ def _bad_batches():
 @pytest.mark.parametrize("name, xs", _bad_batches(),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_field_at_an_array_raises_the_first_scalar_error(name, xs):
+    # `at` raises the evaluator's error, or WindowError at the first x
+    # outside the window; the grid walker then goes x by x, so a per-x
+    # residual reading the field raises the first scalar error, and with
+    # skip it leaves out exactly the x whose scalar call fails
     make = _BATCH_FIELDS[name][0]
     want = _first_scalar_error(make, xs)
     assert want is not None
+    r = Residual(("v",), lambda j: j.value, fields=(make(),))
     with pytest.raises(EwhError) as got:
-        make().at(xs)
+        list(_rows((r,), [0.3], [0.7], xs.tolist(), False))
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+    ref, r = make(), Residual(("v",), lambda j: j.value, fields=(make(),))
+    kept = [row is not None for _, _, blocks in
+            _rows((r,), [0.3], [0.7], xs.tolist(), True)
+            for block in blocks for row in block]
+    assert kept == [_first_scalar_error(lambda: ref, np.array([x])) is None
+                    for x in xs.tolist()]
 
 
 _JACOBI_POLE = "x = 0.0 near a pole of the Jacobi profile"

@@ -9,6 +9,7 @@ verified, 1 usage or runtime error) and are asserted by driving
 import hashlib
 import json
 import math
+import re
 import time
 import warnings
 from collections import Counter
@@ -649,6 +650,29 @@ def test_cli_scan_c_csv(tmp_path, capsys):
     assert lines[1].split(",")[1] == "ok"
 
 
+# the check parameters that no scan-c seed family takes
+_NO_SEED_FLAGS = {"--h", "--F", "--perturb", "--family", "--e", "--j", "--k",
+                  "--l"}
+
+
+def test_cli_scan_c_help_lists_only_seed_flags(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["scan-c", "--help"])
+    assert done.value.code == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert not flags & _NO_SEED_FLAGS
+    assert {f"--{n.replace('_', '-')}" for n in report._FAMILY_PARAMS} <= flags
+
+
+@pytest.mark.parametrize("flag", sorted(_NO_SEED_FLAGS))
+def test_cli_scan_c_refuses_a_flag_no_seed_takes(capsys, flag):
+    # linear takes ell: --e is refused, not read as an abbreviation of it
+    code, out, err = run_cli(["scan-c", "--from", "0", "--to", "1",
+                              "--seed", "linear", flag, "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"ewh: error: no scan-c seed takes {flag}\n"
+
+
 # ---------------------------------------------------------------------------
 # plot export
 
@@ -886,9 +910,9 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
                                            ("family:tanh", {})])
 def test_per_x_sweep_evaluates_each_profile_once_per_slice(monkeypatch,
                                                            check, params):
-    # a sweep whose residual takes float x lists the profiles of its h and
-    # F cells among its fields: the walker evaluates each once per slice,
-    # and the residual at each x and the cells read them from the memo
+    # a per-x sweep lists the profiles of its h and F cells among its
+    # fields: the walker evaluates each once per slice, and the cells
+    # read them from the memo
     counts, setup = [], report._setup
 
     def counting(*args):
@@ -946,10 +970,10 @@ def test_profiles_are_called_at_float_x_only(monkeypatch):
         export_plot(check, params, samples=200)
     for check, params in _PLANE_CHECKS:
         run_check(check, params)
-    # the sweeps and thm2-ode's |h| probe read every profile through `at`;
-    # the per-x residuals make these calls, one per profile and grid x:
-    # 5 thm2-ode checks and prop4 with one profile, 2 prop1-iff with two
-    assert len(xs) == 50
+    # the walker reads every profile through `at`, per-x residuals too
+    # (their formulas take the profiles' jets), and so do the sweeps'
+    # cells and thm2-ode's |h| probe: no batch fails, so none is called
+    assert xs == []
 
 
 def _narrowed_axes():
@@ -1005,7 +1029,7 @@ def test_checks_have_per_point_residuals_listed():
         if name.endswith(":"):
             continue
         s = report._setup(name, {})[1]
-        assert (name in covered) == any(not r.per_x for r in s.residuals)
+        assert (name in covered) == any(not r.fields for r in s.residuals)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(),
@@ -1017,7 +1041,7 @@ def test_checks_have_per_point_residuals_listed():
 def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
     s, batch = _plane(check, params, grid)
     for r in s.residuals:
-        if r.per_x:
+        if r.fields:
             continue
         got = np.asarray(r.fn(batch), dtype=float)
         want = np.stack([np.asarray(r.fn(q), dtype=float)
@@ -1061,7 +1085,7 @@ def test_per_point_residual_bits_are_pinned(check, params, digest):
     nu_r = np.random.default_rng(16).uniform(-1.2, 1.2, (6, 2)).tolist()
     h = hashlib.sha256()
     for r in s.residuals:
-        if r.per_x:
+        if r.fields:
             continue
         for x in np.linspace(x_axis[0], x_axis[1], 7).tolist():
             for nu, rr in nu_r:
@@ -1087,7 +1111,7 @@ def test_x_spanning_batch_equals_its_points_bit_for_bit(check, params):
     assert len(set(batch.x.tolist())) == 7
     fresh = report._setup(check, params)[1]
     for r, r1 in zip(s.residuals, fresh.residuals):
-        if r.per_x:
+        if r.fields:
             continue
         got = np.asarray(r.fn(batch), dtype=float)
         want = np.stack([np.asarray(r1.fn(q), dtype=float)
@@ -1115,7 +1139,7 @@ def test_one_curvature_assembly_per_slice(monkeypatch, check):
     s, plane = _plane(check, {})
     batches.clear()
     for r in s.residuals:
-        if not r.per_x:
+        if not r.fields:
             r.fn(plane.points()[7])
     assert batches == [(1,)]
 
@@ -1249,15 +1273,17 @@ def test_batched_run_check_equals_the_per_point_path(monkeypatch, check,
 
 
 # sha256 of each sweep-1d CSV as `ewh export-plot` writes it, recorded
-# before sweeps were batched
+# before sweeps were batched; re-recorded when the residual cell became
+# the largest reported component (80 cells of thm1 sin, both thm2-ode
+# sweeps, prop1-iff and prop4 fell)
 _SWEEP_1D_SHA256 = [
     "0bab6d513b686a81f463542ffa97c988b888e164de8f233e5b93fe58b8c0d78e",
-    "78787d4309a2c1baf481cf64d212e78d0308fc516f7891d36a9e89da56641543",
-    "3d9b02f02fba39415d823ad30d01ba28735b44256fbc7245636c76ccde5b1181",
-    "39c7b3a9978fed86a3d63d6fd5967afb845c8ba85d878f689038b5a6cf7c2e49",
-    "d55351ee22fd652ae00e9a33b83bbc17015e9c89537f363c9cb25b3e7948338b",
+    "b0fea7cd80b68dc08acfb192e3dbbe93b4bc3a18d22ab7ca60aa80b9fc50a58a",
+    "265a37d403c740a51000aa8a7ebc45d08f94638068d7e5243615c712af0ed153",
+    "5e571ad5688bd4d50817cf12e5a543581012b900608956442e03803c3fc997d8",
+    "7e211d5def1f9beddddd552f9f79e4ac9b3491d46af06e5034bfb20a9adb6c32",
     "3a0fc24f8bc2cf01f88e1babb2b90701a7a8808cef0cd61e51a972140863dfcc",
-    "e5ed7ba7f2e363bb6ad1113071b823fc3ef954ec2c9b4138c4695b680a3912d1",
+    "4df421fb1fbc0dc1d3e1465fb56ecf2cc3056a4bdf1f9b3689a091a5741a78fe",
 ]
 
 
@@ -1303,7 +1329,7 @@ def test_sweep_batch_error_is_that_of_the_first_failing_sample(monkeypatch):
 
 def test_profile_cells_fail_as_their_float_calls(monkeypatch):
     # a profile that fails at two samples of the second slice, beside a
-    # residual that never reads it: its cells alone decide the outcome
+    # residual that reads another: its cells alone decide the outcome
     xs = [float(v) for v in np.linspace(-3.0, 3.0, 150)]
     bad = {xs[100], xs[70]}
 
@@ -1318,7 +1344,8 @@ def test_profile_cells_fail_as_their_float_calls(monkeypatch):
         setup = report.Setup(
             claim="", window=(-math.inf, math.inf), tolerance=1.0,
             params={}, profiles=(h, h),
-            residuals=(report.Residual(("v",), lambda x: 0.0, per_x=True),))
+            residuals=(report.Residual(("v",), lambda zero: zero.value,
+                                       fields=(field_const(0.0),)),))
         monkeypatch.setitem(report.CHECKS, "holes",
                             report.Check({}, lambda p: setup, skip=skip))
         if not skip:
@@ -1417,6 +1444,23 @@ def test_x_sweep_csv_bytes_are_pinned(check, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("check, params",
+                         _SWEEP_1D + [(c, {}) for c in _X_SWEEPS])
+def test_sweep_cell_is_the_largest_reported_component(check, params):
+    # the cell is the largest of the components `verify` reports for the
+    # check's first residual, at the sample's (nu, r) = (0.3, 0.7) or x
+    lines = export_plot(check, params, samples=200)
+    _, s = report._setup(check, params)
+    r0 = s.residuals[0]
+    a, b, _ = report._sweep_window(s.window)
+    xs = np.linspace(a, b, 200).tolist()
+    rows = [ln.split(",") for ln in lines[1:] if ln[0] != "#"]
+    assert [row[0] for row in rows] == [f"{x:.12g}" for x in xs]
+    for x, row in zip(xs, rows):
+        q = Point(0.3, 0.7, x) if not r0.fields else x
+        assert row[-1] == f"{max(map(float, r0.values(q))):.12g}"
+
+
 def _x_by_x(monkeypatch):
     """Make every x-array evaluation of the grid walker raise, so each
     slice's per-x residuals go x by x."""
@@ -1452,10 +1496,36 @@ def test_per_x_sweep_equals_its_x_by_x_path(monkeypatch, check, params,
     assert _sweep_outcome(check, params, samples=samples) == batched
 
 
+@pytest.mark.parametrize("check, params, n_x, F_most", [
+    ("family:tanh", {}, 201, 329), ("thm2-ode", {"family": "tanh"}, 128, 166)])
+def test_a_failing_sweep_slice_evaluates_h_once_per_x(monkeypatch, check,
+                                                      params, n_x, F_most):
+    # at 201 samples F = F_from_h(h) divides by h(0) = 0 in the second
+    # slice, which goes x by x: family:tanh drops x = 0, thm2-ode raises
+    # there after 128 x.  h is evaluated once at each x; F no more often
+    # than when `at` itself went x by x (now 328 and 165 times, at most
+    # 3 and 2 times at one x)
+    counts, setup = [], report._setup
+
+    def counting(*args):
+        c, s = setup(*args)
+        _count_evaluations(s, counts)
+        return c, s
+
+    monkeypatch.setattr(report, "_setup", counting)
+    out = _sweep_outcome(check, params, samples=201)
+    # family:tanh: a header and the 200 rows other than x = 0
+    assert (len(out) == 201) == (check == "family:tanh")
+    h_count, F_count = counts
+    assert len(h_count) == n_x and set(h_count.values()) == {1}
+    assert sum(F_count.values()) <= F_most
+    assert max(F_count.values()) <= 3
+
+
 def test_a_failing_x_only_slice_evaluates_each_x_once(monkeypatch):
-    # family:numeric's window ends inside [-1, 3], so the one slice of 41
-    # x goes x by x up to the first x outside it; the walker's own x-by-x
-    # pass then reads the 24 x inside from the memo
+    # family:numeric's window ends inside [-1, 3], so `at` on the one
+    # slice of 41 x raises before evaluating any; the walker then goes x
+    # by x, evaluating each of the 24 x inside once
     counts, reduce_grid = [], report._reduce
 
     def counting(setup, *args):
