@@ -132,6 +132,14 @@ class ScalarField1D:
         self._memo[:] = columns, held, x, jet
         return jet
 
+    def hold(self, xs, jets):
+        """Make the memo hold jets[k], this field's jet at the float
+        xs[k], as its columns: the grid walker's x-by-x pass leaves its
+        float calls' jets so, for a later `at` on those x to read."""
+        held = Jet1._raw(np.stack([j.coeffs for j in jets], axis=-1))
+        held.coeffs.flags.writeable = False
+        self._memo[:] = {x: k for k, x in enumerate(xs)}, held, None, None
+
     def _check_window(self, xs):
         """WindowError at the first of the floats xs outside the window."""
         lo, hi = self.window
@@ -928,21 +936,23 @@ def _pole_tail(rhs, x, y, x_end):
     towards a pole, where it is regular, if it ends at its guard short of
     the span end x_end, else None.  The guard is the caps |h| < _H_CAP,
     |h'| < _DH_CAP as |u| > 1/_H_CAP, |p_1| < _DH_CAP u^2, with x short
-    of x_end and |h| not below the lesser of _H_SWITCH and its start.
-    atol, below rtol times the least |u| admitted, lets x or a p_k start
-    at 0."""
+    of x_end and |h| not below the lesser of _H_SWITCH and its start;
+    the tail is kept where the state it rejected (`Trajectory.rejected`)
+    is in reach, so a cap stopped it.  atol, below rtol times the least
+    |u| admitted, lets x or a p_k start at 0."""
     direction = 1.0 if x_end > x else -1.0
     h, power, ps = y[0], y[0], []
     for v in y[1:]:  # powers as products, so p_1 = h' / (h * h)
         power *= h
         ps.append(v / power)
     level = max(1.0 / abs(h), 1.0 / _H_SWITCH)
-    capped = [False]  # whether the guard's last failure was a cap
+
+    def in_reach(z):  # short of x_end, |h| not below the level
+        return (x_end - z[0]) * direction > 0.0 and abs(z[1]) <= level
 
     def guard(s, z):
         u, p1 = z[1], z[2]
-        capped[0] = (x_end - z[0]) * direction > 0.0 and abs(u) <= level
-        return (capped[0] and abs(u) > 1.0 / _H_CAP
+        return (in_reach(z) and abs(u) > 1.0 / _H_CAP
                 and abs(p1) < _DH_CAP * u * u)
 
     try:
@@ -953,27 +963,31 @@ def _pole_tail(rhs, x, y, x_end):
                          math.copysign(_TAIL_S, h) * direction)
     except StiffnessError:
         return None
-    return tail if tail.status == "guard" and capped[0] else None
+    # kept where a cap, not x_end or the level, stopped it
+    return tail if tail.status == "guard" and in_reach(tail.rejected[1]) \
+        else None
 
 
 class _NumericSide:
     """One side of a profile ODE y' = rhs(x, y), y = (h, h', ...), from
-    (x0, y0) towards x_end under `guard`, which fails where |h| >= 1e6
-    or |h'| >= 1e8.  It marches in x while also |h| < _H_SWITCH; where
-    only that bound stopped it, a kept `_pole_tail` gives the `edge` and
-    the estimate x + u/p_1 of the `pole` beyond it, else the march goes
-    on from the switch knot under the guard alone.  `status` is that of
-    the integration ending at the edge.  Calling it at x up to the edge
-    gives y, past the switch knot from the march resumed there (to a
-    kept tail's edge, built on the first such call)."""
+    (x0, y0) towards x_end under `guard`, a pure predicate which fails
+    where |h| >= 1e6 or |h'| >= 1e8.  It marches in x while also
+    |h| < _H_SWITCH; where only that bound rejected the state that
+    stopped it (the guard passes the march's `rejected` state), a kept
+    `_pole_tail` gives the `edge` and the estimate x + u/p_1 of the
+    `pole` beyond it, else the march goes on from the switch knot under
+    the guard alone.  `status` is that of the integration ending at the
+    edge, and on a guard stop in x `rejected` the state (x, y) its guard
+    rejected there, for the caller to tell which bound it was.  Calling
+    it at x up to the edge gives y, past the switch knot from the march
+    resumed there (to a kept tail's edge, built on the first such
+    call)."""
 
     def __init__(self, rhs, x0, y0, x_end, guard, rtol, atol):
         self.direction = 1.0 if x_end >= x0 else -1.0
-        switch = [False]  # whether the guard's last failure was |h| only
 
         def marching(x, y):
-            switch[0] = guard(x, y)
-            return switch[0] and abs(y[0]) < _H_SWITCH
+            return guard(x, y) and abs(y[0]) < _H_SWITCH
 
         def march(x, y, end, stop):
             return integrate(IvpSpec(dim=len(y), rhs=rhs, x0=x, y0=y,
@@ -982,13 +996,16 @@ class _NumericSide:
         head = march(x0, y0, x_end, marching)
         self.head, self.tail, self.rest, self.pole = head, None, None, None
         self.edge, self.status, self._resume = head.x_end, head.status, None
-        if head.status == "ok" or not switch[0]:
+        self.rejected = head.rejected
+        # the switch: only |h| >= _H_SWITCH rejected the head's last trial
+        if head.status == "ok" or not guard(*head.rejected):
             return
         x = head.x_end
         self.tail = _pole_tail(rhs, x, head.y_end.tolist(), x_end)
         if self.tail is None:
             self.rest = march(x, head.y_end, x_end, guard)
             self.edge, self.status = self.rest.x_end, self.rest.status
+            self.rejected = self.rest.rejected
             return
         self.edge, u, p = self.tail.y_end.tolist()[:3]
         self.pole = self.edge + u / p

@@ -4,7 +4,13 @@
 proportional-integral step controller and quartic dense output, suitable
 for the smooth reduction ODEs handled here.  A user-supplied guard
 predicate stops the integration cleanly ahead of singular loci (the
-solved-for forms divide by powers of the solution).
+solved-for forms divide by powers of the solution): where a step passes
+its error test but the guard rejects its new state, the crossing is
+located by bisection on that step's dense output, at no rhs call, and
+the step retried short of it, until the crossing lies within 64 least
+steps of the last knot (event location, Hairer, Norsett & Wanner,
+Solving ODEs I, II.6).  The guard is therefore called at interpolated
+states too, and must be a pure predicate.
 
 Its step is the plain numpy form of the method, bit for bit, at fewer
 numpy calls.  The tableau sums (stages, solution, error estimate and
@@ -92,6 +98,10 @@ class IvpSpec:
     holds its states as floats, so an rhs that unpacks y and does float
     arithmetic avoids numpy's per-call cost, with numpy scalars' bits.
     `guard(x, y)` receives the same list and returns False to stop.
+    It is also called at states on a trial step's dense output, while
+    `integrate` locates where it starts to fail, so it must be a pure
+    predicate of (x, y); a caller tells which of its bounds stopped the
+    integration from `Trajectory.rejected`.
     """
 
     dim: int
@@ -121,6 +131,10 @@ class Trajectory:
 
     status is "ok" (reached the requested endpoint) or "guard" (the guard
     predicate stopped the integration; xs/ys hold the partial trajectory).
+    On a "guard" stop, `rejected` is a state (x, y), y a list of floats,
+    that the guard rejected within 64 least steps (64 * 1e-14 * max(|x0|,
+    |x_end|, 1)) of the last knot, for the caller to tell which of its
+    bounds stopped the integration.
     """
 
     xs: np.ndarray
@@ -128,6 +142,7 @@ class Trajectory:
     status: str
     reason: str = ""
     _segs: list = field(default_factory=list, repr=False)  # (x0, h, Q) per step
+    rejected: tuple = None  # (x, y) the guard rejected, on a "guard" stop
 
     def __post_init__(self):
         # Ascending search keys for the knots: a backward trajectory
@@ -262,7 +277,8 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     resolution floor, when the starting slope is too steep for any
     starting step, after _MAX_STEPS attempted steps, or earlier when its
     pace falls below the progress floor; a failing guard
-    instead ends the trajectory early with status "guard".  A step
+    instead ends the trajectory early with status "guard", within 64
+    least steps (64 * h_floor) of a state it rejects (`_locate`).  A step
     whose error estimate is not finite (a NaN or an overflow in the rhs)
     is rejected like any other, since a smaller one may avoid it; if the
     step size then underflows, the error names the component and the
@@ -278,7 +294,8 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     direction = 1.0 if span > 0 else -1.0
     if guard is not None and not guard(x, y):
         return Trajectory(np.array([x]), np.array([y]), "guard",
-                          reason="guard failed at the initial point")
+                          reason="guard failed at the initial point",
+                          rejected=(x, y))
 
     k = np.empty((7, spec.dim))
     k[0] = rhs(x, y)  # FSAL: row 0 always holds rhs at the current point
@@ -293,7 +310,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     step = _step_kernel(spec.dim)(k, rhs, atol, rtol)
     k_t = k.T
     y_abs = [abs(v) for v in y]
-    status, reason = "ok", ""
+    status, reason, rejected = "ok", "", None
     attempts = 0
     nonfinite = ""  # names the first non-finite estimate since the last knot
 
@@ -317,11 +334,15 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
 
         if err <= 1.0:
             if guard is not None and not guard(x + hs, y_new):
-                # Shrink toward the guard boundary instead of stepping past it.
-                if h <= 64 * h_floor:
+                lo, hi, state = _locate(guard, x, hs, y, k_t.dot(_P),
+                                        64 * h_floor, (x + hs, y_new))
+                if hi * h <= 64 * h_floor:
                     status, reason = "guard", f"guard stopped integration at x={x!r}"
+                    rejected = state
                     break
-                h *= 0.5
+                # lo > 0, and lo * h is at least the bracket's width, which
+                # its last halving left above 32 * h_floor: no underflow
+                h *= lo
                 continue
             segs.append((x, hs, k_t.dot(_P)))
             x += hs
@@ -343,7 +364,26 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP))
 
     return Trajectory(np.array(xs), np.array(ys).reshape(-1, spec.dim),
-                      status, reason, segs)
+                      status, reason, segs, rejected)
+
+
+def _locate(guard, x, hs, y, q, reach, rejected):
+    """Bracket the guard's crossing on a trial step's dense output
+    y + hs * q . (t, t^2, t^3, t^4), at no rhs call: the guard passes the
+    knot at t = 0 and rejects the `rejected` state (x, y) at t = 1.
+    Bisects [lo, hi] until its fail end lies within `reach` of the knot
+    or it is at most `reach` wide, and returns lo, hi and the state the
+    guard rejected at hi."""
+    lo, hi = 0.0, 1.0
+    h, y = abs(hs), np.array(y)
+    while hi * h > reach and (hi - lo) * h > reach:
+        t = 0.5 * (lo + hi)
+        state = (x + t * hs, (y + hs * q.dot([t, t * t, t**3, t**4])).tolist())
+        if guard(*state):
+            lo = t
+        else:
+            hi, rejected = t, state
+    return lo, hi, rejected
 
 
 def _first_nonfinite(y_abs, new_abs, e, hs, atol, rtol):

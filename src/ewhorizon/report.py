@@ -30,7 +30,7 @@ from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
 from .jets import Jet1, PointBatch, per_x
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
-                          _DH_CAP, _FAMILIES, _H_CAP, _NumericSide,
+                          _FAMILIES, _NumericSide, _numeric_guard,
                           NearHorizonData, ScalarField1D, build_family,
                           field_one, first_return, flatness_defect,
                           named_h_field, nh_metric, ode2_residual,
@@ -542,9 +542,27 @@ def _batch_rows(group, batch, skip):
     try:
         return np.moveaxis(np.array(_values(group, batch)), -1, 0)
     except EwhError:
-        return [_skipping(partial(_values, group), q, skip)
-                for q in (batch.points() if isinstance(batch, PointBatch)
-                          else batch.tolist())]
+        if isinstance(batch, PointBatch):
+            return [_skipping(partial(_values, group), q, skip)
+                    for q in batch.points()]
+        return _x_rows(group, batch.tolist(), skip)
+
+
+def _x_rows(group, xs, skip):
+    """`_batch_rows` one float x at a time for per-x residuals.  Each
+    field is then left holding its jets at the x whose row evaluated
+    (`ScalarField1D.hold`), so a sweep's profile cells read them there
+    instead of evaluating them again."""
+    fields = list({id(f): f for r in group for f in r.fields}.values())
+    rows, kept = [], []
+    for x in xs:
+        rows.append(_skipping(partial(_values, group), x, skip))
+        if rows[-1] is not None:  # memo reads: each field read x last
+            kept.append((x, [f(x) for f in fields]))
+    if kept:
+        for i, f in enumerate(fields):
+            f.hold([x for x, _ in kept], [jets[i] for _, jets in kept])
+    return rows
 
 
 def _rows(residuals, nus, rs, xs, skip):
@@ -640,6 +658,12 @@ def _knot_return(side):
         return None
 
 
+def _scan_guard(x, y):
+    """A scan side's guard: the numeric family's caps on |h| and |h'|,
+    and the division floor |h| > 1e-6."""
+    return _numeric_guard(x, y) and abs(y[0]) > 1e-6
+
+
 def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
            seed_params: dict = None, x0: float = 1.0,
            span: float = 6.0) -> list:
@@ -647,14 +671,18 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     from a family seed jet; one row of
     (c, status, x_start, x_end, periodic, period) per value.
 
-    Each side is a `_NumericSide`: past |h| = 10 its tail in the regular
-    (x, u, p_1, p_2, p_3; s) locates the unchanged caps, so x_end is
-    still where |h| = 1e6 or |h'| = 1e8 trips, to about 1e-11.
+    Each side is a `_NumericSide` under `_scan_guard`: past |h| = 10 its
+    tail in the regular (x, u, p_1, p_2, p_3; s) locates the unchanged
+    caps, so x_end is still where |h| = 1e6 or |h'| = 1e8 trips, to
+    about 1e-11.  Each integration stops within 64 least steps
+    (64e-14 * max(|x0|, |x0 +- span|, 1)) of a state its guard rejects,
+    located on a trial step's dense output.
 
-    Statuses: ok (full span), blowup (|h| or |h'| exceeded caps),
-    guard (|h| fell to the division floor, or the step size collapsed,
-    or its budget ran out, or its pace fell below the progress floor),
-    singular-start (seed |h| <= 1e-6, nothing integrated).
+    Statuses: ok (full span), blowup (|h| or |h'| exceeded caps: a kept
+    tail, or a rejected state past them), guard (|h| fell to the
+    division floor, or the step size collapsed, or its budget ran out,
+    or its pace fell below the progress floor), singular-start (seed
+    |h| <= 1e-6, nothing integrated).
     """
     if steps < 1:
         raise DomainError("scan-c needs steps >= 1")
@@ -676,30 +704,20 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
         if abs(y0[0]) <= 1e-6:
             rows.append((c, "singular-start", x0, x0, False, None))
             continue
-        rhs, reason = ode4_rhs(c), {"flag": None}
-
-        def guard(x, y, rec=reason):
-            if abs(y[0]) >= _H_CAP or abs(y[1]) >= _DH_CAP:
-                rec["flag"] = "blowup"
-                return False
-            if abs(y[0]) <= 1e-6:
-                rec["flag"] = "guard"
-                return False
-            return True
-
+        rhs = ode4_rhs(c)
         sides, flags = [], set()
         for target in (x0 + span, x0 - span):
-            reason["flag"] = None
             try:
-                side = _NumericSide(rhs, x0, y0, target, guard, rtol=1e-10,
-                                    atol=1e-12)
+                side = _NumericSide(rhs, x0, y0, target, _scan_guard,
+                                    rtol=1e-10, atol=1e-12)
             except StiffnessError:
                 side = None
             sides.append(side)
             flags.add("guard" if side is None
                       else "blowup" if side.pole is not None
                       else "ok" if side.status == "ok"
-                      else reason["flag"] or "guard")
+                      else "guard" if _numeric_guard(*side.rejected)
+                      else "blowup")
         fwd, bwd = sides
         x_end, x_start = (x0 if s is None else s.edge for s in sides)
         status = ("blowup" if "blowup" in flags

@@ -79,7 +79,12 @@ def jacobi_sn_cn_dn(u: float, k: float):
     if 1.0 - k < 1e-12:
         sech = 1.0 / math.cosh(u)
         return math.tanh(u), sech, sech
-    phi = _amplitude(u, _agm_scheme(k))
+    return _sn_cn_dn(u, k, _agm_scheme(k))
+
+
+def _sn_cn_dn(u: float, k: float, scheme):
+    """`jacobi_sn_cn_dn` for 0 < k < 1 from the AGM scheme of k."""
+    phi = _amplitude(u, scheme)
     sn = math.sin(phi)
     cn = math.cos(phi)
     dn = math.sqrt(max(0.0, 1.0 - (k * sn) ** 2))
@@ -100,6 +105,7 @@ def complete_elliptic_k(k: float) -> float:
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
+_INV_SQRT2_SCHEME = _agm_scheme(_INV_SQRT2)  # sn(., i)'s, built once
 
 
 def sn_imaginary_modulus(u: float) -> float:
@@ -119,7 +125,7 @@ def sn_imaginary_modulus_jet(u: float) -> Jet1:
     (d/du sd(u*sqrt2, 1/sqrt2)/sqrt2 = cn/dn^2 at u*sqrt2); derivatives
     2..4 follow from the defining equation w'' = -2 w^3.
     """
-    sn, cn, dn = jacobi_sn_cn_dn(_SQRT2 * u, _INV_SQRT2)
+    sn, cn, dn = _sn_cn_dn(_SQRT2 * u, _INV_SQRT2, _INV_SQRT2_SCHEME)
     w = sn / dn * _INV_SQRT2
     w1 = cn / (dn * dn)
     w2 = -2.0 * w**3

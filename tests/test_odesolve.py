@@ -92,6 +92,17 @@ def test_guard_stops_integration():
     # stopped close to (never after a long way past) the crossing
     assert traj.y_end[0] <= 0.1 + 1e-12
     assert abs(traj.x_end - math.log(10.0)) < 0.5
+    # located on the dense output: within 64 least steps of a state the
+    # guard rejects, so at the crossing to the solution's accuracy
+    x, y = traj.rejected
+    assert not spec.guard(x, y)
+    assert 0.0 < x - traj.x_end <= 64 * 1e-14 * 10.0
+    assert abs(traj.x_end - math.log(10.0)) < 1e-9
+    # a guard that fails at the start rejects the initial state
+    start = integrate(IvpSpec(dim=1, rhs=lambda x, y: [-y[0]], x0=0.0,
+                              y0=[0.05], guard=spec.guard), 10.0)
+    assert (start.status, start.reason, start.rejected) == (
+        "guard", "guard failed at the initial point", (0.0, [0.05]))
 
 
 def test_guard_never_tripped_is_ok():
@@ -199,8 +210,11 @@ def test_rms_norm_is_the_numpy_mean_bit_for_bit():
 def _numpy_integrate(spec, x_end):
     """The DOPRI step loop in its numpy form (`@` sums, np.maximum in the
     scale, _rms_norm), without the step budget and the progress floor.
-    The rhs and the guard receive each state as a list of floats.
-    Returns (xs, ys, status, reason, segs, rejected, guard_halvings)."""
+    The rhs and the guard receive each state as a list of floats.  A
+    trial step the guard rejects is bisected on its dense output for the
+    crossing.  Returns (xs, ys, status, reason, segs, rejected steps,
+    steps retried short of a located crossing, the state the guard
+    rejected where it stopped the loop)."""
     rhs = spec.rhs
     x = float(spec.x0)
     y = spec.y0.copy()
@@ -213,8 +227,8 @@ def _numpy_integrate(spec, x_end):
     err_prev = 1.0
     k = np.empty((7, spec.dim))
     k[0] = f
-    status, reason = "ok", ""
-    rejected = halvings = 0
+    status, reason, stop = "ok", "", None
+    rejected = located = 0
     nonfinite = None  # (component, x, h) of the first non-finite estimate
     while (x_end - x) * direction > 0:
         h = min(h, abs(x_end - x))
@@ -238,12 +252,21 @@ def _numpy_integrate(spec, x_end):
         if err <= 1.0:
             if spec.guard is not None and not spec.guard(x + hs,
                                                          y_new.tolist()):
-                if h <= 64 * h_floor:
-                    status = "guard"
+                q, reach = k.T @ odesolve._P, 64 * h_floor
+                lo, hi, state = 0.0, 1.0, (x + hs, y_new.tolist())
+                while hi * h > reach and (hi - lo) * h > reach:
+                    t = 0.5 * (lo + hi)
+                    yt = y + hs * (q @ np.array([t, t * t, t**3, t**4]))
+                    if spec.guard(x + t * hs, yt.tolist()):
+                        lo = t
+                    else:
+                        hi, state = t, (x + t * hs, yt.tolist())
+                if hi * h <= reach:
+                    status, stop = "guard", state
                     reason = f"guard stopped integration at x={x!r}"
                     break
-                h *= 0.5
-                halvings += 1
+                h *= lo
+                located += 1
                 continue
             segs.append((x, hs, y, k.T @ odesolve._P))
             x += hs
@@ -264,7 +287,7 @@ def _numpy_integrate(spec, x_end):
             h *= max(0.2, 0.9 * err ** (-0.2))
             rejected += 1
     return (np.asarray(xs), np.asarray(ys), status, reason, segs,
-            rejected, halvings)
+            rejected, located, stop)
 
 
 def _numpy_dense(segs, x):
@@ -338,15 +361,16 @@ def test_integrate_is_the_numpy_step_loop_bit_for_bit():
     # the step loop sums the tableau with ndarray.dot and does the rest in
     # floats; every knot, segment, status and dense value must keep the
     # bits of the numpy form, on smooth, capped, guarded and rejected steps
-    rejected = halvings = 0
+    rejected = located = 0
     for name, make, x_end in _ORACLE_CASES:
-        xs, ys, status, reason, segs, rej, hal = _numpy_integrate(make(),
-                                                                  x_end)
-        rejected, halvings = rejected + rej, halvings + hal
+        xs, ys, status, reason, segs, rej, loc, stop = _numpy_integrate(
+            make(), x_end)
+        rejected, located = rejected + rej, located + loc
         traj = integrate(make(), x_end)
         assert traj.xs.tobytes() == xs.tobytes(), name
         assert traj.ys.tobytes() == ys.tobytes(), name
-        assert (traj.status, traj.reason) == (status, reason), name
+        assert (traj.status, traj.reason, traj.rejected) == (
+            status, reason, stop), name
         assert len(traj._segs) == len(segs), name
         for (x0, h, q), (rx0, rh, _, rq) in zip(traj._segs, segs):
             assert (x0, h, q.tobytes()) == (rx0, rh, rq.tobytes()), name
@@ -354,8 +378,8 @@ def test_integrate_is_the_numpy_step_loop_bit_for_bit():
             for t in (0.125, 0.5, 0.8):
                 x = x0 + t * h
                 assert traj(x).tobytes() == _numpy_dense(segs, x).tobytes()
-    # the cases do take the rejection and guard-halving branches
-    assert rejected > 0 and halvings > 0
+    # the cases do take the rejection and guard-location branches
+    assert rejected > 0 and located > 0
 
 
 @pytest.mark.parametrize("name, make, x_end", _ORACLE_CASES,
@@ -401,15 +425,16 @@ def test_step_kernel_is_built_once_per_dim_on_first_use():
 def _oracle_matches(spec, x_end, traj, rhs_calls):
     """Assert that `traj`, integrated from `spec` to x_end with rhs_calls
     rhs calls, keeps every bit of the numpy step loop's run."""
-    xs, ys, status, reason, segs, rejected, halvings = _numpy_integrate(
-        spec, x_end)
+    xs, ys, status, reason, segs, rejected, located, stop = \
+        _numpy_integrate(spec, x_end)
     # two rhs calls choose the first step, then six per attempted step:
-    # accepted, rejected, halved toward the guard, or stopped by it
-    attempts = len(xs) - 1 + rejected + halvings + (status == "guard")
+    # accepted, rejected, retried short of a located guard crossing, or
+    # stopped by the guard
+    attempts = len(xs) - 1 + rejected + located + (status == "guard")
     assert traj.xs.tobytes() == xs.tobytes()
     assert traj.ys.tobytes() == ys.tobytes()
-    assert (traj.status, traj.reason, rhs_calls) == (status, reason,
-                                                     2 + 6 * attempts)
+    assert (traj.status, traj.reason, traj.rejected, rhs_calls) == (
+        status, reason, stop, 2 + 6 * attempts)
     # a segment starts at its knot, whose bits the ys compare covers
     assert [(x0, h, q.tobytes()) for x0, h, q in traj._segs] \
         == [(x0, h, q.tobytes()) for x0, h, _, q in segs]
@@ -417,8 +442,13 @@ def _oracle_matches(spec, x_end, traj, rhs_calls):
 
 def _recording(monkeypatch, module):
     """Patch module's integrate to record (spec, x_end, trajectory, rhs
-    calls) of each run."""
-    runs = []
+    calls, guard crossings located on a trial step's dense output) of
+    each run."""
+    runs, located, locate = [], [0], odesolve._locate
+
+    def counted_locate(*args):
+        located[0] += 1
+        return locate(*args)
 
     def recording(spec, x_end):
         calls, rhs = [0], spec.rhs
@@ -427,16 +457,27 @@ def _recording(monkeypatch, module):
             calls[0] += 1
             return rhs(x, y)
 
-        spec.rhs = counted
+        spec.rhs, located[0] = counted, 0
         try:
             traj = integrate(spec, x_end)
         finally:
             spec.rhs = rhs
-        runs.append((spec, x_end, traj, calls[0]))
+        runs.append((spec, x_end, traj, calls[0], located[0]))
         return traj
 
+    monkeypatch.setattr(odesolve, "_locate", counted_locate)
     monkeypatch.setattr(module, "integrate", recording)
     return runs
+
+
+def _stops_by_a_rejected_state(spec, x_end, traj):
+    """A guard-stopped trajectory ends within 64 least steps of a state
+    its guard rejects, the resolution a guard stop is defined to."""
+    if traj.status == "guard":
+        x, y = traj.rejected
+        assert not spec.guard(x, y)
+        h_floor = 1e-14 * max(abs(spec.x0), abs(x_end), 1.0)
+        assert abs(x - traj.x_end) <= 64 * h_floor
 
 
 # the scan-c benchmark's (seed, c): 13 values of c per seed
@@ -444,25 +485,30 @@ _SCAN_VALUES = [(seed, lo + (hi - lo) * i / 12)
                 for seed, lo, hi in (("quadratic", -1.0, 2.0),
                                      ("tanh", -2.0, 1.0))
                 for i in range(13)]
-# scan_rows_csv of their 26 rows, as recorded when past |h| = 10 the
-# sides' pole tails located the caps: 8 of the 52 printed edges moved in
-# their last digit, every edge by at most 6.1e-12 (2.5e-11 relative)
+# scan_rows_csv of their 26 rows, as recorded when a guarded integration
+# came to locate its guard's crossing on the trial step's dense output:
+# every edge moved by at most 2.7e-12 from the halving toward the guard
 _SCAN_VALUES_SHA256 = (
-    "eec36ae798579c9c4611e78583589ad11d5f0e76cfe9d795fc63f1d5f5738903")
+    "291b64e491e5ab69e41291a2ce5bc7c6e311c6b0b397eeaac18e3f06f26f2285")
 
 
 def test_scan_c_benchmark_integrations_are_the_numpy_step_loop(monkeypatch):
     # both sides of every scan-c benchmark op, with scan_c's own guard:
     # 52 x-marches, 22 tails in (x, u, p_1, p_2, p_3; s) and one march
     # resumed where a tail reached the span end, each with the numpy
-    # loop's bits; the CSV of the 26 rows is pinned by its sha256
+    # loop's bits, and each guard stop by a state the guard rejects; the
+    # CSV of the 26 rows is pinned by its sha256
     runs = _recording(monkeypatch, nearhorizon)
     rows = [row for seed, c in _SCAN_VALUES
             for row in report.scan_c(c, c, 1, seed=seed)]
-    assert [spec.dim for spec, _, _, _ in runs].count(5) == 22
+    assert [spec.dim for spec, *_ in runs].count(5) == 22
     assert len(runs) == 75
-    for spec, x_end, traj, calls in runs:
+    for spec, x_end, traj, calls, _ in runs:
         _oracle_matches(spec, x_end, traj, calls)
+        _stops_by_a_rejected_state(spec, x_end, traj)
+    # each of the 64 guard stops takes 2 or 3 locations, no rhs call each
+    located = [n for *_, n in runs]
+    assert (max(located), sum(located)) == (3, 145)
     assert hashlib.sha256(report.scan_rows_csv(rows).encode()).hexdigest() \
         == _SCAN_VALUES_SHA256
 
@@ -471,19 +517,28 @@ def test_numeric_family_integrations_are_the_numpy_step_loop(monkeypatch):
     # each side marches in x to |h| = 10, then the (u, p; s) tail runs to
     # the guard in s; the first x past the switch point resumes the
     # x-march there, to the edge.  At span 1.25 the tail would cross the
-    # span end, and each side's march resumes at once, to the span end
+    # span end, and each side's march resumes at once, to the span end.
+    # Each run has the numpy loop's bits, and each guard stop lies by a
+    # state the guard rejects
     runs = _recording(monkeypatch, nearhorizon)
     fam = build_family("numeric")
     lo, hi = fam.window
     fam.field(hi), fam.field(lo)
     build_family("numeric", span=1.25)
     s = nearhorizon._TAIL_S
-    assert [x_end for _, x_end, _, _ in runs] == [
+    assert [x_end for _, x_end, *_ in runs] == [
         6.0, s, -6.0, -s, hi, lo, 1.25, s, 1.25, -1.25, -s, -1.25]
-    assert [spec.dim for spec, _, _, _ in runs] == [2, 3, 2, 3, 2, 2,
-                                                    2, 3, 2, 2, 3, 2]
-    for spec, x_end, traj, calls in runs:
+    assert [spec.dim for spec, *_ in runs] == [2, 3, 2, 3, 2, 2,
+                                               2, 3, 2, 2, 3, 2]
+    for spec, x_end, traj, calls, _ in runs:
         _oracle_matches(spec, x_end, traj, calls)
+        _stops_by_a_rejected_state(spec, x_end, traj)
+    # the default family's attempted steps: each side's x-march to
+    # |h| = 10 and its tail, then the marches resumed to the edges read.
+    # Halving trial steps toward each guard took 370 and 165 per side
+    assert [(calls - 2) // 6 for *_, calls, _ in runs[:6]] == [
+        298, 92, 298, 92, 729, 729]
+    assert max(n for *_, n in runs) == 3
 
 
 def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():

@@ -328,13 +328,14 @@ def test_scan_c_stops_at_profile_zero():
 # (seed, seed params) at c = -1: the scan_rows_csv line, then the
 # accepted knots and rhs calls of each integration (forward side first;
 # the quadratic seed's forward x-march stops at |h| = 10 and its pole
-# tail runs to the caps), as recorded when the pole tails came in.
-# Guards the DOPRI step against any change of bits.
+# tail runs to the caps), as recorded when a guarded integration came to
+# locate its guard's crossing on a trial step's dense output.  Guards
+# the DOPRI step against any change of bits.
 _SCAN_PINS = [
-    ("quadratic", {}, "-1,blowup,0.327461248874,1.95141343416,false,",
-     (510, 94, 221), (3446, 950, 1616)),
-    ("tanh", {}, "-1,guard,1.00000506372e-06,7,false,",
-     (299, 160), (1790, 1286)),
+    ("quadratic", {}, "-1,blowup,0.327461248875,1.95141343416,false,",
+     (498, 84, 216), (2996, 518, 1412)),
+    ("tanh", {}, "-1,guard,1.000002364e-06,7,false,",
+     (299, 154), (1790, 1046)),
     ("tanh", {"b": 6.0}, "-1,ok,-5,7,false,", (49, 284), (290, 1700)),
 ]
 
@@ -378,15 +379,16 @@ def test_scan_c_benchmark_values_take_pinned_work(monkeypatch):
     # one scan per c, 13 per seed: the quadratic seed on [-1, 2], tanh on
     # [-2, 1]; 75 integrations (52 x-marches, 22 pole tails, one march
     # resumed at |h| = 10) whose knot and rhs totals are pinned.  Marching
-    # into the caps in x they took 42 557 knots and 265 904 rhs calls
+    # into the caps in x they took 42 557 knots and 265 904 rhs calls,
+    # halving trial steps toward each guard 27 044 and 184 140
     runs = _count_integrations(monkeypatch)
     for seed, lo, hi in (("quadratic", -1.0, 2.0), ("tanh", -2.0, 1.0)):
         for i in range(13):
             c = lo + (hi - lo) * i / 12
             scan_c(c, c, 1, seed=seed)
     assert len(runs) == 75
-    assert sum(n for n, _ in runs) == 27044
-    assert sum(r for _, r in runs) == 184140
+    assert sum(n for n, _ in runs) == 26451
+    assert sum(r for _, r in runs) == 161178
 
 
 def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
@@ -399,7 +401,7 @@ def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
 
 def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
     # at c = 1e6 the tanh seed's steps shrink to ~5e-7 on both sides: the
-    # forward side reaches |h| = 10 after 1 353 steps and its pole tail
+    # forward side reaches |h| = 10 after 1 335 steps and its pole tail
     # runs to the caps, and the first progress check stops the backward
     # side, long before its step budget
     calls = []
@@ -421,7 +423,7 @@ def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
     monkeypatch.setattr(nearhorizon, "integrate", counting)
     t0 = time.perf_counter()
     assert scan_c(1e6, 1e6, 1, seed="tanh") == [
-        (1e6, "blowup", 1.0, 1.0000188047943515, False, None)]
+        (1e6, "blowup", 1.0, 1.0000188048136405, False, None)]
     assert time.perf_counter() - t0 < 1.0
     # 6 rhs calls per attempted step, 2 for the starting step
     assert len(calls) == 3
@@ -459,17 +461,19 @@ def test_scan_c_statuses_form_known_set():
 
 
 def test_scan_c_13_step_csv_bytes_are_pinned():
-    # `ewh scan-c --from -1 --to 2 --steps 13`, as recorded when past
-    # |h| = 10 the sides' pole tails located the caps: 5 of the 52 edges
-    # moved in their last printed digit (rows 0.25, 1.25, 1.5 and 1.75)
+    # `ewh scan-c --from -1 --to 2 --steps 13`, as recorded when a
+    # guarded integration came to locate its guard's crossing on the
+    # trial step's dense output
     text = scan_rows_csv(scan_c(-1.0, 2.0, 13))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d454f106bf8edbc2b3950cab054e7ffc44ab2890a1077a9c118a4b069b7eaba2")
+        "1eb326e8e6215d49a620eb7a7da73c1a14274b599a9b31e9dd963e56043ce43c")
 
 
 # the scan-c benchmark's 26 rows as the x-march into the caps gave them,
 # before the pole tails: statuses, periodic flags and periods must stay,
-# and the edges within 1e-9 relative
+# and the edges within 1e-9 relative, or within the 64 least steps
+# (64 * 1e-14 * max(|x0|, |x_end|, 1)) of its side to which a guard
+# stop is defined, where that is wider (edges near x = 1e-3 and 1e-6)
 _SCAN_BENCHMARK_ROWS = {
     "quadratic": [
         (-1.0, "blowup", 0.32746124887429484, 1.9514134341617002, False, None),
@@ -510,8 +514,10 @@ def test_scan_c_benchmark_rows_keep_the_marched_rows():
             c = lo + (hi - lo) * i / 12
             (got,) = scan_c(c, c, 1, seed=seed)
             assert (got[:2], got[4:]) == (want[:2], want[4:])
-            for g, w in zip(got[2:4], want[2:4]):
-                assert abs(g - w) <= 1e-9 * abs(w), (seed, c)
+            # x0 = 1 and span 6: the sides end their spans at -5 and 7
+            for g, w, end in zip(got[2:4], want[2:4], (5.0, 7.0)):
+                assert abs(g - w) <= max(1e-9 * abs(w), 64e-14 * end), \
+                    (seed, c)
 
 
 def _sides(monkeypatch):
@@ -535,7 +541,7 @@ def test_scan_c_sides_whose_tail_falls_back_keep_the_marched_row(
     # x = sqrt(10), its tail would cross the span end, and the march
     # resumed there ends ok at x = 7 with h = 49
     assert scan_rows_csv(scan_c(1.0, 1.0, 1)).splitlines()[1] == \
-        "1,guard,0.000999999980633,7,false,"
+        "1,guard,0.000999999982034,7,false,"
     assert kept == [False]
     # b = -3 puts h(x0) = 16: both tails start at x0.  The forward one
     # would cross the span end, the backward one falls back below
@@ -543,7 +549,7 @@ def test_scan_c_sides_whose_tail_falls_back_keep_the_marched_row(
     # x-march from x0, and the row is the marched row to the bit
     kept.clear()
     assert scan_c(1.0, 1.0, 1, seed_params={"b": -3.0}) == [
-        (1.0, "guard", -2.9990000148935745, 7.0, False, None)]
+        (1.0, "guard", -2.9990000148939133, 7.0, False, None)]
     assert kept == [False, False]
 
 
@@ -562,7 +568,7 @@ def test_scan_c_tail_from_x0_keeps_the_marched_row(monkeypatch):
 
 def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
     # a tail that raises StiffnessError leaves the side to the march
-    # resumed at |h| = 10, whose edge lies 1.2e-12 from the march's
+    # resumed at |h| = 10, whose edge lies 2.4e-12 from the march's
     def stiff_tails(spec, x_end):
         if spec.dim == 5:
             raise StiffnessError("stiff tail")
@@ -571,8 +577,8 @@ def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
     monkeypatch.setattr(nearhorizon, "integrate", stiff_tails)
     ((c, status, x_start, x_end, periodic, period),) = scan_c(-1.0, -1.0, 1)
     assert scan_rows_csv([(c, status, x_start, x_end, periodic, period)]) \
-        .splitlines()[1] == "-1,blowup,0.327461248874,1.95141343416,false,"
-    assert x_start == 0.32746124887429484
+        .splitlines()[1] == "-1,blowup,0.327461248875,1.95141343416,false,"
+    assert x_start == 0.32746124887483946
     assert abs(x_end - 1.9514134341617002) <= 1e-9 * 1.9514134341617002
 
 
@@ -583,11 +589,11 @@ def test_scan_c_side_too_stiff_to_march_keeps_its_tail():
     # search, whose resumed march spends the budget the same way, finds
     # no return instead of raising
     assert scan_c(40.0, 40.0, 1, seed_params={"b": -3.0}) == [
-        (40.0, "blowup", 0.9872299374655903, 3.00303117826869, False, None)]
+        (40.0, "blowup", 0.987229937465387, 3.0030311782686803, False, None)]
 
 
 def test_scan_c_side_knots_read_the_tail_back_as_h():
-    # the forward side at c = -1: 510 x-march knots, then the tail's,
+    # the forward side at c = -1: 498 x-march knots, then the tail's,
     # read back as (x, 1/u, p_1/u^2), agree with the march resumed at the
     # switch knot, which the side's dense output reads
     jet = nearhorizon.build_family("quadratic").field(1.0)
@@ -598,7 +604,7 @@ def test_scan_c_side_knots_read_the_tail_back_as_h():
                                     atol=1e-12)
     knots = side.knots()
     n = len(side.head.xs)
-    assert (n, len(knots)) == (510, 510 + len(side.tail.xs) - 1)
+    assert (n, len(knots)) == (498, 498 + len(side.tail.xs) - 1)
     assert knots[:n].tobytes() == np.column_stack(
         [side.head.xs, side.head.ys[:, :2]]).tobytes()
     assert np.all(np.diff(knots[:, 0]) > 0.0) and knots[-1, 0] == side.edge
@@ -928,6 +934,30 @@ def test_per_x_sweep_evaluates_each_profile_once_per_slice(monkeypatch,
         assert n.runs == math.ceil(200 / report._PLANE_SLICE)
 
 
+def test_per_x_sweep_slice_gone_x_by_x_leaves_its_jets_to_the_cells(
+        monkeypatch):
+    # at 201 samples family:tanh samples x = 0, where its F raises: that
+    # slice's batch fails and the walker goes x by x.  Its float calls
+    # leave their jets as the fields' memo columns, so the cells of the
+    # slice's 63 kept x read F there instead of evaluating it again
+    counts, setup = [], report._setup
+
+    def counting(*args):
+        c, s = setup(*args)
+        _count_evaluations(s, counts)
+        return c, s
+
+    monkeypatch.setattr(report, "_setup", counting)
+    lines = export_plot("family:tanh", samples=201)
+    assert len(lines) == 1 + 200  # the sample at x = 0 is skipped
+    assert not any(ln.startswith("0,") for ln in lines)
+    h, F = counts
+    assert sum(h.values()) == len(h) == 201
+    # the failing slice's 64 x in its batch, then each x once
+    assert (sum(F.values()), len(F)) == (201 + report._PLANE_SLICE, 201)
+    assert F.runs == 4 + report._PLANE_SLICE
+
+
 def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
     counts = []
     _counted_tanh_profiles(monkeypatch, counts)
@@ -1055,7 +1085,8 @@ def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
 # assembly: these stored values are its reference now that a Point is
 # assembled as a batch of one; thm2-ode numeric re-recorded when the
 # numeric window edges came from the pole tail, which moved its x axis
-# by about 6e-13
+# by about 6e-13, and again when its guard stops came from the crossing
+# located on a trial step's dense output (its edges moved by 1.5e-15)
 _POINT_DIGESTS = [
     "ef8b693551f24437acc3b80aabdde25683dc3c9489a8b3ca72236e9dd35d1da1",
     "3ad23cf4ea0f864b6a99d2f40cdf291c10d8e396481581cdda9a5347505863eb",
@@ -1064,7 +1095,7 @@ _POINT_DIGESTS = [
     "9af8df8cfa488e82fd46ccf42a16b77f26b45f9aeecbb8a7e10bd651fc5112c3",
     "96818e724abbc8b1b7451662f81029d06132413463081ea3d48c0d60da41886c",
     "7cc3702d3b2c58e60f5aef050d8a8cd6a41513d4c78c8d0d71cf236d2fb49771",
-    "8983ecb073b57220e8e54aadcb32951e32cd45dac379321ca7ee33fc504cb072",
+    "1f1365a3d32a5c5e0aa6a529622fcb810cfc05c36edd17f71f887d507cae5a85",
     "09b8d5db2e2cbe6cb91da5dd4ab4ffaa62ed95cf5749e72b332e074967731eb0",
     "1e4a17312513d0275acf63b42b02befe28d4132dbe440751a463f6ca5fe54551",
     "138a01fd393311c4cebdfee36920c51777159194534f28af4631328920c59271",
@@ -1383,7 +1414,9 @@ _X_ONLY_CASES = [
 # sha256 of each case's report JSON (or "<error type>: <text>"), recorded
 # while x-only residuals were evaluated one float x at a time; default
 # family:numeric re-recorded when its window edges came from the pole
-# tail, which moved its x axis by about 7e-13
+# tail, which moved its x axis by about 7e-13, and again when its guard
+# stops came from the crossing located on a trial step's dense output
+# (its edges moved by 1.5e-15)
 _X_ONLY_SHA256 = [
     "0c3f8fd26c6ec90df49f6806414b8a2b4e68928956d0cf16fee4822dbe2d11da",
     "28be916c6e58ceb2718db493737cdfeed684b5552a3c611ba00797f760aa5b27",
@@ -1393,7 +1426,7 @@ _X_ONLY_SHA256 = [
     "2920d8bdbdac086a560b7daf3367d1f3554d2553ec34c7d0fa94d04055e9303d",
     "f1625f40de7d33c6bc908b913fb880bf2df0c86cf847175365509e0fcc93c4b9",
     "b6163edd86797bf27869b0962fd09e3c37f05c426a388f9b97b6955bf698621a",
-    "058da8a384910fc3a67a979cda6e9d040b0fa328d6f91ce63234db51a40af8dd",
+    "24c58d9179f2d7e6792d2926a7563a29df7f552cfe0a8de779c5eb7820eeb693",
     "42a1c3b94f2089b7bd5b510f598e77e1ef787b77bc277d7154e23aeb56739cb3",
     "fde52ddacfc716262dc17cc6b0de48a4d3ba6d0dc8579a9d746991b7eb1a8392",
     "e07b365ac8e1974e8f6da0d5e21e34be25ee44e7a5de92df7f1e01803dfd3f0c",

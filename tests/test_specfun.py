@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ewhorizon import specfun
 from ewhorizon.errors import DomainError, PoleProximityError
 from ewhorizon.jets import Jet1, Point, fd_oracle
 from ewhorizon.specfun import (complete_elliptic_k, hyp2f1,
@@ -185,6 +186,25 @@ def test_sn_imaginary_modulus_differential_equation(u):
     y, y1, y2 = j.value, j.derivative(1), j.derivative(2)
     assert abs(y1 * y1 - (1.0 - y**4)) < 1e-10
     assert abs(y2 + 2.0 * y**3) < 1e-9
+
+
+def test_sn_imaginary_modulus_jet_builds_no_agm_scheme(monkeypatch):
+    # the AGM scheme of k = 1/sqrt2 is built once, at import; each jet
+    # keeps the bits of jacobi_sn_cn_dn(sqrt2 u, 1/sqrt2), whose scheme
+    # is built per call
+    r = 1.0 / math.sqrt(2.0)
+    want = []
+    for u in np.linspace(-4.0, 4.0, 33).tolist():
+        sn, cn, dn = jacobi_sn_cn_dn(math.sqrt(2.0) * u, r)
+        want.append((u, sn / dn * r, cn / (dn * dn)))
+
+    def no_scheme(k):
+        raise AssertionError(f"AGM scheme of k={k!r} built per call")
+
+    monkeypatch.setattr(specfun, "_agm_scheme", no_scheme)
+    for u, w, w1 in want:
+        j = sn_imaginary_modulus_jet(u)
+        assert (j.value, j.derivative(1)) == (w, w1)
 
 
 def test_hyp2f1_at_origin_and_simple_closed_forms():
