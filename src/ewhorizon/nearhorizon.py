@@ -903,11 +903,6 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
             1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta})
 
 
-def _numeric_guard(x, y):
-    """The numeric family's window ends where this fails."""
-    return abs(y[0]) < _H_CAP and abs(y[1]) < _DH_CAP
-
-
 def _tail_rhs(rhs, order: int):
     """The profile ODE y' = rhs(x, y), y = (h, ..., h^(order-1)), in
     u = 1/h, p_k = h^(k)/h^(k+1) and s with ds = h dx, as the system in
@@ -970,24 +965,27 @@ def _pole_tail(rhs, x, y, x_end):
 
 class _NumericSide:
     """One side of a profile ODE y' = rhs(x, y), y = (h, h', ...), from
-    (x0, y0) towards x_end under `guard`, a pure predicate which fails
-    where |h| >= 1e6 or |h'| >= 1e8.  It marches in x while also
-    |h| < _H_SWITCH; where only that bound rejected the state that
-    stopped it (the guard passes the march's `rejected` state), a kept
-    `_pole_tail` gives the `edge` and the estimate x + u/p_1 of the
-    `pole` beyond it, else the march goes on from the switch knot under
-    the guard alone.  `status` is that of the integration ending at the
-    edge, and on a guard stop in x `rejected` the state (x, y) its guard
-    rejected there, for the caller to tell which bound it was.  Calling
-    it at x up to the edge gives y, past the switch knot from the march
-    resumed there (to a kept tail's edge, built on the first such
-    call)."""
+    (x0, y0) towards x_end, within the caps |h| < _H_CAP, |h'| < _DH_CAP
+    and above the |h| `floor` (None for none).  It marches in x while
+    also |h| < _H_SWITCH; where only that bound rejected the state that
+    stopped it, a kept `_pole_tail` gives the `edge` and the estimate
+    x + u/p_1 of the `pole` beyond it, else the march goes on from the
+    switch knot (`rest`).  `status` is that of the integration ending at
+    the edge, and `outcome` is "blowup" for a kept tail or a state
+    rejected past a cap, "ok" at x_end, else "guard" (the floor).
+    Calling it at x up to the edge gives y, past the switch knot from
+    the march resumed there (to a kept tail's edge, built on the first
+    such call)."""
 
-    def __init__(self, rhs, x0, y0, x_end, guard, rtol, atol):
+    def __init__(self, rhs, x0, y0, x_end, floor, rtol, atol):
         self.direction = 1.0 if x_end >= x0 else -1.0
+        lo = -math.inf if floor is None else floor
 
         def marching(x, y):
-            return guard(x, y) and abs(y[0]) < _H_SWITCH
+            return lo < abs(y[0]) < _H_SWITCH and abs(y[1]) < _DH_CAP
+
+        def guard(x, y):
+            return lo < abs(y[0]) < _H_CAP and abs(y[1]) < _DH_CAP
 
         def march(x, y, end, stop):
             return integrate(IvpSpec(dim=len(y), rhs=rhs, x0=x, y0=y,
@@ -996,33 +994,42 @@ class _NumericSide:
         head = march(x0, y0, x_end, marching)
         self.head, self.tail, self.rest, self.pole = head, None, None, None
         self.edge, self.status, self._resume = head.x_end, head.status, None
-        self.rejected = head.rejected
+        rejected = head.rejected
         # the switch: only |h| >= _H_SWITCH rejected the head's last trial
-        if head.status == "ok" or not guard(*head.rejected):
-            return
-        x = head.x_end
-        self.tail = _pole_tail(rhs, x, head.y_end.tolist(), x_end)
-        if self.tail is None:
-            self.rest = march(x, head.y_end, x_end, guard)
-            self.edge, self.status = self.rest.x_end, self.rest.status
-            self.rejected = self.rest.rejected
-            return
-        self.edge, u, p = self.tail.y_end.tolist()[:3]
-        self.pole = self.edge + u / p
-        # the edge lies short of the pole, so this march needs no guard
-        self._resume = partial(march, x, head.y_end, self.edge, None)
+        if head.status == "guard" and guard(*rejected):
+            x = head.x_end
+            self.tail = _pole_tail(rhs, x, head.y_end.tolist(), x_end)
+            if self.tail is None:
+                self.rest = march(x, head.y_end, x_end, guard)
+                self.edge, self.status = self.rest.x_end, self.rest.status
+                rejected = self.rest.rejected
+            else:
+                self.edge, u, p = self.tail.y_end.tolist()[:3]
+                self.pole = self.edge + u / p
+                # the edge lies short of the pole: this march needs no guard
+                self._resume = partial(march, x, head.y_end, self.edge, None)
+        # a guard stop inside the caps is the floor's
+        capped = self.status == "ok" or (abs(rejected[1][0]) < _H_CAP
+                                         and abs(rejected[1][1]) < _DH_CAP)
+        self.outcome = self.status if capped and self.pole is None \
+            else "blowup"
 
-    def knots(self):
-        """Rows (x, h, h') at the x-march's knots, then at the tail's,
-        read back as (x, 1/u, p_1/u^2), or else at the resumed march's."""
+    def period(self):
+        """First return of a forward side to its start's (h, h')
+        (`first_return`): the knots of the x-march and of its fallback
+        march bracket it and their dense output refines it, so nothing
+        is integrated (a tail's knots are not read).  Returns within the
+        first 4/2048 of the span are skipped, as detect_period skips its
+        first four samples."""
         head, rest = self.head, self.rest
+        x0 = float(head.xs[0])
+        if not self.edge > x0:
+            return None
         rows = [np.column_stack([head.xs, head.ys[:, :2]])]
-        if self.tail is not None:
-            x, u, p = self.tail.ys[1:, :3].T
-            rows.append(np.column_stack([x, 1.0 / u, p / (u * u)]))
-        elif rest is not None:
+        if rest is not None:
             rows.append(np.column_stack([rest.xs, rest.ys[:, :2]])[1:])
-        return np.concatenate(rows)
+        return first_return(iter(np.concatenate(rows).tolist()), self,
+                            x0 + 4 * ((self.edge - x0) / 2048))
 
     def __call__(self, x):
         head = self.head
@@ -1037,7 +1044,7 @@ class _NumericSide:
 def _family_numeric(alpha, c, x0, h0, h1, span):
     """The profile that integrates h'' = alpha h h' + beta h^3 from
     (h, h')(x0) = (h0, h1), on the window where |h| < 1e6 and
-    |h'| < 1e8 (`_numeric_guard`), within x0 +- span.  Past |h| = 10
+    |h'| < 1e8 (the caps), within x0 +- span.  Past |h| = 10
     each side (`_NumericSide`) locates those unchanged caps in the
     regular (x, u, p; s) of `_pole_tail`, to about 1e-11; where that
     tail does not end at them, the march goes on in x, so an edge at
@@ -1045,8 +1052,8 @@ def _family_numeric(alpha, c, x0, h0, h1, span):
     """
     beta = reduction_consistency(alpha, c)
     rhs = _ode2_rhs(alpha, beta)
-    fwd, bwd = (_NumericSide(rhs, x0, [h0, h1], x0 + s * span,
-                             _numeric_guard, rtol=1e-11, atol=1e-12)
+    fwd, bwd = (_NumericSide(rhs, x0, [h0, h1], x0 + s * span, None,
+                             rtol=1e-11, atol=1e-12)
                 for s in (1.0, -1.0))
 
     def ev(x):
@@ -1135,19 +1142,33 @@ def family_catalog(tag: str, **params):
 # periodicity
 # --------------------------------------------------------------------------
 
-def periodicity_check(h: ScalarField1D, T: float) -> bool:
-    """True iff h and h' return to themselves under x -> x + T.
+def _h_dh(h: ScalarField1D):
+    """The (h, h') reader of a profile: at(x) from its evaluator."""
+    def at(x):
+        j = h.evaluator(x)
+        return j.value, j.derivative(1)
+    return at
 
-    64 samples spanning two alleged periods from the window's edge;
-    samples where either endpoint cannot be evaluated (poles, ends of a
-    numeric trajectory) are skipped, and at least 8 surviving samples
-    are required for a positive verdict, as is a move of h or h' by at
-    least _PERIOD_TOL across the samples: where neither moves (T at
-    roundoff distance, a constant h) the comparison shows nothing.
+
+def periodicity_check(h: ScalarField1D, T: float) -> bool:
+    """True iff h and h' return to themselves under x -> x + T: the
+    check `_period_holds` on h's (h, h') reader from its window's edge."""
+    return _period_holds(_h_dh(h), h.window[0], T)
+
+
+def _period_holds(at, lo: float, T: float) -> bool:
+    """True iff the (h, h') that `at(x)` reads return to themselves under
+    x -> x + T.
+
+    64 samples spanning two alleged periods from lo (from 0 where lo is
+    not finite); samples where either endpoint cannot be read (poles,
+    ends of a numeric trajectory) are skipped, and at least 8 surviving
+    samples are required for a positive verdict, as is a move of h or h'
+    by at least _PERIOD_TOL across the samples: where neither moves (T
+    at roundoff distance, a constant h) the comparison shows nothing.
     """
     if T <= 0.0:
         raise DomainError("periodicity_check needs T > 0")
-    lo = h.window[0]
     base = lo if math.isfinite(lo) else 0.0
     offsets = np.linspace(T / 64.0, 2.0 * T, 64)
     seen = []
@@ -1155,13 +1176,12 @@ def periodicity_check(h: ScalarField1D, T: float) -> bool:
     for dx in offsets:
         x = base + float(dx)
         try:
-            j0 = h.evaluator(x)
-            j1 = h.evaluator(x + T)
+            v0, s0 = at(x)
+            v1, s1 = at(x + T)
         except (EwhError, ValueError):
             continue
-        seen.append((j0.value, j0.derivative(1)))
-        worst = max(worst, abs(j1.value - j0.value),
-                    abs(j1.derivative(1) - j0.derivative(1)))
+        seen.append((v0, s0))
+        worst = max(worst, abs(v1 - v0), abs(s1 - s0))
     return (len(seen) >= 8 and worst < _PERIOD_TOL
             and max(np.ptp(seen, axis=0).tolist()) >= _PERIOD_TOL)
 
@@ -1170,13 +1190,15 @@ def first_return(samples, at, x_min: float):
     """First return of a profile to its anchor's (h, h').
 
     `samples` yields (x, h, h') at increasing x, the anchor first, and
-    `at(x)` gives (h, h') at any x they span.  A bracket of consecutive
-    samples, cut to its part beyond `x_min`, holds a candidate return
-    when h - h(anchor) changes sign across it and h' at its right end
-    has the sign of h'(anchor).  The first candidate is bisected on h;
-    it is accepted when h and h' there match the anchor's to 1e-7 and
-    1e-6 (relative), else the search goes on.  Returns the distance
-    from the anchor, or None when the samples end without a return.
+    `at(x)` gives (h, h') at any x they span (a profile's reader in
+    detect_period, a side's dense output in `_NumericSide.period`).  A
+    bracket of consecutive samples, cut to its part beyond `x_min`,
+    holds a candidate return when h - h(anchor) changes sign across it
+    and h' at its right end has the sign of h'(anchor).  The first
+    candidate is bisected on h; it is accepted when h and h' there match
+    the anchor's to 1e-7 and 1e-6 (relative), else the search goes on.
+    Returns the distance from the anchor, or None when the samples end
+    without a return.
     """
     samples = iter(samples)
     x_anchor, v0, s0 = next(samples)
@@ -1219,10 +1241,7 @@ def detect_period(h: ScalarField1D, x_anchor: float):
         return None
     n = 2048
     dx = (hi - x_anchor) / n
-
-    def at(x):
-        j = h.evaluator(x)
-        return j.value, j.derivative(1)
+    at = _h_dh(h)
 
     def samples():
         yield (x_anchor, *at(x_anchor))

@@ -28,15 +28,14 @@ import numpy as np
 from . import __version__
 from .curvature import OneFormField, cotton, ew_residual
 from .errors import DomainError, EwhError, StiffnessError
-from .jets import Jet1, PointBatch, per_x
+from .jets import Jet1, PointBatch
 from .nearhorizon import (F_flat_from_h, F_from_h_field, F_ode_residual_chalf,
-                          _FAMILIES, _NumericSide, _numeric_guard,
+                          _FAMILIES, _NumericSide, _period_holds,
                           NearHorizonData, ScalarField1D, build_family,
-                          field_one, first_return, flatness_defect,
-                          named_h_field, nh_metric, ode2_residual,
-                          ode3_first_integral, ode4_condition, ode4_residual,
-                          ode4_rhs, periodicity_check, tanh_profile,
-                          thm1_F_field, weyl_oneform_generic)
+                          field_one, flatness_defect, named_h_field,
+                          nh_metric, ode2_residual, ode3_first_integral,
+                          ode4_condition, ode4_residual, ode4_rhs,
+                          tanh_profile, thm1_F_field, weyl_oneform_generic)
 from .pdeverify import (HyperCRParams, alignment, dkp_residual,
                         dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
@@ -643,27 +642,6 @@ def run_check(check_id: str, params: dict = None, grid: GridSpec = None,
 # c-scan
 # --------------------------------------------------------------------------
 
-def _knot_return(side):
-    """First return of a forward side to its start's (h, h'): its knots
-    (`_NumericSide.knots`) bracket it, the side's dense output refines
-    it.  Returns within the first 4/2048 of the span are skipped, as
-    detect_period skips its first four samples."""
-    x0 = float(side.head.xs[0])
-    if not side.edge > x0:
-        return None
-    try:
-        return first_return(iter(side.knots().tolist()), side,
-                            x0 + 4 * ((side.edge - x0) / 2048))
-    except StiffnessError:  # the march resumed past |h| = 10 is too stiff
-        return None
-
-
-def _scan_guard(x, y):
-    """A scan side's guard: the numeric family's caps on |h| and |h'|,
-    and the division floor |h| > 1e-6."""
-    return _numeric_guard(x, y) and abs(y[0]) > 1e-6
-
-
 def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
            seed_params: dict = None, x0: float = 1.0,
            span: float = 6.0) -> list:
@@ -671,10 +649,10 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     from a family seed jet; one row of
     (c, status, x_start, x_end, periodic, period) per value.
 
-    Each side is a `_NumericSide` under `_scan_guard`: past |h| = 10 its
-    tail in the regular (x, u, p_1, p_2, p_3; s) locates the unchanged
-    caps, so x_end is still where |h| = 1e6 or |h'| = 1e8 trips, to
-    about 1e-11.  Each integration stops within 64 least steps
+    Each side is a `_NumericSide` above the |h| floor 1e-6: past
+    |h| = 10 its tail in the regular (x, u, p_1, p_2, p_3; s) locates
+    the unchanged caps, so x_end is still where |h| = 1e6 or |h'| = 1e8
+    trips, to about 1e-11.  Each integration stops within 64 least steps
     (64e-14 * max(|x0|, |x0 +- span|, 1)) of a state its guard rejects,
     located on a trial step's dense output.
 
@@ -682,7 +660,12 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     tail, or a rejected state past them), guard (|h| fell to the
     division floor, or the step size collapsed, or its budget ran out,
     or its pace fell below the progress floor), singular-start (seed
-    |h| <= 1e-6, nothing integrated).
+    |h| <= 1e-6, nothing integrated); a row is the worst of its sides'
+    `outcome`s.  A blowup row's profile leaves the caps inside the span,
+    so it is not searched for a period; otherwise the forward side's
+    knots bracket a first return (`_NumericSide.period`), confirmed on
+    the two sides' dense output over two periods.  Only the two sides
+    integrate: no read of them marches on.
     """
     if steps < 1:
         raise DomainError("scan-c needs steps >= 1")
@@ -704,38 +687,24 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
         if abs(y0[0]) <= 1e-6:
             rows.append((c, "singular-start", x0, x0, False, None))
             continue
-        rhs = ode4_rhs(c)
-        sides, flags = [], set()
+        rhs, sides = ode4_rhs(c), []
         for target in (x0 + span, x0 - span):
             try:
-                side = _NumericSide(rhs, x0, y0, target, _scan_guard,
-                                    rtol=1e-10, atol=1e-12)
+                sides.append(_NumericSide(rhs, x0, y0, target, 1e-6,
+                                          rtol=1e-10, atol=1e-12))
             except StiffnessError:
-                side = None
-            sides.append(side)
-            flags.add("guard" if side is None
-                      else "blowup" if side.pole is not None
-                      else "ok" if side.status == "ok"
-                      else "guard" if _numeric_guard(*side.rejected)
-                      else "blowup")
+                sides.append(None)
         fwd, bwd = sides
         x_end, x_start = (x0 if s is None else s.edge for s in sides)
+        flags = {"guard" if s is None else s.outcome for s in sides}
         status = ("blowup" if "blowup" in flags
                   else "guard" if "guard" in flags else "ok")
-        period = None if fwd is None else _knot_return(fwd)
-        periodic = False
-        if period is not None:
-            def ev(x, f=fwd, bk=bwd, rhs=rhs):
-                if x < x0 and bk is None:
-                    raise DomainError("outside integrated range")
-                y = (f if x >= x0 else bk)(x).tolist()
-                return Jet1.from_derivatives([*y, rhs(0.0, y)[3]])
-
-            fld = ScalarField1D(partial(per_x, ev), label=f"scan[c={c:g}]",
-                                window=(x_start, x_end))
-            periodic = periodicity_check(fld, period)
-            if not periodic:
-                period = None
+        period = None if fwd is None or status == "blowup" else fwd.period()
+        periodic = period is not None and _period_holds(
+            lambda x: (fwd if x >= x0 else bwd)(x)[:2].tolist(), x_start,
+            period)
+        if not periodic:
+            period = None
         rows.append((c, status, x_start, x_end, periodic, period))
     return rows
 

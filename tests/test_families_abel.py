@@ -19,7 +19,7 @@ from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
                                    periodicity_check, reduction_consistency,
                                    weyl_oneform_generic)
 from ewhorizon.nearhorizon import abel_parametric_jets
-from ewhorizon.report import GridSpec, _knot_return, run_check
+from ewhorizon.report import GridSpec, run_check
 from ewhorizon.specfun import hyp2f1, real_period, wp
 
 SQRT2_K = 2.6220575542921196  # sqrt(2) K(1/sqrt(2)): jacobi window width
@@ -340,14 +340,14 @@ def _oscillator_from(x0, span):
     # stays below |h| = 10 and so is one x-march
     return nearhorizon._NumericSide(
         lambda x, y: np.array([y[1], -y[0]]), x0,
-        [math.sin(x0), math.cos(x0)], x0 + span, lambda x, y: True,
+        [math.sin(x0), math.cos(x0)], x0 + span, None,
         rtol=1e-10, atol=1e-12)
 
 
 def test_first_return_on_trajectory_knots():
     # scan-c's period rule: bracket on the knots, refine on the dense
     # output of the bracketing step
-    T = _knot_return(_oscillator_from(0.3, 20.0))
+    T = _oscillator_from(0.3, 20.0).period()
     assert T is not None
     assert abs(T - 2.0 * math.pi) < 1e-8
     f = field_sin()
@@ -355,7 +355,24 @@ def test_first_return_on_trajectory_knots():
                       period=None, window=(-20.0, 20.0), integral=None)
     assert abs(T - detect_period(bounded, 0.3)) < 1e-8
     # shorter than one period: no return to find
-    assert _knot_return(_oscillator_from(0.3, 6.0)) is None
+    assert _oscillator_from(0.3, 6.0).period() is None
+
+
+def test_side_period_is_confirmed_on_its_dense_output():
+    # scan-c's periodic branch: the side's knots give the period, and the
+    # check periodicity_check runs on a profile confirms it on the side's
+    # own (h, h'), with the verdicts periodicity_check gives sin
+    side = _oscillator_from(0.3, 20.0)
+    T = side.period()
+    assert abs(T - 2.0 * math.pi) < 1e-8
+
+    def at(x):
+        return side(x)[:2].tolist()
+
+    assert nearhorizon._period_holds(at, 0.3, T)
+    assert periodicity_check(field_sin(), 2.0 * math.pi)
+    assert not nearhorizon._period_holds(at, 0.3, 2.0)
+    assert not periodicity_check(field_sin(), 2.0)
 
 
 def test_detect_period_none_for_monotone():

@@ -554,9 +554,9 @@ def test_scan_c_sides_whose_tail_falls_back_keep_the_marched_row(
 
 
 def test_scan_c_tail_from_x0_keeps_the_marched_row(monkeypatch):
-    # h(x0) = 16 at c = 0: the forward tail starts at x0 and is kept, and
-    # the first-return search reads the march resumed at x0; the backward
-    # tail falls back below |h| = 10, and that side marches to x0 - span
+    # h(x0) = 16 at c = 0: the forward tail starts at x0 and is kept, so
+    # the row is blowup and not searched for a period; the backward tail
+    # falls back below |h| = 10, and that side marches to x0 - span
     kept = _sides(monkeypatch)
     ((c, status, x_start, x_end, periodic, period),) = scan_c(
         0.0, 0.0, 1, seed_params={"b": -3.0})
@@ -583,13 +583,87 @@ def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
 
 
 def test_scan_c_side_too_stiff_to_march_keeps_its_tail():
-    # at c = 40 with h(x0) = 16 the forward x-march spends its step budget
-    # at x = 3.0021 (the parent reported that side as guard at x0); the
-    # tail from x0 reaches the caps at x = 3.0030, and the first-return
-    # search, whose resumed march spends the budget the same way, finds
-    # no return instead of raising
+    # at c = 40 with h(x0) = 16 the forward x-march would spend its step
+    # budget at x = 3.0021; the tail from x0 reaches the caps at
+    # x = 3.0030, and the blowup row is not searched for a period, so
+    # nothing marches past x0 in x (a period search that resumed the
+    # march there took about 3 s)
+    t0 = time.perf_counter()
     assert scan_c(40.0, 40.0, 1, seed_params={"b": -3.0}) == [
         (40.0, "blowup", 0.987229937465387, 3.0030311782686803, False, None)]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_scan_c_integrates_only_while_building_its_sides(monkeypatch):
+    # h(x0) = 16 on quadratic b = -3, so each forward tail starts at x0:
+    # every integration runs while the two sides are built, and no read
+    # of a side marches on past its switch knot
+    building, calls = [False], []
+    init = nearhorizon._NumericSide.__init__
+
+    def building_side(self, *args, **kwargs):
+        building[0] = True
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            building[0] = False
+
+    def recording(spec, x_end):
+        calls.append(building[0])
+        return integrate(spec, x_end)
+
+    monkeypatch.setattr(nearhorizon._NumericSide, "__init__", building_side)
+    monkeypatch.setattr(nearhorizon, "integrate", recording)
+    rows = [row for c in (0.0, 40.0)
+            for row in scan_c(c, c, 1, seed_params={"b": -3.0})]
+    assert rows == [
+        (0.0, "blowup", -5.0, 1.269117932261828, False, None),
+        (40.0, "blowup", 0.987229937465387, 3.0030311782686803, False, None)]
+    assert calls and all(calls)
+
+
+def test_scan_c_quadratic_b_minus_3_csv_bytes_are_pinned():
+    # h(x0) = 16: every side switches to its tail at x0.  Recorded while
+    # the period search still resumed the x-march from x0 on these rows
+    cs = [float(c) for c in np.linspace(-3.0, 3.0, 25)] + [40.0, -40.0]
+    text = scan_rows_csv([row for c in cs
+                          for row in scan_c(c, c, 1, seed_params={"b": -3.0})])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c6eac0aaff82b5ccd0e596827e7bbfee76a212065f68389b1edb71960d3024ac")
+
+
+def test_scan_c_does_not_search_a_blowup_row_for_a_period(monkeypatch):
+    # a blowup row's profile leaves the caps inside the span: tanh c = -2
+    # reaches the span end forward and blows up backward, quadratic c = -1
+    # blows up forward; an ok row (tanh b = 6) is searched
+    calls, first_return = [], nearhorizon.first_return
+
+    def recording(*args):
+        calls.append(args)
+        return first_return(*args)
+
+    monkeypatch.setattr(nearhorizon, "first_return", recording)
+    assert [scan_c(-2.0, -2.0, 1, seed="tanh")[0][1],
+            scan_c(-1.0, -1.0, 1)[0][1]] == ["blowup", "blowup"]
+    assert calls == []
+    assert scan_c(-1.0, -1.0, 1, seed="tanh",
+                  seed_params={"b": 6.0})[0][1] == "ok"
+    assert len(calls) == 1
+
+
+def test_scan_c_confirms_a_period_on_its_sides(monkeypatch):
+    # h'''' = -5 h'' - 4 (h - c) has only the frequencies 1 and 2, so
+    # every solution is 2 pi periodic about h = c; at c = 3 the quadratic
+    # seed stays between the floor and |h| = 10 over a span of 20, and the
+    # forward side's first return is confirmed over two periods on the
+    # dense output of both sides (the check starts at x_start = -19)
+    monkeypatch.setattr(report, "ode4_rhs", lambda c: lambda x, y: (
+        y[1], y[2], y[3], -5.0 * y[2] - 4.0 * (y[0] - c)))
+    ((c, status, x_start, x_end, periodic, period),) = scan_c(
+        3.0, 3.0, 1, span=20.0)
+    assert (c, status, x_start, x_end, periodic) == (
+        3.0, "ok", -19.0, 21.0, True)
+    assert abs(period - 2.0 * math.pi) < 1e-8
 
 
 def test_scan_c_side_knots_read_the_tail_back_as_h():
@@ -598,17 +672,13 @@ def test_scan_c_side_knots_read_the_tail_back_as_h():
     # switch knot, which the side's dense output reads
     jet = nearhorizon.build_family("quadratic").field(1.0)
     y0 = [jet.derivative(k) for k in range(4)]
-    side = nearhorizon._NumericSide(ode4_rhs(-1.0), 1.0, y0, 7.0,
-                                    lambda x, y: abs(y[0]) < 1e6
-                                    and abs(y[1]) < 1e8, rtol=1e-10,
-                                    atol=1e-12)
-    knots = side.knots()
-    n = len(side.head.xs)
-    assert (n, len(knots)) == (498, 498 + len(side.tail.xs) - 1)
-    assert knots[:n].tobytes() == np.column_stack(
-        [side.head.xs, side.head.ys[:, :2]]).tobytes()
-    assert np.all(np.diff(knots[:, 0]) > 0.0) and knots[-1, 0] == side.edge
-    for x, h, dh in knots[n::10].tolist():
+    side = nearhorizon._NumericSide(ode4_rhs(-1.0), 1.0, y0, 7.0, 1e-6,
+                                    rtol=1e-10, atol=1e-12)
+    assert len(side.head.xs) == 498
+    x, u, p = side.tail.ys[1:, :3].T
+    assert np.all(np.diff(np.concatenate([side.head.xs, x])) > 0.0)
+    assert x[-1] == side.edge
+    for x, h, dh in np.column_stack([x, 1.0 / u, p / (u * u)])[::10].tolist():
         y = side(x)
         assert abs(h - y[0]) <= 1e-7 * abs(h)
         assert abs(dh - y[1]) <= 1e-7 * abs(dh)
