@@ -12,20 +12,24 @@ steps of the last knot (event location, Hairer, Norsett & Wanner,
 Solving ODEs I, II.6).  The guard is therefore called at interpolated
 states too, and must be a pure predicate.
 
-Its step is the plain numpy form of the method, bit for bit, at fewer
-numpy calls.  The tableau sums (stages, solution, error estimate and
-dense-output coefficients) are BLAS `ndarray.dot` calls over the (7, dim)
-array of stage slopes.  They stay in BLAS because its sums round unlike
-both a left-to-right float sum and a fused multiply-add chain of the
-tableau rows.  Everything else runs in Python floats, in a step kernel
-generated for the state's dimension on the first integration at that
-dim (`_step_kernel`): straight-line code with one name per entry, no
-loop.  The state y, each stage point and the new solution are lists of
-floats, and a stage point y + hs * d is `y_j + hs * d_j` per entry j,
-the same two roundings numpy's `y + hs * d` makes, since a float product
-and sum round on their own as a ufunc does.  The error norm with its
-scale atol + rtol * max(|y|, |y_new|) runs in numpy's order, a NaN on
-either side of the max kept, as np.maximum keeps it.
+The trial step runs in Python floats, in a step kernel generated for the
+state's dimension on the first integration at that dim (`_step_kernel`):
+straight-line code with one name per stage slope entry and no loop.
+Every tableau sum (a stage point's increment, y_new's and the error
+estimate's) is a literal sum of weight * slope, one term per nonzero
+weight, taken left to right over the stages and started from its first
+term; a stage point is then y_j + hs * (that sum) per entry j.  The error
+norm is the root mean square of hs * e_j / (atol + rtol * max(|y_j|,
+|y_new_j|)), a NaN on either side of the max kept, its squares summed
+left to right.  Python float operations are correctly rounded IEEE-754
+operations, so a trajectory has the same bits on any IEEE-754 host,
+whatever its BLAS.  The kernel uses no `**`, so an overflow gives inf
+(and a rejected step), never an OverflowError.
+
+An accepted step stores only its step size and its seven stage slopes,
+in one flat array of floats; the dense-output coefficients K^T P of a
+step are formed when the trajectory is first read on it, in the same
+left-to-right order, and evaluated by Horner's rule in t.
 
 `quad` is adaptive Gauss-Kronrod (G7, K15) with deterministic bisection.
 """
@@ -34,6 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -41,35 +47,37 @@ import numpy as np
 
 from .errors import AccuracyError, StiffnessError
 
-# Dormand-Prince RK5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-])
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince RK5(4) tableau, stages 1..7 (stage 1 is the slope at the
+# knot, stage 7 the slope at y_new, which is stage 1 of the next step).
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # Difference between the 5th- and embedded 4th-order weights.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Quartic dense-output coefficients: y(x0 + t*h) = y0 + h * (K^T P) . [t, t^2, t^3, t^4].
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
-# Per-stage views of the tableau, sliced once: stage i sums k[:i] against
-# _A_ROWS[i], and the stage abscissae are plain floats.
-_A_ROWS = [_A[i, :i] for i in range(6)]
-_B_ROW = _B[:6]  # the b row has zero weight on k7
-_C_STEP = _C.tolist()
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
+# Quartic dense-output coefficients, one row per stage:
+# y(x0 + t*h) = y0 + h * (K^T P) . [t, t^2, t^3, t^4].
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -95,8 +103,10 @@ class IvpSpec:
 
     `rhs(x, y)` receives y as a list of dim Python floats and returns a
     sequence of dim floats (a tuple, a list or an array): the step loop
-    holds its states as floats, so an rhs that unpacks y and does float
-    arithmetic avoids numpy's per-call cost, with numpy scalars' bits.
+    does its tableau sums in Python floats, left to right over the
+    stages (see the module docstring), so an rhs that unpacks y and does
+    float arithmetic avoids numpy's per-call cost.  numpy scalars keep
+    the same bits, at numpy's cost per operation.
     `guard(x, y)` receives the same list and returns False to stop.
     It is also called at states on a trial step's dense output, while
     `integrate` locates where it starts to fail, so it must be a pure
@@ -135,22 +145,32 @@ class Trajectory:
     that the guard rejected within 64 least steps (64 * 1e-14 * max(|x0|,
     |x_end|, 1)) of the last knot, for the caller to tell which of its
     bounds stopped the integration.
+
+    `_segs` holds, per accepted step, its signed size and then its seven
+    stage slopes, stage by stage (1 + 7 * dim floats).  `attempts` counts
+    the attempted steps (accepted, rejected and guard-shortened), and
+    `rhs_calls` the rhs evaluations: two to choose the first step, then
+    six per attempted step (the first stage is the last one's slope).
     """
 
     xs: np.ndarray
     ys: np.ndarray
     status: str
     reason: str = ""
-    _segs: list = field(default_factory=list, repr=False)  # (x0, h, Q) per step
+    _segs: array = field(default_factory=lambda: array("d"), repr=False)
     rejected: tuple = None  # (x, y) the guard rejected, on a "guard" stop
+    attempts: int = 0
+    rhs_calls: int = 0
 
     def __post_init__(self):
         # Ascending search keys for the knots: a backward trajectory
         # searches -xs for -x.  Built once, not on every dense evaluation.
         xs = self.xs
         self._ascending = bool(xs[0] <= xs[-1])
-        self._keys = (xs if self._ascending else -xs).tolist()
+        self._knots = xs.tolist()
+        self._keys = self._knots if self._ascending else (-xs).tolist()
         self._span = (float(min(xs[0], xs[-1])), float(max(xs[0], xs[-1])))
+        self._stride = 1 + 7 * self.ys.shape[1]
 
     @property
     def x_end(self):
@@ -169,11 +189,19 @@ class Trajectory:
             return self.ys[0].copy()
         # Find the step whose interval contains x (knots are monotone).
         idx = bisect_left(self._keys, x if self._ascending else -x)
-        idx = min(max(idx - 1, 0), len(self._segs) - 1)
-        x0, h, q = self._segs[idx]  # the step from knot idx
-        t = (x - x0) / h
-        tv = np.array([t, t * t, t**3, t**4])
-        return self.ys[idx] + h * q.dot(tv)
+        idx = min(max(idx - 1, 0), len(self._knots) - 2)
+        record = self._segs[idx * self._stride:(idx + 1) * self._stride]
+        hs, q = record[0], _step_kernel(self.ys.shape[1])[1](record)
+        return np.array(_dense_value(self.ys[idx].tolist(), hs, q,
+                                     (x - self._knots[idx]) / hs))
+
+
+def _dense_value(y, hs, q, t):
+    """y + hs * (q_1 t + q_2 t^2 + q_3 t^3 + q_4 t^4) per entry, by
+    Horner's rule, for a step's dense-output coefficients q (one
+    (q_1, ..., q_4) per entry)."""
+    return [v + hs * ((((q4 * t + q3) * t + q2) * t + q1) * t)
+            for v, (q1, q2, q3, q4) in zip(y, q)]
 
 
 def _rms_norm(e, scale):
@@ -186,69 +214,88 @@ def _rms_norm(e, scale):
     return math.sqrt(total / len(e))
 
 
-# One trial step of `integrate`, written out for a state of dim entries:
-# {Y} and the like stand for one name or term per entry.  `bind` closes
-# it over the (7, dim) stage slopes k, whose rows it writes.  Per entry
-# j, a stage point is y_j + hs * d_j and the scale of the error norm is
-# atol + rtol * max(|y_j|, |y_new_j|), the max keeping a NaN from either
-# side as np.maximum does.  The sum of squares starts from its first
-# square, not from 0.0: a square is never -0.0, so 0.0 + it is itself.
-_STEP_TEMPLATE = """\
-def bind(k, rhs, atol, rtol):
-    dot1, dot2, dot3, dot4, dot5, dot6 = [k[:i].T.dot for i in range(1, 7)]
-    dot_e = k.T.dot
-    _, r1, r2, r3, r4, r5 = _A_ROWS
-    _, c1, c2, c3, c4, c5, _ = _C_STEP
-    b, e, sqrt = _B_ROW, _E, math.sqrt
-
-    def step(x, hs, y, y_abs):
-        {Y} = y
-        {D} = dot1(r1).tolist()
-        k[1] = rhs(x + c1 * hs, [{STAGE}])
-        {D} = dot2(r2).tolist()
-        k[2] = rhs(x + c2 * hs, [{STAGE}])
-        {D} = dot3(r3).tolist()
-        k[3] = rhs(x + c3 * hs, [{STAGE}])
-        {D} = dot4(r4).tolist()
-        k[4] = rhs(x + c4 * hs, [{STAGE}])
-        {D} = dot5(r5).tolist()
-        k[5] = rhs(x + c5 * hs, [{STAGE}])
-        {D} = dot6(b).tolist()
-        y_new = [{STAGE}]
-        k[6] = rhs(x + hs, y_new)
-        {N} = y_new
-        {U} = y_abs
-        {V} = new_abs = [{ABS}]
-        {E} = dot_e(e).tolist()
-        {Q}
-        return y_new, new_abs, sqrt(({SQUARES}) / {dim})
-
-    return step
-"""
+def _weighted_sum(weights, names):
+    """A tableau sum as source: weight * name per nonzero weight, left to
+    right, started from its first term.  A weight of 1 is the name, and a
+    negative weight's term is subtracted, which rounds as adding it."""
+    out = ""
+    for w, n in zip(weights, names):
+        if w != 0.0:
+            term = n if abs(w) == 1.0 else f"{abs(w)!r} * {n}"
+            out = (f"{out} {'-' if w < 0 else '+'} {term}" if out
+                   else f"-{term}" if w < 0 else term)
+    return out
 
 
 @functools.cache
 def _step_kernel(dim):
-    """`bind(k, rhs, atol, rtol)` -> `step(x, hs, y, y_abs)`: the stages
-    at x + c_i * hs, y_new (a list), |y_new| (a list) and the error norm
-    of the trial step of size hs from (x, y), for states of dim entries.
-    Built on the first integration at dim, as straight-line float code.
-    """
-    def each(term, sep=", "):
-        return sep.join(term.format(j=j) for j in range(dim))
+    """(`bind`, `dense`) for states of dim entries, built on the first
+    integration at dim as straight-line float code.
 
-    source = _STEP_TEMPLATE.format(
-        dim=dim, Y=each("y{j},", " "), D=each("d{j},", " "),
-        N=each("n{j},", " "), U=each("u{j},", " "), V=each("v{j},", " "),
-        E=each("e{j},", " "), STAGE=each("y{j} + hs * d{j}"),
-        ABS=each("abs(n{j})"), SQUARES=each("q{j} * q{j}", " + "),
-        Q=each("q{j} = hs * e{j} / (atol + rtol * "
-               "(u{j} if u{j} >= v{j} or u{j} != u{j} else v{j}))",
-               "\n        "))
-    namespace = {"math": math, "_A_ROWS": _A_ROWS, "_B_ROW": _B_ROW,
-                 "_C_STEP": _C_STEP, "_E": _E}
-    exec(compile(source, f"<integrate step, dim {dim}>", "exec"), namespace)
-    return namespace["bind"]
+    `bind(rhs, atol, rtol)` returns `step(x, hs, y, y_abs, k1)`: the
+    trial step of size hs from (x, y), |y| = y_abs and the slope k1 at
+    the knot.  It returns y_new (a list), |y_new| (a list), the error
+    norm, the slope at y_new (a tuple) and the step's record: hs and
+    then its seven stage slopes, stage by stage, as the packed bytes of
+    1 + 7 * dim doubles.  `dense(record)` takes a record (as a sequence
+    of floats) and returns the step's dense-output coefficients K^T P,
+    one (q_1, ..., q_4) per entry.
+    """
+    def stages(j, n=7):  # entry j of the first n stage slopes
+        return [f"k{i}_{j}" for i in range(1, n + 1)]
+
+    def each(fmt, sep=", "):
+        return sep.join(fmt.format(j=j) for j in range(dim))
+
+    def names(fmt):  # an unpacking target, one name per entry
+        return each(fmt + ",", " ")
+
+    lines = [
+        "def bind(rhs, atol, rtol):",
+        "    def step(x, hs, y, y_abs, k1):",
+        f"        {names('y{j}')} = y",
+        f"        {names('k1_{j}')} = k1",
+    ]
+    for i in range(1, 6):  # stages 2..6
+        point = ", ".join(
+            f"y{j} + hs * ({_weighted_sum(_A[i], stages(j, i))})"
+            for j in range(dim))
+        at = "x + hs" if _C[i] == 1.0 else f"x + {_C[i]!r} * hs"
+        slope = names(f"k{i + 1}_{{j}}")
+        lines.append(f"        {slope} = rhs({at}, [{point}])")
+    lines += [
+        "        y_new = [" + ", ".join(
+            f"y{j} + hs * ({_weighted_sum(_B, stages(j))})"
+            for j in range(dim)) + "]",
+        f"        {names('k7_{j}')} = rhs(x + hs, y_new)",
+        f"        {names('u{j}')} = y_abs",
+        f"        {names('v{j}')} = new_abs = "
+        f"[{each('abs(y_new[{j}])')}]",
+    ]
+    lines += [f"        q{j} = hs * ({_weighted_sum(_E, stages(j))}) / (atol + "
+              f"rtol * (u{j} if u{j} >= v{j} or u{j} != u{j} else v{j}))"
+              for j in range(dim)]
+    slopes = ", ".join(f"k{i}_{j}" for i in range(1, 8) for j in range(dim))
+    coeffs = ", ".join(
+        "(" + ", ".join(_weighted_sum([row[m] for row in _P], stages(j))
+                        for m in range(4)) + ")"
+        for j in range(dim))
+    lines += [
+        f"        return (y_new, new_abs, sqrt(({each('q{j} * q{j}', ' + ')})"
+        f" / {dim}), ({each('k7_{j}')},), pack(hs, {slopes}))",
+        "",
+        "    return step",
+        "",
+        "",
+        "def dense(record):",
+        f"    _, {slopes}, = record",
+        f"    return [{coeffs}]",
+    ]
+    namespace = {"sqrt": math.sqrt,
+                 "pack": struct.Struct(f"{1 + 7 * dim}d").pack}
+    exec(compile("\n".join(lines) + "\n", f"<integrate step, dim {dim}>",
+                 "exec"), namespace)
+    return namespace["bind"], namespace["dense"]
 
 
 def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
@@ -281,11 +328,11 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     least steps (64 * h_floor) of a state it rejects (`_locate`).  A step
     whose error estimate is not finite (a NaN or an overflow in the rhs)
     is rejected like any other, since a smaller one may avoid it; if the
-    step size then underflows, the error names the component and the
-    step where the estimate first went non-finite.
+    step size then underflows, the error names the stage and the rhs
+    component that first returned a non-finite slope, and the step.
     """
     rhs, guard, max_step = spec.rhs, spec.guard, spec.max_step
-    atol, rtol = spec.atol, spec.rtol
+    atol, rtol, dim = spec.atol, spec.rtol, spec.dim
     x = x0 = float(spec.x0)
     y = spec.y0.tolist()
     span = x_end - x
@@ -297,22 +344,21 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
                           reason="guard failed at the initial point",
                           rejected=(x, y))
 
-    k = np.empty((7, spec.dim))
-    k[0] = rhs(x, y)  # FSAL: row 0 always holds rhs at the current point
-    h = _initial_step(rhs, x, spec.y0, k[0], direction, rtol, atol,
-                      min(max_step, abs(span)))
+    k1 = rhs(x, y)  # FSAL: the slope at the current knot
+    h = _initial_step(rhs, x, spec.y0, np.asarray(k1, dtype=float),
+                      direction, rtol, atol, min(max_step, abs(span)))
     h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
 
     xs = [x]
     ys = y[:]  # the knots' entries, one after another
-    segs = []
+    segs = array("d")
     err_prev = 1.0
-    step = _step_kernel(spec.dim)(k, rhs, atol, rtol)
-    k_t = k.T
+    bind, dense = _step_kernel(dim)
+    step = bind(rhs, atol, rtol)
     y_abs = [abs(v) for v in y]
     status, reason, rejected = "ok", "", None
     attempts = 0
-    nonfinite = ""  # names the first non-finite estimate since the last knot
+    nonfinite = ""  # names the first non-finite slope since the last knot
 
     while (x_end - x) * direction > 0:
         if attempts == _MAX_STEPS:
@@ -330,11 +376,12 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             raise StiffnessError(f"step size underflow at x={x!r} (h={h!r})"
                                  + (nonfinite or "; problem too stiff"))
         hs = h * direction
-        y_new, new_abs, err = step(x, hs, y, y_abs)
+        y_new, new_abs, err, k7, record = step(x, hs, y, y_abs, k1)
 
         if err <= 1.0:
             if guard is not None and not guard(x + hs, y_new):
-                lo, hi, state = _locate(guard, x, hs, y, k_t.dot(_P),
+                lo, hi, state = _locate(guard, x, hs, y,
+                                        dense(array("d", record)),
                                         64 * h_floor, (x + hs, y_new))
                 if hi * h <= 64 * h_floor:
                     status, reason = "guard", f"guard stopped integration at x={x!r}"
@@ -344,10 +391,9 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
                 # its last halving left above 32 * h_floor: no underflow
                 h *= lo
                 continue
-            segs.append((x, hs, k_t.dot(_P)))
+            segs.frombytes(record)
             x += hs
-            y, y_abs = y_new, new_abs
-            k[0] = k[6]  # FSAL: the last stage is rhs at the new point
+            y, y_abs, k1 = y_new, new_abs, k7  # FSAL: k7 is the new knot's
             xs.append(x)
             ys += y
             nonfinite = ""
@@ -356,29 +402,25 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
         else:
             if not nonfinite and not err < math.inf:
-                i = _first_nonfinite(y_abs, new_abs, k_t.dot(_E), hs, atol,
-                                     rtol)
-                nonfinite = (f": component {i} of the error estimate first "
-                             f"went non-finite on the step of h={hs!r} from "
-                             f"x={x!r}")
+                nonfinite = _first_nonfinite(record, dim, x)
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP))
 
-    return Trajectory(np.array(xs), np.array(ys).reshape(-1, spec.dim),
-                      status, reason, segs, rejected)
+    return Trajectory(np.array(xs), np.array(ys).reshape(-1, dim), status,
+                      reason, segs, rejected, attempts, 2 + 6 * attempts)
 
 
 def _locate(guard, x, hs, y, q, reach, rejected):
     """Bracket the guard's crossing on a trial step's dense output
-    y + hs * q . (t, t^2, t^3, t^4), at no rhs call: the guard passes the
-    knot at t = 0 and rejects the `rejected` state (x, y) at t = 1.
-    Bisects [lo, hi] until its fail end lies within `reach` of the knot
-    or it is at most `reach` wide, and returns lo, hi and the state the
-    guard rejected at hi."""
+    (`_dense_value` of y, hs and its coefficients q), at no rhs call:
+    the guard passes the knot at t = 0 and rejects the `rejected` state
+    (x, y) at t = 1.  Bisects [lo, hi] until its fail end lies within
+    `reach` of the knot or it is at most `reach` wide, and returns lo,
+    hi and the state the guard rejected at hi."""
     lo, hi = 0.0, 1.0
-    h, y = abs(hs), np.array(y)
+    h = abs(hs)
     while hi * h > reach and (hi - lo) * h > reach:
         t = 0.5 * (lo + hi)
-        state = (x + t * hs, (y + hs * q.dot([t, t * t, t**3, t**4])).tolist())
+        state = (x + t * hs, _dense_value(y, hs, q, t))
         if guard(*state):
             lo = t
         else:
@@ -386,16 +428,17 @@ def _locate(guard, x, hs, y, q, reach, rejected):
     return lo, hi, rejected
 
 
-def _first_nonfinite(y_abs, new_abs, e, hs, atol, rtol):
-    """The component at which the error norm's running sum of squares
-    first stops being finite, summed as `integrate` sums it."""
-    total = 0.0
-    for i, (a, b, v) in enumerate(zip(y_abs, new_abs, e.tolist())):
-        q = hs * v / (atol + rtol * (a if a >= b or a != a else b))
-        total += q * q
-        if not total < math.inf:
-            break
-    return i
+def _first_nonfinite(record, dim, x):
+    """Name, for a StiffnessError, the first stage slope of a trial step
+    from x (its record, as `step` packs it) that the rhs returned
+    non-finite, in the order the rhs was called; "" if none did."""
+    hs, *slopes = array("d", record)
+    for n, v in enumerate(slopes):
+        if not abs(v) < math.inf:
+            return (f": the rhs first returned a non-finite component "
+                    f"{n % dim} at stage {n // dim + 1} of the step of "
+                    f"h={hs!r} from x={x!r}")
+    return ""
 
 
 # --- adaptive Gauss-Kronrod quadrature --------------------------------------
