@@ -966,7 +966,9 @@ def _pole_tail(rhs, x, y, x_end):
 class _NumericSide:
     """One side of a profile ODE y' = rhs(x, y), y = (h, h', ...), from
     (x0, y0) towards x_end, within the caps |h| < _H_CAP, |h'| < _DH_CAP
-    and above the |h| `floor` (None for none).  It marches in x while
+    and, where a `floor` is given (None for none), with h above it on
+    the sign of h(x0): floor < sign(h(x0)) h, so that a step that carries
+    h across zero is seen to cross the floor.  It marches in x while
     also |h| < _H_SWITCH; where only that bound rejected the state that
     stopped it, a kept `_pole_tail` gives the `edge` and the estimate
     x + u/p_1 of the `pole` beyond it, else the march goes on from the
@@ -980,12 +982,16 @@ class _NumericSide:
     def __init__(self, rhs, x0, y0, x_end, floor, rtol, atol):
         self.direction = 1.0 if x_end >= x0 else -1.0
         lo = -math.inf if floor is None else floor
+        sign = math.copysign(1.0, y0[0])
 
         def marching(x, y):
-            return lo < abs(y[0]) < _H_SWITCH and abs(y[1]) < _DH_CAP
+            h = y[0]
+            return (lo < sign * h and abs(h) < _H_SWITCH
+                    and abs(y[1]) < _DH_CAP)
 
         def guard(x, y):
-            return lo < abs(y[0]) < _H_CAP and abs(y[1]) < _DH_CAP
+            h = y[0]
+            return lo < sign * h and abs(h) < _H_CAP and abs(y[1]) < _DH_CAP
 
         def march(x, y, end, stop):
             return integrate(IvpSpec(dim=len(y), rhs=rhs, x0=x, y0=y,

@@ -649,7 +649,8 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     from a family seed jet; one row of
     (c, status, x_start, x_end, periodic, period) per value.
 
-    Each side is a `_NumericSide` above the |h| floor 1e-6: past
+    Each side is a `_NumericSide` with h above the floor 1e-6 on the
+    seed's sign (so a step that carries h across zero stops it): past
     |h| = 10 its tail in the regular (x, u, p_1, p_2, p_3; s) locates
     the unchanged caps, so x_end is still where |h| = 1e6 or |h'| = 1e8
     trips, to about 1e-11.  Each integration stops within 64 least steps
@@ -657,9 +658,9 @@ def scan_c(c_from: float, c_to: float, steps: int, seed: str = "quadratic",
     located on a trial step's dense output.
 
     Statuses: ok (full span), blowup (|h| or |h'| exceeded caps: a kept
-    tail, or a rejected state past them), guard (|h| fell to the
-    division floor, or the step size collapsed, or its budget ran out,
-    or its pace fell below the progress floor), singular-start (seed
+    tail, or a rejected state past them), guard (h fell to the division
+    floor on its seed's sign, or the step size collapsed, or its budget
+    ran out, or its pace fell below the progress floor), singular-start (seed
     |h| <= 1e-6, nothing integrated); a row is the worst of its sides'
     `outcome`s.  A blowup row's profile leaves the caps inside the span,
     so it is not searched for a period; otherwise the forward side's

@@ -22,12 +22,15 @@ rtol 1e-8 for the pole tails in s):
   x + u/p is taken at the edge, in reach of the tail's rtol;
 - an edge at x0 +- span is that value exactly.
 
-Measured when these tests were added, with the tableau sums in BLAS and
-then in Python floats, the worst errors were: 3.9e-11 relative for a
-cap edge (quadratic c = 1.25, backward, at x = 0.075, located by its
-pole tail), 3.5e-12 and then 4.0e-12 in h for a floor edge (tanh
-c = -0.25), 1.0e-12 relative for a numeric-family edge and 9.3e-13 for
-a pole.
+Measured when these tests were added, with the DOPRI5 step's tableau
+sums in BLAS and then in Python floats, the worst errors were: 3.9e-11
+relative for a cap edge (quadratic c = 1.25, backward, at x = 0.075,
+located by its pole tail), 3.5e-12 and then 4.0e-12 in h for a floor
+edge (tanh c = -0.25), 1.0e-12 relative for a numeric-family edge and
+9.3e-13 for a pole.  With the DOP853 step they are 1.5e-11 for that cap
+edge, 2.2e-12 in h for a floor edge (tanh c = -0.5), 1.6e-13 for a
+numeric-family edge and 1.7e-13 for a pole (alpha = 0.5, h1 = 0.3,
+forward).
 """
 
 import json

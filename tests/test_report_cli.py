@@ -328,15 +328,14 @@ def test_scan_c_stops_at_profile_zero():
 # (seed, seed params) at c = -1: the scan_rows_csv line, then the
 # accepted knots and rhs calls of each integration (forward side first;
 # the quadratic seed's forward x-march stops at |h| = 10 and its pole
-# tail runs to the caps), as recorded when the DOPRI step came to sum
-# its tableau in Python floats.  Guards the DOPRI step against any
-# change of bits.
+# tail runs to the caps), as recorded when the step became DOP853's
+# (the DOPRI5 step took 498, 83 and 217 knots, 299 and 154, and 49 and
+# 284).  Guards the step against any change of bits.
 _SCAN_PINS = [
-    ("quadratic", {}, "-1,blowup,0.327461248874,1.95141343416,false,",
-     (498, 83, 217), (2996, 506, 1424)),
-    ("tanh", {}, "-1,guard,1.00000332403e-06,7,false,",
-     (299, 154), (1790, 1040)),
-    ("tanh", {"b": 6.0}, "-1,ok,-5,7,false,", (49, 284), (290, 1700)),
+    ("quadratic", {}, "-1,blowup,0.327461248875,1.95141343417,false,",
+     (69, 20, 54), (848, 275, 1040)),
+    ("tanh", {}, "-1,guard,1.00000042387e-06,7,false,", (49, 31), (578, 680)),
+    ("tanh", {"b": 6.0}, "-1,ok,-5,7,false,", (18, 39), (206, 458)),
 ]
 
 
@@ -370,31 +369,34 @@ def test_scan_c_benchmark_values_take_pinned_work(monkeypatch):
     # [-2, 1]; 75 integrations (52 x-marches, 22 pole tails, one march
     # resumed at |h| = 10) whose knot and rhs totals are pinned.  Marching
     # into the caps in x they took 42 557 knots and 265 904 rhs calls,
-    # halving trial steps toward each guard 27 044 and 184 140, and with
-    # the tableau summed by BLAS 26 451 and 161 178
+    # halving trial steps toward each guard 27 044 and 184 140, with the
+    # tableau summed by BLAS 26 451 and 161 178, and with the DOPRI5 step
+    # summed in Python floats 26 447 and 161 148
     runs = _count_integrations(monkeypatch)
     for seed, lo, hi in (("quadratic", -1.0, 2.0), ("tanh", -2.0, 1.0)):
         for i in range(13):
             c = lo + (hi - lo) * i / 12
             scan_c(c, c, 1, seed=seed)
     assert len(runs) == 75
-    assert sum(n for n, _ in runs) == 26447
-    assert sum(r for _, r in runs) == 161148
+    assert sum(n for n, _ in runs) == 4916
+    assert sum(r for _, r in runs) == 67794
 
 
 def test_scan_c_reports_a_spent_step_budget_as_guard(monkeypatch):
-    # at c = 1e6 the tanh seed's steps shrink to ~5e-7: the budget, not
-    # the span, ends both sides, long before any blowup
-    monkeypatch.setattr(odesolve, "_MAX_STEPS", 1000)
+    # at c = 1e6 the tanh seed's steps shrink to ~1e-7: the forward side
+    # needs 179 attempted steps to reach |h| = 10, and the backward one
+    # crawls, so a budget of 100, not the span, ends both sides, before
+    # any blowup
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 100)
     assert scan_c(1e6, 1e6, 1, seed="tanh") == [
         (1e6, "guard", 1.0, 1.0, False, None)]
 
 
 def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
-    # at c = 1e6 the tanh seed's steps shrink to ~5e-7 on both sides: the
-    # forward side reaches |h| = 10 after 1 335 steps and its pole tail
-    # runs to the caps, and the first progress check stops the backward
-    # side, long before its step budget
+    # at c = 1e6 the tanh seed's steps shrink to ~1e-7 on both sides: the
+    # forward side reaches |h| = 10 after 179 steps and its pole tail
+    # runs to the caps in 4, and the first progress check stops the
+    # backward side, long before its step budget
     work = []
 
     def counting(spec, x_end):
@@ -409,9 +411,9 @@ def test_scan_c_stops_a_crawling_side_at_the_progress_floor(monkeypatch):
     monkeypatch.setattr(nearhorizon, "integrate", counting)
     t0 = time.perf_counter()
     assert scan_c(1e6, 1e6, 1, seed="tanh") == [
-        (1e6, "blowup", 1.0, 1.000018804813653, False, None)]
+        (1e6, "blowup", 1.0, 1.000018804803085, False, None)]
     assert time.perf_counter() - t0 < 1.0
-    assert work[:2] == [1335, 7]
+    assert work[:2] == [179, 4]
     assert work[2].startswith(
         f"{odesolve._FLOOR_EVERY} attempted steps covered ")
 
@@ -447,11 +449,11 @@ def test_scan_c_statuses_form_known_set():
 
 
 def test_scan_c_13_step_csv_bytes_are_pinned():
-    # `ewh scan-c --from -1 --to 2 --steps 13`, as recorded when the DOPRI
-    # step came to sum its tableau in Python floats
+    # `ewh scan-c --from -1 --to 2 --steps 13`, as recorded when the step
+    # became DOP853's
     text = scan_rows_csv(scan_c(-1.0, 2.0, 13))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "bff3eb3cc9b1980437486d6539d7cf731df65e4444f66f73cd5583f1e3a6f11f")
+        "2c4835f2a1742128fc944bd4955c0eefca585d1080216b8f7e7545f97f325d70")
 
 
 # the scan-c benchmark's 26 rows as the x-march into the caps gave them,
@@ -480,7 +482,7 @@ _SCAN_BENCHMARK_ROWS = {
         (-1.75, "blowup", -0.4088107895511946, 7.0, False, None),
         (-1.5, "guard", -0.07454203085192013, 7.0, False, None),
         (-1.25, "guard", -0.022286770327219374, 7.0, False, None),
-        (-1.0, "guard", 1.0000050637201241e-06, 7.0, False, None),
+        (-1.0, "guard", math.atanh(1e-6), 7.0, False, None),  # exact
         (-0.75, "guard", 0.009341857637679354, 7.0, False, None),
         (-0.5, "guard", 0.011081357668609348, 7.0, False, None),
         (-0.25, "guard", 0.007566619407917197, 7.0, False, None),
@@ -497,7 +499,10 @@ _SCAN_BENCHMARK_ROWS = {
 # backward edge is 1e-3 exactly, where h' = 2e-3.  The marched row's
 # 0.0009999999806326449 was already 1.9e-11 from it, six times the bound
 # below, so that edge is held to 1e-3 within the floor bound of
-# tests/test_references.py instead: 1e-11 in h, so 5e-9 in x
+# tests/test_references.py instead: 1e-11 in h, so 5e-9 in x.  tanh
+# c = -1 is h = -tanh x, whose backward edge is atanh(1e-6) exactly; the
+# marched row's 1.0000050637201241e-06 was 5.1e-12 from it, so the table
+# holds the exact edge, under the row's own bound
 _EXACT_EDGE_BOUND = {("quadratic", 1.0, 1e-3): 1e-11 / 2e-3}
 
 
@@ -535,7 +540,7 @@ def test_scan_c_sides_whose_tail_falls_back_keep_the_marched_row(
     # x = sqrt(10), its tail would cross the span end, and the march
     # resumed there ends ok at x = 7 with h = 49
     assert scan_rows_csv(scan_c(1.0, 1.0, 1)).splitlines()[1] == \
-        "1,guard,0.00100000008797,7,false,"
+        "1,guard,0.00100000006674,7,false,"
     assert kept == [False]
     # b = -3 puts h(x0) = 16: both tails start at x0.  The forward one
     # would cross the span end, the backward one falls back below
@@ -543,7 +548,7 @@ def test_scan_c_sides_whose_tail_falls_back_keep_the_marched_row(
     # x-march from x0, and the row is the marched row to the bit
     kept.clear()
     assert scan_c(1.0, 1.0, 1, seed_params={"b": -3.0}) == [
-        (1.0, "guard", -2.9990000080637698, 7.0, False, None)]
+        (1.0, "guard", -2.999000000360567, 7.0, False, None)]
     assert kept == [False, False]
 
 
@@ -562,7 +567,7 @@ def test_scan_c_tail_from_x0_keeps_the_marched_row(monkeypatch):
 
 def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
     # a tail that raises StiffnessError leaves the side to the march
-    # resumed at |h| = 10, whose edge lies 2.4e-12 from the march's
+    # resumed at |h| = 10, whose edge lies 9.6e-12 from the march's
     def stiff_tails(spec, x_end):
         if spec.dim == 5:
             raise StiffnessError("stiff tail")
@@ -571,20 +576,22 @@ def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
     monkeypatch.setattr(nearhorizon, "integrate", stiff_tails)
     ((c, status, x_start, x_end, periodic, period),) = scan_c(-1.0, -1.0, 1)
     assert scan_rows_csv([(c, status, x_start, x_end, periodic, period)]) \
-        .splitlines()[1] == "-1,blowup,0.327461248874,1.95141343416,false,"
-    assert x_start == 0.32746124887383277
+        .splitlines()[1] == "-1,blowup,0.327461248875,1.95141343417,false,"
+    assert x_start == 0.3274612488748864
     assert abs(x_end - 1.9514134341617002) <= 1e-9 * 1.9514134341617002
 
 
-def test_scan_c_side_too_stiff_to_march_keeps_its_tail():
-    # at c = 40 with h(x0) = 16 the forward x-march would spend its step
-    # budget at x = 3.0021; the tail from x0 reaches the caps at
-    # x = 3.0030, and the blowup row is not searched for a period, so
+def test_scan_c_side_too_stiff_to_march_keeps_its_tail(monkeypatch):
+    # at c = 40 with h(x0) = 16 the forward x-march needs 49 162 attempted
+    # steps (about 1 s) to reach the caps at x = 3.0030, so a budget of
+    # 20 000 would be spent at x = 2.9315; the tail from x0 reaches the
+    # caps in 3 252, and the blowup row is not searched for a period, so
     # nothing marches past x0 in x (a period search that resumed the
     # march there took about 3 s)
+    monkeypatch.setattr(odesolve, "_MAX_STEPS", 20_000)
     t0 = time.perf_counter()
     assert scan_c(40.0, 40.0, 1, seed_params={"b": -3.0}) == [
-        (40.0, "blowup", 0.9872299374654225, 3.003031178268679, False, None)]
+        (40.0, "blowup", 0.9872299374596115, 3.003031178268684, False, None)]
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -611,19 +618,19 @@ def test_scan_c_integrates_only_while_building_its_sides(monkeypatch):
     rows = [row for c in (0.0, 40.0)
             for row in scan_c(c, c, 1, seed_params={"b": -3.0})]
     assert rows == [
-        (0.0, "blowup", -5.0, 1.2691179322618298, False, None),
-        (40.0, "blowup", 0.9872299374654225, 3.003031178268679, False, None)]
+        (0.0, "blowup", -5.0, 1.269117932315253, False, None),
+        (40.0, "blowup", 0.9872299374596115, 3.003031178268684, False, None)]
     assert calls and all(calls)
 
 
 def test_scan_c_quadratic_b_minus_3_csv_bytes_are_pinned():
     # h(x0) = 16: every side switches to its tail at x0.  Recorded when
-    # the DOPRI step came to sum its tableau in Python floats
+    # the step became DOP853's
     cs = [float(c) for c in np.linspace(-3.0, 3.0, 25)] + [40.0, -40.0]
     text = scan_rows_csv([row for c in cs
                           for row in scan_c(c, c, 1, seed_params={"b": -3.0})])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "95283763939b2a933b5f126175019e1642d4b21ddd740944f02d7352c8ed5a39")
+        "fcc5edffb7064df96e6c154b9cadd471929827d90bc83c96116e74558f724e08")
 
 
 def test_scan_c_does_not_search_a_blowup_row_for_a_period(monkeypatch):
@@ -645,30 +652,60 @@ def test_scan_c_does_not_search_a_blowup_row_for_a_period(monkeypatch):
     assert len(calls) == 1
 
 
-def test_scan_c_confirms_a_period_on_its_sides(monkeypatch):
+def _linear_quartic(monkeypatch):
     # h'''' = -5 h'' - 4 (h - c) has only the frequencies 1 and 2, so
-    # every solution is 2 pi periodic about h = c; at c = 3 the quadratic
-    # seed stays between the floor and |h| = 10 over a span of 20, and the
-    # forward side's first return is confirmed over two periods on the
-    # dense output of both sides (the check starts at x_start = -19)
+    # every solution is 2 pi periodic about h = c
     monkeypatch.setattr(report, "ode4_rhs", lambda c: lambda x, y: (
         y[1], y[2], y[3], -5.0 * y[2] - 4.0 * (y[0] - c)))
+
+
+def test_scan_c_confirms_a_period_on_its_sides(monkeypatch):
+    # at c = 4 the quadratic seed stays in [0.084, 8.69], between the
+    # floor and |h| = 10, over a span of 20, and the forward side's first
+    # return is confirmed over two periods on the dense output of both
+    # sides (the check starts at x_start = -19)
+    _linear_quartic(monkeypatch)
+    sides, init = [], nearhorizon._NumericSide.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sides.append(self)
+
+    monkeypatch.setattr(nearhorizon._NumericSide, "__init__", recording)
+    ((c, status, x_start, x_end, periodic, period),) = scan_c(
+        4.0, 4.0, 1, span=20.0)
+    assert (c, status, x_start, x_end, periodic) == (
+        4.0, "ok", -19.0, 21.0, True)
+    assert abs(period - 2.0 * math.pi) < 1e-8
+    # h stays well above the floor on both sides' dense output
+    h = [side(x)[0] for side in sides
+         for x in np.linspace(side.head.xs[0], side.edge, 801).tolist()]
+    assert 0.08 < min(h) and max(h) < 8.7
+
+
+def test_scan_c_stops_where_a_step_carries_h_across_zero(monkeypatch):
+    # at c = 3 the same seed dips below h = 0 between knots (from
+    # h = 2.8e-3 at x = 6.1164 to -6.6e-4 at x = 6.1272 under the DOPRI5
+    # step); the floor is on the sign of h(x0), so the guard sees the
+    # crossing and stops the forward side at the floor: a guard row, not
+    # searched into a period across the zero of h
+    _linear_quartic(monkeypatch)
     ((c, status, x_start, x_end, periodic, period),) = scan_c(
         3.0, 3.0, 1, span=20.0)
-    assert (c, status, x_start, x_end, periodic) == (
-        3.0, "ok", -19.0, 21.0, True)
-    assert abs(period - 2.0 * math.pi) < 1e-8
+    assert (c, status, periodic, period) == (3.0, "guard", False, None)
+    assert abs(x_end - 6.12507) < 1e-5
+    assert 0.0 < x_start < 1.0
 
 
 def test_scan_c_side_knots_read_the_tail_back_as_h():
-    # the forward side at c = -1: 498 x-march knots, then the tail's,
+    # the forward side at c = -1: 69 x-march knots, then the tail's,
     # read back as (x, 1/u, p_1/u^2), agree with the march resumed at the
     # switch knot, which the side's dense output reads
     jet = nearhorizon.build_family("quadratic").field(1.0)
     y0 = [jet.derivative(k) for k in range(4)]
     side = nearhorizon._NumericSide(ode4_rhs(-1.0), 1.0, y0, 7.0, 1e-6,
                                     rtol=1e-10, atol=1e-12)
-    assert len(side.head.xs) == 498
+    assert len(side.head.xs) == 69
     x, u, p = side.tail.ys[1:, :3].T
     assert np.all(np.diff(np.concatenate([side.head.xs, x])) > 0.0)
     assert x[-1] == side.edge
@@ -1151,7 +1188,9 @@ def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
 # numeric window edges came from the pole tail, which moved its x axis
 # by about 6e-13, again when its guard stops came from the crossing
 # located on a trial step's dense output (its edges moved by 1.5e-15),
-# and when the DOPRI step came to sum its tableau in Python floats
+# when the DOPRI step came to sum its tableau in Python floats, and when
+# the step became DOP853's (its x axis moved by 9.2e-13, and its worst
+# residual fell from 1.2e-13 to 2.8e-14)
 _POINT_DIGESTS = [
     "ef8b693551f24437acc3b80aabdde25683dc3c9489a8b3ca72236e9dd35d1da1",
     "3ad23cf4ea0f864b6a99d2f40cdf291c10d8e396481581cdda9a5347505863eb",
@@ -1160,7 +1199,7 @@ _POINT_DIGESTS = [
     "9af8df8cfa488e82fd46ccf42a16b77f26b45f9aeecbb8a7e10bd651fc5112c3",
     "96818e724abbc8b1b7451662f81029d06132413463081ea3d48c0d60da41886c",
     "7cc3702d3b2c58e60f5aef050d8a8cd6a41513d4c78c8d0d71cf236d2fb49771",
-    "71f7fe38904519641c96f6d02617ac9e7116579ce154cee7f3b283191b962bdf",
+    "05ac2c17448db7ac35ce91204f7002860daa1a475f1216866be87f3e4916e5c8",
     "09b8d5db2e2cbe6cb91da5dd4ab4ffaa62ed95cf5749e72b332e074967731eb0",
     "1e4a17312513d0275acf63b42b02befe28d4132dbe440751a463f6ca5fe54551",
     "138a01fd393311c4cebdfee36920c51777159194534f28af4631328920c59271",
@@ -1481,9 +1520,10 @@ _X_ONLY_CASES = [
 # family:numeric re-recorded when its window edges came from the pole
 # tail, which moved its x axis by about 7e-13, again when its guard
 # stops came from the crossing located on a trial step's dense output
-# (its edges moved by 1.5e-15), and when the DOPRI step came to sum its
-# tableau in Python floats (cases 8, 19 and 21, the numeric family: its
-# edges moved by 2e-14, and its ode4 residuals stay below 1.4e-16)
+# (its edges moved by 1.5e-15), when the DOPRI step came to sum its
+# tableau in Python floats, and when the step became DOP853's (cases 8,
+# 19 and 21, the numeric family: the last moved its edges by 1.3e-12,
+# and its ode4 residuals stay below 1.4e-16)
 _X_ONLY_SHA256 = [
     "0c3f8fd26c6ec90df49f6806414b8a2b4e68928956d0cf16fee4822dbe2d11da",
     "28be916c6e58ceb2718db493737cdfeed684b5552a3c611ba00797f760aa5b27",
@@ -1493,7 +1533,7 @@ _X_ONLY_SHA256 = [
     "2920d8bdbdac086a560b7daf3367d1f3554d2553ec34c7d0fa94d04055e9303d",
     "f1625f40de7d33c6bc908b913fb880bf2df0c86cf847175365509e0fcc93c4b9",
     "b6163edd86797bf27869b0962fd09e3c37f05c426a388f9b97b6955bf698621a",
-    "6d24f7eec2747ef1527d1559ca0be5022c7b5898d857dc42aa9aaa7ec3fa684e",
+    "b255d2a0d2d30045928fbb6407596e9a85041ddf05a8ebe80e05ad9fbc793da6",
     "42a1c3b94f2089b7bd5b510f598e77e1ef787b77bc277d7154e23aeb56739cb3",
     "fde52ddacfc716262dc17cc6b0de48a4d3ba6d0dc8579a9d746991b7eb1a8392",
     "e07b365ac8e1974e8f6da0d5e21e34be25ee44e7a5de92df7f1e01803dfd3f0c",
@@ -1504,9 +1544,9 @@ _X_ONLY_SHA256 = [
     "19f711d7b41fd4f65d6e4a83456d7d77f266bab96d53695a6a3a4f77ac25854d",
     "c09f3af3b8e48576b0025ad08b0848e4382abdea5bbec8e9c2379bb99bdf9735",
     "7f04920b2e05aac20a0997cd24acff23740ecf6778063711ef19353d7350e72f",
-    "e9b6a0428412efe25ecff12b9b80216f0e7adef07b70b6b656270940eb7072e0",
+    "73c8b0de1d95e51583d008e53476b60d37dd4184eeb48679d797287208504972",
     "f4318e86ef1ce9507c644f4bcf1f18a5e0233588391ee77f2b2574e5b62b4926",
-    "11330310f23cb065eb683011ff60c2758d13031870595f0c2967d8d40373c086",
+    "eca4ad2ebe25714822058e28b00029d4e1546100a8fd57bf6f2edc848cf97b88",
     "a90d56424e771acaf25021795fd0384a12f58fcbaa32a708d35c7dfb0a0224f6",
     "c8981417f7544b3985b79e45bf7dcef561094994de8c280f328f5b8f0ac4e057",
 ]
