@@ -12,20 +12,16 @@ from .errors import (AccuracyError, DegenerateMetricError, DomainError,
                      EwhError, PathBranchError, PoleProximityError,
                      SingularJetError, StiffnessError, WindowError)
 from .jets import Jet1, Jet3, Point, PointBatch, fd_oracle
-from .curvature import (CurvaturePack, MetricField, OneFormField,
-                        christoffel, conformal_rescale, cotton,
-                        curvature_pack, ew_residual, faraday,
-                        ricci_scalar_schouten)
+from .curvature import (MetricField, OneFormField, conformal_rescale,
+                        cotton, ew_residual)
 from .specfun import (complete_elliptic_k, hyp2f1, jacobi_sn_cn_dn,
-                      real_period, sn_imaginary_modulus,
-                      sn_imaginary_modulus_jet, wp, wp_jet)
+                      real_period, sn_imaginary_modulus_jet, wp, wp_jet)
 from .odesolve import IvpSpec, Trajectory, integrate, quad
-from .nearhorizon import (FAMILY_TAGS, F_flat_from_h, F_from_h,
-                          F_from_h_field, F_ode_residual_chalf,
-                          NearHorizonData, ScalarField1D, SolutionFamily,
-                          abel_parametric, abel_rhs, antiderivative,
-                          build_family, canonical_tag, detect_period,
-                          family_catalog, field_const, field_linear,
+from .nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
+                          F_ode_residual_chalf, NearHorizonData,
+                          ScalarField1D, SolutionFamily, abel_parametric,
+                          abel_rhs, antiderivative, build_family,
+                          detect_period, field_const, field_linear,
                           field_one, field_sin, field_zero,
                           flatness_defect, named_h_field, nh_metric,
                           nlode_residual, ode2_jet, ode2_residual,
@@ -46,16 +42,15 @@ __all__ = [
     "PathBranchError", "PoleProximityError", "SingularJetError",
     "StiffnessError", "WindowError",
     "Jet1", "Jet3", "Point", "PointBatch", "fd_oracle",
-    "CurvaturePack", "MetricField", "OneFormField", "christoffel",
-    "conformal_rescale", "cotton", "curvature_pack", "ew_residual",
-    "faraday", "ricci_scalar_schouten",
+    "MetricField", "OneFormField", "conformal_rescale", "cotton",
+    "ew_residual",
     "complete_elliptic_k", "hyp2f1", "jacobi_sn_cn_dn", "real_period",
-    "sn_imaginary_modulus", "sn_imaginary_modulus_jet", "wp", "wp_jet",
+    "sn_imaginary_modulus_jet", "wp", "wp_jet",
     "IvpSpec", "Trajectory", "integrate", "quad",
-    "FAMILY_TAGS", "F_flat_from_h", "F_from_h", "F_from_h_field",
+    "F_flat_from_h", "F_from_h", "F_from_h_field",
     "F_ode_residual_chalf", "NearHorizonData", "ScalarField1D",
     "SolutionFamily", "abel_parametric", "abel_rhs", "antiderivative",
-    "build_family", "canonical_tag", "detect_period", "family_catalog",
+    "build_family", "detect_period",
     "field_const", "field_linear", "field_one", "field_sin", "field_zero",
     "flatness_defect", "named_h_field", "nh_metric", "nlode_residual",
     "ode2_jet", "ode2_residual", "ode3_first_integral", "ode4_condition",
@@ -65,7 +60,8 @@ __all__ = [
     "HyperCRParams", "PotentialField", "alignment_defect", "dkp_residual",
     "dkp_wp_potential", "hypercr_residual", "hypercr_structures",
     "hypercr_tanh_family", "prop4_structures", "tanh_profile",
-    "GridSpec", "ResidualReport", "run_check", "scan_c", "export_plot",
+    "GridSpec", "ResidualReport", "run_check", "scan_c", "scan_rows_csv",
+    "export_plot",
     "__version__",
 ]
 

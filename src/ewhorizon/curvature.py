@@ -88,23 +88,6 @@ class OneFormField:
         return list(self.components(p))
 
 
-@dataclass(frozen=True)
-class CurvaturePack:
-    """All curvature data of a metric at a point (or a batch, with a
-    trailing batch axis), as numeric arrays."""
-
-    christoffel: np.ndarray  # Gamma^a_bc, shape (3,3,3)
-    ricci: np.ndarray        # R_ab
-    scalar: float            # R
-    schouten: np.ndarray     # P_ab
-    cotton: np.ndarray       # C_abc, antisymmetric in (b,c)
-
-
-def _batch_shape(p):
-    """(B,) for a PointBatch of B points, (1,) for a Point."""
-    return (p.size,) if isinstance(p, PointBatch) else (1,)
-
-
 def _coeffs(jets, shape, batch):
     """Taylor coefficients of `jets`, a flat list in the C order of
     `shape`, as one (N3, *shape, *batch) array; unbatched jets (a
@@ -118,10 +101,8 @@ def _coeffs(jets, shape, batch):
 
 def _result(a, p):
     """Per-point values as p takes them: the batch-last array over a
-    PointBatch, the one point's value at a Point (a float for R)."""
-    if isinstance(p, PointBatch):
-        return a
-    return a[..., 0] if a.ndim > 1 else float(a[0])
+    PointBatch, the one point's value at a Point."""
+    return a if isinstance(p, PointBatch) else a[..., 0]
 
 
 def _transposed(spec, a):
@@ -314,40 +295,13 @@ class _Assembly:
 
 
 def _assemble(g: MetricField, p) -> _Assembly:
-    return _Assembly(g.jets(p), _batch_shape(p), g.label)
-
-
-def christoffel(g: MetricField, p) -> np.ndarray:
-    """Gamma^a_bc of g at p, shape (3,3,3), symmetric in (b,c)."""
-    return _result(_assemble(g, p).gamma0, p)
-
-
-def ricci_scalar_schouten(g: MetricField, p):
-    """(R_ab, R, P_ab) of g at p."""
-    asm = _assemble(g, p)
-    return (_result(asm.ric0, p), _result(asm.scal0, p),
-            _result(asm.p0, p))
+    batch = (p.size,) if isinstance(p, PointBatch) else (1,)
+    return _Assembly(g.jets(p), batch, g.label)
 
 
 def cotton(g: MetricField, p) -> np.ndarray:
     """Cotton tensor C_abc = nabla_c P_ab - nabla_b P_ac at p."""
     return _result(_assemble(g, p).cotton(), p)
-
-
-def curvature_pack(g: MetricField, p) -> CurvaturePack:
-    """Every curvature quantity of g at p in one evaluation."""
-    asm = _assemble(g, p)
-    return CurvaturePack(christoffel=_result(asm.gamma0, p),
-                         ricci=_result(asm.ric0, p),
-                         scalar=_result(asm.scal0, p),
-                         schouten=_result(asm.p0, p),
-                         cotton=_result(asm.cotton(), p))
-
-
-def _oneform_partials(x_jets, batch):
-    coeffs = _coeffs(x_jets, (3,), batch)
-    # x1[a, b, :] = d_a X_b
-    return stacked_partials(coeffs, 0), stacked_partials(coeffs, 1)
 
 
 def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
@@ -358,18 +312,14 @@ def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
     Lambda term.
     """
     asm = _assemble(g, p)
-    x0, x1 = _oneform_partials(X.jets(p), asm.batch)
+    coeffs = _coeffs(X.jets(p), (3,), asm.batch)
+    # x1[a, b, :] = d_a X_b
+    x0, x1 = stacked_partials(coeffs, 0), stacked_partials(coeffs, 1)
     covsym = (0.5 * (x1 + x1.swapaxes(0, 1))
               - _contract("eab,e->ab", asm.gamma0, x0))
     t = covsym + x0[:, None] * x0[None, :] + asm.p0
     trace = _trace(asm.ginv0, t)
     return _result(t - (trace / 3.0) * asm.g0, p)
-
-
-def faraday(X: OneFormField, p) -> np.ndarray:
-    """(dX)_ab = d_a X_b - d_b X_a at p, antisymmetric 3x3."""
-    _, x1 = _oneform_partials(X.jets(p), _batch_shape(p))
-    return _result(x1 - x1.swapaxes(0, 1), p)
 
 
 def conformal_rescale(g: MetricField, X: OneFormField, ln_omega):

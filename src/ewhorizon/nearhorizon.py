@@ -12,14 +12,15 @@ and everything the Einstein-Weyl condition reduces to on this ansatz:
 the algebraic F(x) determined by h for c != -1/2, the second-order F
 equation at c = -1/2, the quartic ODE for h, its factorization through
 h'' = alpha h h' + beta h^3, the Abel equation and its parametric
-solution, and a catalog of closed-form solution families.
+solution, and a catalog of solution families (closed forms and one
+numeric integration), each built from its tag by `build_family`.
 
 Scalar profiles are ScalarField1D objects: an evaluator producing Jet1
-values (derivatives to order 4), an admissible window, an optional
-declared period, and an optional exact antiderivative.  Every evaluator
-takes a float x or a 1-D array of x (then one batched Jet1, column k at
-x[k]); the closed forms run their jet algebra once per array, and only
-quadratures and special-function values go one x at a time (`per_x`).
+values (derivatives to order 4), an admissible window and an optional
+exact antiderivative.  Every evaluator takes a float x or a 1-D array
+of x (then one batched Jet1, column k at x[k]); the closed forms run
+their jet algebra once per array, and only quadratures and
+special-function values go one x at a time (`per_x`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
 from .jets import _D1_FAC, Jet1, Jet3, _along_orders, per_x
 from .odesolve import IvpSpec, integrate, quad
 from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
-                      real_period, sn_imaginary_modulus_jet, wp_jet)
+                      sn_imaginary_modulus_jet, wp_jet)
 
 _NU, _R, _X = 0, 1, 2
 _H_FLOOR = 1e-10         # F_from_h division guard
@@ -63,8 +64,7 @@ class ScalarField1D:
     a 1-D array of x it returns one Jet1 with a trailing batch axis whose
     column k equals, bit for bit, the jet at x[k].  `window` is the
     admissible open interval (evaluation outside raises WindowError);
-    `period`, when set, is a declared exact period; `integral`, when
-    set, maps (x0, x1) to the exact definite integral.
+    `integral`, when set, maps (x0, x1) to the exact definite integral.
 
     A call takes one float x, as the grid walker's x-by-x path does;
     `at` also an array of x, one per point of a PointBatch.  One memo
@@ -77,7 +77,6 @@ class ScalarField1D:
 
     evaluator: object
     label: str = ""
-    period: object = None
     window: tuple = (-math.inf, math.inf)
     integral: object = None
     # [{x: column}, the (5, n) jet, the last query, its jet]; a fresh
@@ -172,7 +171,7 @@ def field_sin() -> ScalarField1D:
     def ev(x):
         return Jet1.variable(x).sin()
 
-    return ScalarField1D(ev, label="sin", period=2.0 * math.pi,
+    return ScalarField1D(ev, label="sin",
                          integral=lambda x0, x1: math.cos(x0) - math.cos(x1))
 
 
@@ -355,7 +354,7 @@ def F_from_h_field(h: ScalarField1D, c: float) -> ScalarField1D:
         return Fj
 
     return ScalarField1D(ev, label=f"F_from_h[{h.label};c={c:g}]",
-                         window=h.window, period=h.period)
+                         window=h.window)
 
 
 # --------------------------------------------------------------------------
@@ -791,7 +790,7 @@ def _family_tan(alpha, ell, b):
         per_x(off_pole, x)
         return (s / alpha) * (0.5 * s * (Jet1.variable(x) + b)).tan()
 
-    fld = ScalarField1D(ev, label="tan", period=2.0 * math.pi / s,
+    fld = ScalarField1D(ev, label="tan",
                         window=(-b - math.pi / s, -b + math.pi / s))
     return fld, 1.0 - alpha, {"alpha": alpha, "beta": 0.0}
 
@@ -825,7 +824,7 @@ def _family_jacobi(m, c, b):
             w[k:] *= s  # chain rule for w(s (x + b)): coefficient k gains s^k
         return m / Jet1(w)
 
-    fld = ScalarField1D(ev, label="jacobi", period=2.0 * _SN_ZERO / s,
+    fld = ScalarField1D(ev, label="jacobi",
                         window=(-b, -b + _SN_ZERO / s))
     return fld, c, {"alpha": 0.0, "beta": 2.0 * (c - 1.0) ** 2}
 
@@ -839,7 +838,7 @@ def _family_weierstrass(a, b):
         Pj, _ = wp_jet(Jet1.variable(x) + a, b)
         return Pj
 
-    fld = ScalarField1D(ev, label="weierstrass", period=real_period(b),
+    fld = ScalarField1D(ev, label="weierstrass",
                         window=_pole_free_cell(a, b, 0.05))
     return fld, -0.5, {}, "F"
 
@@ -951,8 +950,7 @@ def _pole_tail(rhs, x, y, x_end):
                 and abs(p1) < _DH_CAP * u * u)
 
     try:
-        tail = integrate(IvpSpec(dim=len(y) + 1,
-                                 rhs=_tail_rhs(rhs, len(y)), x0=0.0,
+        tail = integrate(IvpSpec(rhs=_tail_rhs(rhs, len(y)), x0=0.0,
                                  y0=[x, 1.0 / h, *ps], guard=guard, rtol=1e-8,
                                  atol=1e-14),
                          math.copysign(_TAIL_S, h) * direction)
@@ -994,8 +992,8 @@ class _NumericSide:
             return lo < sign * h and abs(h) < _H_CAP and abs(y[1]) < _DH_CAP
 
         def march(x, y, end, stop):
-            return integrate(IvpSpec(dim=len(y), rhs=rhs, x0=x, y0=y,
-                                     guard=stop, rtol=rtol, atol=atol), end)
+            return integrate(IvpSpec(rhs=rhs, x0=x, y0=y, guard=stop,
+                                     rtol=rtol, atol=atol), end)
 
         head = march(x0, y0, x_end, marching)
         self.head, self.tail, self.rest, self.pole = head, None, None, None
@@ -1096,8 +1094,6 @@ _FAMILIES = {
                                "h1": 0.0, "span": 6.0}, _family_numeric),
 }
 
-FAMILY_TAGS = tuple(tag for tag, _, _ in _FAMILIES.values())
-
 
 def _family_row(tag: str) -> tuple:
     """The catalog row of an alias (any case) or a canonical tag."""
@@ -1108,17 +1104,14 @@ def _family_row(tag: str) -> tuple:
                       f"choose from {sorted(_FAMILIES)}")
 
 
-def canonical_tag(tag: str) -> str:
-    return _family_row(tag)[0]
-
-
 def build_family(tag: str, **params) -> SolutionFamily:
     """Construct the full SolutionFamily record for a catalog tag.
 
     Parameters the catalog row does not declare raise DomainError; the
     rest default from the row and are recorded as `parameters`.  A c
     given to a family that does not take c is a claim, checked against
-    the cataloged c.
+    the cataloged c.  A parameter (or claim) that is not a finite number
+    raises DomainError.
     """
     tag, defaults, builder = _family_row(tag)
     c_claim = None if "c" in defaults else params.pop("c", None)
@@ -1129,6 +1122,9 @@ def build_family(tag: str, **params) -> SolutionFamily:
             f"allowed: {sorted(set(defaults) | {'c'})}")
     p = {k: None if v is None else float(v)
          for k, v in {**defaults, **params}.items()}
+    for k, v in {"c": c_claim, **p}.items():
+        if v is not None and not math.isfinite(float(v)):
+            raise DomainError(f"family {tag}: {k} must be finite, got {v!r}")
     fld, c, info, *role = builder(**p)
     if c_claim is not None and abs(float(c_claim) - c) > 1e-12:
         raise DomainError(
@@ -1136,12 +1132,6 @@ def build_family(tag: str, **params) -> SolutionFamily:
     return SolutionFamily(
         tag, {k: v for k, v in p.items() if v is not None}, fld, c,
         fld.window, *role, info=info)
-
-
-def family_catalog(tag: str, **params):
-    """(profile field, associated c, admissible window) for a tag."""
-    fam = build_family(tag, **params)
-    return fam.field, fam.c, fam.window
 
 
 # --------------------------------------------------------------------------

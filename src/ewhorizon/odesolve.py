@@ -244,9 +244,9 @@ _FLOOR_PACE = 0.1
 class IvpSpec:
     """An initial value problem y' = rhs(x, y) with solver settings.
 
-    `rhs(x, y)` receives y as a list of dim Python floats and returns a
-    sequence of dim floats (a tuple, a list or an array): the step loop
-    does its tableau sums in Python floats, in stage order (see the
+    `rhs(x, y)` receives y as a list of len(y0) Python floats and returns
+    a sequence of as many floats (a tuple, a list or an array): the step
+    loop does its tableau sums in Python floats, in stage order (see the
     module docstring), so an rhs that unpacks y and does float
     arithmetic avoids numpy's per-call cost.  numpy scalars keep the
     same bits, at numpy's cost per operation.  The trajectory keeps the
@@ -259,25 +259,19 @@ class IvpSpec:
     integration from `Trajectory.rejected`.
     """
 
-    dim: int
     rhs: object  # callable (x, y: list of floats) -> sequence of floats
     x0: float
-    y0: object  # array-like, length dim
+    y0: object  # array-like, one entry per state component
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf
     guard: object = None  # callable (x, y) -> bool; False stops integration
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        if self.y0.shape != (self.dim,):
-            raise ValueError(f"y0 must have shape ({self.dim},)")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
+        if self.y0.ndim != 1 or self.y0.size == 0:
+            raise ValueError("y0 must be a 1-D state of at least one entry")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -487,8 +481,9 @@ def _dense_former(dim):
     return _compiled(lines, "dense", f"<integrate dense output, dim {dim}>")
 
 
-def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
-    """Hairer-Norsett-Wanner starting step selection."""
+def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, h_max):
+    """Hairer-Norsett-Wanner starting step selection, at most h_max (the
+    length of the span)."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0, scale)
     d1 = _rms_norm(f0, scale)
@@ -503,13 +498,14 @@ def _initial_step(rhs, x0, y0, f0, direction, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    return min(100 * h0, h1, max_step)
+    return min(100 * h0, h1, h_max)
 
 
 def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     """Integrate spec.rhs from spec.x0 to x_end with dense output.
 
-    Raises StiffnessError when error control forces the step below the
+    Raises ValueError when x0 or x_end is not finite, and
+    StiffnessError when error control forces the step below the
     resolution floor, when the starting slope is too steep for any
     starting step, after _MAX_STEPS attempted steps, or earlier when its
     pace falls below the progress floor; a failing guard
@@ -521,10 +517,13 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
     stage and the rhs component that first returned a non-finite slope,
     and the step.
     """
-    rhs, guard, max_step = spec.rhs, spec.guard, spec.max_step
-    atol, rtol, dim = spec.atol, spec.rtol, spec.dim
+    rhs, guard, atol, rtol = spec.rhs, spec.guard, spec.atol, spec.rtol
     x = x0 = float(spec.x0)
+    if not (math.isfinite(x0) and math.isfinite(x_end)):
+        raise ValueError(f"integrate needs a finite x0 and x_end, not "
+                         f"{x0!r} and {x_end!r}")
     y = spec.y0.tolist()
+    dim = len(y)
     span = x_end - x
     if span == 0.0:
         return Trajectory(np.array([x]), np.array([y]), "ok")
@@ -536,7 +535,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
 
     k1 = rhs(x, y)  # FSAL: the slope at the current knot
     h = _initial_step(rhs, x, spec.y0, np.asarray(k1, dtype=float),
-                      direction, rtol, atol, min(max_step, abs(span)))
+                      direction, rtol, atol, abs(span))
     h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
 
     xs = [x]
@@ -590,7 +589,7 @@ def integrate(spec: IvpSpec, x_end: float) -> Trajectory:
             nonfinite = ""
             factor = _SAFETY * (err + 1e-300) ** (-0.7 / 8) * err_prev ** (0.4 / 8)
             err_prev = max(err, 1e-10)
-            h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         else:
             if not nonfinite and not err < math.inf:
                 nonfinite = _first_nonfinite(record, dim, x)

@@ -108,22 +108,15 @@ _INV_SQRT2 = 1.0 / _SQRT2
 _INV_SQRT2_SCHEME = _agm_scheme(_INV_SQRT2)  # sn(., i)'s, built once
 
 
-def sn_imaginary_modulus(u: float) -> float:
-    """sn(u, i): real-valued via sn(u, i) = sd(u*sqrt2, 1/sqrt2)/sqrt2.
-
-    (DLMF 22.17.1 with k = 1.)  Real-analytic on all of R because
-    dn(., 1/sqrt2) >= 1/sqrt2; satisfies w'' = -2 w^3 with w(0) = 0,
-    w'(0) = 1, first integral w'^2 = 1 - w^4.
-    """
-    return sn_imaginary_modulus_jet(u).value
-
-
 def sn_imaginary_modulus_jet(u: float) -> Jet1:
     """Jet (order 4) of sn(., i) at u.
 
-    Value and first derivative come from the AGM evaluation
-    (d/du sd(u*sqrt2, 1/sqrt2)/sqrt2 = cn/dn^2 at u*sqrt2); derivatives
-    2..4 follow from the defining equation w'' = -2 w^3.
+    sn(u, i) = sd(u*sqrt2, 1/sqrt2)/sqrt2 (DLMF 22.17.1 with k = 1) is
+    real-analytic on all of R because dn(., 1/sqrt2) >= 1/sqrt2; it
+    satisfies w'' = -2 w^3 with w(0) = 0, w'(0) = 1, first integral
+    w'^2 = 1 - w^4.  Value and first derivative come from the AGM
+    evaluation (d/du sd(u*sqrt2, 1/sqrt2)/sqrt2 = cn/dn^2 at u*sqrt2);
+    derivatives 2..4 follow from the defining equation w'' = -2 w^3.
     """
     sn, cn, dn = _sn_cn_dn(_SQRT2 * u, _INV_SQRT2, _INV_SQRT2_SCHEME)
     w = sn / dn * _INV_SQRT2

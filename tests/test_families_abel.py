@@ -10,13 +10,12 @@ from ewhorizon import nearhorizon
 from ewhorizon.errors import DomainError, PathBranchError, WindowError
 from ewhorizon.jets import Jet1, Point
 from ewhorizon.curvature import ew_residual
-from ewhorizon.nearhorizon import (FAMILY_TAGS, F_from_h_field,
-                                   NearHorizonData, abel_parametric,
-                                   abel_rhs, build_family, canonical_tag,
-                                   detect_period, family_catalog,
-                                   field_sin, nh_metric, ode2_residual,
-                                   ode3_first_integral, ode4_residual,
-                                   periodicity_check, reduction_consistency,
+from ewhorizon.nearhorizon import (F_from_h_field, NearHorizonData,
+                                   abel_parametric, abel_rhs, build_family,
+                                   detect_period, field_sin, nh_metric,
+                                   ode2_residual, ode3_first_integral,
+                                   ode4_residual, periodicity_check,
+                                   reduction_consistency,
                                    weyl_oneform_generic)
 from ewhorizon.nearhorizon import abel_parametric_jets
 from ewhorizon.report import GridSpec, run_check
@@ -70,26 +69,25 @@ def test_catalog_profiles_solve_the_quartic(tag, params):
     assert max_ode4(fam) < 1e-9
 
 
-def test_family_catalog_tuple_interface():
-    fld, c, window = family_catalog("linear", ell=1.0, b=0.0)
-    assert abs(fld(2.0).value - 2.0) < 1e-15 and c == 1.0
-    fld, c, window = family_catalog("rational", gamma=2.0, b=0.0, alpha=1.0)
-    assert abs(fld(3.0).value - 2.0 / 3.0) < 1e-15 and c == 1.0
-    assert window[0] == 0.0
+def test_family_records_value_c_and_window():
+    fam = build_family("linear", ell=1.0, b=0.0)
+    assert abs(fam.field(2.0).value - 2.0) < 1e-15 and fam.c == 1.0
+    fam = build_family("rational", gamma=2.0, b=0.0, alpha=1.0)
+    assert abs(fam.field(3.0).value - 2.0 / 3.0) < 1e-15 and fam.c == 1.0
+    assert fam.window[0] == 0.0
     # alpha = 0 rational picks the smaller consistency root
-    _, c, _ = family_catalog("rational", gamma=1.0, b=0.0)
-    assert c == 0.0
+    assert build_family("rational", gamma=1.0, b=0.0).c == 0.0
 
 
 def test_canonical_tags_and_aliases():
-    assert canonical_tag("tan") == "TanFamily"
-    assert canonical_tag("Weierstrass") == "Weierstrass"
-    assert set(FAMILY_TAGS) == {
+    assert build_family("tan").tag == "TanFamily"
+    assert build_family("Weierstrass").tag == "Weierstrass"
+    assert {build_family(alias).tag for alias in nearhorizon._FAMILIES} == {
         "Weierstrass", "JacobiReduction", "HypergeometricParametric",
         "TanFamily", "TanhHyperCR", "Linear", "RationalPole",
         "Quadratic", "NumericODE"}
     with pytest.raises(DomainError):
-        canonical_tag("cubic")
+        build_family("cubic")
 
 
 def test_family_beta_consistency_is_validated():
@@ -100,6 +98,18 @@ def test_family_beta_consistency_is_validated():
         if beta is None:
             continue
         assert abs(reduction_consistency(alpha, fam.c) - beta) < 1e-9
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("numeric", {"span": math.nan}), ("numeric", {"x0": math.inf}),
+    ("tan", {"alpha": -math.inf}), ("linear", {"c": math.nan}),
+], ids=["numeric-span-nan", "numeric-x0-inf", "tan-alpha-inf",
+        "linear-c-claim-nan"])
+def test_build_family_rejects_a_parameter_that_is_not_finite(tag, params):
+    # a NaN span built the numeric family on the window (0.0, 0.0) with
+    # status ok, and a NaN claim of c passed its check
+    with pytest.raises(DomainError, match="must be finite"):
+        build_family(tag, **params)
 
 
 def test_tanh_family_requires_its_reduction_parameters():
@@ -121,8 +131,12 @@ def test_tan_family_profile_and_period():
     fam = build_family("tan", alpha=-1.0, ell=-0.5, b=0.0)
     assert fam.c == 2.0
     assert abs(fam.field(0.8).value + math.tan(0.4)) < 1e-13
+    # h = (s / alpha) tan(s (x + b) / 2) repeats after T = 2 pi / s, one
+    # window's length: the evaluator, which reads no window, shows it
     s = math.sqrt(2.0 * (-0.5) * (-1.0))
-    assert_allclose(fam.field.period, 2.0 * math.pi / s, rtol=1e-14)
+    T = 2.0 * math.pi / s
+    assert_allclose(fam.field.evaluator(0.8 + T).value,
+                    fam.field(0.8).value, rtol=1e-13)
     with pytest.raises(DomainError):
         build_family("tan", alpha=1.0, ell=-1.0)  # needs ell * alpha > 0
 
@@ -283,9 +297,10 @@ def test_periodicity_check_accepts_and_rejects():
 
 
 def test_periodicity_check_on_windowed_field():
+    # h = m / sn(s (x + b), i) with s = |c - 1| |m| has the period of
+    # sn(., i), 2 sqrt(2) K(1/sqrt(2)), over s
     fam = build_family("jacobi", m=1.0, c=0.0, b=0.0)
-    T = fam.field.period
-    assert T is not None
+    T = 2.0 * SQRT2_K / (abs(0.0 - 1.0) * abs(1.0))
     assert periodicity_check(fam.field, T)
 
 
@@ -329,7 +344,7 @@ def test_hypergeometric_profile_work_per_evaluation(monkeypatch):
 def test_detect_period_on_sin():
     f = field_sin()
     bounded = type(f)(evaluator=f.evaluator, label=f.label,
-                      period=None, window=(-20.0, 20.0), integral=None)
+                      window=(-20.0, 20.0), integral=None)
     T = detect_period(bounded, 0.3)
     assert T is not None
     assert abs(T - 2.0 * math.pi) < 1e-6
@@ -352,7 +367,7 @@ def test_first_return_on_trajectory_knots():
     assert abs(T - 2.0 * math.pi) < 1e-8
     f = field_sin()
     bounded = type(f)(evaluator=f.evaluator, label=f.label,
-                      period=None, window=(-20.0, 20.0), integral=None)
+                      window=(-20.0, 20.0), integral=None)
     assert abs(T - detect_period(bounded, 0.3)) < 1e-8
     # shorter than one period: no return to find
     assert _oscillator_from(0.3, 6.0).period() is None
@@ -378,7 +393,7 @@ def test_side_period_is_confirmed_on_its_dense_output():
 def test_detect_period_none_for_monotone():
     fam = build_family("tanh", c=-1.0, ell=-1.0)
     bounded = type(fam.field)(evaluator=fam.field.evaluator, label="t",
-                              period=None, window=(-8.0, 8.0), integral=None)
+                              window=(-8.0, 8.0), integral=None)
     assert detect_period(bounded, 0.5) is None
 
 

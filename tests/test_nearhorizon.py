@@ -62,7 +62,7 @@ def test_named_fields_and_windows():
     hs = field_sin()
     assert abs(hs(1.0).value - math.sin(1.0)) < 1e-15
     assert abs(hs(1.0).derivative(3) + math.cos(1.0)) < 1e-12
-    assert hs.period == 2.0 * math.pi
+    assert abs(hs(1.0 + 2.0 * math.pi).value - math.sin(1.0)) < 1e-14
     assert named_h_field("zero")(5.0).value == 0.0
     assert named_h_field("one")(5.0).value == 1.0
     assert named_h_field("linear")(2.0).value == 2.0
@@ -432,13 +432,14 @@ def _dkp_wp():
     return pdeverify.wp_field(0.5 * real_period(1.0), 1.0)
 
 
+_TAGS = [tag for tag, _, _ in nearhorizon._FAMILIES.values()]
 # name -> (field factory, the window its export-plot sweep spans)
 _BATCH_FIELDS = {
-    **{f"family:{t}": (_family_h(t), None) for t in nearhorizon.FAMILY_TAGS},
+    **{f"family:{t}": (_family_h(t), None) for t in _TAGS},
     **{f"named:{n}": (lambda n=n: named_h_field(n), None)
        for n in ("zero", "one", "sin", "linear")},
     **{f"F_from_h:{t}": (_family_F(t), None)
-       for t in nearhorizon.FAMILY_TAGS if t != "Weierstrass"},  # h ones
+       for t in _TAGS if t != "Weierstrass"},  # h ones
     **{f"flat:{n}": (lambda n=n: F_flat_from_h(named_h_field(n)), None)
        for n in ("zero", "one", "sin", "linear")},
     **{f"thm1:{n}": (lambda n=n: thm1_F_field(named_h_field(n), 0.1, 1.0),

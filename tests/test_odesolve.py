@@ -20,14 +20,14 @@ from ewhorizon.odesolve import (IvpSpec, Trajectory, _rms_norm,
 
 
 def test_exponential_growth():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.0, y0=[1.0])
+    spec = IvpSpec(rhs=lambda x, y: y, x0=0.0, y0=[1.0])
     traj = integrate(spec, 2.0)
     assert traj.status == "ok"
     assert_allclose(traj.y_end[0], math.e**2, rtol=1e-9)
 
 
 def test_backward_integration():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.0, y0=[1.0])
+    spec = IvpSpec(rhs=lambda x, y: y, x0=0.0, y0=[1.0])
     traj = integrate(spec, -1.5)
     assert traj.status == "ok"
     assert traj.x_end == -1.5
@@ -35,7 +35,7 @@ def test_backward_integration():
 
 
 def test_harmonic_oscillator_dense_output():
-    spec = IvpSpec(dim=2, rhs=lambda x, y: np.array([y[1], -y[0]]),
+    spec = IvpSpec(rhs=lambda x, y: np.array([y[1], -y[0]]),
                    x0=0.0, y0=[1.0, 0.0])
     traj = integrate(spec, 10.0)
     for x in np.linspace(0.0, 10.0, 57):
@@ -45,7 +45,7 @@ def test_harmonic_oscillator_dense_output():
 
 
 def test_dense_output_matches_knots():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([math.cos(x)]),
+    spec = IvpSpec(rhs=lambda x, y: np.array([math.cos(x)]),
                    x0=0.0, y0=[0.0])
     traj = integrate(spec, 3.0)
     for xk, yk in zip(traj.xs, traj.ys):
@@ -56,7 +56,7 @@ def test_dense_output_matches_knots():
 
 def test_backward_dense_output_matches_knots():
     # descending knots: the step lookup searches the negated knots
-    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([math.cos(x)]),
+    spec = IvpSpec(rhs=lambda x, y: np.array([math.cos(x)]),
                    x0=0.0, y0=[0.0])
     traj = integrate(spec, -3.0)
     for xk, yk in zip(traj.xs, traj.ys):
@@ -68,7 +68,7 @@ def test_backward_dense_output_matches_knots():
 
 def test_tolerance_scaling():
     def run(rtol):
-        spec = IvpSpec(dim=2, rhs=lambda x, y: np.array([y[1], -y[0]]),
+        spec = IvpSpec(rhs=lambda x, y: np.array([y[1], -y[0]]),
                        x0=0.0, y0=[0.0, 1.0], rtol=rtol, atol=1e-14)
         return abs(integrate(spec, 6.0).y_end[0] - math.sin(6.0))
 
@@ -78,7 +78,7 @@ def test_tolerance_scaling():
 
 def test_nonautonomous_rhs():
     # y' = 2 x y  ->  y = exp(x^2)
-    spec = IvpSpec(dim=1, rhs=lambda x, y: [2.0 * x * y[0]], x0=0.0,
+    spec = IvpSpec(rhs=lambda x, y: [2.0 * x * y[0]], x0=0.0,
                    y0=[1.0])
     assert_allclose(integrate(spec, 1.5).y_end[0], math.exp(2.25),
                     rtol=1e-9)
@@ -86,7 +86,7 @@ def test_nonautonomous_rhs():
 
 def test_guard_stops_integration():
     # y' = -y crosses 0.1 at x = ln(10)
-    spec = IvpSpec(dim=1, rhs=lambda x, y: [-y[0]], x0=0.0, y0=[1.0],
+    spec = IvpSpec(rhs=lambda x, y: [-y[0]], x0=0.0, y0=[1.0],
                    guard=lambda x, y: y[0] > 0.1)
     traj = integrate(spec, 10.0)
     assert traj.status == "guard"
@@ -101,21 +101,21 @@ def test_guard_stops_integration():
     assert 0.0 < x - traj.x_end <= 64 * 1e-14 * 10.0
     assert abs(traj.x_end - math.log(10.0)) < 1e-9
     # a guard that fails at the start rejects the initial state
-    start = integrate(IvpSpec(dim=1, rhs=lambda x, y: [-y[0]], x0=0.0,
+    start = integrate(IvpSpec(rhs=lambda x, y: [-y[0]], x0=0.0,
                               y0=[0.05], guard=spec.guard), 10.0)
     assert (start.status, start.reason, start.rejected) == (
         "guard", "guard failed at the initial point", (0.0, [0.05]))
 
 
 def test_guard_never_tripped_is_ok():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: [-y[0]], x0=0.0, y0=[1.0],
+    spec = IvpSpec(rhs=lambda x, y: [-y[0]], x0=0.0, y0=[1.0],
                    guard=lambda x, y: y[0] > 0.1)
     assert integrate(spec, 1.0).status == "ok"
 
 
 def test_blowup_raises_stiffness():
     # y' = y^2 from y(0) = 1 has a pole at x = 1
-    spec = IvpSpec(dim=1, rhs=lambda x, y: [y[0] * y[0]], x0=0.0,
+    spec = IvpSpec(rhs=lambda x, y: [y[0] * y[0]], x0=0.0,
                    y0=[1.0])
     with pytest.raises(StiffnessError, match="problem too stiff"):
         integrate(spec, 2.0)
@@ -130,7 +130,7 @@ def test_a_nan_trial_step_is_retried_and_not_blamed_once_passed():
         calls[0] += 1
         return [math.nan if calls[0] == 20 else y[0] * y[0]]
 
-    spec = IvpSpec(dim=1, rhs=rhs, x0=0.0, y0=[1.0])
+    spec = IvpSpec(rhs=rhs, x0=0.0, y0=[1.0])
     assert_allclose(integrate(spec, 0.5).y_end[0], 2.0, rtol=1e-9)
     calls[0] = 0
     with pytest.raises(StiffnessError,
@@ -151,7 +151,7 @@ def test_a_nan_slope_at_y_new_fails_its_step():
         calls[0] += 1
         return [math.nan if calls[0] == 14 else y[0] * y[0]]
 
-    traj = integrate(IvpSpec(dim=1, rhs=rhs, x0=0.0, y0=[1.0]), 0.5)
+    traj = integrate(IvpSpec(rhs=rhs, x0=0.0, y0=[1.0]), 0.5)
     assert_allclose(traj.y_end[0], 2.0, rtol=1e-9)
     assert np.isfinite(traj._segs).all()
 
@@ -163,7 +163,7 @@ def test_a_nan_slope_at_y_new_fails_its_step():
 def test_nan_step_raises_stiffness(y0, rhs):
     # a NaN step size compares false against the floor; it must stop the
     # integration rather than spin without advancing x
-    spec = IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=y0)
+    spec = IvpSpec(rhs=rhs, x0=0.0, y0=y0)
     with pytest.raises(StiffnessError):
         integrate(spec, 1.0)
 
@@ -172,16 +172,22 @@ def test_nan_step_raises_stiffness(y0, rhs):
 def test_infinite_starting_slope_raises_stiffness():
     # |f| / scale overflows to inf, so the starting step would be 0; this
     # must stop the integration, not divide by that step
-    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1e300]), x0=0.0,
+    spec = IvpSpec(rhs=lambda x, y: np.array([1e300]), x0=0.0,
                    y0=[1.0])
     with pytest.raises(StiffnessError, match="no starting step"):
         integrate(spec, 1.0)
 
 
+def _fast_oscillator(w):
+    # y'' = -w^2 y from (1, 0): the error control keeps every step near a
+    # fixed fraction of 1/w, so crossing [0, 10] takes about 40 w steps
+    return IvpSpec(rhs=lambda x, y: [y[1], -w * w * y[0]], x0=0.0,
+                   y0=[1.0, 0.0])
+
+
 def test_step_budget_raises_stiffness(monkeypatch):
-    # steps of at most 0.125 need more than 80 of them to cross [0, 10]
-    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1.0]), x0=0.0,
-                   y0=[0.0], max_step=0.125)
+    # at w = 2, 87 steps cross [0, 10]
+    spec = _fast_oscillator(2.0)
     monkeypatch.setattr(odesolve, "_MAX_STEPS", 50)
     with pytest.raises(StiffnessError,
                        match="step budget of 50 attempted steps spent at x="):
@@ -191,23 +197,19 @@ def test_step_budget_raises_stiffness(monkeypatch):
 
 
 def test_progress_floor_stops_an_integration_behind_its_pace(monkeypatch):
-    # the steps grow from 1e-4 (about 1.5-fold a step, the error
-    # estimate at its roundoff) up to max_step; a check every 20
+    # the steps grow from 1e-4 / w to their pace; a check every 20
     # attempted steps wants a tenth of the pace that would cross [0, 10]
     # within the budget of 200 steps: 0.1 more of the span each time
     monkeypatch.setattr(odesolve, "_MAX_STEPS", 200)
     monkeypatch.setattr(odesolve, "_FLOOR_EVERY", 20)
-    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1.0]), x0=0.0,
-                   y0=[0.0], max_step=0.004)
     with pytest.raises(StiffnessError,
-                       match=r"^20 attempted steps covered 0\.0627981656"):
-        integrate(spec, 10.0)
+                       match=r"^20 attempted steps covered 0\.0381777365"):
+        integrate(_fast_oscillator(50.0), 10.0)
     # above the floor, too slow for the budget: the budget stops it
-    spec.max_step = 0.045
     with pytest.raises(StiffnessError, match="step budget of 200"):
-        integrate(spec, 10.0)
-    spec.max_step = 0.06  # 177 steps
-    assert integrate(spec, 10.0).x_end == 10.0
+        integrate(_fast_oscillator(10.0), 10.0)
+    traj = integrate(_fast_oscillator(4.0), 10.0)
+    assert (traj.x_end, traj.attempts) == (10.0, 168)
 
 
 def test_rms_norm_is_the_numpy_mean_bit_for_bit():
@@ -279,7 +281,7 @@ def _float_integrate(spec, x_end):
     accepted step, rejected steps, steps retried short of a located
     crossing, the state the guard rejected where it stopped the loop,
     rhs calls)."""
-    dim, atol, rtol = spec.dim, spec.atol, spec.rtol
+    dim, atol, rtol = len(spec.y0), spec.atol, spec.rtol
     calls = [0]
 
     def rhs(x, y):
@@ -291,7 +293,7 @@ def _float_integrate(spec, x_end):
     direction = 1.0 if x_end > x else -1.0
     f = rhs(x, y)
     h = odesolve._initial_step(rhs, x, spec.y0, np.array(f), direction,
-                               rtol, atol, min(spec.max_step, abs(x_end - x)))
+                               rtol, atol, abs(x_end - x))
     h_floor = 1e-14 * max(abs(x), abs(x_end), 1.0)
     xs, ys, segs = [x], [y], []
     err_prev = 1.0
@@ -355,7 +357,7 @@ def _float_integrate(spec, x_end):
             nonfinite = None
             factor = 0.9 * (err + 1e-300) ** (-0.7 / 8) * err_prev ** (0.4 / 8)
             err_prev = max(err, 1e-10)
-            h = min(h * min(10.0, max(0.2, factor)), spec.max_step)
+            h *= min(10.0, max(0.2, factor))
         else:
             if nonfinite is None and not err < math.inf:
                 # the first slope the rhs returned non-finite, in call order
@@ -395,27 +397,27 @@ def _segs_layout(segs):
 def _quartic_spec(seed, params):
     # the scan's integration at c = -1 from x0 = 1, with its guard
     jet = build_family(seed, **params).field(1.0)
-    return IvpSpec(dim=4, rhs=ode4_rhs(-1.0), x0=1.0,
+    return IvpSpec(rhs=ode4_rhs(-1.0), x0=1.0,
                    y0=[jet.derivative(k) for k in range(4)],
                    guard=lambda x, y: 1e-6 < abs(y[0]) < 1e6
                    and abs(y[1]) < 1e8)
 
 
-def _oscillator(**kw):
-    return IvpSpec(dim=2, rhs=lambda x, y: np.array([y[1], -y[0]]),
-                   x0=0.0, y0=[1.0, 0.0], **kw)
+def _oscillator():
+    return IvpSpec(rhs=lambda x, y: np.array([y[1], -y[0]]), x0=0.0,
+                   y0=[1.0, 0.0])
 
 
 def _growth():
     # dim 1: y' = cos(x) y, y = exp(sin x)
-    return IvpSpec(dim=1, rhs=lambda x, y: [math.cos(x) * y[0]], x0=0.0,
+    return IvpSpec(rhs=lambda x, y: [math.cos(x) * y[0]], x0=0.0,
                    y0=[1.0])
 
 
 def _rotation():
     # dim 3: y' = w x y, a rotation about the axis w
     w0, w1, w2 = 0.3, -1.2, 0.8
-    return IvpSpec(dim=3, rhs=lambda x, y: [w1 * y[2] - w2 * y[1],
+    return IvpSpec(rhs=lambda x, y: [w1 * y[2] - w2 * y[1],
                                              w2 * y[0] - w0 * y[2],
                                              w0 * y[1] - w1 * y[0]],
                    x0=0.0, y0=[1.0, 0.5, -0.25])
@@ -430,7 +432,7 @@ def _coupled_oscillators():
         return (p1, p2, -q1 - 0.5 * q1 ** 3 + spring + 0.2 * u,
                 -2.0 * q2 - spring, v, -u)
 
-    return IvpSpec(dim=6, rhs=rhs, x0=0.0,
+    return IvpSpec(rhs=rhs, x0=0.0,
                    y0=[1.0, -0.5, 0.0, 0.3, 1.0, 0.0])
 
 
@@ -440,7 +442,6 @@ _ORACLE_CASES = [
     ("coupled-oscillators-dim6", _coupled_oscillators, 15.0),
     ("oscillator-forward", _oscillator, 10.0),
     ("oscillator-backward", _oscillator, -10.0),
-    ("oscillator-max-step", lambda: _oscillator(max_step=0.3), 10.0),
     ("quartic-quadratic-fwd", lambda: _quartic_spec("quadratic", {}), 7.0),
     ("quartic-quadratic-bwd", lambda: _quartic_spec("quadratic", {}), -5.0),
     ("quartic-tanh-b6-fwd", lambda: _quartic_spec("tanh", {"b": 6.0}), 7.0),
@@ -493,7 +494,7 @@ def test_integrate_calls_the_rhs_as_the_numpy_step_loop(name, make, x_end):
 
     calls = run(integrate)
     assert calls == run(_float_integrate)
-    assert {len(y) for _, y in calls} == {make().dim}
+    assert {len(y) for _, y in calls} == {len(make().y0)}
 
 
 def test_step_kernel_is_built_once_per_dim_on_first_use():
@@ -530,7 +531,7 @@ def test_reading_a_step_forms_its_dense_output_once():
         calls[0] += 1
         return [y[1], -y[0]]
 
-    traj = integrate(IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=[1.0, 0.0]), 10.0)
+    traj = integrate(IvpSpec(rhs=rhs, x0=0.0, y0=[1.0, 0.0]), 10.0)
     # 2 to choose the first step, 12 per attempted step, no guard
     assert traj.rhs_calls == calls[0] == 2 + 12 * traj.attempts
     x0, x1 = traj.xs[3], traj.xs[4]
@@ -613,7 +614,7 @@ def test_scan_c_benchmark_integrations_are_the_numpy_step_loop(monkeypatch):
     runs = _recording(monkeypatch, nearhorizon)
     rows = [row for seed, c in _SCAN_VALUES
             for row in report.scan_c(c, c, 1, seed=seed)]
-    assert [spec.dim for spec, *_ in runs].count(5) == 22
+    assert [len(spec.y0) for spec, *_ in runs].count(5) == 22
     assert len(runs) == 75
     for spec, x_end, traj, _ in runs:
         _oracle_matches(spec, x_end, traj)
@@ -640,8 +641,8 @@ def test_numeric_family_integrations_are_the_numpy_step_loop(monkeypatch):
     s = nearhorizon._TAIL_S
     assert [x_end for _, x_end, *_ in runs] == [
         6.0, s, -6.0, -s, hi, lo, 1.25, s, 1.25, -1.25, -s, -1.25]
-    assert [spec.dim for spec, *_ in runs] == [2, 3, 2, 3, 2, 2,
-                                               2, 3, 2, 2, 3, 2]
+    assert [len(spec.y0) for spec, *_ in runs] == [2, 3, 2, 3, 2, 2,
+                                                   2, 3, 2, 2, 3, 2]
     for spec, x_end, traj, _ in runs:
         _oracle_matches(spec, x_end, traj)
         _stops_by_a_rejected_state(spec, x_end, traj)
@@ -667,7 +668,7 @@ def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():
             return y[1], -y[0] if x <= 0.5 else math.nan
 
         with pytest.raises(StiffnessError) as err:
-            fn(IvpSpec(dim=2, rhs=rhs, x0=0.0, y0=[1.0, 0.0]), 1.0)
+            fn(IvpSpec(rhs=rhs, x0=0.0, y0=[1.0, 0.0]), 1.0)
         return str(err.value), calls
 
     text, calls = run(integrate)
@@ -687,36 +688,46 @@ def test_integrate_nan_in_one_component_fails_as_the_numpy_loop():
 def test_a_non_finite_slope_is_named_by_its_rhs_component(bad, named):
     # the underflow names the component of the rhs that went non-finite
     # first, not a component of the error estimate that it spoiled
-    spec = IvpSpec(dim=2, rhs=bad, x0=0.0, y0=[1.0, 0.0])
+    spec = IvpSpec(rhs=bad, x0=0.0, y0=[1.0, 0.0])
     with pytest.raises(StiffnessError,
                        match=rf": the rhs first returned a non-finite "
                              rf"{named} at stage \d of the step of h="):
         integrate(spec, 1.0)
 
 
-def test_max_step_is_respected():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: np.array([1.0]), x0=0.0,
-                   y0=[0.0], max_step=0.125)
-    traj = integrate(spec, 1.0)
-    assert np.max(np.abs(np.diff(traj.xs))) <= 0.125 + 1e-12
-
-
 def test_spec_validation():
+    with pytest.raises(ValueError, match="y0 must be a 1-D state"):
+        IvpSpec(rhs=lambda x, y: y, x0=0.0, y0=[[1.0]])
     with pytest.raises(ValueError):
-        IvpSpec(dim=2, rhs=lambda x, y: y, x0=0.0, y0=[1.0])
-    with pytest.raises(ValueError):
-        IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.0, y0=[1.0], rtol=0.0)
-    with pytest.raises(ValueError):
-        IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.0, y0=[1.0], max_step=-1.0)
+        IvpSpec(rhs=lambda x, y: y, x0=0.0, y0=[1.0], rtol=0.0)
 
 
 def test_spec_needs_a_state():
-    with pytest.raises(ValueError, match="dim must be at least 1"):
-        IvpSpec(dim=0, rhs=lambda x, y: y, x0=0.0, y0=[])
+    with pytest.raises(ValueError, match="y0 must be a 1-D state of at "
+                                         "least one entry"):
+        IvpSpec(rhs=lambda x, y: y, x0=0.0, y0=[])
+
+
+@pytest.mark.parametrize("tol", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_a_tolerance_that_is_not_finite(tol, value):
+    # a NaN passed `<= 0` and failed later as "no starting step"
+    with pytest.raises(ValueError, match="positive and finite"):
+        IvpSpec(rhs=lambda x, y: y, x0=0.0, y0=[1.0], **{tol: value})
+
+
+@pytest.mark.parametrize("x0, x_end", [(math.nan, 1.0), (0.0, math.nan),
+                                       (0.0, math.inf), (-math.inf, 0.0)])
+def test_integrate_rejects_an_end_that_is_not_finite(x0, x_end):
+    # a NaN end compared false in the step loop, so it returned status
+    # "ok" with only its start knot
+    spec = IvpSpec(rhs=lambda x, y: [y[0]], x0=x0, y0=[1.0])
+    with pytest.raises(ValueError, match="finite x0 and x_end"):
+        integrate(spec, x_end)
 
 
 def test_zero_length_target():
-    spec = IvpSpec(dim=1, rhs=lambda x, y: y, x0=0.5, y0=[2.0])
+    spec = IvpSpec(rhs=lambda x, y: y, x0=0.5, y0=[2.0])
     traj = integrate(spec, 0.5)
     assert traj.status == "ok"
     assert traj.y_end[0] == 2.0

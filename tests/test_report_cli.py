@@ -24,7 +24,7 @@ from ewhorizon import (cli, curvature, nearhorizon, odesolve, pdeverify,
 from ewhorizon.errors import (DomainError, EwhError, SingularJetError,
                               StiffnessError)
 from ewhorizon.jets import Jet1, Point, PointBatch
-from ewhorizon.nearhorizon import (FAMILY_TAGS, ScalarField1D, field_const,
+from ewhorizon.nearhorizon import (ScalarField1D, field_const,
                                    ode4_monomials, ode4_rhs)
 from ewhorizon.odesolve import integrate
 from ewhorizon.report import (GridSpec, ResidualReport, export_plot,
@@ -569,7 +569,7 @@ def test_scan_c_side_stiff_in_its_tail_keeps_the_marched_row(monkeypatch):
     # a tail that raises StiffnessError leaves the side to the march
     # resumed at |h| = 10, whose edge lies 9.6e-12 from the march's
     def stiff_tails(spec, x_end):
-        if spec.dim == 5:
+        if len(spec.y0) == 5:
             raise StiffnessError("stiff tail")
         return integrate(spec, x_end)
 
@@ -1111,7 +1111,7 @@ def _narrowed_axes():
     """thm2-ode's narrowed x axis of every profile (h) family, with one
     batched `at` per family."""
     out = {}
-    for tag in FAMILY_TAGS:
+    for tag, _, _ in nearhorizon._FAMILIES.values():
         try:
             _, s = report._setup("thm2-ode", {"family": tag})
         except DomainError:  # not a profile family
