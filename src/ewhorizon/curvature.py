@@ -11,8 +11,8 @@ one x or each at its own, and assembles in one layout: a trailing batch
 axis on every array, the layout of batched Jet3 coefficients, with a
 Point a batch of one.  A (3, 3) tensor at a Point is (3, 3, B) over a
 batch, column k equal bit for bit to the tensor at point k; a Point
-gets its one column.  `report` assembles once per slice: three times
-(50, 50, 25 points) on the default grid.
+gets its one column.  `report` assembles once per slice: once, over
+all 125 points, on the default grid.
 
 Each contraction is an explicit sum in one fixed order (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 4), the order
@@ -88,12 +88,15 @@ class OneFormField:
         return list(self.components(p))
 
 
-def _coeffs(jets, shape, batch):
-    """Taylor coefficients of `jets`, a flat list in the C order of
-    `shape`, as one (N3, *shape, *batch) array; unbatched jets (a
-    Point's, or x-only ones over a batch) are repeated for every point."""
-    c = np.broadcast_arrays(*[j.coeffs if j.coeffs.ndim > 1
-                              else j.coeffs[:, None] for j in jets])
+def _coeffs(jets, shape, batch, order):
+    """Taylor coefficients of `jets` up to total order `order`, a flat
+    list in the C order of `shape`, as one (n, *shape, *batch) array;
+    unbatched jets (a Point's, or x-only ones over a batch) are repeated
+    for every point."""
+    # MULTI_INDICES lists the orders up to `order` first, n of them
+    n = (order + 1) * (order + 2) * (order + 3) // 6
+    c = np.broadcast_arrays(*[j.coeffs[:n] if j.coeffs.ndim > 1
+                              else j.coeffs[:n, None] for j in jets])
     c = np.array(c).reshape(shape + (-1,) + batch)
     k = len(shape)
     return c.transpose((k,) + tuple(range(k)) + tuple(range(k + 1, c.ndim)))
@@ -222,9 +225,9 @@ class _Assembly:
 
     def __init__(self, g_jets, batch, label=""):
         self.batch = batch
-        # gN[d1..dN, a, b, :] is d_d1 ... d_dN g_ab
+        # gN[d1..dN, a, b, :] is d_d1 ... d_dN g_ab; Cotton reads N <= 3
         self._coeffs = _coeffs([g for row in g_jets for g in row], (3, 3),
-                               batch)
+                               batch, 3)
         self.g0 = stacked_partials(self._coeffs, 0)
         # a NaN entry makes det and inverse NaN (and the residual NaN,
         # which fails the check), not a warning
@@ -260,22 +263,28 @@ class _Assembly:
         self.p0 = self.ric0 - 0.25 * self.scal0 * self.g0
 
     def cotton(self):
-        """C_abc; needs third metric partials, extracted on demand."""
-        g3 = stacked_partials(self._coeffs, 3)
+        """C_abc; needs third metric partials, extracted on demand.
+        gamma2, the largest array, is summed in place (+= then *= 0.5
+        rounds as 0.5 * (A + B + C + D) does), and the arrays only it
+        reads are dropped once read."""
         ginv2 = -(_contract("cae,deh,hb->cdab", self.ginv1, self.g1,
                             self.ginv0)
                   + _contract("ae,cdeh,hb->cdab", self.ginv0, self.g2,
                               self.ginv0)
                   + _contract("ae,deh,chb->cdab", self.ginv0, self.g1,
                               self.ginv1))
-
-        s2 = (_transposed("febdc->fedbc", g3)
-              + _transposed("fecdb->fedbc", g3) - g3)
-        gamma2 = 0.5 * (
-            _contract("fead,dbc->feabc", ginv2, self.s0)
-            + _contract("ead,fdbc->feabc", self.ginv1, self.s1)
-            + _contract("fad,edbc->feabc", self.ginv1, self.s1)
-            + _contract("ad,fedbc->feabc", self.ginv0, s2))
+        gamma2 = _contract("fead,dbc->feabc", ginv2, self.s0)
+        del ginv2
+        gamma2 += _contract("ead,fdbc->feabc", self.ginv1, self.s1)
+        gamma2 += _contract("fad,edbc->feabc", self.ginv1, self.s1)
+        g3 = stacked_partials(self._coeffs, 3)
+        s2 = _transposed("febdc->fedbc", g3) + _transposed("fecdb->fedbc",
+                                                           g3)
+        s2 -= g3
+        del g3
+        gamma2 += _contract("ad,fedbc->feabc", self.ginv0, s2)
+        del s2
+        gamma2 *= 0.5
 
         ric1 = (_contract("caadb->cbd", gamma2)
                 - _contract("cdaab->cbd", gamma2)
@@ -312,7 +321,7 @@ def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
     Lambda term.
     """
     asm = _assemble(g, p)
-    coeffs = _coeffs(X.jets(p), (3,), asm.batch)
+    coeffs = _coeffs(X.jets(p), (3,), asm.batch, 1)
     # x1[a, b, :] = d_a X_b
     x0, x1 = stacked_partials(coeffs, 0), stacked_partials(coeffs, 1)
     covsym = (0.5 * (x1 + x1.swapaxes(0, 1))

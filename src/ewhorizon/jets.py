@@ -33,6 +33,7 @@ quadratures, special-function values) are taken one x at a time by
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -488,13 +489,7 @@ def _convolve_columns(a, b):
     broadcast), bit for bit.  np.convolve takes orders 1..3 as BLAS dot
     products, which np.matmul repeats with the same dot; it sums orders
     0 and 4 left to right from +0.0, each product rounded on its own.
-    Like np.convolve, it warns of no overflow.  Up to 4 columns (a grid
-    slice's few distinct x), np.convolve itself is faster."""
-    n = max(a.shape[1], b.shape[1])
-    if n <= 4:
-        return np.stack([np.convolve(a[:, k % a.shape[1]],
-                                     b[:, k % b.shape[1]])[: ORDER + 1]
-                         for k in range(n)], axis=1)
+    Like np.convolve, it warns of no overflow."""
     at = np.ascontiguousarray(a.T)
     bt = np.ascontiguousarray(b[::-1].T)  # bt[:, i] holds b[4 - i]
     out = np.empty((ORDER + 1, max(len(at), len(bt))))
@@ -568,10 +563,39 @@ class Jet1(_JetBase):
 @lru_cache(maxsize=8)
 def _mul_targets(batch):
     """Flat bincount targets of the product table over a batch of
-    `batch` columns: each column sums its own bins in table order."""
-    t = (_MUL_T[:, None] * batch + np.arange(batch)).ravel()
-    t.flags.writeable = False
-    return t
+    `batch` columns: each column sums its own bins in table order.
+    Shared by every product, and only np.bincount reads them; they stay
+    writeable, since np.bincount copies a read-only array on each call
+    (215 KB at 128 columns)."""
+    return (_MUL_T[:, None] * batch + np.arange(batch)).ravel()
+
+
+# Columns of the Jet3 product's workspace: a grid walker's batch (at
+# most report._PLANE_SLICE points) fits it.  Its two (210, 128) gathers
+# are 430 KB, allocated once per thread; fresh gathers that size would
+# each pass glibc's 128 KiB mmap threshold and be mapped and
+# page-faulted anew on every product.
+_WORK_COLS = 128
+_threads = threading.local()
+
+
+def _workspace(batch):
+    """Two flat buffers, each for a gather of the product table over
+    `batch` columns: the thread's own up to _WORK_COLS columns, fresh
+    ones past it."""
+    if batch > _WORK_COLS:
+        return np.empty((2, _MUL_A.size * batch))
+    work = getattr(_threads, "work", None)
+    if work is None:
+        work = _threads.work = np.empty((2, _MUL_A.size * _WORK_COLS))
+    return work
+
+
+def _gather(c, idx, buf):
+    """c[idx] along the first axis, written into the flat buffer `buf`
+    (np.take's default mode "raise" would gather into a temporary)."""
+    out = buf[:idx.size * c[0].size].reshape(idx.shape + c.shape[1:])
+    return np.take(c, idx, axis=0, out=out, mode="clip")
 
 
 class Jet3(_JetBase):
@@ -609,10 +633,17 @@ class Jet3(_JetBase):
 
     @staticmethod
     def _mul_coeffs(a, b):
+        """np.bincount(targets, a[_MUL_A] * b[_MUL_B]) with the gathered
+        operands in the thread's workspace (`_workspace`), not in fresh
+        arrays; the product is formed in place in the wider one.  A
+        product is not re-entrant on one thread, and calls nothing that
+        could re-enter it; the package starts no threads."""
         # np.bincount adds each bin's weights in table order, so a batch
         # column sums exactly as the single jet (a batch of one) does
-        p = a[_MUL_A] * b[_MUL_B]
-        batch = p[0].size
+        batch = max(a[0].size, b[0].size)
+        wa, wb = _workspace(batch)
+        ga, gb = _gather(a, _MUL_A, wa), _gather(b, _MUL_B, wb)
+        p = np.multiply(ga, gb, out=gb if gb[0].size == batch else ga)
         return np.bincount(_mul_targets(batch), weights=p.ravel(),
                            minlength=N3 * batch).reshape((N3,) + p.shape[1:])
 

@@ -56,8 +56,11 @@ _PLOT_NU = 0.3
 _PLOT_R = 0.7
 _PLOT_X = (-3.0, 3.0)
 
-# points per PointBatch of the grid walker, at most: about 14 KB each
-_PLANE_SLICE = 64
+# points per PointBatch of the grid walker, at most.  Its curvature
+# assembly takes about 13 KB per point (Cotton's, traced).  128 takes the
+# default 125-point grid in one batch, and fits the Jet3 product's
+# workspace (jets._WORK_COLS)
+_PLANE_SLICE = 128
 
 
 def thread_count() -> int:

@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.errors import SingularJetError
-from ewhorizon.jets import (ORDER, Jet1, Jet3, Point, PointBatch,
-                            fd_oracle, stacked_partials)
+from ewhorizon.jets import (_MUL_A, _MUL_B, _MUL_T, N3, ORDER, Jet1, Jet3,
+                            Point, PointBatch, fd_oracle, stacked_partials)
 
 
 def jet1_of(fn, x):
@@ -402,8 +402,7 @@ def _mixed_columns(rng, n):
     return c
 
 
-# up to 4 columns a product loops over np.convolve, above it takes the
-# matmul recipe
+# one recipe at any width, down to one column
 @pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 64, 65))
 def test_batched_jet1_product_is_np_convolve_bit_for_bit(size):
     rng = np.random.default_rng(size)
@@ -421,6 +420,42 @@ def test_batched_jet1_product_is_np_convolve_bit_for_bit(size):
     want = np.stack([np.convolve(a[:, 0], b[:, k])[:ORDER + 1]
                      for k in range(size)], axis=1)
     assert np.array_equal(_bits(got), _bits(want))
+
+
+def _bincount_product(a, b):
+    """The Jet3 product of coefficients a and b by its definition: the
+    table's products gathered into fresh arrays, summed per target."""
+    p = a[_MUL_A] * b[_MUL_B]
+    n = p[0].size
+    t = (_MUL_T[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(t, weights=p.ravel(),
+                       minlength=N3 * n).reshape((N3,) + p.shape[1:])
+
+
+# the product gathers into a workspace of 128 columns it reuses (fresh
+# gathers past that): bit for bit the bincount of the gathered products,
+# at a Point, at batches, and with one factor broadcast
+@pytest.mark.parametrize("size", (None, 1, 25, 64, 125, 128, 129))
+def test_jet3_product_is_the_bincount_of_the_table_products(size):
+    rng = np.random.default_rng(size or 0)
+    shape = (N3,) if size is None else (N3, size)
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.integers(-160, 160,
+                                                             shape)
+            for _ in range(2))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0])
+    for c in (a, b):
+        c[rng.random(shape) < 0.05] = -0.0
+        c.flat[rng.choice(c.size, 4, replace=False)] = specials
+    pairs = [(a, b), (b, a)]
+    if size is not None:
+        pairs += [(a[:, :1], b), (a, b[:, -1:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [(Jet3(x) * Jet3(y)).coeffs for x, y in pairs]
+        want = [_bincount_product(x, y) for x, y in pairs]
+    # each product is its own array: a later one leaves it as it was
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 _JET1_FNS = {

@@ -11,6 +11,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from functools import reduce
@@ -23,7 +24,7 @@ from ewhorizon import (cli, curvature, nearhorizon, odesolve, pdeverify,
                        report)
 from ewhorizon.errors import (DomainError, EwhError, SingularJetError,
                               StiffnessError)
-from ewhorizon.jets import Jet1, Point, PointBatch
+from ewhorizon.jets import N3, Jet1, Jet3, Point, PointBatch
 from ewhorizon.nearhorizon import (ScalarField1D, field_const,
                                    ode4_monomials, ode4_rhs)
 from ewhorizon.odesolve import integrate
@@ -1008,7 +1009,7 @@ def test_export_plot_evaluates_each_profile_once_per_sample(monkeypatch):
         assert len(evaluated) == {"dkp": 1, "prop4": 1}.get(check, 2)
         for n in evaluated:
             assert sum(n.values()) == len(n) == 200
-            assert n.runs <= math.ceil(200 / report._PLANE_SLICE) == 4
+            assert n.runs <= math.ceil(200 / report._PLANE_SLICE)
             if n is not wp_calls:
                 assert [float(f"{x:.12g}") for x in n] == xs
 
@@ -1040,7 +1041,7 @@ def test_per_x_sweep_slice_gone_x_by_x_leaves_its_jets_to_the_cells(
     # at 201 samples family:tanh samples x = 0, where its F raises: that
     # slice's batch fails and the walker goes x by x.  Its float calls
     # leave their jets as the fields' memo columns, so the cells of the
-    # slice's 63 kept x read F there instead of evaluating it again
+    # slice's other kept x read F there instead of evaluating it again
     counts, setup = [], report._setup
 
     def counting(*args):
@@ -1054,9 +1055,10 @@ def test_per_x_sweep_slice_gone_x_by_x_leaves_its_jets_to_the_cells(
     assert not any(ln.startswith("0,") for ln in lines)
     h, F = counts
     assert sum(h.values()) == len(h) == 201
-    # the failing slice's 64 x in its batch, then each x once
+    # the failing slice's x in its batch, then each x once
     assert (sum(F.values()), len(F)) == (201 + report._PLANE_SLICE, 201)
-    assert F.runs == 4 + report._PLANE_SLICE
+    assert F.runs == math.ceil(201 / report._PLANE_SLICE) \
+        + report._PLANE_SLICE
 
 
 def test_prop4_evaluates_each_tanh_profile_once_per_grid_x(monkeypatch):
@@ -1267,9 +1269,11 @@ def test_one_curvature_assembly_per_slice(monkeypatch, check):
     monkeypatch.setattr(curvature._Assembly, "__init__", counting)
     run_check(check)
     # one geometric residual each (EW, or Cotton for prop1-iff), built
-    # once per slice: two 5 x 5 planes fit in 64 points, so the 5 grid x
-    # take three slices
-    assert batches == [(50,), (50,), (25,)]
+    # once per slice of as many whole 5 x 5 planes as fit in
+    # _PLANE_SLICE points: the 5 grid x take one slice
+    per = report._PLANE_SLICE // 25 * 25
+    assert batches == [(min(per, 125 - i),) for i in range(0, 125, per)] \
+        == [(125,)]
     # and a Point (the fallback of a failing slice) as a batch of one
     s, plane = _plane(check, {})
     batches.clear()
@@ -1340,7 +1344,7 @@ def test_reports_are_identical_across_plane_slices(monkeypatch, check,
                                                    params):
     grid = GridSpec(nu=(-1.0, 1.0, 9), r=(-1.0, 1.0, 9))
     texts = set()
-    for size in (1, 7, 81):
+    for size in (1, 7, 81, 128):
         monkeypatch.setattr(report, "_PLANE_SLICE", size)
         texts.add(run_check(check, params, grid=grid).to_json())
     assert len(texts) == 1
@@ -1381,7 +1385,7 @@ def _sweep_outcome(*args, **kwargs):
 @pytest.mark.parametrize("check, params, axis", _SWEEP_CASES)
 def test_batched_export_plot_equals_the_per_sample_path(monkeypatch, check,
                                                         params, axis):
-    # 150 samples: two full slices and a short one; the rational family's
+    # 150 samples: a full slice and a short one; the rational family's
     # sweep meets its pole at x = 0 and raises on both paths
     batched = _sweep_outcome(check, params, axis=axis, samples=150)
     _point_by_point(monkeypatch)
@@ -1392,8 +1396,8 @@ def test_batched_export_plot_equals_the_per_sample_path(monkeypatch, check,
 @pytest.mark.parametrize("check, params", _PLANE_CHECKS)
 def test_batched_run_check_equals_the_per_point_path(monkeypatch, check,
                                                      params, grid):
-    # 9 x 9: slices of 64 and 17 points; 2 x 2 x 40: 16 planes of 4
-    # points per slice, over 40 x of the check's default x range
+    # 9 x 9: one slice of 81 points; 2 x 2 x 40: 32 planes of 4 points
+    # per slice, over 40 x of the check's default x range
     _, s = report._setup(check, params)
     x_axis = GridSpec().resolve_x(s.window)
     if s.narrow is not None:
@@ -1636,15 +1640,23 @@ def test_per_x_sweep_equals_its_x_by_x_path(monkeypatch, check, params,
     assert _sweep_outcome(check, params, samples=samples) == batched
 
 
+# x = 0 is sample 100 of 201, in the slice that ends at sample
+_ZERO_SLICE_END = (100 // report._PLANE_SLICE + 1) * report._PLANE_SLICE
+
+
 @pytest.mark.parametrize("check, params, n_x, F_most", [
-    ("family:tanh", {}, 201, 329), ("thm2-ode", {"family": "tanh"}, 128, 166)])
+    ("family:tanh", {}, 201, 329),
+    ("thm2-ode", {"family": "tanh"}, _ZERO_SLICE_END,
+     101 + report._PLANE_SLICE)])
 def test_a_failing_sweep_slice_evaluates_h_once_per_x(monkeypatch, check,
                                                       params, n_x, F_most):
-    # at 201 samples F = F_from_h(h) divides by h(0) = 0 in the second
-    # slice, which goes x by x: family:tanh drops x = 0, thm2-ode raises
-    # there after 128 x.  h is evaluated once at each x; F no more often
-    # than when `at` itself went x by x (now 328 and 165 times, at most
-    # 3 and 2 times at one x)
+    # at 201 samples F = F_from_h(h) divides by h(0) = 0 in the slice
+    # holding x = 0, which goes x by x: family:tanh drops x = 0,
+    # thm2-ode raises there, h evaluated at the slice's x.  h is
+    # evaluated once at each x; F no more often than when `at` itself
+    # went x by x for family:tanh, and for thm2-ode once at each x up
+    # to 0 and once in the failing slice's batch (329 and 229 times at
+    # 128-point slices, at most 2 times at one x)
     counts, setup = [], report._setup
 
     def counting(*args):
@@ -1711,3 +1723,39 @@ def test_x_by_x_path_is_taken_where_forced(monkeypatch):
     f_count, F_count = counts
     assert f_count.runs == len(f_count) == 33 and not F_count
     assert sorted(f_count) == report._axis_values(rep.grid["x"])
+
+
+# ---------------------------------------------------------------------------
+# memory guards: tracemalloc's peak (numpy traces its buffers there),
+# deterministic at the pinned numpy, after a warm-up call has filled the
+# caches and the product's workspace
+
+
+def _traced_peak(fn):
+    """Bytes that fn() holds at its peak above what was held before it,
+    after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_full_slice_jet3_product_allocates_only_its_result():
+    # 36 752 B measured: the (35, 128) result and its bincount; fresh
+    # gathers would add 430 KB, a read-only target copy 215 KB
+    rng = np.random.default_rng(3)
+    a, b = (Jet3(rng.standard_normal((N3, report._PLANE_SLICE)))
+            for _ in range(2))
+    assert _traced_peak(lambda: a * b) <= 36_752 * 1.25
+
+
+def test_default_grid_cotton_check_peak_memory():
+    # prop1-iff assembles Cotton, the largest default-grid assembly, over
+    # the grid's 125 points in one batch: 1.597 MiB measured (0.91 MiB in
+    # 64-point slices)
+    peak = _traced_peak(lambda: run_check("prop1-iff", {"h": "linear"}))
+    assert peak <= 1.597 * 1.25 * 2 ** 20

@@ -3,6 +3,7 @@
     python3 tools/bench_record.py --seed 7 --seconds 12
     python3 tools/bench_record.py --root ../other-checkout --seed 7 \\
         --seconds 12
+    python3 tools/bench_record.py --compare BASE.json NEW.json
 
 For each workload that BENCHMARK.json declares, runs the declared
 command (`python3 perfbench/run.py`) in the checkout as
@@ -21,6 +22,11 @@ else "src-" and the first 12 of the sources' sha256.  The file goes to
 --out, by default BENCH_<rev>.json at the root of the repository this
 script is in.  Exits 1 (after writing the file) when a workload's
 result is not `correct`, 2 when a run fails.
+
+--compare reads two such files and, for each workload and end-to-end
+metric of BENCHMARK.json, prints both values, NEW / BASE, the metric's
+bound and whether NEW is worse than BASE by more than it.  Exits 1 when
+any is, 2 when a file lacks a workload or metric.
 """
 
 from __future__ import annotations
@@ -107,17 +113,61 @@ def record(root: Path, seed: int, seconds: float) -> dict:
             "seconds": seconds, "workloads": runs}
 
 
+def compare(base: dict, new: dict, bench: dict) -> list:
+    """Per workload and end-to-end metric of `bench`: (workload, metric,
+    base value, new value, new / base, bound, past the bound in the
+    worse direction)."""
+    rows = []
+    for w in (w["name"] for w in bench["workloads"]):
+        for m in bench["end_to_end"]:
+            try:
+                b, n = (rec["workloads"][w]["metrics"][m["name"]]["value"]
+                        for rec in (base, new))
+            except KeyError:
+                raise RecordError(f"{w} {m['name']}: missing from a "
+                                  f"file") from None
+            ratio = n / b
+            worse = ratio - 1 if m["better"] == "lower" else 1 - ratio
+            rows.append((w, m["name"], b, n, ratio, m["bound"],
+                         worse > m["bound"]))
+    return rows
+
+
+def print_comparison(rows) -> None:
+    print(f"{'workload':16} {'metric':12} {'base':>10} {'new':>10} "
+          f"{'ratio':>7} {'bound':>6}")
+    for w, m, b, n, ratio, bound, past in rows:
+        print(f"{w:16} {m:12} {b:10.4g} {n:10.4g} {ratio:7.3f} "
+              f"{bound:6.0%}" + ("  PAST BOUND" if past else ""))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", type=Path, default=REPO,
-                    help="the checkout to measure (default: this one)")
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+                    help="the checkout to measure, or whose BENCHMARK.json "
+                         "--compare reads (default: this one)")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--seconds", type=float)
     ap.add_argument("--out", type=Path,
                     help="the file to write (default: BENCH_<rev>.json at "
                          "the root of this repository)")
+    ap.add_argument("--compare", type=Path, nargs=2,
+                    metavar=("BASE", "NEW"),
+                    help="compare two recorded files instead of measuring")
     args = ap.parse_args(argv)
     root = args.root.resolve()
+    if args.compare:
+        bench = json.loads((root / "BENCHMARK.json").read_text())
+        base, new = (json.loads(p.read_text()) for p in args.compare)
+        try:
+            rows = compare(base, new, bench)
+        except RecordError as e:
+            sys.stderr.write(f"bench_record: {e}\n")
+            return 2
+        print_comparison(rows)
+        return int(any(row[-1] for row in rows))
+    if args.seed is None or args.seconds is None:
+        ap.error("--seed and --seconds are required to measure")
     try:
         rec = record(root, args.seed, args.seconds)
     except RecordError as e:
