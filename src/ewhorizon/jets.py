@@ -299,12 +299,14 @@ def _lift(a, b):
 
 def _lifted(c, v):
     """Coefficients `c`, given a trailing batch axis when they have none
-    and meet the batch of numbers `v`."""
-    return c[:, None] if v.ndim and c.ndim == 1 else c
+    and meet a batch of numbers `v`."""
+    return c[:, None] if isinstance(v, np.ndarray) and v.ndim \
+        and c.ndim == 1 else c
 
 
 class _JetBase:
-    """Shared arithmetic for Jet1 and Jet3 (dense coefficient arrays)."""
+    """Shared arithmetic for Jet1 and Jet3 (dense coefficient arrays,
+    shape (_N,) at one point or (_N, B) over a batch)."""
 
     __slots__ = ("coeffs",)
 
@@ -313,6 +315,14 @@ class _JetBase:
     __array_ufunc__ = None
 
     # Subclasses set _N (coefficient count) and implement _mul_coeffs.
+
+    def __init__(self, coeffs):
+        c = np.asarray(coeffs, dtype=float)
+        if c.ndim not in (1, 2) or c.shape[0] != self._N:
+            raise ValueError(f"{type(self).__name__} needs {self._N} "
+                             f"coefficients (per column), got shape "
+                             f"{c.shape}")
+        self.coeffs = c.copy()
 
     @classmethod
     def _raw(cls, coeffs):
@@ -337,14 +347,14 @@ class _JetBase:
     def __repr__(self):
         return f"{type(self).__name__}({self.coeffs.tolist()})"
 
-    # Ring operations.  A number may be a batch of numbers (an ndarray,
-    # one per column); plain numbers take the short path.
+    # Ring operations.  A number is an int, a float or an ndarray: a
+    # batch of numbers (one per column) or a 0-d one, all on one path.
 
     def _offset(self, c, v):
-        """The jet with coefficients `c` and the batch of numbers `v`
-        added to its value."""
-        if v.ndim and c.ndim == 1:  # v lifts an unbatched jet
-            c = np.repeat(c[:, None], len(v), axis=1)
+        """The jet with coefficients `c` and the number `v` added to its
+        value."""
+        if isinstance(v, np.ndarray) and v.ndim and c.ndim == 1:
+            c = np.repeat(c[:, None], len(v), axis=1)  # v lifts the jet
         else:
             c = c.copy()
         c[0] += v
@@ -356,11 +366,7 @@ class _JetBase:
             if a.ndim != b.ndim:
                 a, b = _lift(a, b)
             return type(self)._raw(a + b)
-        if isinstance(other, (int, float)):
-            c = self.coeffs.copy()
-            c[0] += other
-            return type(self)._raw(c)
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (int, float, np.ndarray)):
             return self._offset(self.coeffs, other)
         return NotImplemented
 
@@ -375,20 +381,12 @@ class _JetBase:
             if a.ndim != b.ndim:
                 a, b = _lift(a, b)
             return type(self)._raw(a - b)
-        if isinstance(other, (int, float)):
-            c = self.coeffs.copy()
-            c[0] -= other
-            return type(self)._raw(c)
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (int, float, np.ndarray)):
             return self._offset(self.coeffs, -other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            c = -self.coeffs
-            c[0] += other
-            return type(self)._raw(c)
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (int, float, np.ndarray)):
             return self._offset(-self.coeffs, other)
         return NotImplemented
 
@@ -398,18 +396,14 @@ class _JetBase:
             if a.ndim != b.ndim:
                 a, b = _lift(a, b)
             return type(self)._raw(self._mul_coeffs(a, b))
-        if isinstance(other, (int, float)):
-            return type(self)._raw(self.coeffs * other)
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (int, float, np.ndarray)):
             return type(self)._raw(_lifted(self.coeffs, other) * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return type(self)._raw(self.coeffs / other)
-        if isinstance(other, np.ndarray):
+        if isinstance(other, (int, float, np.ndarray)):
             return type(self)._raw(_lifted(self.coeffs, other) / other)
         if isinstance(other, type(self)):
             return self * other._reciprocal()
@@ -513,13 +507,6 @@ class Jet1(_JetBase):
     __slots__ = ()
     _N = ORDER + 1
 
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim not in (1, 2) or c.shape[0] != self._N:
-            raise ValueError(f"Jet1 needs {self._N} coefficients (per "
-                             f"column), got shape {c.shape}")
-        self.coeffs = c.copy()
-
     @classmethod
     def variable(cls, x):
         """Jet of the coordinate itself: value x, first derivative 1
@@ -547,11 +534,6 @@ class Jet1(_JetBase):
         v = self.coeffs[k] * _FACT[k]
         return v if v.ndim else float(v)
 
-    def derivatives(self):
-        """All derivative values as an array of length 5 (shape (5, B)
-        over a batch)."""
-        return self.coeffs * _along_orders(_FACT, self.coeffs.ndim)
-
     def d(self):
         """Jet of f'.  The top coefficient is out of range and set to 0."""
         a = self.coeffs
@@ -570,8 +552,9 @@ def _mul_targets(batch):
     return (_MUL_T[:, None] * batch + np.arange(batch)).ravel()
 
 
-# Columns of the Jet3 product's workspace: a grid walker's batch (at
-# most report._PLANE_SLICE points) fits it.  Its two (210, 128) gathers
+# Columns of the Jet3 product's workspace, and the most x a profile's
+# memo holds: a grid walker's batch (at most report._PLANE_SLICE
+# points) fits it.  Its two (210, 128) gathers
 # are 430 KB, allocated once per thread; fresh gathers that size would
 # each pass glibc's 128 KiB mmap threshold and be mapped and
 # page-faulted anew on every product.
@@ -604,13 +587,6 @@ class Jet3(_JetBase):
 
     __slots__ = ()
     _N = N3
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim not in (1, 2) or c.shape[0] != N3:
-            raise ValueError(f"Jet3 needs {N3} coefficients (per column), "
-                             f"got shape {c.shape}")
-        self.coeffs = c.copy()
 
     @classmethod
     def variable(cls, p, axis):

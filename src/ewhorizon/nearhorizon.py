@@ -35,7 +35,7 @@ import numpy as np
 from .curvature import MetricField, OneFormField
 from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
                      PoleProximityError, StiffnessError, WindowError)
-from .jets import _D1_FAC, Jet1, Jet3, _along_orders, per_x
+from .jets import _D1_FAC, _WORK_COLS, Jet1, Jet3, _along_orders, per_x
 from .odesolve import IvpSpec, integrate, quad
 from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
                       sn_imaginary_modulus_jet, wp_jet)
@@ -68,11 +68,14 @@ class ScalarField1D:
 
     A call takes one float x, as the grid walker's x-by-x path does;
     `at` also an array of x, one per point of a PointBatch.  One memo
-    serves both: the last evaluation as one (5, n) jet with the column
-    of each x it holds, and the last query with its jet.  A query whose
-    x it all holds is answered from it (the same array by identity), so
-    every residual at one x shares one evaluation.  Jets are shared and
-    read-only.
+    serves both: one (5, n) jet with the column of each x it holds, and
+    the last query with its jet.  A call at a new x appends its column,
+    and a memo of `jets._WORK_COLS` columns (a walker's batch) starts
+    afresh; an array evaluation holds the array's distinct x alone.  A
+    query whose x it all holds is answered from it (the same array by
+    identity), so every residual at one x shares one evaluation, and a
+    walk x by x leaves its jets for a later `at` on those x.  Jets are
+    shared and read-only.
     """
 
     evaluator: object
@@ -95,7 +98,12 @@ class ScalarField1D:
             self._check_window([x])
             jet = self.evaluator(x)
             jet.coeffs.flags.writeable = False
-            columns, held = {x: 0}, Jet1._raw(jet.coeffs[:, None])
+            if len(columns) >= _WORK_COLS:  # a full memo starts afresh
+                columns, held = {}, Jet1._raw(held.coeffs[:, :0])
+            columns[x] = len(columns)
+            held = Jet1._raw(np.concatenate(
+                (held.coeffs, jet.coeffs[:, None]), axis=1))
+            held.coeffs.flags.writeable = False
         self._memo[:] = columns, held, x, jet
         return jet
 
@@ -130,14 +138,6 @@ class ScalarField1D:
             jet.coeffs.flags.writeable = False
         self._memo[:] = columns, held, x, jet
         return jet
-
-    def hold(self, xs, jets):
-        """Make the memo hold jets[k], this field's jet at the float
-        xs[k], as its columns: the grid walker's x-by-x pass leaves its
-        float calls' jets so, for a later `at` on those x to read."""
-        held = Jet1._raw(np.stack([j.coeffs for j in jets], axis=-1))
-        held.coeffs.flags.writeable = False
-        self._memo[:] = {x: k for k, x in enumerate(xs)}, held, None, None
 
     def _check_window(self, xs):
         """WindowError at the first of the floats xs outside the window."""

@@ -540,31 +540,15 @@ def _skipping(fn, q, skip):
 def _batch_rows(group, batch, skip):
     """The _values at each point of `batch`, a PointBatch or an array of
     x, as one batch, else one by one: the first failing point (or x)
-    raises, or with skip each one is None."""
+    raises, or with skip each one is None.  Going x by x, each field's
+    memo keeps the jets of its float calls, so a sweep's profile cells
+    read them there instead of evaluating them again."""
     try:
         return np.moveaxis(np.array(_values(group, batch)), -1, 0)
     except EwhError:
-        if isinstance(batch, PointBatch):
-            return [_skipping(partial(_values, group), q, skip)
-                    for q in batch.points()]
-        return _x_rows(group, batch.tolist(), skip)
-
-
-def _x_rows(group, xs, skip):
-    """`_batch_rows` one float x at a time for per-x residuals.  Each
-    field is then left holding its jets at the x whose row evaluated
-    (`ScalarField1D.hold`), so a sweep's profile cells read them there
-    instead of evaluating them again."""
-    fields = list({id(f): f for r in group for f in r.fields}.values())
-    rows, kept = [], []
-    for x in xs:
-        rows.append(_skipping(partial(_values, group), x, skip))
-        if rows[-1] is not None:  # memo reads: each field read x last
-            kept.append((x, [f(x) for f in fields]))
-    if kept:
-        for i, f in enumerate(fields):
-            f.hold([x for x, _ in kept], [jets[i] for _, jets in kept])
-    return rows
+        qs = batch.points() if isinstance(batch, PointBatch) \
+            else batch.tolist()
+        return [_skipping(partial(_values, group), q, skip) for q in qs]
 
 
 def _rows(residuals, nus, rs, xs, skip):

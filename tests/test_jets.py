@@ -30,7 +30,7 @@ def test_polynomial_arithmetic_exact():
     j = Jet1.variable(x)
     p = 2.0 * j**3 - j * j + 4.0 * j - 7.0
     # derivatives of 2x^3 - x^2 + 4x - 7
-    assert_allclose(p.derivatives(),
+    assert_allclose([p.derivative(k) for k in range(ORDER + 1)],
                     [2 * x**3 - x**2 + 4 * x - 7,
                      6 * x**2 - 2 * x + 4, 12 * x - 2, 12.0, 0.0],
                     rtol=0, atol=1e-15)
@@ -109,7 +109,8 @@ def test_d_shifts_coefficients():
 
 def test_from_derivatives_roundtrip():
     vals = [2.0, -1.0, 3.0, 0.5, -4.0]
-    assert_allclose(Jet1.from_derivatives(vals).derivatives(), vals,
+    j = Jet1.from_derivatives(vals)
+    assert_allclose([j.derivative(k) for k in range(ORDER + 1)], vals,
                     rtol=1e-15)
 
 
@@ -497,8 +498,8 @@ def test_jet1_batch_parity_with_jet3():
     assert np.array_equal(v.exp().derivative(2),
                           [math.exp(x) for x in xs.tolist()])
     assert isinstance(Jet1.variable(0.5).derivative(1), float)
-    assert np.array_equal(Jet1.from_derivatives(v.derivatives()).coeffs,
-                          v.coeffs)
+    assert np.array_equal(Jet1.from_derivatives(
+        [v.derivative(k) for k in range(ORDER + 1)]).coeffs, v.coeffs)
     with pytest.raises(ValueError, match=r"\(4, 3\)"):
         Jet1(np.zeros((4, 3)))
     with pytest.raises(ValueError):
@@ -508,3 +509,62 @@ def test_jet1_batch_parity_with_jet3():
 def test_batched_jet1_raises_at_its_first_failing_column():
     with pytest.raises(SingularJetError, match="-2.0"):
         Jet1.variable(np.array([1.0, -2.0, -3.0])).log()
+
+
+# every kind of number a jet meets takes one path through the ring
+# operations: each result has the bits of its coefficient arithmetic
+_NUMBERS = {
+    "int": 3,
+    "float": 0.7,
+    "float64": np.float64(-1.3),
+    "0-d": np.array(2.9),
+    "1-d": np.array([0.3, -2.2, 5.1]),  # one per column of a 3-batch
+}
+
+# op name -> (the operation, its column's coefficients from the jet's
+# column c and the number v, both in Python floats)
+_NUMBER_OPS = {
+    "add": (lambda j, v: j + v, lambda c, v: [c[0] + v, *c[1:]]),
+    "radd": (lambda j, v: v + j, lambda c, v: [v + c[0], *c[1:]]),
+    "sub": (lambda j, v: j - v, lambda c, v: [c[0] - v, *c[1:]]),
+    "rsub": (lambda j, v: v - j,
+             lambda c, v: [v - c[0], *(-a for a in c[1:])]),
+    "mul": (lambda j, v: j * v, lambda c, v: [a * v for a in c]),
+    "rmul": (lambda j, v: v * j, lambda c, v: [v * a for a in c]),
+    "div": (lambda j, v: j / v, lambda c, v: [a / v for a in c]),
+    # v / j is v times the reciprocal jet, whose columns c are then
+    "rdiv": (lambda j, v: v / j, lambda c, v: [a * v for a in c]),
+}
+
+
+def _number_jets():
+    """A Jet1 and a Jet3, each at one point and at a batch of 3."""
+    xs = np.array([0.4, -0.8, 1.9])
+
+    def jet3(p):
+        nu, r, x = _vars(p)
+        return (nu * r + x).exp()
+
+    return [Jet1.variable(0.4).sin(), Jet1.variable(xs).sin(),
+            jet3(Point(0.2, -0.5, 0.4)),
+            jet3(PointBatch(np.array([0.2, 1.1, -0.6]),
+                            np.array([-0.5, 0.3, 0.9]), xs))]
+
+
+@pytest.mark.parametrize("number", sorted(_NUMBERS))
+@pytest.mark.parametrize("op", sorted(_NUMBER_OPS))
+def test_ring_operations_take_every_number_on_one_path(op, number):
+    (fn, coeffs), v = _NUMBER_OPS[op], _NUMBERS[number]
+    vs = np.broadcast_to(v, 3).tolist()
+    for j in _number_jets():
+        got = fn(j, v)
+        assert type(got) is type(j)
+        base = (j._reciprocal() if op == "rdiv" else j).coeffs
+        columns = base.reshape(len(base), -1).T.tolist()
+        if len(columns) == 1 and np.ndim(v):
+            columns *= len(vs)  # a batch of numbers lifts the jet
+        want = np.array([coeffs(c, float(w))
+                         for c, w in zip(columns, vs)]).T
+        if np.ndim(v) == 0 and base.ndim == 1:
+            want = want[:, 0]
+        assert np.array_equal(_bits(got.coeffs), _bits(want))

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from ewhorizon.curvature import cotton, ew_residual
 from ewhorizon.errors import (DomainError, EwhError, PoleProximityError,
                               WindowError)
-from ewhorizon.jets import Jet1, Point
+from ewhorizon.jets import _WORK_COLS, Jet1, Point
 from ewhorizon import nearhorizon, pdeverify
 from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    F_ode_residual_chalf, NearHorizonData,
@@ -535,6 +535,30 @@ def test_field_at_an_empty_array_is_a_jet_with_no_columns():
     assert isinstance(got, Jet1) and got.coeffs.shape == (5, 0)
     f.at(np.array([0.5, 1.5]))
     assert f.at(np.array([])).coeffs.shape == (5, 0)
+
+
+@pytest.mark.parametrize("name", ["family:TanhHyperCR", "named:sin"])
+def test_float_calls_leave_their_jets_as_memo_columns(name):
+    # the walker's x-by-x calls leave their jets in the memo, so `at` on
+    # those x evaluates nothing; a memo of _WORK_COLS columns starts
+    # afresh, so 1000 calls hold at most that many
+    make = _BATCH_FIELDS[name][0]
+    xs = _sweep_xs(name, samples=1000)
+    f, runs = make(), []
+    ev = f.evaluator
+    object.__setattr__(f, "evaluator", lambda x: runs.append(x) or ev(x))
+    few = xs[::25]
+    for x in few.tolist():
+        assert np.array_equal(_bits(f(x).coeffs), _bits(make()(x).coeffs))
+    assert len(runs) == len(few) == 40
+    got = f.at(few)
+    assert len(runs) == 40  # the 40 x are all held
+    assert np.array_equal(_bits(got.coeffs), _bits(np.stack(
+        [make()(x).coeffs for x in few.tolist()], axis=1)))
+    for x in xs.tolist():
+        assert np.array_equal(_bits(f(x).coeffs), _bits(make()(x).coeffs))
+    columns, held = f._memo[:2]
+    assert len(columns) == held.coeffs.shape[1] <= _WORK_COLS
 
 
 def _with(xs, k, x):

@@ -5,7 +5,9 @@ A name in `ewhorizon.__all__` stays only where something outside the
 tests reaches it: code of the package that a caller reaches in turn
 (module-level code, the `ewh` console script, a live definition), a
 demo, or the benchmark under perfbench/ (which names its trace targets
-as strings), or where `_KEPT` says why it stays without one.  Read with
+as strings), or where `_KEPT` says why it stays without one.  So does a
+public method or property of an exported class (its own or a package
+base class's): something outside the tests reads its name.  Read with
 the standard library's `ast`; nothing is imported but the package.
 """
 
@@ -88,6 +90,34 @@ def _live_names():
 def test_every_exported_name_has_a_caller_outside_the_tests():
     live = _live_names()
     assert [n for n in ewhorizon.__all__ if n not in live] == []
+
+
+def _public_members():
+    """Each public method and property, as "Class.name", that an
+    exported class defines in the package, itself or in a package base
+    class."""
+    classes = {stmt.name: stmt for tree in _sources(PACKAGE).values()
+               for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    out = set()
+    for name in ewhorizon.__all__:
+        cls = getattr(ewhorizon, name)
+        if not isinstance(cls, type):
+            continue
+        for base in cls.__mro__:
+            if base.__module__.startswith("ewhorizon."):
+                out |= {f"{name}.{n.name}"
+                        for n in classes[base.__name__].body
+                        if isinstance(n, ast.FunctionDef)
+                        and not n.name.startswith("_")}
+    return out
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    live = _live_names()
+    members = _public_members()
+    assert "Jet3.partial" in members and "ScalarField1D.at" in members
+    assert sorted(m for m in members
+                  if m.partition(".")[2] not in live) == []
 
 
 def test_kept_names_are_exported():
