@@ -19,8 +19,8 @@ Scalar profiles are ScalarField1D objects: an evaluator producing Jet1
 values (derivatives to order 4), an admissible window and an optional
 exact antiderivative.  Every evaluator takes a float x or a 1-D array
 of x (then one batched Jet1, column k at x[k]); the closed forms run
-their jet algebra once per array, and only quadratures and
-special-function values go one x at a time (`per_x`).
+their jet algebra once per array, and only quadratures, dense-output
+reads and special-function values go one x at a time (`per_x`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import add
 import numpy as np
 
 from .curvature import MetricField, OneFormField
-from .errors import (AccuracyError, DomainError, EwhError, PathBranchError,
+from .errors import (DomainError, EwhError, PathBranchError,
                      PoleProximityError, StiffnessError, WindowError)
 from .jets import _D1_FAC, _WORK_COLS, Jet1, Jet3, _along_orders, per_x
 from .odesolve import IvpSpec, integrate, quad
@@ -619,6 +619,40 @@ def abel_parametric_jets(y: float, alpha: float, beta: float, gamma: float):
 
 
 # --------------------------------------------------------------------------
+# profiles defined by an integral: one dense solve
+# --------------------------------------------------------------------------
+
+class _DenseSolve:
+    """y(x) of a scalar profile ODE y' = rhs(x, [y]), y(x0) = y0, read
+    from the dense output of `integrate` (DOP853, rtol 1e-13, atol 1e-15)
+    on each side of x0, in pieces each from the last one's end: `run`
+    adds one to x_end (to a guard stop, with a guard); a read
+    past a side's end adds pieces ending at x0 +- 2^k, k = 0, 1, ...,
+    until x is covered, so a read does not depend on the reads before."""
+
+    def __init__(self, rhs, x0, y0):
+        self.rhs, self.x0 = rhs, x0
+        self.pieces = {1.0: [], -1.0: []}
+        self.ends = {1.0: (x0, [y0]), -1.0: (x0, [y0])}  # (x, [y]) at each
+
+    def run(self, x_end, guard=None):
+        d = 1.0 if x_end >= self.x0 else -1.0
+        piece = integrate(IvpSpec(self.rhs, *self.ends[d], rtol=1e-13,
+                                  atol=1e-15, guard=guard), x_end)
+        self.pieces[d].append(piece)
+        self.ends[d] = piece.x_end, piece.y_end
+
+    def __call__(self, x):
+        d, reach = (1.0 if x >= self.x0 else -1.0), 1.0
+        while (x - self.ends[d][0]) * d > 0.0:
+            while (self.x0 + d * reach - self.ends[d][0]) * d <= 0.0:
+                reach *= 2.0
+            self.run(self.x0 + d * reach)
+        covering = [p for p in self.pieces[d] if (p.x_end - x) * d >= 0.0]
+        return float(covering[0](x)[0] if covering else self.ends[d][1][0])
+
+
+# --------------------------------------------------------------------------
 # the Weierstrass construction of F (arbitrary h)
 # --------------------------------------------------------------------------
 
@@ -630,54 +664,44 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float,
     Einstein-Weyl structure.  The returned field's window is the
     largest x-interval with G + a inside the pole-free cell of the wp
     lattice containing a, inset by _THM1_MARGIN (for b = 0, the single
-    pole at G + a = 0); an edge G never reaches is infinite.  The
-    interval need not contain the basepoint: for a near a pole it sits
-    to one side.
+    pole at G + a = 0); it need not contain x0.  G is one dense solve of
+    G' = e^{H/2} (`_DenseSolve`), run on a side of x0 with a finite edge
+    to a guard one G unit past its farthest edge; an edge is the root of
+    G = its target, by Newton on the dense output from the knot before
+    it, or infinite where G does not reach it within 1000 of x0.
     """
+    solve = _DenseSolve(
+        lambda x, y: (math.exp(0.5 * antiderivative(h, x0, x)),), x0, 0.0)
+    cell = (_THM1_MARGIN - a, math.inf) if b == 0.0 else \
+        _pole_free_cell(a, b, _THM1_MARGIN)
+    for d in (1.0, -1.0):  # G is monotone: run one G unit past the farthest
+        ends = [g * d for g in cell if g * d > 0.0 and math.isfinite(g)]
+        if ends:
+            solve.run(x0 + 1000.0 * d,
+                      lambda x, y, s=max(ends) + 1.0, d=d: y[0] * d < s)
 
-    def dG(t):
-        return math.exp(0.5 * antiderivative(h, x0, t))
+    def edge(g):
+        if g == 0.0 or math.isinf(g):  # at x0, or never reached
+            return x0 if g == 0.0 else g
+        d = math.copysign(1.0, g)
+        piece = solve.pieces[d][0]  # the side's one piece so far
+        past = np.flatnonzero(piece.ys[:, 0] * d >= g * d)
+        if past.size == 0:
+            return d * math.inf
+        x = piece.xs[past[0] - 1].item()  # Newton from the knot before it
+        for _ in range(8):
+            x -= (solve(x) - g) / solve.rhs(x, [g])[0]
+        return x
 
     def ev(x):
         Hj = _integral_jet(per_x(lambda t: antiderivative(h, x0, t), x),
                            h.at(x))
-        Gj = _integral_jet(per_x(lambda t: quad(dG, x0, t), x),
-                           (0.5 * Hj).exp())
+        Gj = _integral_jet(per_x(solve, x), (0.5 * Hj).exp())
         Pj, _ = wp_jet(Gj + a, b)
         return Hj.exp() * Pj
 
-    cell = (_THM1_MARGIN - a, math.inf) if b == 0.0 else \
-        _pole_free_cell(a, b, _THM1_MARGIN)
     return ScalarField1D(ev, label=f"thm1[{h.label};a={a:g},b={b:g}]",
-                         window=tuple(_solve_g(dG, g, x0) for g in cell))
-
-
-def _solve_g(dG, target, x0):
-    """Solve G(x) = target for G = int_{x0}^x dG, dG > 0; -inf or inf
-    when G does not reach the target within 1000 of x0.  The march sums
-    G one 0.5-wide step at a time; the bisection evaluates G from x0."""
-    if target == 0.0 or math.isinf(target):  # at x0, or never reached
-        return x0 if target == 0.0 else target
-    step = 0.5 if target > 0.0 else -0.5
-    x1, g1 = x0, 0.0
-    for _ in range(2000):
-        x2 = x1 + step
-        g1 += quad(dG, x1, x2)
-        if (g1 - target) * step >= 0.0:
-            break
-        x1 = x2
-    else:
-        return math.copysign(math.inf, target)
-    lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if quad(dG, x0, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+                         window=tuple(map(edge, cell)))
 
 
 def thm1_structure(h: ScalarField1D, a: float, b: float,
@@ -852,54 +876,26 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
     broot = beta ** 0.25
     pref = math.sqrt(2.0) / (2.0 * gamma * broot)
 
-    def x_of_z(z):
-        return pref * math.sqrt(z) * hyp2f1(0.5, 0.75, 1.5, z) + b
-
-    def dz_dx(z):
-        """1 / (dx/dz), dx/dz = pref (1 - z)^(-3/4) / (2 sqrt z), for a
-        float or a Jet1 z."""
+    def dz_dx(z):  # 1 / (dx/dz) at a float or a Jet1 z
         return 2.0 * z ** 0.5 * (1.0 - z) ** 0.75 / pref
 
-    x_lo, x_hi = x_of_z(z_lo), x_of_z(z_hi)
+    x_lo, x_hi = (pref * math.sqrt(z) * hyp2f1(0.5, 0.75, 1.5, z) + b
+                  for z in (z_lo, z_hi))
     ends = (min(x_lo, x_hi), max(x_lo, x_hi))
-
-    def z_of_x(x):
-        """Newton on x(z) = x inside the shrinking bracket [lo, hi],
-        started by linear interpolation between the window ends."""
-        lo, hi = z_lo, z_hi
-        z = z_lo + (x - x_lo) / (x_hi - x_lo) * (z_hi - z_lo)
-        for _ in range(100):
-            r = x_of_z(z) - x
-            if (r > 0.0) == (pref > 0.0):
-                hi = z
-            else:
-                lo = z
-            z_new = z - r * dz_dx(z)
-            if not lo <= z_new <= hi:
-                z_new = 0.5 * (lo + hi)
-            if abs(z_new - z) < 1e-14 * z:
-                return z_new
-            z = z_new
-        raise AccuracyError(f"no convergence of z(x) at x={x!r}",
-                            estimate=z, error_bound=hi - lo)
-
-    def z_in_window(x):
-        if not ends[0] <= x <= ends[1]:
-            raise WindowError(f"x={x!r} outside the parametric window "
-                              f"[{ends[0]!r}, {ends[1]!r}]")
-        return z_of_x(x)
+    solve = _DenseSolve(lambda x, y: (dz_dx(y[0]),), x_lo, z_lo)  # z(x)
+    solve.run(x_hi)
 
     def ev(x):
-        # z per x (Newton on hyp2f1); the jet algebra once per array
-        z = per_x(z_in_window, x)
+        fld._check_window(np.atleast_1d(x).tolist())  # as a direct call too
+        z = per_x(solve, x)
         # z(x) solves dz/dx = dz_dx(z): each pass is exact to one more order
         zj = Jet1.constant(z)
         for _ in range(4):
             zj = _integral_jet(z, dz_dx(zj))
         return (gamma / broot) * (1.0 - zj).powr(-0.25)
 
-    return (ScalarField1D(ev, label="hypergeometric", window=ends),
-            1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta})
+    fld = ScalarField1D(ev, label="hypergeometric", window=ends)
+    return fld, 1.0 - math.sqrt(beta / 2.0), {"alpha": 0.0, "beta": beta}
 
 
 def _tail_rhs(rhs, order: int):

@@ -39,8 +39,31 @@ Run from the repository root (about nine minutes on one core):
 
 It writes tests/reference/ode_references.json, which
 tests/test_references.py reads.
+
+A second section, run by itself in seconds, records the profiles that
+`ewhorizon` defines through an integral and solves by one dense
+integration:
+
+- the window edges of the Weierstrass construction F = e^H wp(G + a; 0, b)
+  (`thm1_F_field`, x0 = 0) at six (h, a, b): the x where
+  G = int_0^x e^{H/2} reaches an end of the pole-free cell of wp that
+  holds a, inset by 0.3, or "inf" / "-inf" where G does not reach it
+  within 1000 of x0.  The real period of wp(.; 0, b) is
+  2 int_0^inf ds / sqrt(s^4 + 3 e s^2 + 3 e^2), e^3 = b/4, and G is in
+  closed form for h = 0, 1 and x (through erfi) and a quadrature for
+  h = sin;
+- the hypergeometric family's z(x), the inverse of
+  x(z) = pref sqrt(z) 2F1(1/2, 3/4; 3/2; z) + b, at its window edges
+  x(z_lo) and x(z_hi) and at 5 x inside, for each parameter set of
+  tests/test_families_abel.py.
+
+    PYTHONPATH=src python tests/reference/record_references.py --profiles
+
+writes tests/reference/profile_references.json (`--out` names another
+file).
 """
 
+import argparse
 import json
 import os
 import sys
@@ -52,8 +75,9 @@ from ewhorizon.nearhorizon import build_family, reduction_consistency
 
 mp.mp.dps = 30
 
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                   "ode_references.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+OUT = os.path.join(HERE, "ode_references.json")
+PROFILES_OUT = os.path.join(HERE, "profile_references.json")
 X0, SPAN = 1.0, 6.0
 FLOOR, H_CAP, DH_CAP = mp.mpf("1e-6"), mp.mpf("1e6"), mp.mpf("1e8")
 
@@ -221,17 +245,125 @@ def numeric_family():
     return out
 
 
+# (h, a, b) of the thm1 windows: both edges reached, b = 0 (an infinite
+# edge), b < 0, one edge never reached (h = 1 backward: G > -2), and a
+# cell to one side of a
+THM1_CASES = [("sin", 0.1, 1.0), ("one", 0.1, 1.0), ("linear", 0.7, 0.0),
+              ("sin", 0.5, -1.0), ("one", 3.0, 1.0), ("sin", 2.3, 2.0)]
+THM1_MARGIN, THM1_REACH = mp.mpf(0.3), 1000
+
+
+def wp_real_period(b):
+    e = mp.sign(b) * mp.cbrt(abs(b) / 4)
+    return 2 * mp.quad(lambda s: 1 / mp.sqrt(s ** 4 + 3 * e * s * s
+                                             + 3 * e * e),
+                       [0, 0.5, 1, 2, 4, mp.inf])
+
+
+def thm1_G(h):
+    """G(x) = int_0^x e^{H/2}, H = int_0^x h."""
+    if h == "zero":
+        return lambda x: x
+    if h == "one":
+        return lambda x: 2 * (mp.exp(x / 2) - 1)
+    if h == "linear":
+        return lambda x: mp.sqrt(mp.pi) * mp.erfi(x / 2)
+    return lambda x: mp.quad(lambda t: mp.exp((1 - mp.cos(t)) / 2), [0, x])
+
+
+def thm1_edge(G, target):
+    """The x where G reaches target, or +-inf beyond x0 +- 1000."""
+    d = 1 if target > 0 else -1
+    x = mp.mpf(0)
+    while abs(x) < THM1_REACH:
+        x_next = x + d * mp.mpf(0.5)
+        if (G(x_next) - target) * d >= 0:
+            return mp.findroot(lambda t: G(t) - target, (x, x_next),
+                               solver="anderson")
+        x = x_next
+    return d * mp.inf
+
+
+def thm1_windows():
+    out = []
+    for h, a, b in THM1_CASES:
+        a_mp, b_mp = mp.mpf(a), mp.mpf(b)
+        if b == 0.0:
+            cell = (THM1_MARGIN - a_mp, mp.inf)
+        else:
+            T = wp_real_period(b_mp)
+            k = mp.floor(a_mp / T)
+            cell = (k * T - a_mp + THM1_MARGIN,
+                    (k + 1) * T - a_mp - THM1_MARGIN)
+        G = thm1_G(h)
+        window = [str(g) if mp.isinf(g) else
+                  mp.nstr(thm1_edge(G, g), 25) for g in cell]
+        window = [{"+inf": "inf"}.get(e, e) for e in window]
+        print(f"thm1 h={h} a={a} b={b}: {window}", file=sys.stderr)
+        out.append({"h": h, "a": a, "b": b, "x0": 0.0, "window": window})
+    return out
+
+
+# the parameter sets of tests/test_families_abel.py
+HYPERGEOMETRIC_CASES = [{}, {"gamma": -1.3, "beta": 0.5, "b": 0.2},
+                        {"gamma": 2.0, "beta": 8.0, "z_lo": 0.1,
+                         "z_hi": 0.95}, {"z_hi": 0.999}]
+HYPERGEOMETRIC_AT = (0.1, 0.3, 0.5, 0.7, 0.9)  # of the window, from x_lo
+
+
+def hypergeometric_z():
+    out = []
+    for params in HYPERGEOMETRIC_CASES:
+        p = {k: mp.mpf(v) for k, v in
+             build_family("hypergeometric", **params).parameters.items()}
+        pref = mp.sqrt(2) / (2 * p["gamma"] * p["beta"] ** mp.mpf(0.25))
+
+        def x_of_z(z):
+            return pref * mp.sqrt(z) * mp.hyp2f1(0.5, 0.75, 1.5, z) + p["b"]
+
+        x_lo, x_hi = x_of_z(p["z_lo"]), x_of_z(p["z_hi"])
+        points = []
+        for f in HYPERGEOMETRIC_AT:
+            x = float(x_lo + (x_hi - x_lo) * f)  # a float the test reads at
+            z = mp.findroot(lambda t: x_of_z(t) - x, (p["z_lo"], p["z_hi"]),
+                            solver="anderson")
+            points.append({"x": repr(x), "z": mp.nstr(z, 25)})
+        case = {"params": params,
+                "edges": [{"x": mp.nstr(x_lo, 25), "z": repr(float(p["z_lo"]))},
+                          {"x": mp.nstr(x_hi, 25), "z": repr(float(p["z_hi"]))}],
+                "points": points}
+        print(f"hypergeometric {params}: {case}", file=sys.stderr)
+        out.append(case)
+    return out
+
+
 def main():
-    data = {
-        "about": ("mpmath odefun references at 30 digits for the scan-c "
-                  "benchmark rows and the numeric family; written by "
-                  "tests/reference/record_references.py"),
-        "mpmath": mp.__version__,
-        "dps": mp.mp.dps,
-        "numeric": numeric_family(),
-        "scan": scan_rows(),
-    }
-    with open(OUT, "w") as f:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--profiles", action="store_true",
+                    help="record the integral-defined profiles' section")
+    ap.add_argument("--out", help="the file to write")
+    args = ap.parse_args()
+    if args.profiles:
+        data = {
+            "about": ("mpmath references at 30 digits for the thm1 window "
+                      "edges and the hypergeometric family's z(x); written "
+                      "by tests/reference/record_references.py --profiles"),
+            "mpmath": mp.__version__,
+            "dps": mp.mp.dps,
+            "thm1": thm1_windows(),
+            "hypergeometric": hypergeometric_z(),
+        }
+    else:
+        data = {
+            "about": ("mpmath odefun references at 30 digits for the scan-c "
+                      "benchmark rows and the numeric family; written by "
+                      "tests/reference/record_references.py"),
+            "mpmath": mp.__version__,
+            "dps": mp.mp.dps,
+            "numeric": numeric_family(),
+            "scan": scan_rows(),
+        }
+    with open(args.out or (PROFILES_OUT if args.profiles else OUT), "w") as f:
         json.dump(data, f, indent=1)
         f.write("\n")
 

@@ -322,10 +322,10 @@ def test_hypergeometric_window_reaches_toward_z_one():
     assert run_check("family:hypergeometric", {"z_hi": 0.999}).passed
 
 
-def test_hypergeometric_profile_work_per_evaluation(monkeypatch):
-    # the z(x) solve makes one float 2F1 call per Newton step
-    calls = []
-    series = nearhorizon.hyp2f1
+def test_hypergeometric_profile_work_per_evaluation(monkeypatch, attempts):
+    # the build takes x(z_lo) and x(z_hi) from 2F1 and z(x) from one
+    # dense solve (35 attempted steps); an evaluation calls no 2F1
+    calls, series = [], nearhorizon.hyp2f1
 
     def counted(a, b, c, z):
         calls.append(z)
@@ -333,12 +333,45 @@ def test_hypergeometric_profile_work_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(nearhorizon, "hyp2f1", counted)
     fam = build_family("hypergeometric")
+    assert len(calls) == 2 and not any(isinstance(z, Jet1) for z in calls)
+    assert len(attempts) == 1 and attempts[0] <= 40
     lo, hi, n = GridSpec().resolve_x(fam.window, count=33)
     for x in list(np.linspace(lo, hi, n)) + list(fam.window):
-        calls.clear()
         fam.field(float(x))
-        assert 1 <= len(calls) <= 8
-        assert not any(isinstance(z, Jet1) for z in calls)
+    fam.field.at(np.linspace(*fam.window, 201))
+    assert len(calls) == 2 and len(attempts) == 1
+
+
+# the parameter sets of the hypergeometric family tested here
+HYPERGEOMETRIC_CASES = [params for tag, params in CATALOG_CASES
+                        if tag == "hypergeometric"] + [dict(z_hi=0.999)]
+
+
+def _x_of_z_defect(fam):
+    """max |x(z(x)) - x| over 201 x of the window, z read back from the
+    profile h = (gamma / beta^(1/4)) (1 - z)^(-1/4) and x(z) taken
+    through 2F1."""
+    p = fam.parameters
+    broot = p["beta"] ** 0.25
+    pref = math.sqrt(2.0) / (2.0 * p["gamma"] * broot)
+    xs = np.linspace(*fam.window, 201)
+    z = 1.0 - (p["gamma"] / (broot * fam.field.at(xs).value)) ** 4
+    x_of_z = [pref * math.sqrt(v) * hyp2f1(0.5, 0.75, 1.5, v) + p["b"]
+              for v in z.tolist()]
+    return np.max(np.abs(np.array(x_of_z) - xs))
+
+
+@pytest.mark.parametrize("params", HYPERGEOMETRIC_CASES,
+                         ids=[str(p) for p in HYPERGEOMETRIC_CASES])
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-3])
+def test_hypergeometric_z_solve_inverts_x_of_z(dense_solves, params, scale):
+    # the witness of the dense solve: its z(x) gives back x through the
+    # closed form to 1e-12 (1e-13 at z_hi = 0.999, 3e-14 elsewhere), and
+    # its negative control: dz/dx off by 1e-3 breaks it
+    solves = dense_solves(scale)
+    fam = build_family("hypergeometric", **params)
+    assert len(solves) == 1
+    assert (_x_of_z_defect(fam) <= 1e-12) == (scale == 1.0)
 
 
 def test_detect_period_on_sin():

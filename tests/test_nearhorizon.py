@@ -8,7 +8,9 @@ oracles; the geometry code must reproduce them, not the other way
 around.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    ode4_residual,
                                    reduction_consistency, thm1_F_field,
                                    thm1_structure, weyl_oneform_generic)
+from ewhorizon.odesolve import quad
 from ewhorizon.report import Residual, _rows, _sweep_window
 from ewhorizon.specfun import _pole_free_cell, real_period, wp
 
@@ -364,35 +367,75 @@ def test_thm1_b_zero_single_pole_window():
     assert abs(lo + 0.7) < 1e-8
 
 
+# the six windows of tests/reference/profile_references.json, recorded
+# with mpmath: each edge is a float within 1e-12 max(1, |x|) of its
+# reference (the dense solve of G, at rtol 1e-13, puts them within 3e-15)
+with open(os.path.join(os.path.dirname(__file__), "reference",
+                       "profile_references.json")) as _f:
+    _THM1_REF = json.load(_f)["thm1"]
+
+
 @pytest.mark.parametrize("h, a, b, window", [
-    ("sin", 0.1, 1.0, (0.19933926655458584, 1.98281686926205)),
-    ("one", 0.1, 1.0, (0.19062035960865026, 1.691697081596287)),
-    ("linear", 0.7, 0.0, (-0.3948110289479103, math.inf)),
-    ("sin", 0.5, -1.0, (-0.1993392665545859, 2.7662510551598887)),
-    ("one", 3.0, 1.0, (-math.inf, -0.255771206981556)),
-    ("sin", 2.3, 2.0, (-1.6265851840244356, 0.12590180651395289)),
-])
+    (c["h"], c["a"], c["b"], c["window"]) for c in _THM1_REF])
 def test_thm1_window_edges_are_pinned(h, a, b, window):
-    # reports print the window edges in full, so the march and the
-    # bisection that find them must keep every bit
-    assert thm1_F_field(named_h_field(h), a, b).window == window
+    got = thm1_F_field(named_h_field(h), a, b).window
+    for edge, ref in zip(got, window):
+        want = float(ref)
+        assert type(edge) is float
+        if math.isinf(want):
+            assert edge == want
+        else:
+            assert abs(edge - want) <= 1e-12 * max(1.0, abs(want)), \
+                (edge, ref)
 
 
-def test_thm1_unreached_edges_cost_a_bounded_march(monkeypatch):
-    # h = 1, b = 0, a = 3: G = 2 (e^{x/2} - 1) never reaches -2.7, so
-    # the march runs its full 1000 units
-    evals, quad = [0], nearhorizon.quad
-
-    def counting(f, a, b):
-        def g(t):
-            evals[0] += 1
-            return f(t)
-        return quad(g, a, b)
-
-    monkeypatch.setattr(nearhorizon, "quad", counting)
+def test_thm1_unreached_edges_cost_a_bounded_march(attempts):
+    # h = 1, b = 0, a = 3: G = 2 (e^{x/2} - 1) never reaches -2.7, so the
+    # backward solve runs its full 1000 units (87 attempted steps); the
+    # upper edge is b = 0's infinite one, so nothing runs forward
     F = thm1_F_field(field_one(), a=3.0, b=0.0)
     assert F.window == (-math.inf, math.inf)
-    assert evals[0] <= 50_000
+    assert len(attempts) == 1 and attempts[0] <= 100
+
+
+def test_thm1_infinite_edge_is_integrated_only_as_far_as_reads_need(
+        attempts):
+    # h = x, b = 0, a = 0.7: G' = e^{x^2/4}.  The build solves the
+    # backward side to its edge (30 attempted steps); the verify grid's
+    # x reach 2.9, read from pieces ending at 1, 2 and 4 (26 + 14 + 30)
+    F = thm1_F_field(named_h_field("linear"), a=0.7, b=0.0)
+    assert F.window[1] == math.inf and len(attempts) == 1
+    assert attempts[0] <= 40
+    lo = F.window[0]
+    F.at(np.linspace(lo + 0.3, lo + 3.3, 5))
+    assert len(attempts) == 4 and sum(attempts[1:]) <= 90
+    F.at(np.linspace(lo + 0.3, lo + 3.3, 7))  # covered: nothing more
+    assert len(attempts) == 4
+
+
+def test_thm1_constant_slope_solve_is_bounded(attempts):
+    # h = 0: G' = 1, the constant slope whose DOP853 error estimate is
+    # roundoff, so steps grow about 1.5-fold a step; the forward side
+    # runs to G = 3.66 (42 attempted steps)
+    thm1_F_field(field_zero(), a=0.1, b=1.0)
+    assert len(attempts) == 1 and attempts[0] <= 50
+
+
+@pytest.mark.parametrize("h", ["sin", "one"])
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-3])
+def test_thm1_g_solve_matches_its_quadrature(dense_solves, h, scale):
+    # the witness |G(x) - int_0^x e^{H/2}| <= 1e-11 at 41 x of the
+    # window (3.3e-14 for sin, 7.5e-15 for one), and its negative
+    # control: an rhs off by 1e-3 breaks it
+    solves = dense_solves(scale)
+    hf = named_h_field(h)
+    lo, hi = thm1_F_field(hf, a=0.1, b=1.0).window
+    (solve,) = solves
+    xs = np.linspace(lo, hi, 41)
+    quadrature = [quad(lambda t: math.exp(0.5 * antiderivative(hf, 0.0, t)),
+                       0.0, x) for x in xs.tolist()]
+    worst = max(abs(solve(x) - q) for x, q in zip(xs.tolist(), quadrature))
+    assert (worst <= 1e-11) == (scale == 1.0), worst
 
 
 def test_field_jets_are_shared_and_read_only():

@@ -1,4 +1,5 @@
-"""ODE edges and poles against high-precision references.
+"""ODE edges and poles, and the integral-defined profiles, against
+high-precision references.
 
 `tests/reference/ode_references.json` holds, for the 26 scan-c benchmark
 rows and for the numeric family at three parameter sets, each side's
@@ -31,6 +32,22 @@ edge (tanh c = -0.25), 1.0e-12 relative for a numeric-family edge and
 edge, 2.2e-12 in h for a floor edge (tanh c = -0.5), 1.6e-13 for a
 numeric-family edge and 1.7e-13 for a pole (alpha = 0.5, h1 = 0.3,
 forward).
+
+`tests/reference/profile_references.json` holds, from the same script's
+`--profiles` section (which runs in seconds, and which CI re-records and
+compares), the thm1 window edges and the hypergeometric family's z(x)
+at its window edges and at 5 x inside, at 30 digits.  Both profiles come
+from one DOP853 solve at rtol 1e-13: G' = e^{H/2} for thm1 and
+dz/dx = 2 sqrt(z) (1 - z)^(3/4) / pref for the hypergeometric family.
+
+- a window edge lies within 1e-12 max(1, |x|) of its reference (the thm1
+  edges are checked by `test_thm1_window_edges_are_pinned` in
+  tests/test_nearhorizon.py);
+- z lies within 1e-13 of its reference, read back from the profile
+  h = (gamma / beta^(1/4)) (1 - z)^(-1/4).
+
+Measured when these were added: 2.8e-15 for a thm1 edge, 4.4e-16 for a
+hypergeometric edge and 9.4e-15 for z.
 """
 
 import json
@@ -45,9 +62,15 @@ with open(os.path.join(os.path.dirname(__file__), "reference",
                        "ode_references.json")) as _f:
     _REF = json.load(_f)
 
+with open(os.path.join(os.path.dirname(__file__), "reference",
+                       "profile_references.json")) as _f:
+    _PROFILE_REF = json.load(_f)
+
 _CAP_RTOL = 1e-10
 _FLOOR_H = 1e-11
 _POLE_RTOL = 1e-10
+_EDGE_TOL = 1e-12  # times max(1, |x|)
+_Z_TOL = 1e-13
 
 
 def _assert_edge(got, ref, end, where):
@@ -99,3 +122,21 @@ def test_numeric_family_edges_and_poles_match_the_references(case):
             assert abs(pole - want) <= _POLE_RTOL * abs(want), (name, pole)
         else:
             assert pole is None
+
+
+@pytest.mark.parametrize("case", _PROFILE_REF["hypergeometric"], ids=[
+    json.dumps(c["params"]) for c in _PROFILE_REF["hypergeometric"]])
+def test_hypergeometric_z_matches_the_references(case):
+    fam = build_family("hypergeometric", **case["params"])
+    p = fam.parameters
+    scale = p["gamma"] / p["beta"] ** 0.25
+    edges = [fam.window[0 if p["gamma"] > 0.0 else 1],
+             fam.window[1 if p["gamma"] > 0.0 else 0]]  # x(z_lo), x(z_hi)
+    for got, ref in zip(edges, case["edges"]):
+        want = float(ref["x"])
+        assert abs(got - want) <= _EDGE_TOL * max(1.0, abs(want)), \
+            (got, ref)
+    for x, ref in zip(edges + [float(q["x"]) for q in case["points"]],
+                      case["edges"] + case["points"]):
+        z = 1.0 - (scale / fam.field(x).value) ** 4
+        assert abs(z - float(ref["z"])) <= _Z_TOL, (x, z, ref)

@@ -1087,6 +1087,22 @@ _PLANE_CHECKS = [
 ]
 
 
+def test_no_check_profile_calls_quad(monkeypatch):
+    # the integral-defined profiles (thm1's G, the hypergeometric z) come
+    # from a dense solve, and every named h has an exact integral: no
+    # check the benchmark runs builds or reads a profile by quadrature
+    def no_quad(f, a, b):
+        raise AssertionError(f"quad on [{a!r}, {b!r}]")
+
+    monkeypatch.setattr(nearhorizon, "quad", no_quad)
+    for check, params in _PLANE_CHECKS + [
+            *[(f"family:{tag}", {}) for tag in nearhorizon._FAMILIES],
+            *[("chalf-Fode", {"h": h}) for h in ("zero", "sin", "linear")]]:
+        run_check(check, params)
+    for check, params in _SWEEP_1D:
+        export_plot(check, params, samples=200)
+
+
 def test_profiles_are_called_at_float_x_only(monkeypatch):
     # a field answers a call at one float x; an array goes through `at`.
     # Outside-in tracers count profile calls by x in a set, which an
@@ -1192,11 +1208,14 @@ def test_plane_batch_equals_its_points_bit_for_bit(check, params, grid):
 # located on a trial step's dense output (its edges moved by 1.5e-15),
 # when the DOPRI step came to sum its tableau in Python floats, and when
 # the step became DOP853's (its x axis moved by 9.2e-13, and its worst
-# residual fell from 1.2e-13 to 2.8e-14)
+# residual fell from 1.2e-13 to 2.8e-14); the three thm1 cases
+# re-recorded when G came from one dense solve instead of a quadrature
+# per x (their residuals moved by at most 8.9e-15 at h = 0, 2.6e-13 at
+# h = sin and 2.7e-12 of 23.58 in the perturbed control)
 _POINT_DIGESTS = [
-    "ef8b693551f24437acc3b80aabdde25683dc3c9489a8b3ca72236e9dd35d1da1",
-    "3ad23cf4ea0f864b6a99d2f40cdf291c10d8e396481581cdda9a5347505863eb",
-    "3de795fd874e3d7b34bf44fb05580fd9f921deed77a1900fd04cd935e2ad22ac",
+    "6565bbb5d00324a8696e68ad544c0e456785f0e609e29d7370464011534de5ee",
+    "0cba17f5acfcd1b8424f9a0166738da77da167137f13f960271fbe088340e3be",
+    "34e9a92a52bc9c6e1aa76a26e498225ccb06cd34374aeab0343ef0d228c9e364",
     "6da2b91f53b4e3e0578d7a9c256880c9b35d9afbccd2c55405acabfdb0bc1361",
     "9af8df8cfa488e82fd46ccf42a16b77f26b45f9aeecbb8a7e10bd651fc5112c3",
     "96818e724abbc8b1b7451662f81029d06132413463081ea3d48c0d60da41886c",
@@ -1414,10 +1433,13 @@ def test_batched_run_check_equals_the_per_point_path(monkeypatch, check,
 # sha256 of each sweep-1d CSV as `ewh export-plot` writes it, recorded
 # before sweeps were batched; re-recorded when the residual cell became
 # the largest reported component (80 cells of thm1 sin, both thm2-ode
-# sweeps, prop1-iff and prop4 fell)
+# sweeps, prop1-iff and prop4 fell); both thm1 sweeps re-recorded when G
+# came from one dense solve (the largest change in a printed number:
+# 2.8e-14 at h = 0, and one unit in the 12th digit of an F cell at
+# h = sin, 15.5256294243 to 15.5256294242)
 _SWEEP_1D_SHA256 = [
-    "0bab6d513b686a81f463542ffa97c988b888e164de8f233e5b93fe58b8c0d78e",
-    "b0fea7cd80b68dc08acfb192e3dbbe93b4bc3a18d22ab7ca60aa80b9fc50a58a",
+    "effc03dfff29ee865ddfed1f302611c3a8bf78047600ba26e725137b279fe507",
+    "929c956e0198546d01d17f75437c941feafcdb352a29a932a48a8d53f9852049",
     "265a37d403c740a51000aa8a7ebc45d08f94638068d7e5243615c712af0ed153",
     "5e571ad5688bd4d50817cf12e5a543581012b900608956442e03803c3fc997d8",
     "7e211d5def1f9beddddd552f9f79e4ac9b3491d46af06e5034bfb20a9adb6c32",
@@ -1527,7 +1549,12 @@ _X_ONLY_CASES = [
 # (its edges moved by 1.5e-15), when the DOPRI step came to sum its
 # tableau in Python floats, and when the step became DOP853's (cases 8,
 # 19 and 21, the numeric family: the last moved its edges by 1.3e-12,
-# and its ode4 residuals stay below 1.4e-16)
+# and its ode4 residuals stay below 1.4e-16); the hypergeometric and
+# chalf-Fode cases (7, 9-13, 18, 22 and 23) re-recorded when z(x) and
+# thm1's G came from one dense solve each: the largest change in a
+# printed number is 9.1e-13 (a chalf-Fode h = 1 residual), the window
+# edges in the texts of cases 22 and 23 moved by 2.0e-15 and the
+# hypergeometric residuals by at most 3.4e-14
 _X_ONLY_SHA256 = [
     "0c3f8fd26c6ec90df49f6806414b8a2b4e68928956d0cf16fee4822dbe2d11da",
     "28be916c6e58ceb2718db493737cdfeed684b5552a3c611ba00797f760aa5b27",
@@ -1536,31 +1563,34 @@ _X_ONLY_SHA256 = [
     "63de63d8fe29b3d7931c042ee94010ea58ed3e15f8333e46280cbc03dc699047",
     "2920d8bdbdac086a560b7daf3367d1f3554d2553ec34c7d0fa94d04055e9303d",
     "f1625f40de7d33c6bc908b913fb880bf2df0c86cf847175365509e0fcc93c4b9",
-    "b6163edd86797bf27869b0962fd09e3c37f05c426a388f9b97b6955bf698621a",
+    "337157d85909a3b9b7653f5e973d50cf65440b8deb6d3c2f63f935ebec81429d",
     "b255d2a0d2d30045928fbb6407596e9a85041ddf05a8ebe80e05ad9fbc793da6",
-    "42a1c3b94f2089b7bd5b510f598e77e1ef787b77bc277d7154e23aeb56739cb3",
-    "fde52ddacfc716262dc17cc6b0de48a4d3ba6d0dc8579a9d746991b7eb1a8392",
-    "e07b365ac8e1974e8f6da0d5e21e34be25ee44e7a5de92df7f1e01803dfd3f0c",
-    "9ba8549e229cf39c15f0fcdce0eca1e0d2ef22f50981c79e42e322159b9ca905",
-    "dc93af6450f0329b5cb190697c16a24147de12d42394d1c511fd00fd439bc565",
+    "6c4e40869e2d7f2dfd4c620d9b42b310d12de611bd1fc7fca65448bd0fadfabb",
+    "13c8469e4ead1abf1ccc04ccd50189abd5f314b871ed648afc20008e782c4a90",
+    "391644dc32b10a6c97af68d30e6a921bc5e729e390b01dfe4e7edba055512d09",
+    "23d13d2edb3feffe2cbf8e20e7d74053124ddb48687f5feb0d19eb3b0c47ba39",
+    "31d84e266498439238119dc7e3456ce9ddc6c6c1157ad9a15e863f572a3698ac",
     "75b2c6ce8ab85009738363ebab1a4d2c2339b1c27aa57cb68a62ef23af804e21",
     "efa9fadb835336c98cd873ffcad21f39d2b171146a9bcf73733c076e13c755c0",
     "19f711d7b41fd4f65d6e4a83456d7d77f266bab96d53695a6a3a4f77ac25854d",
     "c09f3af3b8e48576b0025ad08b0848e4382abdea5bbec8e9c2379bb99bdf9735",
-    "7f04920b2e05aac20a0997cd24acff23740ecf6778063711ef19353d7350e72f",
+    "d44ae8d4d332490273475d4153d2f5656a8261b9d399603292debb7d3e047f21",
     "73c8b0de1d95e51583d008e53476b60d37dd4184eeb48679d797287208504972",
     "f4318e86ef1ce9507c644f4bcf1f18a5e0233588391ee77f2b2574e5b62b4926",
     "eca4ad2ebe25714822058e28b00029d4e1546100a8fd57bf6f2edc848cf97b88",
-    "a90d56424e771acaf25021795fd0384a12f58fcbaa32a708d35c7dfb0a0224f6",
-    "c8981417f7544b3985b79e45bf7dcef561094994de8c280f328f5b8f0ac4e057",
+    "94e07a8ee2a65da8b27dcb4faae04fe0a0de0c8ac3f8e305a244c71df727848a",
+    "4435019967cb96cc18fe50ef536e7d241b6088fae9f0aed2ff6872b83c55b26d",
 ]
 
-# the per-x sweeps, and the sha256 of the CSV each writes at 200 samples
+# the per-x sweeps, and the sha256 of the CSV each writes at 200 samples;
+# chalf-Fode and family:hypergeometric re-recorded when thm1's G and z(x)
+# came from one dense solve each (the largest change in a printed
+# number: one unit in the 12th digit of an F cell, and 2.5e-15)
 _X_SWEEPS = ["chalf-Fode", "family:tanh", "family:hypergeometric"]
 _X_SWEEP_SHA256 = [
-    "fe6440372d0c38094b296466790d710aa098848223e883ee494d9befb26cb3bb",
+    "b6c5d6eb32d0af45ed1afba61441a8fd104b0d6af90a07fd133a05f6179c6af8",
     "d4b3e53927cd118e0d6115d619121334dcd7e9b81c4fc38ea89b42955d33e2d5",
-    "daee888648ac2b8dfba65a9552647afbf19592d2e5ed10f4e16e2cbce892d41e",
+    "09155c37b56106b7107ba474df06fa15deea408a1555c7d33f6c6171e834bd92",
 ]
 
 
