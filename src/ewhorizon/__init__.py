@@ -2,9 +2,10 @@
 three-dimensional near-horizon metrics.
 
 The package evaluates geometric residuals (Einstein-Weyl, Cotton,
-dispersionless-KP, hyperCR) with order-4 truncated Taylor arithmetic,
-so every reported residual is an exact algebraic combination of jet
-coefficients rather than a finite-difference estimate.  The `ewh`
+dispersionless-KP, hyperCR) with truncated Taylor arithmetic to order 4,
+each residual's jets built to the orders it reads, so every reported
+residual is an exact algebraic combination of jet coefficients rather
+than a finite-difference estimate.  The `ewh`
 command line drives the named checks and emits deterministic reports.
 """
 

@@ -1,10 +1,15 @@
 """Curvature and Einstein-Weyl residuals for 3-metrics in (nu, r, x).
 
 Metric and 1-form components are supplied as functions of a Point
-returning Jet3 values; the jets carry exact partial derivatives to
-order 4, and everything here (Christoffel symbols, Ricci, Schouten,
-Cotton, the trace-free Einstein-Weyl residual) is assembled from those
-numeric partials with plain numpy contractions.
+returning Jet3 values; the jets carry exact partial derivatives to the
+order of the point they are taken at, and everything here (Christoffel
+symbols, Ricci, Schouten, Cotton, the trace-free Einstein-Weyl residual)
+is assembled from those numeric partials with plain numpy contractions.
+Each residual asks for the orders it reads: the Einstein-Weyl residual
+for the metric at order 2 and the 1-form at order 1, Cotton for the
+metric at order 3.  Jets of a higher order are cut to it, bit for bit
+the same, and a field that gives fewer is evaluated again at order 4
+(`jets.jets_to`).
 
 Every function takes either one Point or a PointBatch of B points, at
 one x or each at its own, and assembles in one layout: a trailing batch
@@ -39,13 +44,16 @@ is tested through its trace-free part, which eliminates Lambda.
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .jets import AXES, PointBatch, stacked_partials
+from .jets import (_COUNT, _WORK_COLS, AXES, ORDER, PointBatch, jets_to,
+                   stacked_partials)
 
 _DET_FLOOR = 1e-12
 
@@ -88,15 +96,15 @@ class OneFormField:
         return list(self.components(p))
 
 
-def _coeffs(jets, shape, batch, order):
-    """Taylor coefficients of `jets` up to total order `order`, a flat
-    list in the C order of `shape`, as one (n, *shape, *batch) array;
-    unbatched jets (a Point's, or x-only ones over a batch) are repeated
-    for every point."""
-    # MULTI_INDICES lists the orders up to `order` first, n of them
-    n = (order + 1) * (order + 2) * (order + 3) // 6
-    c = np.broadcast_arrays(*[j.coeffs[:n] if j.coeffs.ndim > 1
-                              else j.coeffs[:n, None] for j in jets])
+def _coeffs(jets, shape, batch, order, lowest=0):
+    """Taylor coefficients of `jets` of total orders `lowest` to `order`,
+    a flat list in the C order of `shape`, as one (n, *shape, *batch)
+    array; unbatched jets (a Point's, or x-only ones over a batch) are
+    repeated for every point, and jets of a higher order cut to `order`."""
+    # MULTI_INDICES lists the coefficients by total order
+    first, n = _COUNT[lowest - 1] if lowest else 0, _COUNT[order]
+    c = np.broadcast_arrays(*[j.coeffs[first:n] if j.coeffs.ndim > 1
+                              else j.coeffs[first:n, None] for j in jets])
     c = np.array(c).reshape(shape + (-1,) + batch)
     k = len(shape)
     return c.transpose((k,) + tuple(range(k)) + tuple(range(k + 1, c.ndim)))
@@ -116,9 +124,28 @@ def _transposed(spec, a):
 
 
 # The most products per point a contraction forms at once: the size of
-# gamma2, the largest array the assembly keeps.  A smaller cap means more
+# gamma2, the largest array the assembly keeps, and the size per point of
+# each slot of the workspace (`_scratch`).  A smaller cap means more
 # chunks: 81 made Cotton about 40% slower at B = 50 on a 2-vCPU Xeon.
 _TERMS_CAP = 3 ** 5
+_threads = threading.local()
+
+
+def _scratch(slot, shape):
+    """An array of `shape`, the batch axis last and at most _TERMS_CAP
+    numbers per point, in slot `slot` of the thread's workspace: 0 for a
+    contraction's products (`_contract`), 1 and 2 for the two 5-index
+    arrays Cotton sums (gamma2 and s2).  Each slot holds up to
+    jets._WORK_COLS points (a grid walker's batch); past that the array
+    is fresh.  The workspace is 746 KB, allocated once per thread:
+    arrays that size, fresh, pass glibc's 128 KiB mmap threshold, and
+    Cotton took hundreds of page faults per assembly."""
+    if shape[-1] > _WORK_COLS:
+        return np.empty(shape)
+    work = getattr(_threads, "work", None)
+    if work is None:
+        work = _threads.work = np.empty((3, _TERMS_CAP * _WORK_COLS))
+    return work[slot, :math.prod(shape)].reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -159,14 +186,18 @@ def _plan(spec):
     return tuple(views), tuple(chunks), (3,) * (len(order) - split), len(out)
 
 
-def _contract(spec, *ops):
+def _contract(spec, *ops, out=None, add=False):
     """np.einsum(spec, *ops) for batch-last operands (spec names their
-    other axes), bit for bit, in the module's summation order.  The
-    terms of a chunk of the output are formed as one C-ordered product,
-    its leading axes the summed indices, and np.add.reduce adds its rows
-    one after another from +0.0 (so -0.0 terms sum to +0.0, as in
-    np.einsum, even a lone one).  Like np.einsum, it warns of no
-    overflow or invalid value."""
+    other axes), bit for bit, in the module's summation order: into the
+    C-ordered array `out` if given, added to it in place with `add`
+    (rounded as out + np.einsum(spec, *ops)).  The terms of a chunk of
+    the output are formed as one C-ordered product in slot 0 of the
+    workspace (`_scratch`), its leading axes the summed indices, the
+    operands multiplied into it left to right, and np.add.reduce adds
+    its rows one after another from +0.0 (so -0.0 terms sum to +0.0, as
+    in np.einsum, even a lone one).  Like np.einsum, it warns of no
+    overflow or invalid value.  A contraction calls nothing that could
+    re-enter it."""
     views, chunks, chunk_shape, n_out = _plan(spec)
     prepared = []
     for op, (diagonals, perm, expand) in zip(ops, views):
@@ -174,20 +205,25 @@ def _contract(spec, *ops):
             op = op.diagonal(0, i, j)
         prepared.append(op.transpose(perm)[expand])
     batch = ops[0].shape[-1:]
-    acc = np.empty((3,) * n_out + batch)
+    acc = np.empty((3,) * n_out + batch) if out is None else out
     rows = acc.reshape(len(chunks), -1)
-    terms = np.empty(chunk_shape + batch)
+    terms = _scratch(0, chunk_shape + batch)
     flat = terms.reshape(-1, rows.shape[1])
+    total = np.empty(rows.shape[1]) if add else None
     with np.errstate(over="ignore", invalid="ignore"):
         for row, idx in zip(rows, chunks):
-            t = prepared[0][idx[0]]
-            for v, i in zip(prepared[1:-1], idx[1:-1]):
-                t = t * v[i]
             if len(prepared) == 1:
-                np.copyto(terms, t)
+                np.copyto(terms, prepared[0][idx[0]])
             else:
-                np.multiply(t, prepared[-1][idx[-1]], out=terms)
-            np.add.reduce(flat, axis=0, initial=0.0, out=row)
+                np.multiply(prepared[0][idx[0]], prepared[1][idx[1]],
+                            out=terms)
+            for v, i in zip(prepared[2:], idx[2:]):
+                np.multiply(terms, v[i], out=terms)
+            if total is None:
+                np.add.reduce(flat, axis=0, initial=0.0, out=row)
+            else:
+                np.add.reduce(flat, axis=0, initial=0.0, out=total)
+                row += total
     return acc
 
 
@@ -218,16 +254,21 @@ class _Assembly:
 
     Every array carries the batch axis last (length 1 for a Point), and
     every contraction is an explicit sum over it (_contract, _sum_bd).
+    The metric's jets are built to total order 2 for the Einstein-Weyl
+    residual and 3 for Cotton, which reads the third order on demand.
     """
 
     __slots__ = ("batch", "g0", "g1", "g2", "ginv0", "ginv1", "s0", "s1",
-                 "gamma0", "gamma1", "ric0", "scal0", "p0", "_coeffs")
+                 "gamma0", "gamma1", "ric0", "scal0", "p0", "_coeffs", "_jets")
 
     def __init__(self, g_jets, batch, label=""):
         self.batch = batch
-        # gN[d1..dN, a, b, :] is d_d1 ... d_dN g_ab; Cotton reads N <= 3
-        self._coeffs = _coeffs([g for row in g_jets for g in row], (3, 3),
-                               batch, 3)
+        # gN[d1..dN, a, b, :] is d_d1 ... d_dN g_ab; N = 3 is read from
+        # the jets apart, as two arrays of 90 numbers per point stay
+        # below glibc's 128 KiB mmap threshold at a walker's batch where
+        # one of 180 would pass it (and be page-faulted in on every Cotton)
+        self._jets = g_jets
+        self._coeffs = _coeffs(g_jets, (3, 3), batch, 2)
         self.g0 = stacked_partials(self._coeffs, 0)
         # a NaN entry makes det and inverse NaN (and the residual NaN,
         # which fails the check), not a warning
@@ -266,23 +307,31 @@ class _Assembly:
         """C_abc; needs third metric partials, extracted on demand.
         gamma2, the largest array, is summed in place (+= then *= 0.5
         rounds as 0.5 * (A + B + C + D) does), and the arrays only it
-        reads are dropped once read."""
+        reads are dropped once read; gamma2, s2 and g3 live in the
+        workspace (`_scratch`), so nothing returned may view them."""
         ginv2 = -(_contract("cae,deh,hb->cdab", self.ginv1, self.g1,
                             self.ginv0)
                   + _contract("ae,cdeh,hb->cdab", self.ginv0, self.g2,
                               self.ginv0)
                   + _contract("ae,deh,chb->cdab", self.ginv0, self.g1,
                               self.ginv1))
-        gamma2 = _contract("fead,dbc->feabc", ginv2, self.s0)
+        five = (3,) * 5 + self.batch
+        gamma2 = _contract("fead,dbc->feabc", ginv2, self.s0,
+                           out=_scratch(1, five))
         del ginv2
-        gamma2 += _contract("ead,fdbc->feabc", self.ginv1, self.s1)
-        gamma2 += _contract("fad,edbc->feabc", self.ginv1, self.s1)
-        g3 = stacked_partials(self._coeffs, 3)
-        s2 = _transposed("febdc->fedbc", g3) + _transposed("fecdb->fedbc",
-                                                           g3)
+        _contract("ead,fdbc->feabc", self.ginv1, self.s1, out=gamma2,
+                  add=True)
+        _contract("fad,edbc->feabc", self.ginv1, self.s1, out=gamma2,
+                  add=True)
+        # g3 borrows the products' slot, which no contraction uses
+        # until s2 is formed
+        g3 = stacked_partials(_coeffs(self._jets, (3, 3), self.batch, 3, 3),
+                              3, out=_scratch(0, five), first=_COUNT[2])
+        s2 = np.add(_transposed("febdc->fedbc", g3),
+                    _transposed("fecdb->fedbc", g3), out=_scratch(2, five))
         s2 -= g3
         del g3
-        gamma2 += _contract("ad,fedbc->feabc", self.ginv0, s2)
+        _contract("ad,fedbc->feabc", self.ginv0, s2, out=gamma2, add=True)
         del s2
         gamma2 *= 0.5
 
@@ -303,14 +352,17 @@ class _Assembly:
                 + _contract("eba,ec->abc", self.gamma0, self.p0))
 
 
-def _assemble(g: MetricField, p) -> _Assembly:
+def _assemble(g: MetricField, p, order) -> _Assembly:
+    """The assembly of g at p, its jets built to total order `order`."""
     batch = (p.size,) if isinstance(p, PointBatch) else (1,)
-    return _Assembly(g.jets(p), batch, g.label)
+    jets = jets_to(lambda q: [c for row in g.jets(q) for c in row], p,
+                   order)
+    return _Assembly(jets, batch, g.label)
 
 
 def cotton(g: MetricField, p) -> np.ndarray:
     """Cotton tensor C_abc = nabla_c P_ab - nabla_b P_ac at p."""
-    return _result(_assemble(g, p).cotton(), p)
+    return _result(_assemble(g, p, 3).cotton(), p)
 
 
 def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
@@ -320,8 +372,8 @@ def ew_residual(g: MetricField, X: OneFormField, p) -> np.ndarray:
     Einstein-Weyl condition; projecting out the g-trace removes the
     Lambda term.
     """
-    asm = _assemble(g, p)
-    coeffs = _coeffs(X.jets(p), (3,), asm.batch, 1)
+    asm = _assemble(g, p, 2)
+    coeffs = _coeffs(jets_to(X.jets, p, 1), (3,), asm.batch, 1)
     # x1[a, b, :] = d_a X_b
     x0, x1 = stacked_partials(coeffs, 0), stacked_partials(coeffs, 1)
     covsym = (0.5 * (x1 + x1.swapaxes(0, 1))
@@ -348,7 +400,7 @@ def conformal_rescale(g: MetricField, X: OneFormField, ln_omega):
         return out
 
     def new_oneform(p):
-        u = ln_omega(p)
+        u = ln_omega(p.at_order(min(p.order + 1, ORDER)))  # u.d spends one
         x = X.jets(p)
         return [x[a] + u.d(a) for a in range(3)]
 

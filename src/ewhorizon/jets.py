@@ -20,6 +20,14 @@ order, as the jet at that single point, so a batch equals the stack of
 its points bit for bit.  The Jet3 product and `d` take one batched form,
 a Point's jet being a batch of one to them.
 
+A Point or PointBatch carries `order`, the total order k to which the
+Jet3s taken at it are built: ORDER unless a consumer that reads fewer
+asks for them (`at_order`).  A Jet3 of order k holds the first
+_COUNT[k] coefficients (1, 4, 10, 20 or 35), bit for bit those of the
+order-4 jet, and its product takes only the pairs that land at orders
+up to k; an operation on jets of two orders truncates to the lower.
+The constructor and `constant` build order 4.
+
 A Jet1 has coefficients of shape (5,) at one x or (5, B) at B of them.
 The scalar Jet1 product is `np.convolve`; the batched one reproduces it
 column for column (recipe in `_convolve_columns`, pinned by
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,38 +56,58 @@ _FACT = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
 AXES = ("nu", "r", "x")
 
 
+def _check_order(order):
+    if order not in range(ORDER + 1):
+        raise ValueError(f"jet order must be an integer from 0 to {ORDER}, "
+                         f"got {order!r}")
+
+
+class _Points:
+    """What Point and PointBatch share: `order`, the total order to which
+    the jets taken at them are built."""
+
+    def __getitem__(self, axis):
+        return (self.nu, self.r, self.x)[axis]
+
+    def at_order(self, order):
+        """The same points, their jets built to total order `order`."""
+        return self if order == self.order else replace(self, order=order)
+
+
 @dataclass(frozen=True)
-class Point:
-    """Coordinate triple (nu, r, x)."""
+class Point(_Points):
+    """Coordinate triple (nu, r, x); jets taken at it are built to total
+    order `order` (ORDER unless a consumer asks for fewer)."""
 
     nu: float
     r: float
     x: float
+    order: int = ORDER
 
     def __post_init__(self):
         for name in ("nu", "r", "x"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
-
-    def __getitem__(self, axis):
-        return (self.nu, self.r, self.x)[axis]
+        _check_order(self.order)
 
     def shifted(self, axis, dt):
         c = [self.nu, self.r, self.x]
         c[axis] += dt
-        return Point(*c)
+        return Point(*c, self.order)
 
 
 @dataclass(frozen=True)
-class PointBatch:
+class PointBatch(_Points):
     """B points (nu[k], r[k], x[k]); nu and r are arrays of shape (B,),
     and x is either one float the points share or an array of shape
-    (B,).  Jets taken at a batch carry a trailing batch axis."""
+    (B,).  Jets taken at a batch carry a trailing batch axis, and are
+    built to total order `order`, as at a Point."""
 
     nu: np.ndarray
     r: np.ndarray
     x: object
+    order: int = ORDER
 
     def __post_init__(self):
         nu, r, x = (np.asarray(v, dtype=float)
@@ -92,6 +120,7 @@ class PointBatch:
         for name, v in (("nu", nu), ("r", r), ("x", x)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
+        _check_order(self.order)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "r", r)
         if x.ndim:
@@ -101,14 +130,11 @@ class PointBatch:
     def size(self) -> int:
         return len(self.nu)
 
-    def __getitem__(self, axis):
-        return (self.nu, self.r, self.x)[axis]
-
     def points(self):
         """The batch's points, in column order."""
         x = self.x
         xs = x.tolist() if isinstance(x, np.ndarray) else [x] * self.size
-        return [Point(nu, r, x)
+        return [Point(nu, r, x, self.order)
                 for nu, r, x in zip(self.nu.tolist(), self.r.tolist(), xs)]
 
 
@@ -124,21 +150,35 @@ def _build_multi_indices():
 MULTI_INDICES = _build_multi_indices()
 INDEX3 = {mi: n for n, mi in enumerate(MULTI_INDICES)}
 N3 = len(MULTI_INDICES)
+# _COUNT[k]: coefficients of the orders up to k, which MULTI_INDICES
+# lists first (1, 4, 10, 20, 35); a jet built to order k has _COUNT[k]
+_COUNT = tuple(sum(sum(mi) <= k for mi in MULTI_INDICES)
+               for k in range(ORDER + 1))
 
 
 def _build_mul_table():
-    ia, ib, it = [], [], []
+    """The pairs (a, b) of coefficients whose product lands at a target t
+    of total order <= ORDER, listed by the order of t and within it in
+    (a, b) order: the pairs of an order-k product are the table's first
+    _PAIRS[_COUNT[k]], and each target's pairs come in the same order
+    at every k."""
+    by_order = [[] for _ in range(ORDER + 1)]
     for na, a in enumerate(MULTI_INDICES):
         for nb, b in enumerate(MULTI_INDICES):
             t = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
             if sum(t) <= ORDER:
-                ia.append(na)
-                ib.append(nb)
-                it.append(INDEX3[t])
-    return np.asarray(ia), np.asarray(ib), np.asarray(it)
+                by_order[sum(t)].append((na, nb, INDEX3[t]))
+    table, ends = [], {}
+    for total, rows in enumerate(by_order):
+        table += rows
+        ends[_COUNT[total]] = len(table)
+    ia, ib, it = np.asarray(table).T.copy()
+    return ia, ib, it, ends
 
 
-_MUL_A, _MUL_B, _MUL_T = _build_mul_table()
+# _PAIRS[n]: how many pairs the product of n-coefficient jets takes
+# (1, 7, 28, 84, 210)
+_MUL_A, _MUL_B, _MUL_T, _PAIRS = _build_mul_table()
 
 
 def _build_deriv_tables():
@@ -191,13 +231,36 @@ def _build_partial_tables():
 _PARTIAL_TABLES = _build_partial_tables()
 
 
-def stacked_partials(coeffs, order):
-    """Every partial of total `order` of jets whose coefficients are
-    stacked along the first axis of `coeffs`:
-    out[a1, ..., ak, *rest] = d_a1 ... d_ak of the jet at coeffs[:, *rest].
-    Entry for entry, the same product as Jet3.partial."""
+def stacked_partials(coeffs, order, out=None, first=0):
+    """Every partial of total `order` of jets whose coefficients, from
+    the `first`, are stacked along the first axis of `coeffs`:
+    out[a1, ..., ak, *rest] = d_a1 ... d_ak of the jet at coeffs[:, *rest],
+    in a fresh array or in `out`.  Entry for entry, the same product as
+    Jet3.partial."""
     pos, fac = _PARTIAL_TABLES[order]
-    return coeffs[pos] * _along_orders(fac, coeffs.ndim)
+    out = np.take(coeffs, pos - first, axis=0, out=out, mode="clip")
+    out *= _along_orders(fac, coeffs.ndim)
+    return out
+
+
+class _OrderSpent(ValueError):
+    """A derivative of a jet of order 0, which carries none."""
+
+
+def jets_to(evaluate, p, order):
+    """evaluate(q), a list of Jet3, at the points of p with their jets
+    built to total order `order`: the order a consumer reads.  Where a
+    jet comes back below it, or the evaluation differentiates a jet of
+    order 0 (an evaluator that differentiates the jets of the order it
+    is given), the list is evaluated again at order ORDER, where
+    differentiating keeps the order."""
+    try:
+        jets = evaluate(p.at_order(order))
+        if all(len(j.coeffs) >= _COUNT[order] for j in jets):
+            return jets
+    except _OrderSpent:
+        pass
+    return evaluate(p.at_order(ORDER))
 
 
 # Derivative tables for elementary functions: (f, f', f'', f''', f'''') at v.
@@ -291,10 +354,16 @@ def per_x(fn, x, *args):
     return np.array(out).T
 
 
-def _lift(a, b):
-    """Coefficient arrays `a` and `b` of which one has a batch axis, the
-    other given a trailing batch axis of length 1."""
-    return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
+def _operands(a, b):
+    """Coefficient arrays `a` and `b` on one layout: the longer cut to the
+    orders of the other, and, where one has a batch axis and the other
+    none, the other given a trailing batch axis of length 1."""
+    if len(a) != len(b):
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
+    if a.ndim != b.ndim:
+        return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
+    return a, b
 
 
 def _lifted(c, v):
@@ -363,8 +432,8 @@ class _JetBase:
     def __add__(self, other):
         if isinstance(other, type(self)):
             a, b = self.coeffs, other.coeffs
-            if a.ndim != b.ndim:
-                a, b = _lift(a, b)
+            if a.shape != b.shape:
+                a, b = _operands(a, b)
             return type(self)._raw(a + b)
         if isinstance(other, (int, float, np.ndarray)):
             return self._offset(self.coeffs, other)
@@ -378,8 +447,8 @@ class _JetBase:
     def __sub__(self, other):
         if isinstance(other, type(self)):
             a, b = self.coeffs, other.coeffs
-            if a.ndim != b.ndim:
-                a, b = _lift(a, b)
+            if a.shape != b.shape:
+                a, b = _operands(a, b)
             return type(self)._raw(a - b)
         if isinstance(other, (int, float, np.ndarray)):
             return self._offset(self.coeffs, -other)
@@ -393,8 +462,8 @@ class _JetBase:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             a, b = self.coeffs, other.coeffs
-            if a.ndim != b.ndim:
-                a, b = _lift(a, b)
+            if a.shape != b.shape:
+                a, b = _operands(a, b)
             return type(self)._raw(self._mul_coeffs(a, b))
         if isinstance(other, (int, float, np.ndarray)):
             return type(self)._raw(_lifted(self.coeffs, other) * other)
@@ -591,37 +660,44 @@ class Jet3(_JetBase):
     @classmethod
     def variable(cls, p, axis):
         """Jet of the coordinate function p[axis] (batched when p[axis]
-        is an array)."""
-        v = p[axis]
-        c = np.zeros((N3,) + v.shape if isinstance(v, np.ndarray) else N3)
+        is an array), built to the order of p."""
+        v, n = p[axis], _COUNT[p.order]
+        c = np.zeros((n,) + v.shape if isinstance(v, np.ndarray) else n)
         c[0] = v
-        c[_UNIT_POS[axis]] = 1.0
+        if n > 1:
+            c[_UNIT_POS[axis]] = 1.0
         return cls._raw(c)
 
     @classmethod
-    def from_axis_jet(cls, jet1, axis):
-        """Lift a Jet1 (or a stack of them) to a Jet3 that depends on a
-        single coordinate."""
+    def from_axis_jet(cls, jet1, axis, order=ORDER):
+        """Lift a Jet1 (or a stack of them) to a Jet3 of total order
+        `order` that depends on a single coordinate."""
         a = jet1.coeffs
-        c = np.zeros((N3,) + a.shape[1:])
-        c[_AXIS_POS[axis]] = a
+        c = np.zeros((_COUNT[order],) + a.shape[1:])
+        c[_AXIS_POS[axis][:order + 1]] = a[:order + 1]
         return cls._raw(c)
 
     @staticmethod
     def _mul_coeffs(a, b):
-        """np.bincount(targets, a[_MUL_A] * b[_MUL_B]) with the gathered
-        operands in the thread's workspace (`_workspace`), not in fresh
-        arrays; the product is formed in place in the wider one.  A
-        product is not re-entrant on one thread, and calls nothing that
-        could re-enter it; the package starts no threads."""
+        """np.bincount(targets, a[_MUL_A] * b[_MUL_B]) over the table's
+        pairs of the operands' order (their coefficient count), with the
+        gathered operands in the thread's workspace (`_workspace`), not
+        in fresh arrays; the product is formed in place in the wider
+        one.  A product is not re-entrant on one thread, and calls
+        nothing that could re-enter it; the package starts no threads."""
         # np.bincount adds each bin's weights in table order, so a batch
-        # column sums exactly as the single jet (a batch of one) does
-        batch = max(a[0].size, b[0].size)
+        # column sums exactly as the single jet (a batch of one) does,
+        # and a jet of a lower order sums each of its targets exactly as
+        # the order-4 product does
+        n, batch = len(a), max(a[0].size, b[0].size)
+        pairs = _PAIRS[n]
         wa, wb = _workspace(batch)
-        ga, gb = _gather(a, _MUL_A, wa), _gather(b, _MUL_B, wb)
+        ga = _gather(a, _MUL_A[:pairs], wa)
+        gb = _gather(b, _MUL_B[:pairs], wb)
         p = np.multiply(ga, gb, out=gb if gb[0].size == batch else ga)
-        return np.bincount(_mul_targets(batch), weights=p.ravel(),
-                           minlength=N3 * batch).reshape((N3,) + p.shape[1:])
+        return np.bincount(_mul_targets(batch)[:pairs * batch],
+                           weights=p.ravel(), minlength=n * batch
+                           ).reshape((n,) + p.shape[1:])
 
     def partial(self, i, j=None, k=None):
         """Partial derivative value for the multi-index (i, j, k): a
@@ -634,12 +710,19 @@ class Jet3(_JetBase):
     def d(self, axis):
         """Jet of the partial derivative along `axis`.
 
-        Coefficients of total order 4 in the result would need order-5
-        information and are set to 0; lower orders are exact.
+        The result's top order would need one order more than the jet
+        carries: at order 4 its coefficients are set to 0, and a jet of
+        a lower order k gives one of order k - 1.  Every order kept is
+        exact.
         """
         c = self.coeffs
-        return Jet3._raw(c[_D_SRC[axis]]
-                         * _along_orders(_D_FAC[axis], c.ndim))
+        n = len(c)
+        if n < N3:
+            if n == 1:
+                raise _OrderSpent("an order-0 jet has no derivative")
+            n = _COUNT[_COUNT.index(n) - 1]
+        return Jet3._raw(c[_D_SRC[axis][:n]]
+                         * _along_orders(_D_FAC[axis][:n], c.ndim))
 
 
 # Finite-difference oracle.  Central stencils of O(step^2) accuracy with one

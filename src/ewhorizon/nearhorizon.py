@@ -277,8 +277,8 @@ def nh_metric(d: NearHorizonData) -> MetricField:
 
     def comp(p):
         rj = Jet3.variable(p, _R)
-        h3 = Jet3.from_axis_jet(d.h.at(p.x), _X)
-        F3 = Jet3.from_axis_jet(d.F.at(p.x), _X)
+        h3 = Jet3.from_axis_jet(d.h.at(p.x), _X, p.order)
+        F3 = Jet3.from_axis_jet(d.F.at(p.x), _X, p.order)
         one, zero = Jet3.constant(1.0), Jet3.constant(0.0)
         gnx = rj * h3
         return [[rj * rj * F3, one, gnx],
@@ -299,9 +299,9 @@ def weyl_oneform_generic(d: NearHorizonData) -> OneFormField:
     def comp(p):
         rj = Jet3.variable(p, _R)
         hj = d.h.at(p.x)
-        h3 = Jet3.from_axis_jet(hj, _X)
-        hp3 = Jet3.from_axis_jet(hj.d(), _X)
-        F3 = Jet3.from_axis_jet(d.F.at(p.x), _X)
+        h3 = Jet3.from_axis_jet(hj, _X, p.order)
+        hp3 = Jet3.from_axis_jet(hj.d(), _X, p.order)
+        F3 = Jet3.from_axis_jet(d.F.at(p.x), _X, p.order)
         xnu = rj * ((2 * c + 1) * hp3 + c * (2 * c + 1) * h3 * h3 - 2.0 * F3)
         return [xnu, Jet3.constant(0.0), c * h3]
 

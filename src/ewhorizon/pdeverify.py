@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import MetricField, OneFormField
 from .errors import DomainError
-from .jets import Jet1, Jet3, Point
+from .jets import ORDER, Jet1, Jet3, Point, jets_to
 from .nearhorizon import ScalarField1D, tanh_profile
 from .specfun import wp_jet
 
@@ -63,7 +63,7 @@ class HyperCRParams:
 
 def dkp_residual(u: PotentialField, p: Point) -> float:
     """2 (u_nu - u u_r)_r - u_xx, expanded by the product rule."""
-    j = u.jets(p)
+    j = jets_to(lambda q: [u.jets(q)], p, 2)[0]
     # u_r * u_r, not u_r ** 2: a float's ** 2 is libm pow, which can
     # differ in the last bit from the square an array's ** 2 takes
     u_r = j.partial((0, 1, 0))
@@ -74,7 +74,7 @@ def dkp_residual(u: PotentialField, p: Point) -> float:
 
 def hypercr_residual(H: PotentialField, p: Point) -> float:
     """H_x H_rr - H_r H_xr - H_xx + H_rnu."""
-    j = H.jets(p)
+    j = jets_to(lambda q: [H.jets(q)], p, 2)[0]
     return (j.partial((0, 0, 1)) * j.partial((0, 2, 0))
             - j.partial((0, 1, 0)) * j.partial((0, 1, 1))
             - j.partial((0, 0, 2)) + j.partial((1, 1, 0)))
@@ -97,7 +97,7 @@ def dkp_wp_potential(a: float, b: float) -> PotentialField:
 
     def ev(p):
         rj = Jet3.variable(p, _R)
-        return -0.5 * rj * rj * Jet3.from_axis_jet(wp.at(p.x), _X)
+        return -0.5 * rj * rj * Jet3.from_axis_jet(wp.at(p.x), _X, p.order)
 
     return PotentialField(ev, label=f"dkp-wp[a={a:g},b={b:g}]")
 
@@ -124,7 +124,7 @@ def hr2_potential(c: float, h: ScalarField1D) -> PotentialField:
 
     def ev(p):
         rj = Jet3.variable(p, _R)
-        return c * Jet3.from_axis_jet(h.at(p.x), _X) * rj * rj
+        return c * Jet3.from_axis_jet(h.at(p.x), _X, p.order) * rj * rj
 
     return PotentialField(ev, label=f"hr2[{h.label};c={c:g}]")
 
@@ -140,10 +140,12 @@ def hypercr_structures(H: PotentialField):
         X = 1/2 H_rr dx + (1/2 H_r H_rr + H_xr) dnu
 
     Einstein-Weyl holds exactly when H solves the hyperCR equation.
+    g reads H to one order more than its jets are asked for, and X to
+    two more.
     """
 
     def gcomp(p):
-        j = H.jets(p)
+        j = H.jets(p.at_order(min(p.order + 1, ORDER)))
         hr = j.d(_R)
         hx = j.d(_X)
         one, zero, mtwo = (Jet3.constant(v) for v in (1.0, 0.0, -2.0))
@@ -152,7 +154,7 @@ def hypercr_structures(H: PotentialField):
                 [hr, zero, one]]
 
     def xcomp(p):
-        j = H.jets(p)
+        j = H.jets(p.at_order(min(p.order + 2, ORDER)))
         hr = j.d(_R)
         hrr = hr.d(_R)
         return [0.5 * hr * hrr + j.d(_X).d(_R),
@@ -177,8 +179,8 @@ def prop4_structures(c: float, ell: float, b: float = 0.0):
     def jets(p):
         """The jets of r, h and h' at p."""
         hj1 = h.at(p.x)
-        return (Jet3.variable(p, _R), Jet3.from_axis_jet(hj1, _X),
-                Jet3.from_axis_jet(hj1.d(), _X))
+        return (Jet3.variable(p, _R), Jet3.from_axis_jet(hj1, _X, p.order),
+                Jet3.from_axis_jet(hj1.d(), _X, p.order))
 
     def gcomp(p):
         rj, h3, hp3 = jets(p)
@@ -209,7 +211,9 @@ def alignment(c: float, ell: float, b: float):
     jac = (1.0, -0.5, 1.0)
 
     def defect(p):
-        q = type(p)(p.nu, -0.5 * p.r, p.x)
+        # it reads values only: jets of order 0
+        p = p.at_order(0)
+        q = type(p)(p.nu, -0.5 * p.r, p.x, 0)
         gq, gp, xq, xp = gh.jets(q), g4.jets(p), xh.jets(q), x4.jets(p)
         diffs = [jac[i] * gq[i][k].value * jac[k] - gp[i][k].value
                  for i in range(3) for k in range(3)]

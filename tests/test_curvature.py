@@ -50,7 +50,7 @@ def euclidean():
 def assembled(g, p):
     """(Gamma^a_bc, R_ab, R, P_ab) of g at the Point p, as the assembly
     every residual reads holds them, without its batch axis of one."""
-    asm = curvature._assemble(g, p)
+    asm = curvature._assemble(g, p, 2)
     return (asm.gamma0[..., 0], asm.ric0[..., 0], float(asm.scal0[0]),
             asm.p0[..., 0])
 
@@ -147,7 +147,7 @@ def test_cotton_antisymmetry_and_traces():
         [[j.value for j in row] for row in g.components(PT)]))
     # contracted Bianchi: g^{ab} C_abc = 0
     assert np.max(np.abs(np.einsum("ab,abc->c", ginv, C))) < 1e-12
-    assert_allclose(curvature._assemble(g, PT).cotton()[..., 0], C,
+    assert_allclose(curvature._assemble(g, PT, 3).cotton()[..., 0], C,
                     rtol=1e-13, atol=1e-15)
 
 
@@ -312,3 +312,96 @@ def test_scalar_sums_equal_einsum_bit_for_bit(B):
     # the EW trace: both operands C-ordered per point
     _assert_same_bits(tr, np.einsum("...ab,...ab->...", _batch_first(u),
                                     _batch_first(v)))
+
+
+@pytest.mark.parametrize("spec", ["fead,dbc->feabc", "ead,fdbc->feabc",
+                                  "ad,fedbc->feabc", "ae,deh,hb->dab"])
+@pytest.mark.parametrize("B", (7, 125, 129))
+def test_contraction_into_an_array_and_added_to_it(spec, B):
+    # with `out`, into that array; with `add`, rounded as out + einsum;
+    # up to _WORK_COLS points the products use the workspace, past it a
+    # fresh array
+    rng = np.random.default_rng(B)
+    ops = [_operand(rng, (3,) * len(s) + (B,))
+           for s in spec.split("->")[0].split(",")]
+    base = _operand(rng, (3,) * len(spec.split("->")[1]) + (B,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = curvature._contract(spec, *ops)
+        out = np.empty_like(base)
+        assert curvature._contract(spec, *ops, out=out) is out
+        _assert_same_bits(out, want)
+        out = base.copy()
+        assert curvature._contract(spec, *ops, out=out, add=True) is out
+        with np.errstate(invalid="ignore"):
+            _assert_same_bits(out, base + want)
+
+
+# --- the orders an assembly reads ------------------------------------------
+#
+# ew_residual builds the metric to order 2 and the one-form to order 1,
+# cotton the metric to order 3.  A field that ignores the order it is
+# asked for, or differentiates the jets of that order (so returns fewer),
+# gives the same bits as one that builds exactly what is read.
+
+
+def _package_pairs():
+    from ewhorizon.nearhorizon import (NearHorizonData, field_one,
+                                       named_h_field, nh_metric,
+                                       weyl_oneform_generic)
+    from ewhorizon.pdeverify import (HyperCRParams, hypercr_structures,
+                                     hypercr_tanh_family, prop4_structures)
+    d = NearHorizonData(h=named_h_field("sin"), F=field_one(), c=-0.3)
+    return [(nh_metric(d), weyl_oneform_generic(d)),
+            hypercr_structures(hypercr_tanh_family(
+                HyperCRParams(1.0, 2.0, 0.3, 0.5, -1.0, 2.0))),
+            prop4_structures(-1.0, -1.0, 0.0)]
+
+
+def _at_order_4(field):
+    return type(field)(lambda p: field.components(p.at_order(4)),
+                       label=field.label)
+
+
+def _points():
+    from ewhorizon.jets import PointBatch
+    rng = np.random.default_rng(5)
+    return [PT, PointBatch(rng.uniform(-1, 1, 9), rng.uniform(-1, 1, 9),
+                           rng.uniform(-0.5, 0.5, 9))]
+
+
+@pytest.mark.parametrize("pair", range(3))
+def test_fields_that_ignore_the_order_give_the_same_bits(pair):
+    g, X = _package_pairs()[pair]
+    ug, uX = _at_order_4(g), _at_order_4(X)
+    for p in _points():
+        _assert_same_bits(ew_residual(ug, uX, p), ew_residual(g, X, p))
+        _assert_same_bits(ew_residual(g, uX, p), ew_residual(g, X, p))
+        _assert_same_bits(cotton(ug, p), cotton(g, p))
+
+
+def test_a_field_that_differentiates_its_jets_is_read_at_order_4():
+    # g and X of hypercr_structures, written as a user would: H built at
+    # the order the point asks for, then differentiated
+    def potential(p):
+        nu, r, x = coords(p)
+        return (0.5 * r + 2.0 * nu + x + 0.3).tanh() * r
+
+    def gcomp(p):
+        H = potential(p)
+        hr, hx = H.d(1), H.d(2)
+        one, zero, mtwo = const(1.0), const(0.0), const(-2.0)
+        return [[hr * hr + 4.0 * hx, mtwo, hr], [mtwo, zero, zero],
+                [hr, zero, one]]
+
+    def xcomp(p):
+        H = potential(p)
+        hr = H.d(1)
+        return [0.5 * hr * hr.d(1) + H.d(2).d(1), const(0.0),
+                0.5 * hr.d(1)]
+
+    g, X = MetricField(gcomp, "user"), OneFormField(xcomp, "user-X")
+    for p in _points():
+        _assert_same_bits(ew_residual(g, X, p),
+                          ew_residual(_at_order_4(g), _at_order_4(X), p))
+        _assert_same_bits(cotton(g, p), cotton(_at_order_4(g), p))

@@ -8,8 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ewhorizon.errors import SingularJetError
-from ewhorizon.jets import (_MUL_A, _MUL_B, _MUL_T, N3, ORDER, Jet1, Jet3,
-                            Point, PointBatch, fd_oracle, stacked_partials)
+from ewhorizon.jets import (_COUNT, _MUL_A, _MUL_B, _MUL_T, N3, ORDER, Jet1,
+                            Jet3, Point, PointBatch, fd_oracle,
+                            stacked_partials)
 
 
 def jet1_of(fn, x):
@@ -457,6 +458,117 @@ def test_jet3_product_is_the_bincount_of_the_table_products(size):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(_bits(g), _bits(w))
+
+
+def _operand_pairs(size, seed):
+    """Coefficient pairs of order 4 with every kind of entry (normal
+    numbers over 320 decades, NaN, +-inf and -0.0), at a Point (size
+    None) or a batch, with one factor broadcast at a batch."""
+    rng = np.random.default_rng(seed)
+    shape = (N3,) if size is None else (N3, size)
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.integers(-160, 160,
+                                                             shape)
+            for _ in range(2))
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0])
+    for c in (a, b):
+        c[rng.random(shape) < 0.05] = -0.0
+        # the specials land in the leading rows, which every order reads
+        c.flat[rng.choice(_COUNT[2] * (c.size // N3), 4, replace=False)] \
+            = specials
+    pairs = [(a, b), (b, a)]
+    if size is not None:
+        pairs += [(a[:, :1], b), (a, b[:, -1:])]
+    return pairs
+
+
+# a product of jets of order k (their first _COUNT[k] coefficients) is the
+# leading rows of the order-4 product, bit for bit: each target sums the
+# same pairs in the same order
+@pytest.mark.parametrize("size", (None, 1, 125, 128, 129))
+def test_lower_order_products_are_the_leading_rows_of_order_4(size):
+    for a, b in _operand_pairs(size, 11 + (size or 0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = (Jet3(a) * Jet3(b)).coeffs
+            for k in range(ORDER):
+                n = _COUNT[k]
+                got = (Jet3._raw(a[:n]) * Jet3._raw(b[:n])).coeffs
+                assert got.shape == (n,) + full.shape[1:]
+                assert np.array_equal(_bits(got), _bits(full[:n]))
+
+
+_MIXED = {
+    "add": lambda u, v: u + v,
+    "sub": lambda u, v: u - v,
+    "mul": lambda u, v: u * v,
+    "div": lambda u, v: u / v,
+}
+
+
+# an operation on jets of two orders is the one on both cut to the lower
+@pytest.mark.parametrize("name", sorted(_MIXED))
+@pytest.mark.parametrize("batched", (False, True))
+def test_mixed_order_operations_truncate_to_the_lower_order(name, batched):
+    op = _MIXED[name]
+    p = _batch(7) if batched else Point(0.3, -0.8, 0.45)
+    for lo, hi in ((1, 4), (2, 3), (2, 4), (3, 4), (0, 2)):
+        n = _COUNT[lo]
+        u = (Jet3.variable(p.at_order(hi), 1) + 2.0).exp()
+        v = Jet3.variable(p.at_order(lo), 2) * 0.5 - 1.5
+        cut = Jet3._raw(u.coeffs[:n])
+        assert np.array_equal(_bits(op(u, v).coeffs), _bits(op(cut, v).coeffs))
+        assert np.array_equal(_bits(op(v, u).coeffs), _bits(op(v, cut).coeffs))
+        # which is the leading rows of the operation at order 4
+        u4 = (Jet3.variable(p, 1) + 2.0).exp()
+        v4 = Jet3.variable(p, 2) * 0.5 - 1.5
+        assert op(u, v).coeffs.shape == (n,) + op(u4, v4).coeffs.shape[1:]
+        assert np.array_equal(_bits(op(u, v).coeffs),
+                              _bits(op(u4, v4).coeffs[:n]))
+
+
+def test_a_users_jet3_keeps_order_4():
+    p, batch = Point(0.2, 0.7, -0.5), _batch(5)
+    assert p.order == batch.order == ORDER
+    for j in (Jet3(np.ones(N3)), Jet3(np.ones((N3, 3))),
+              Jet3.constant(2.0), Jet3.constant(np.ones(4)),
+              Jet3.variable(p, 1), Jet3.variable(batch, 2),
+              Jet3.from_axis_jet(Jet1.variable(0.3).sin(), 2),
+              Jet3.variable(p, 1).d(1), Jet3.variable(batch, 0).d(2),
+              Jet3.variable(p, 0) * Jet3.constant(3.0)):
+        assert j.coeffs.shape[0] == N3
+    with pytest.raises(ValueError, match="needs 35 coefficients"):
+        Jet3(np.ones(10))
+    # order travels with the points, and is checked
+    assert p.at_order(2).shifted(1, 0.1).order == 2
+    assert {q.order for q in batch.at_order(3).points()} == {3}
+    assert p.at_order(ORDER) is p
+    for bad in (-1, 5, 2.5):
+        with pytest.raises(ValueError, match="jet order"):
+            Point(0.0, 0.0, 0.0, bad)
+
+
+def test_lower_order_jets_hold_the_leading_coefficients():
+    p, batch = Point(0.2, 0.7, -0.5), _batch(6)
+    hx = Jet1.variable(0.3).sin()
+    for k in range(ORDER + 1):
+        n = _COUNT[k]
+        for q in (p, batch):
+            for axis in range(3):
+                got = Jet3.variable(q.at_order(k), axis).coeffs
+                assert np.array_equal(got, Jet3.variable(q, axis).coeffs[:n])
+        got = Jet3.from_axis_jet(hx, 1, k).coeffs
+        assert np.array_equal(got, Jet3.from_axis_jet(hx, 1).coeffs[:n])
+    # d drops an order below 4, and keeps every order it keeps exact
+    j4 = (Jet3.variable(batch, 0) * Jet3.variable(batch, 2)).sin()
+    for k in range(1, ORDER):
+        jk = (Jet3.variable(batch.at_order(k), 0)
+              * Jet3.variable(batch.at_order(k), 2)).sin()
+        for axis in range(3):
+            got = jk.d(axis).coeffs
+            assert got.shape[0] == _COUNT[k - 1]
+            assert np.array_equal(_bits(got),
+                                  _bits(j4.d(axis).coeffs[:_COUNT[k - 1]]))
+    with pytest.raises(ValueError, match="order-0"):
+        Jet3.variable(p.at_order(0), 1).d(1)
 
 
 _JET1_FNS = {

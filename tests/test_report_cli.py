@@ -1789,3 +1789,84 @@ def test_default_grid_cotton_check_peak_memory():
     # 64-point slices)
     peak = _traced_peak(lambda: run_check("prop1-iff", {"h": "linear"}))
     assert peak <= 1.597 * 1.25 * 2 ** 20
+
+
+def _grid_batch(check, params):
+    """The residual a check evaluates per point and its default grid's
+    125 points, as one PointBatch (the batch the grid walker sends)."""
+    s, plane = _plane(check, params)
+    x_axis = GridSpec().resolve_x(s.window)
+    if s.narrow is not None:
+        x_axis = s.narrow(x_axis)
+    xs = report._axis_values(x_axis)
+    fn = next(r.fn for r in s.residuals if not r.fields)
+    return fn, PointBatch(np.tile(plane.nu, len(xs)),
+                          np.tile(plane.r, len(xs)),
+                          np.repeat(xs, plane.size))
+
+
+def test_a_warm_cotton_contraction_allocates_only_its_output(monkeypatch):
+    # the products of each contraction, and Cotton's 5-index arrays
+    # gamma2, s2 and g3, live in the thread's bounded workspace: past a
+    # warm-up, a contraction of the 125-point Cotton allocates only its
+    # output (none where it writes into gamma2) and, where it adds into
+    # gamma2, one row of sums
+    fn, batch = _grid_batch("prop1-iff", {"h": "linear"})
+    assert batch.size == 125
+    fn(batch)
+    excess, contract = [], curvature._contract
+
+    def traced(spec, *ops, out=None, add=False):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        acc = contract(spec, *ops, out=out, add=add)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        own = acc.nbytes if out is None else 0
+        if add:
+            own += acc.nbytes // len(curvature._plan(spec)[1])
+        excess.append((spec, peak - own))
+        return acc
+
+    monkeypatch.setattr(curvature, "_contract", traced)
+    tracemalloc.start()
+    try:
+        fn(batch)
+    finally:
+        tracemalloc.stop()
+    assert len(excess) > 20 and any(s.count(",") == 2 for s, _ in excess)
+    # beyond that, np.add.reduce's two iterator buffers of np.getbufsize()
+    # numbers (64 KiB each, freed on return) and a few hundred bytes of
+    # views; fresh products of a 5-index chunk would add 243 000 B
+    bound = 2 * np.getbufsize() * 8 + 2048
+    assert max(e for _, e in excess) <= bound, max(excess, key=lambda e: e[1])
+
+
+def test_a_warm_125_point_cotton_peak_memory():
+    # 802 485 B measured: the assembly's own arrays (the coefficients to
+    # order 2 and those of order 3, 90 000 B each, are the largest) and
+    # its output; 1 660 535 B with order-4 jets, all 20 coefficients in
+    # one array, and each contraction's products and gamma2, s2 and g3
+    # fresh
+    fn, batch = _grid_batch("prop1-iff", {"h": "linear"})
+    assert _traced_peak(lambda: fn(batch)) <= 802_485 * 1.25
+
+
+# the most coefficients (rows) a Jet3 product of each check takes: the EW
+# residual reads the metric to order 2 (10 rows) and the one-form to
+# order 1, Cotton the metric to order 3 (20), and hypercr's metric
+# differentiates H once, so H is built to order 3
+_PRODUCT_ROWS = {"prop1-iff": 20, "hypercr-family": 20}
+
+
+@pytest.mark.parametrize("check, params", _PLANE_CHECKS)
+def test_jet3_products_take_only_the_orders_their_check_reads(
+        monkeypatch, check, params):
+    rows, mul = [], Jet3._mul_coeffs
+
+    def counting(a, b):
+        rows.append(len(a))
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet3, "_mul_coeffs", staticmethod(counting))
+    run_check(check, dict(params))
+    assert max(rows) == _PRODUCT_ROWS.get(check, 10)
