@@ -31,23 +31,29 @@ The constructor and `constant` build order 4.
 A Jet1 has coefficients of shape (5,) at one x or (5, B) at B of them.
 The scalar Jet1 product is `np.convolve`; the batched one reproduces it
 column for column (recipe in `_convolve_columns`, pinned by
-`test_batched_jet1_product_is_np_convolve_bit_for_bit`).  Values only
-scalar math computes (derivative tables of the elementary functions,
-quadratures, special-function values) are taken one x at a time by
-`per_x`, so the profile evaluators of `nearhorizon` take a float or a
-1-D array of x alike and run their jet algebra once per array.
+`test_batched_jet1_product_is_np_convolve_bit_for_bit`).  The
+derivative tables of the elementary functions, and the special
+functions, dense-output reads and profile formulas of `specfun`,
+`odesolve` and `nearhorizon`, take a float or a 1-D array of them in
+one pass (`one_pass`), by the bit rule: every call the float path makes
+to `math` (or to builtin pow for **) is mapped over the array's list
+(`each`), and + - * / run in numpy in the float path's order, so entry
+k has the bits of the float evaluation at x[k].  Only a quadrature goes
+one x at a time (`per_x`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
-from .errors import SingularJetError
+from .errors import EwhError, SingularJetError
 
 ORDER = 4
 
@@ -263,95 +269,195 @@ def jets_to(evaluate, p, order):
     return evaluate(p.at_order(ORDER))
 
 
-# Derivative tables for elementary functions: (f, f', f'', f''', f'''') at v.
+# The bit rule.  A batch of numbers (a 1-D array) takes one pass, and
+# entry k keeps the bits of the float evaluation at its k-th number:
+# every call the float path makes to `math`, or to builtin pow for **,
+# is that call mapped over the batch's list (`each`), and the rest is the
+# same + - * / in numpy, in the same order, under the error state of
+# Python floats (`one_pass`).  numpy's own exp, tanh, asin, power and the
+# like round differently (tests/test_bit_rule.py).
 
+
+def each(fn, v, *args):
+    """fn(v, *args), fn a `math` function or pow: at a number, the call
+    itself; at an array, the call at each entry, mapped over its list."""
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(fn, v.tolist(), *map(repeat, args)), float,
+                           v.size)
+    return fn(v, *args)
+
+
+def _any(holds):
+    """A condition at a number, or whether it holds at any entry."""
+    return holds.any() if isinstance(holds, np.ndarray) else holds
+
+
+def rounded(v):
+    """round(v), to the nearest integer and half to even: at a number
+    the int that round returns; at an array, as floats, with +0.0 where
+    round gives 0 (np.rint(-0.5) is -0.0).  A NaN or an infinity raises
+    (at an array a ValueError, which `one_pass` replays as round's
+    ValueError or OverflowError at the number)."""
+    if not isinstance(v, np.ndarray):
+        return round(v)
+    if not np.isfinite(v).all():
+        raise ValueError(f"cannot round the non-finite entries of {v!r}")
+    return np.rint(v) + 0.0
+
+
+def _batched(a):
+    return isinstance(a, np.ndarray) and a.ndim == 1 or \
+        isinstance(a, _JetBase) and a.coeffs.ndim == 2
+
+
+def _points(a):
+    """A batched argument's entries (a jet's columns), else a at each."""
+    if isinstance(a, np.ndarray):
+        return a.tolist()
+    if _batched(a):
+        return [type(a)._raw(c) for c in a.coeffs.T]
+    return repeat(a)
+
+
+def one_pass(fn):
+    """fn, written once for numbers and for batches (1-D arrays of
+    numbers, or jets with a batch axis; entry k of each argument makes
+    up point k).  At numbers, fn itself.  At a batch, fn in one pass
+    under numpy's error state for Python float arithmetic: an overflow
+    or an invalid result goes on silently, a division by zero raises
+    (numpy raises only where the numerator is finite and nonzero, Python
+    at any, so fn checks a denominator that can meet a 0, an infinity or
+    a NaN itself).  Where the pass raises, fn runs at each point in
+    turn, so that the batch raises what its first failing point raises
+    alone."""
+    @functools.wraps(fn)
+    def wrapped(*args):
+        for a in args:  # a loop of isinstance: the cheapest test at numbers
+            if isinstance(a, (np.ndarray, _JetBase)) and _batched(a):
+                break
+        else:
+            return fn(*args)
+        try:
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="raise"):
+                return fn(*args)
+        except (ArithmeticError, ValueError, EwhError):
+            for point in zip(*map(_points, args)):
+                fn(*point)
+            raise
+
+    return wrapped
+
+
+def _derivative_table(dt):
+    """The derivative table dt(v, *args), (f, f', f'', f''', f'''') at
+    a value v, taken at a number or in one pass at an array of them
+    (`one_pass`).  A float overflow in it (or a division by an
+    underflowed power) is a SingularJetError naming the function and the
+    value."""
+    name = dt.__name__[4:]
+
+    @one_pass
+    @functools.wraps(dt)
+    def table(v, *args):
+        try:
+            return dt(v, *args)
+        except (OverflowError, ZeroDivisionError):
+            raise SingularJetError(f"{name} jet overflows at value "
+                                   f"{v!r}") from None
+
+    return table
+
+
+@_derivative_table
 def _dt_exp(v):
-    e = math.exp(v)
+    e = each(math.exp, v)
     return (e, e, e, e, e)
 
 
+@_derivative_table
 def _dt_log(v):
-    if v <= 0.0:
+    if _any(v <= 0.0):
         raise SingularJetError(f"log needs a positive value part, got {v}")
-    return (math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+    return (each(math.log, v), 1.0 / v, -1.0 / each(pow, v, 2),
+            2.0 / each(pow, v, 3), -6.0 / each(pow, v, 4))
 
 
+@_derivative_table
 def _dt_sin(v):
-    s, c = math.sin(v), math.cos(v)
+    s, c = each(math.sin, v), each(math.cos, v)
     return (s, c, -s, -c, s)
 
 
+@_derivative_table
 def _dt_cos(v):
-    s, c = math.sin(v), math.cos(v)
+    s, c = each(math.sin, v), each(math.cos, v)
     return (c, -s, -c, s, c)
 
 
+@_derivative_table
 def _dt_tan(v):
-    if abs(math.cos(v)) < 1e-12:
+    if _any(abs(each(math.cos, v)) < 1e-12):
         raise SingularJetError(f"tan evaluated too close to a pole, argument {v}")
-    t = math.tan(v)
+    t = each(math.tan, v)
     u = 1.0 + t * t
-    return (t, u, 2 * t * u, 2 * u * u + 4 * t * t * u, 16 * t * u * u + 8 * t**3 * u)
+    return (t, u, 2 * t * u, 2 * u * u + 4 * t * t * u,
+            16 * t * u * u + 8 * each(pow, t, 3) * u)
 
 
+@_derivative_table
 def _dt_tanh(v):
-    t = math.tanh(v)
+    t = each(math.tanh, v)
     s = 1.0 - t * t
-    return (t, s, -2 * t * s, -2 * s * s + 4 * t * t * s, 16 * t * s * s - 8 * t**3 * s)
+    return (t, s, -2 * t * s, -2 * s * s + 4 * t * t * s,
+            16 * t * s * s - 8 * each(pow, t, 3) * s)
 
 
+@_derivative_table
 def _dt_sqrt(v):
-    if v <= 0.0:
+    if _any(v <= 0.0):
         raise SingularJetError(f"sqrt needs a positive value part, got {v}")
-    rv = math.sqrt(v)
-    return (rv, 0.5 / rv, -0.25 / (rv * v), 0.375 / (rv * v * v), -0.9375 / (rv * v**3))
+    rv = each(math.sqrt, v)
+    return (rv, 0.5 / rv, -0.25 / (rv * v), 0.375 / (rv * v * v),
+            -0.9375 / (rv * each(pow, v, 3)))
 
 
+@_derivative_table
 def _dt_atan(v):
     w = 1.0 + v * v
-    return (math.atan(v), 1.0 / w, -2.0 * v / w**2, (6 * v * v - 2) / w**3,
-            (24 * v - 24 * v**3) / w**4)
+    return (each(math.atan, v), 1.0 / w, -2.0 * v / each(pow, w, 2),
+            (6 * v * v - 2) / each(pow, w, 3),
+            (24 * v - 24 * each(pow, v, 3)) / each(pow, w, 4))
 
 
+@_derivative_table
 def _dt_pow(v, p):
-    if v <= 0.0:
+    if _any(v <= 0.0):
         raise SingularJetError(f"pow_real needs a positive value part, got {v}")
-    d = [v**p]
+    d = [each(pow, v, p)]
     fac = 1.0
     for k in range(4):
         fac *= p - k
-        d.append(fac * v ** (p - k - 1))
+        d.append(fac * each(pow, v, p - k - 1))
     return tuple(d)
 
 
+@_derivative_table
 def _dt_recip(v):
-    if v == 0.0:
+    if _any(v == 0.0):
         raise SingularJetError("division by a jet with zero value part")
-    return (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4, 24.0 / v**5)
-
-
-def _table(v, dt, *args):
-    """The derivative table dt(v, *args); a float overflow in it (or a
-    division by an underflowed power) is a SingularJetError naming the
-    function and the value."""
-    try:
-        return dt(v, *args)
-    except (OverflowError, ZeroDivisionError):
-        raise SingularJetError(f"{dt.__name__[4:]} jet overflows at value "
-                               f"{v!r}") from None
+    return (1.0 / v, -1.0 / each(pow, v, 2), 2.0 / each(pow, v, 3),
+            -6.0 / each(pow, v, 4), 24.0 / each(pow, v, 5))
 
 
 def per_x(fn, x, *args):
     """fn(x, *args) at a number x.  At a 1-D array of numbers, fn at each
-    in turn, by the same scalar math, stacked along a trailing axis: jets
-    into one batched jet, numbers and tuples of numbers into an array.
-    The first x at which fn raises raises."""
+    in turn, the numbers it returns stacked into an array; the first x
+    at which fn raises raises.  For what has no one-pass form (a
+    quadrature)."""
     if not isinstance(x, np.ndarray):
         return fn(x, *args)
-    out = [fn(v, *args) for v in x.tolist()]
-    if out and isinstance(out[0], _JetBase):
-        return type(out[0])._raw(np.stack([j.coeffs for j in out], axis=1))
-    return np.array(out).T
+    return np.array([fn(v, *args) for v in x.tolist()])
 
 
 def _operands(a, b):
@@ -503,9 +609,9 @@ class _JetBase:
 
     def _apply(self, dt, *args):
         """Compose with the function whose derivative table at the value
-        is dt(value, *args).  A batch takes its table column by column,
-        from the same scalar math as a single jet."""
-        return self._compose(per_x(_table, self.value, dt, *args))
+        is dt(value, *args): a batch takes its table in one pass, each
+        column with the bits of the table at its value."""
+        return self._compose(dt(self.value, *args))
 
     def _compose(self, derivs):
         """Compose with a function given its derivatives at value(self):

@@ -18,9 +18,10 @@ numeric integration), each built from its tag by `build_family`.
 Scalar profiles are ScalarField1D objects: an evaluator producing Jet1
 values (derivatives to order 4), an admissible window and an optional
 exact antiderivative.  Every evaluator takes a float x or a 1-D array
-of x (then one batched Jet1, column k at x[k]); the closed forms run
-their jet algebra once per array, and only quadratures, dense-output
-reads and special-function values go one x at a time (`per_x`).
+of x (then one batched Jet1, column k at x[k]) and runs once per array:
+its `math` calls mapped over the array, + - * / in numpy in the float
+order (the bit rule of `jets`), special functions and dense-output reads
+in one pass; only a quadrature goes one x at a time (`per_x`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 from .curvature import MetricField, OneFormField
 from .errors import (DomainError, EwhError, PathBranchError,
                      PoleProximityError, StiffnessError, WindowError)
-from .jets import _D1_FAC, _WORK_COLS, Jet1, Jet3, _along_orders, per_x
+from .jets import (_D1_FAC, _WORK_COLS, Jet1, Jet3, _along_orders, _any,
+                   each, one_pass, per_x, rounded)
 from .odesolve import IvpSpec, integrate, quad
 from .specfun import (_pole_free_cell, complete_elliptic_k, hyp2f1,
                       sn_imaginary_modulus_jet, wp_jet)
@@ -171,8 +173,9 @@ def field_sin() -> ScalarField1D:
     def ev(x):
         return Jet1.variable(x).sin()
 
-    return ScalarField1D(ev, label="sin",
-                         integral=lambda x0, x1: math.cos(x0) - math.cos(x1))
+    return ScalarField1D(
+        ev, label="sin",
+        integral=lambda x0, x1: math.cos(x0) - each(math.cos, x1))
 
 
 def field_linear(ell: float, b: float = 0.0) -> ScalarField1D:
@@ -223,11 +226,14 @@ def named_h_field(name: str) -> ScalarField1D:
     return ctor()
 
 
-def antiderivative(h: ScalarField1D, x0: float, x1: float) -> float:
-    """Definite integral of h, exact when the field provides one."""
-    if h.integral is not None:
-        return float(h.integral(x0, x1))
-    return quad(lambda t: h(t).value, x0, x1)
+@one_pass
+def antiderivative(h: ScalarField1D, x0: float, x1):
+    """Definite integral of h from x0 to x1, a float, or to each x1 of an
+    array: exact when the field provides one (at an array in one pass),
+    else by quadrature, one x1 at a time."""
+    if h.integral is None:
+        return per_x(lambda t: quad(lambda s: h(s).value, x0, t), x1)
+    return h.integral(x0, x1)
 
 
 def _integral_jet(value, deriv_jet: Jet1) -> Jet1:
@@ -248,8 +254,7 @@ def F_flat_from_h(h: ScalarField1D, x0: float = 0.0) -> ScalarField1D:
     """
 
     def ev(x):
-        H = per_x(lambda t: antiderivative(h, x0, t), x)
-        return _integral_jet(H, h.at(x)).exp()
+        return _integral_jet(antiderivative(h, x0, x), h.at(x)).exp()
 
     return ScalarField1D(ev, label=f"flat[{h.label}]", window=h.window)
 
@@ -478,11 +483,15 @@ def nlode_residual(f: Jet1) -> float:
     return f3 - f1 * f2 - f1 ** 3
 
 
-def ode2_jet(value: float, slope: float, alpha: float, beta: float) -> Jet1:
+@one_pass
+def ode2_jet(value, slope, alpha: float, beta: float) -> Jet1:
     """The jet of a solution of h'' = alpha h h' + beta h^3 through
-    (h, h') = (value, slope), with higher orders from the ODE."""
-    h0, h1 = float(value), float(slope)
-    h2 = alpha * h0 * h1 + beta * h0 ** 3
+    (h, h') = (value, slope), with higher orders from the ODE: at
+    numbers (taken as Python floats), or at arrays of them, one batched
+    jet."""
+    h0, h1 = (v if isinstance(v, np.ndarray) else float(v)
+              for v in (value, slope))
+    h2 = alpha * h0 * h1 + beta * each(pow, h0, 3)
     h3 = alpha * (h1 * h1 + h0 * h2) + 3.0 * beta * h0 * h0 * h1
     h4 = (alpha * (3.0 * h1 * h2 + h0 * h3)
           + 3.0 * beta * (2.0 * h0 * h1 * h1 + h0 * h0 * h2))
@@ -622,6 +631,20 @@ def abel_parametric_jets(y: float, alpha: float, beta: float, gamma: float):
 # profiles defined by an integral: one dense solve
 # --------------------------------------------------------------------------
 
+def _split(x, first, read_first, read_rest):
+    """read_first(x) where the condition `first` holds at x, else
+    read_rest(x): at a float x one of them; at an array, each on its
+    part of x, into one array whose last axis runs over x."""
+    if not isinstance(x, np.ndarray):
+        return read_first(x) if first else read_rest(x)
+    if first.all() or not first.any():
+        return (read_first if first.all() else read_rest)(x)
+    a, b = read_first(x[first]), read_rest(x[~first])
+    out = np.empty(a.shape[:-1] + x.shape)
+    out[..., first], out[..., ~first] = a, b
+    return out
+
+
 class _DenseSolve:
     """y(x) of a scalar profile ODE y' = rhs(x, [y]), y(x0) = y0, read
     from the dense output of `integrate` (DOP853, rtol 1e-13, atol 1e-15)
@@ -642,14 +665,32 @@ class _DenseSolve:
         self.pieces[d].append(piece)
         self.ends[d] = piece.x_end, piece.y_end
 
+    @one_pass
     def __call__(self, x):
-        d, reach = (1.0 if x >= self.x0 else -1.0), 1.0
-        while (x - self.ends[d][0]) * d > 0.0:
+        """y at x, a float; or at each x of an array in one pass (an
+        array, entry k with the bits of y at x[k])."""
+        return _split(x, x >= self.x0, partial(self._side, 1.0),
+                      partial(self._side, -1.0))
+
+    def _side(self, d, x):
+        """y at x (a float or an array) on side d of x0, each x read from
+        the first piece that ends at or past it (none: x0 before any
+        piece, or a NaN x, reads y at the side's end)."""
+        reach = 1.0
+        while _any((x - self.ends[d][0]) * d > 0.0):
             while (self.x0 + d * reach - self.ends[d][0]) * d <= 0.0:
                 reach *= 2.0
             self.run(self.x0 + d * reach)
-        covering = [p for p in self.pieces[d] if (p.x_end - x) * d >= 0.0]
-        return float(covering[0](x)[0] if covering else self.ends[d][1][0])
+        end = float(self.ends[d][1][0])
+        if not isinstance(x, np.ndarray):
+            covering = [p for p in self.pieces[d] if (p.x_end - x) * d >= 0.0]
+            return float(covering[0](x)[0]) if covering else end
+        y, left = np.full(len(x), end), np.ones(len(x), bool)
+        for p in self.pieces[d]:
+            on = left & ((p.x_end - x) * d >= 0.0)
+            if on.any():
+                y[on], left = p(x[on])[0], left & ~on
+        return y
 
 
 # --------------------------------------------------------------------------
@@ -670,8 +711,9 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float,
     G = its target, by Newton on the dense output from the knot before
     it, or infinite where G does not reach it within 1000 of x0.
     """
-    solve = _DenseSolve(
-        lambda x, y: (math.exp(0.5 * antiderivative(h, x0, x)),), x0, 0.0)
+    # H(x0, x) at each stage: h's exact integral itself where it has one
+    H = h.integral or partial(antiderivative, h)
+    solve = _DenseSolve(lambda x, y: (math.exp(0.5 * H(x0, x)),), x0, 0.0)
     cell = (_THM1_MARGIN - a, math.inf) if b == 0.0 else \
         _pole_free_cell(a, b, _THM1_MARGIN)
     for d in (1.0, -1.0):  # G is monotone: run one G unit past the farthest
@@ -694,9 +736,8 @@ def thm1_F_field(h: ScalarField1D, a: float, b: float,
         return x
 
     def ev(x):
-        Hj = _integral_jet(per_x(lambda t: antiderivative(h, x0, t), x),
-                           h.at(x))
-        Gj = _integral_jet(per_x(solve, x), (0.5 * Hj).exp())
+        Hj = _integral_jet(antiderivative(h, x0, x), h.at(x))
+        Gj = _integral_jet(solve(x), (0.5 * Hj).exp())
         Pj, _ = wp_jet(Gj + a, b)
         return Hj.exp() * Pj
 
@@ -782,14 +823,15 @@ def _family_rational(gamma, b, alpha, c):
         raise DomainError("RationalPole needs gamma != 0")
     beta = (2.0 + alpha * gamma) / (gamma * gamma)
 
+    @one_pass
     def off_pole(x):
-        if abs(x - b) < _POLE_TOL:
+        if _any(abs(x - b) < _POLE_TOL):
             raise PoleProximityError(
                 f"x = {x!r} within {_POLE_TOL} of the pole at {b!r}",
                 nearest_pole=b)
 
     def ev(x):
-        per_x(off_pole, x)
+        off_pole(x)
         return gamma / (Jet1.variable(x) - b)
 
     return (ScalarField1D(ev, label="rational", window=(b, math.inf)),
@@ -802,16 +844,17 @@ def _family_tan(alpha, ell, b):
         raise DomainError("TanFamily needs ell * alpha > 0")
     s = math.sqrt(2.0 * ell * alpha)
 
+    @one_pass
     def off_pole(x):
         u = 0.5 * s * (x + b)
-        if abs(math.cos(u)) < _POLE_TOL:
-            k = round((u - 0.5 * math.pi) / math.pi)
+        if _any(abs(each(math.cos, u)) < _POLE_TOL):
+            k = rounded((u - 0.5 * math.pi) / math.pi)
             pole = (2.0 * (0.5 * math.pi + k * math.pi)) / s - b
             raise PoleProximityError(
                 f"x = {x!r} near a tan pole", nearest_pole=pole)
 
     def ev(x):
-        per_x(off_pole, x)
+        off_pole(x)
         return (s / alpha) * (0.5 * s * (Jet1.variable(x) + b)).tan()
 
     fld = ScalarField1D(ev, label="tan",
@@ -833,17 +876,18 @@ def _family_jacobi(m, c, b):
         raise DomainError("JacobiReduction needs m != 0 and c != 1")
     s = abs(c - 1.0) * abs(m)
 
+    @one_pass
     def sn_jet(x):
         u = s * (x + b)
-        u_mod = u - round(u / _SN_ZERO) * _SN_ZERO
-        if abs(u_mod) < _POLE_TOL * s:
+        u_mod = u - rounded(u / _SN_ZERO) * _SN_ZERO
+        if _any(abs(u_mod) < _POLE_TOL * s):
             raise PoleProximityError(
                 f"x = {x!r} near a pole of the Jacobi profile",
-                nearest_pole=round(u / _SN_ZERO) * _SN_ZERO / s - b)
+                nearest_pole=rounded(u / _SN_ZERO) * _SN_ZERO / s - b)
         return sn_imaginary_modulus_jet(u)
 
     def ev(x):
-        w = per_x(sn_jet, x).coeffs.copy()
+        w = sn_jet(x).coeffs.copy()
         for k in range(1, 5):
             w[k:] *= s  # chain rule for w(s (x + b)): coefficient k gains s^k
         return m / Jet1(w)
@@ -887,7 +931,7 @@ def _family_hypergeometric(gamma, beta, b, z_lo, z_hi):
 
     def ev(x):
         fld._check_window(np.atleast_1d(x).tolist())  # as a direct call too
-        z = per_x(solve, x)
+        z = solve(x)
         # z(x) solves dz/dx = dz_dx(z): each pass is exact to one more order
         zj = Jet1.constant(z)
         for _ in range(4):
@@ -1031,14 +1075,18 @@ class _NumericSide:
         return first_return(iter(np.concatenate(rows).tolist()), self,
                             x0 + 4 * ((self.edge - x0) / 2048))
 
+    @one_pass
     def __call__(self, x):
-        head = self.head
-        if (x - head.x_end) * self.direction <= 0.0:
-            return head(x)
+        """y at x, a float; or at each x of an array in one pass (an
+        array of shape (dim, B), column k with the bits of y at x[k])."""
+        return _split(x, (x - self.head.x_end) * self.direction <= 0.0,
+                      self.head, self._past_head)
+
+    def _past_head(self, x):
         if self._resume is not None:  # once: a failed march stays failed
             resume, self._resume = self._resume, None
             self.rest = resume()
-        return (head if self.rest is None else self.rest)(x)
+        return (self.head if self.rest is None else self.rest)(x)
 
 
 def _family_numeric(alpha, c, x0, h0, h1, span):
@@ -1056,11 +1104,12 @@ def _family_numeric(alpha, c, x0, h0, h1, span):
                              rtol=1e-11, atol=1e-12)
                 for s in (1.0, -1.0))
 
+    @one_pass
     def ev(x):
-        h, dh = (fwd if x >= x0 else bwd)(x)
+        h, dh = _split(x, x >= x0, fwd, bwd)
         return ode2_jet(h, dh, alpha, beta)
 
-    fld = ScalarField1D(partial(per_x, ev), label="numeric",
+    fld = ScalarField1D(ev, label="numeric",
                         window=(bwd.edge, fwd.edge))
     return fld, c, {"alpha": alpha, "beta": beta,
                     "status_forward": fwd.status,

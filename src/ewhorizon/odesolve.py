@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyError, StiffnessError
+from .jets import one_pass
 
 # The DOP853 tableau, transcribed from Hairer's dop853.f, as rows
 # {stage: weight} with stages counted from 1.  Stages 1..12 make the
@@ -325,30 +326,60 @@ class Trajectory:
     def y_end(self):
         return self.ys[-1].copy()
 
+    @one_pass
     def __call__(self, x):
-        """Dense evaluation at a scalar x inside the covered span."""
+        """Dense evaluation at a scalar x inside the covered span, an
+        array of shape (dim,); or at each x of a 1-D array in one pass,
+        an array of shape (dim, B) whose column k has the bits of the
+        evaluation at x[k], each step the batch touches formed once."""
         lo, hi = self._span
-        if not lo - 1e-12 * (1 + abs(lo)) <= x <= hi + 1e-12 * (1 + abs(hi)):
-            raise ValueError(f"x={x!r} outside trajectory span [{lo}, {hi}]")
+        start, end = lo - 1e-12 * (1 + abs(lo)), hi + 1e-12 * (1 + abs(hi))
+        if not isinstance(x, np.ndarray):
+            if not start <= x <= end:
+                raise ValueError(f"x={x!r} outside trajectory span "
+                                 f"[{lo}, {hi}]")
+            if len(self._segs) == 0:
+                return self.ys[0].copy()
+            # Find the step whose interval contains x (knots are monotone).
+            idx = bisect_left(self._keys, x if self._ascending else -x)
+            idx = min(max(idx - 1, 0), len(self._knots) - 2)
+            return np.array(_dense_at(self.ys[idx].tolist(), self._form(idx),
+                                      (x - self._knots[idx])
+                                      / self._segs[idx * self._stride]))
+        inside = (start <= x) & (x <= end)
+        if not inside.all():  # as the first x outside raises alone
+            raise ValueError(f"x={x[~inside][0].item()!r} outside trajectory "
+                             f"span [{lo}, {hi}]")
         if len(self._segs) == 0:
-            return self.ys[0].copy()
-        # Find the step whose interval contains x (knots are monotone).
-        idx = bisect_left(self._keys, x if self._ascending else -x)
-        idx = min(max(idx - 1, 0), len(self._knots) - 2)
-        start = idx * self._stride
-        x0, y0 = self._knots[idx], self.ys[idx].tolist()
+            return np.repeat(self.ys[:1].T, len(x), axis=1)
+        idx = np.searchsorted(self.xs if self._ascending else -self.xs,
+                              x if self._ascending else -x)
+        idx = np.clip(idx - 1, 0, len(self._knots) - 2)
+        steps = list(dict.fromkeys(idx.tolist()))  # in the order first read
+        row = dict(zip(steps, range(len(steps))))
+        q = np.array([self._form(i) for i in steps]).reshape(
+            len(steps), self.ys.shape[1], 7)[[row[i] for i in idx.tolist()]]
+        t = (x - self.xs[idx]) / np.frombuffer(self._segs)[idx * self._stride]
+        return np.array(_dense_at(self.ys[idx].T, q.transpose(1, 2, 0), t))
+
+    def _form(self, idx):
+        """The dense-output coefficients of step idx, one (F_0, ..., F_6)
+        per entry, formed (3 rhs calls) on the first read of the step."""
         q = self._formed.get(idx)
         if q is None:
-            q = self._formed[idx] = _dense_former(len(y0))(
-                self._rhs, x0, y0, self.ys[idx + 1].tolist(),
+            start = idx * self._stride
+            q = self._formed[idx] = _dense_former(self.ys.shape[1])(
+                self._rhs, self._knots[idx], self.ys[idx].tolist(),
+                self.ys[idx + 1].tolist(),
                 self._segs[start:start + self._stride])
             self.rhs_calls += 3
-        return np.array(_dense_at(y0, q, (x - x0) / self._segs[start]))
+        return q
 
 
 def _dense_at(y, q, t):
     """A step's dense output at t in [0, 1] from y at its knot and its
-    coefficients q (one (F_0, ..., F_6) per entry):
+    coefficients q (one (F_0, ..., F_6) per entry); or, each of them an
+    array over a batch of reads, the output of each read:
     y + t (F_0 + s (F_1 + t (F_2 + ... + s (F_5 + t F_6)))), s = 1 - t."""
     s = 1.0 - t
     return [v + t * (f0 + s * (f1 + t * (f2 + s * (f3 + t * (f4 + s * (

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .errors import AccuracyError, DomainError, PoleProximityError
-from .jets import Jet1, per_x
+from .jets import Jet1, _any, each, one_pass, rounded
 
 # --- Jacobi elliptic functions ----------------------------------------------
 
@@ -51,16 +51,28 @@ def _agm_scheme(k: float):
     return a, c
 
 
-def _amplitude(u: float, scheme) -> float:
-    """am(u, k) for 0 < k < 1 from the AGM scheme of k (`_agm_scheme`):
-    the descending recurrence
-    phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2 (DLMF 22.20.3-4)."""
+def _max(a, v):
+    """max(a, v) for a number a: v where v > a, else a (so a NaN v gives
+    a, as the builtin does), at a number v or at each entry of an array."""
+    return np.where(v > a, v, a) if isinstance(v, np.ndarray) else max(a, v)
+
+
+def _min(a, v):
+    """min(a, v), as `_max`: v where v < a, else a."""
+    return np.where(v < a, v, a) if isinstance(v, np.ndarray) else min(a, v)
+
+
+def _amplitude(u, scheme):
+    """am(u, k) for 0 < k < 1 from the AGM scheme of k (`_agm_scheme`),
+    at a number u or at each entry of an array: the descending
+    recurrence phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n))/2 (DLMF
+    22.20.3-4), the asin argument clipped to [-1, 1] by max and min."""
     a, c = scheme
     n = len(a) - 1
     phi = (2.0**n) * a[n] * u
     for i in range(n, 0, -1):
-        s = max(-1.0, min(1.0, c[i] / a[i] * math.sin(phi)))
-        phi = 0.5 * (phi + math.asin(s))
+        s = _max(-1.0, _min(1.0, c[i] / a[i] * each(math.sin, phi)))
+        phi = 0.5 * (phi + each(math.asin, s))
     return phi
 
 
@@ -82,12 +94,13 @@ def jacobi_sn_cn_dn(u: float, k: float):
     return _sn_cn_dn(u, k, _agm_scheme(k))
 
 
-def _sn_cn_dn(u: float, k: float, scheme):
-    """`jacobi_sn_cn_dn` for 0 < k < 1 from the AGM scheme of k."""
+def _sn_cn_dn(u, k: float, scheme):
+    """`jacobi_sn_cn_dn` for 0 < k < 1 from the AGM scheme of k, at a
+    number u or at each entry of an array."""
     phi = _amplitude(u, scheme)
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(max(0.0, 1.0 - (k * sn) ** 2))
+    sn = each(math.sin, phi)
+    cn = each(math.cos, phi)
+    dn = each(math.sqrt, _max(0.0, 1.0 - each(pow, k * sn, 2)))
     return sn, cn, dn
 
 
@@ -108,8 +121,10 @@ _INV_SQRT2 = 1.0 / _SQRT2
 _INV_SQRT2_SCHEME = _agm_scheme(_INV_SQRT2)  # sn(., i)'s, built once
 
 
-def sn_imaginary_modulus_jet(u: float) -> Jet1:
-    """Jet (order 4) of sn(., i) at u.
+@one_pass
+def sn_imaginary_modulus_jet(u) -> Jet1:
+    """Jet (order 4) of sn(., i) at u, or at each u of an array (one
+    batched jet, each column with the bits of the jet at its u).
 
     sn(u, i) = sd(u*sqrt2, 1/sqrt2)/sqrt2 (DLMF 22.17.1 with k = 1) is
     real-analytic on all of R because dn(., 1/sqrt2) >= 1/sqrt2; it
@@ -119,11 +134,13 @@ def sn_imaginary_modulus_jet(u: float) -> Jet1:
     derivatives 2..4 follow from the defining equation w'' = -2 w^3.
     """
     sn, cn, dn = _sn_cn_dn(_SQRT2 * u, _INV_SQRT2, _INV_SQRT2_SCHEME)
+    if _any(dn == 0.0):  # at a NaN u, where a float NaN / 0 raises too
+        raise ZeroDivisionError("float division by zero")
     w = sn / dn * _INV_SQRT2
     w1 = cn / (dn * dn)
-    w2 = -2.0 * w**3
+    w2 = -2.0 * each(pow, w, 3)
     w3 = -6.0 * w * w * w1
-    w4 = -12.0 * w * w1 * w1 + 12.0 * w**5
+    w4 = -12.0 * w * w1 * w1 + 12.0 * each(pow, w, 5)
     return Jet1.from_derivatives([w, w1, w2, w3, w4])
 
 
@@ -165,48 +182,46 @@ def _pole_free_cell(a: float, b: float, margin: float) -> tuple:
     return lo, hi
 
 
-def wp(z: float, b: float):
-    """Weierstrass (wp(z; 0, b), wp'(z; 0, b)) for real z.
+@one_pass
+def wp(z, b: float):
+    """Weierstrass (wp(z; 0, b), wp'(z; 0, b)) for real z, or at each z
+    of an array (then a pair of arrays).
 
     Satisfies wp'^2 = 4 wp^3 - b and wp'' = 6 wp^2.  Arguments closer than
     _POLE_DELTA to a real pole raise PoleProximityError carrying the pole.
     """
     if b == 0.0:
-        if abs(z) < _POLE_DELTA:
+        if _any(abs(z) < _POLE_DELTA):
             raise PoleProximityError(
                 f"wp argument {z!r} within {_POLE_DELTA} of the pole at 0",
                 nearest_pole=0.0)
-        return 1.0 / z**2, -2.0 / z**3
+        return 1.0 / each(pow, z, 2), -2.0 / each(pow, z, 3)
     e2, h2, k, t, scheme = _LATTICE[math.copysign(1.0, b)]
     scale = abs(b) ** (1.0 / 6.0)
     zs = z * scale
-    m = round(zs / t)
+    m = rounded(zs / t)
     zf = zs - m * t  # folded into [-t/2, t/2], the pole at 0
-    if abs(zf) / scale < _POLE_DELTA:
+    if _any(abs(zf) / scale < _POLE_DELTA):
         raise PoleProximityError(
             f"wp argument {z!r} within {_POLE_DELTA} of a pole",
             nearest_pole=m * t / scale)
     sqrt_h2 = math.sqrt(h2)
     phi = _amplitude(2.0 * sqrt_h2 * zf, scheme)
-    w = math.cos(0.5 * phi) / math.sin(0.5 * phi)
-    dn = math.sqrt(1.0 - (k * math.sin(phi)) ** 2)
+    w = each(math.cos, 0.5 * phi) / each(math.sin, 0.5 * phi)
+    dn = each(math.sqrt, 1.0 - each(pow, k * each(math.sin, phi), 2))
     p = e2 + h2 * w * w
     q = -2.0 * h2 * sqrt_h2 * dn * w * (1.0 + w * w)
     return p * scale**2, q * scale**3
 
 
-def _wp_table(z: float, b: float) -> tuple:
-    """wp and its first five derivatives at z: value and slope from
-    `wp`, the rest from wp'' = 6 wp^2 (g2 = 0)."""
-    p, q = wp(z, b)
-    return (p, q, 6.0 * p * p, 12.0 * p * q, 12.0 * q * q + 72.0 * p ** 3,
-            360.0 * p * p * q)
-
-
+@one_pass
 def wp_jet(z: Jet1, b: float):
     """Jet version of `wp`: jets of wp and wp' in the variable of `z`
-    (a batched z gives batched jets, the table taken per column)."""
-    t = per_x(_wp_table, z.value, b)
+    (a batched z gives batched jets, its table taken in one pass), from
+    wp, its slope and, by wp'' = 6 wp^2 (g2 = 0), four more derivatives."""
+    p, q = wp(z.value, b)
+    t = (p, q, 6.0 * p * p, 12.0 * p * q,
+         12.0 * q * q + 72.0 * each(pow, p, 3), 360.0 * p * p * q)
     return z._compose(t[:5]), z._compose(t[1:])
 
 

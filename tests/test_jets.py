@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ewhorizon.errors import SingularJetError
+from ewhorizon import jets, specfun
+from ewhorizon.errors import EwhError, SingularJetError, WindowError
 from ewhorizon.jets import (_COUNT, _MUL_A, _MUL_B, _MUL_T, N3, ORDER, Jet1,
-                            Jet3, Point, PointBatch, fd_oracle,
+                            Jet3, Point, PointBatch, fd_oracle, rounded,
                             stacked_partials)
+from ewhorizon.nearhorizon import (antiderivative, build_family, field_sin,
+                                   named_h_field, ode2_jet, thm1_F_field)
+from ewhorizon.odesolve import IvpSpec, integrate
+from ewhorizon.specfun import (real_period, sn_imaginary_modulus_jet, wp,
+                               wp_jet)
 
 
 def jet1_of(fn, x):
@@ -621,6 +627,242 @@ def test_jet1_batch_parity_with_jet3():
 def test_batched_jet1_raises_at_its_first_failing_column():
     with pytest.raises(SingularJetError, match="-2.0"):
         Jet1.variable(np.array([1.0, -2.0, -3.0])).log()
+
+
+# ---------------------------------------------------------------------------
+# one pass at a batch of x: every entry is the float evaluation, bit for bit
+# ---------------------------------------------------------------------------
+
+_PASS_SIZES = (1, 5, 128, 201)
+_ERRORS = (ArithmeticError, ValueError, EwhError)
+# NaN, infinities, signed zeros, subnormals, and numbers whose powers
+# overflow or underflow to zero
+_EDGES = np.concatenate([_SPECIAL, [np.nan, np.inf, -np.inf, 1e160, -1e160,
+                                    1e200, 1e-160, -1e-200, 1e-300]])
+
+
+def _as_array(out):
+    """An evaluation's numbers in one array: a jet's coefficients, and a
+    tuple's entries stacked along a first axis."""
+    if isinstance(out, (Jet1, Jet3)):
+        return out.coeffs
+    if isinstance(out, tuple):
+        return np.stack([_as_array(o) for o in out])
+    return np.asarray(out, dtype=float)
+
+
+def _outcome(fn, point):
+    try:
+        return _as_array(fn(*point))
+    except _ERRORS as e:
+        return e
+
+
+def _assert_one_pass(fn, *args):
+    """fn at 1-D arrays among its arguments (entry k of each making up
+    point k): where no point fails alone, the floats' evaluations
+    stacked along a last axis, bit for bit; else what the first point to
+    fail raises alone: its type, its text and a PoleProximityError's
+    pole."""
+    size = next(a.size for a in args if isinstance(a, np.ndarray))
+    columns = [a.tolist() if isinstance(a, np.ndarray) else [a] * size
+               for a in args]
+    outcomes = [_outcome(fn, p) for p in zip(*columns)]
+    failed = [o for o in outcomes if isinstance(o, Exception)]
+    if failed:
+        with pytest.raises(type(failed[0])) as info:
+            fn(*args)
+        assert str(info.value) == str(failed[0])
+        assert repr(getattr(info.value, "nearest_pole", None)) \
+            == repr(getattr(failed[0], "nearest_pole", None))
+        return
+    got = _as_array(fn(*args))
+    want = np.stack(outcomes, axis=-1)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _pools(fn, xs, args=()):
+    """The xs at which fn(x, *args) evaluates, and those where it raises."""
+    ok = [not isinstance(_outcome(fn, (x, *args)), Exception)
+          for x in xs.tolist()]
+    return xs[np.array(ok)], xs[~np.array(ok)]
+
+
+def _check_batches(fn, xs, args=(), seed=0):
+    """`_assert_one_pass` of fn(x, *args) at batches of each size drawn
+    from xs: one of points that evaluate, and, where some x fails, the
+    same with a failing x or two put in."""
+    rng = np.random.default_rng(seed)
+    good, bad = _pools(fn, xs, args)
+    assert good.size
+    for size in _PASS_SIZES:
+        batch = rng.choice(good, size)
+        _assert_one_pass(fn, batch, *args)
+        if bad.size:
+            at = rng.choice(size, min(size, 2), replace=False)
+            batch[at] = rng.choice(bad, at.size)
+            _assert_one_pass(fn, batch, *args)
+
+
+def _xs(lo, hi, seed=0, edges=True):
+    """Numbers on [lo, hi], with the _EDGES among them."""
+    xs = np.random.default_rng(seed).uniform(lo, hi, 300)
+    return np.concatenate([xs, _EDGES]) if edges else xs
+
+
+# table -> the range its ordinary values are drawn from
+_TABLES = {
+    "_dt_exp": (-30.0, 30.0), "_dt_log": (1e-3, 50.0),
+    "_dt_sin": (-20.0, 20.0), "_dt_cos": (-20.0, 20.0),
+    "_dt_tan": (-1.5, 1.5), "_dt_tanh": (-5.0, 5.0),
+    "_dt_sqrt": (1e-3, 50.0), "_dt_atan": (-20.0, 20.0),
+    "_dt_recip": (-10.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_derivative_tables_take_a_batch_in_one_pass(name):
+    xs = _xs(*_TABLES[name])
+    if name == "_dt_tan":  # within 1e-12 of a pole: a SingularJetError
+        xs = np.append(xs, [0.5 * math.pi, -0.5 * math.pi])
+    _check_batches(getattr(jets, name), xs)
+
+
+@pytest.mark.parametrize("p", (3.5, -0.75, 2.0, -3.0))
+def test_power_table_and_powr_take_a_batch_in_one_pass(p):
+    xs = _xs(1e-3, 50.0)
+    _check_batches(jets._dt_pow, xs, (p,))
+    # the composed jet at finite values: a jet at an infinity composes
+    # with inf - inf, and at a NaN the batched product's NaNs need not
+    # have np.convolve's sign (CHANGES.md)
+    finite = xs[np.isfinite(xs)]
+    _check_batches(lambda v: Jet1.variable(v).powr(p), finite)
+    _check_batches(lambda v: (Jet1.variable(v) * 0.5 + 2.0).powr(p), finite)
+
+
+def test_table_errors_name_the_first_failing_value():
+    # an overflow (exp), a division by an underflowed power (recip, log)
+    for dt, bad in ((jets._dt_exp, 800.0), (jets._dt_recip, 1e-200),
+                    (jets._dt_log, 1e-170), (jets._dt_log, -2.0)):
+        with pytest.raises(SingularJetError) as alone:
+            dt(bad)
+        assert repr(bad) in str(alone.value)
+        with pytest.raises(SingularJetError) as batch:
+            dt(np.array([0.5, bad, 2.0 * bad, bad / 3.0]))
+        assert str(batch.value) == str(alone.value)
+
+
+def _near_poles(b):
+    """z within 1e-4 of poles of wp(.; 0, b), on either side."""
+    T = 0.0 if b == 0.0 else real_period(b)
+    return np.array([k * T + e for k in (-1, 0, 1) for e in (-1e-4, 0.0,
+                                                             1e-4)])
+
+
+@pytest.mark.parametrize("b", (1.0, -3.0, 0.0))
+def test_wp_and_wp_jet_take_a_batch_in_one_pass(b):
+    xs = np.concatenate([_xs(-3.0, 3.0, seed=1), _near_poles(b),
+                         [-0.5 * real_period(1.0), -0.0]])
+    _check_batches(wp, xs, (b,))
+    finite = xs[np.isfinite(xs)]  # as for powr
+    _check_batches(lambda z: wp_jet(Jet1.variable(z), b), finite)
+    _check_batches(lambda z: wp_jet(Jet1.variable(z) * 0.5 + 1.25, b),
+                   finite, seed=1)
+
+
+def test_sn_jet_takes_a_batch_in_one_pass():
+    # a NaN u divides NaN by dn = 0, which raises as a float division
+    _check_batches(sn_imaginary_modulus_jet, _xs(-6.0, 6.0, seed=2))
+    with pytest.raises(ZeroDivisionError):
+        sn_imaginary_modulus_jet(np.array([0.3, np.nan]))
+
+
+def test_ode2_jet_takes_a_batch_in_one_pass():
+    rng = np.random.default_rng(3)
+    values, slopes = _xs(-5.0, 5.0, seed=3), _xs(-5.0, 5.0, seed=4)
+    for size in _PASS_SIZES:
+        _assert_one_pass(ode2_jet, rng.choice(values, size),
+                         rng.choice(slopes, size), 0.7, -1.3)
+        _assert_one_pass(ode2_jet, rng.uniform(-5.0, 5.0, size),
+                         rng.uniform(-5.0, 5.0, size), 0.7, -1.3)
+
+
+@pytest.mark.parametrize("name", ("zero", "one", "sin", "linear"))
+def test_named_h_integrals_take_a_batch_in_one_pass(name):
+    h = named_h_field(name)
+    _check_batches(lambda x: antiderivative(h, 0.3, x), _xs(-9.0, 9.0))
+
+
+@pytest.mark.parametrize("x_end", (4.0, -4.0))
+def test_trajectory_dense_reads_take_a_batch_in_one_pass(x_end):
+    traj = integrate(IvpSpec(lambda x, y: (y[1], -y[0] * (1.0 + 0.1 * x)),
+                             0.5, [0.2, 1.0]), x_end)
+    lo, hi = sorted((0.5, x_end))
+    xs = np.concatenate([_xs(lo, hi, seed=5, edges=False), traj.xs,
+                         [lo, hi, lo - 1e-3, hi + 1e-3, np.nan, np.inf,
+                          -np.inf]])
+    _check_batches(traj, xs)
+    # a read forms each step it touches once, as reads one by one do
+    fresh = integrate(IvpSpec(traj._rhs, 0.5, [0.2, 1.0]), x_end)
+    inside = xs[(lo <= xs) & (xs <= hi)]
+    fresh(inside)
+    assert fresh.rhs_calls == traj.rhs_calls
+
+
+def test_profile_readers_take_a_batch_in_one_pass():
+    # thm1's G, the hypergeometric z(x) and the numeric family's sides
+    num = build_family("numeric", alpha=0.5, c=0.3, h0=1.0, h1=0.4)
+    hyp = build_family("hypergeometric")
+    thm1 = thm1_F_field(field_sin(), 0.4, 1.0)
+    for fld in (num.field, hyp.field, thm1):
+        lo, hi = fld.window
+        lo, hi = max(lo, -6.0), min(hi, 6.0)
+        xs = _xs(lo, hi, seed=6, edges=False)
+        _check_batches(fld.evaluator, xs)
+
+
+def test_a_batch_outside_the_window_raises_the_first_x_outside():
+    fld = build_family("jacobi").field
+    lo, hi = fld.window
+    xs = np.array([0.5 * (lo + hi), hi + 1.0, lo - 2.0])
+    with pytest.raises(WindowError) as alone:
+        fld(hi + 1.0)
+    with pytest.raises(WindowError) as batch:
+        fld.at(xs)
+    assert str(batch.value) == str(alone.value)
+    # and a pole inside a profile's evaluator: the first x near it
+    rat = build_family("rational", b=0.0).field
+    _assert_one_pass(rat.evaluator, np.array([0.5, 1e-8, 2.0, -1e-9]))
+    jac = build_family("jacobi").field
+    _assert_one_pass(jac.evaluator, np.array([0.3, hi, lo, 0.7]))
+
+
+def test_python_max_and_min_keep_a_nan_out():
+    # max(-1.0, min(1.0, nan)) is 1.0, where np.clip gives NaN: the asin
+    # argument of the amplitude recurrence is clipped as the builtins do
+    assert max(-1.0, min(1.0, math.nan)) == 1.0
+    assert np.isnan(np.clip(np.nan, -1.0, 1.0))
+    got = specfun._max(-1.0, specfun._min(1.0, np.array(
+        [math.nan, -0.0, 2.0, -3.0, 0.25])))
+    want = [max(-1.0, min(1.0, v)) for v in (math.nan, -0.0, 2.0, -3.0,
+                                              0.25)]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert specfun._max(0.0, np.array([math.nan])).tolist() == [0.0]
+
+
+def test_round_of_a_batch_is_python_round():
+    # round(-0.5) is 0, where np.round gives -0.0
+    assert round(-0.5) == 0 and math.copysign(1.0, float(round(-0.5))) > 0
+    assert math.copysign(1.0, np.round(-0.5)) < 0
+    vs = [-0.5, 0.5, 1.5, 2.5, -2.5, -0.4, -0.0, 1e300, -1e17 - 2.0]
+    assert np.array_equal(_bits(rounded(np.array(vs))),
+                          _bits([float(round(v)) for v in vs]))
+    for bad, error in ((math.nan, ValueError), (math.inf, OverflowError)):
+        with pytest.raises(error):
+            round(bad)
+        with pytest.raises(ValueError):
+            rounded(np.array([1.0, bad]))
 
 
 # every kind of number a jet meets takes one path through the ring
