@@ -19,14 +19,17 @@ batch, column k equal bit for bit to the tensor at point k; a Point
 gets its one column.  `report` assembles once per slice: once, over
 all 125 points, on the default grid.
 
-Each contraction is an explicit sum in one fixed order (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 4), the order
-np.einsum took on the earlier batch-first layout, so every bit of every
-residual is kept: each term multiplies its operands left to right, and
-the terms are added from +0.0, the summed indices looped in order of
-first appearance, outer to inner (`_contract`).  The two scalar sums,
-R = g^bd R_bd and the trace of the EW residual, keep the orders np.einsum
-took for their layouts (`_sum_bd`, `_trace`).
+Each contraction is one np.einsum call on the batch-last layout, the
+batch index appended to every operand and to the output (`_contract`).
+Its sums come out in the order np.einsum took on the earlier batch-first
+layout, so every bit of every residual is kept (a sum's bits depend on
+its order: Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 4); tests/test_curvature.py holds each contraction to that order
+under numpy 2.4.6, with which the pins were recorded.  The two scalar
+sums, R = g^bd R_bd and the trace of the EW residual, are written out
+in the orders np.einsum took for their old layouts (`_sum_bd`,
+`_trace`): np.einsum on the batch-last layout sums them in another
+order.
 
 Conventions, fixed once and validated end-to-end by the closed-form
 structure checks:
@@ -43,11 +46,9 @@ is tested through its trace-free part, which eliminates Lambda.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -123,108 +124,44 @@ def _transposed(spec, a):
     return a.transpose([src.index(c) for c in dst] + [len(src)])
 
 
-# The most products per point a contraction forms at once: the size of
-# gamma2, the largest array the assembly keeps, and the size per point of
-# each slot of the workspace (`_scratch`).  A smaller cap means more
-# chunks: 81 made Cotton about 40% slower at B = 50 on a 2-vCPU Xeon.
-_TERMS_CAP = 3 ** 5
+# The numbers per point in each slot of the workspace (`_scratch`): the
+# size of a 5-index array, gamma2, the largest the assembly keeps.
+_SLOT = 3 ** 5
 _threads = threading.local()
 
 
 def _scratch(slot, shape):
-    """An array of `shape`, the batch axis last and at most _TERMS_CAP
-    numbers per point, in slot `slot` of the thread's workspace: 0 for a
-    contraction's products (`_contract`), 1 and 2 for the two 5-index
-    arrays Cotton sums (gamma2 and s2).  Each slot holds up to
-    jets._WORK_COLS points (a grid walker's batch); past that the array
-    is fresh.  The workspace is 746 KB, allocated once per thread:
-    arrays that size, fresh, pass glibc's 128 KiB mmap threshold, and
-    Cotton took hundreds of page faults per assembly."""
+    """An array of `shape`, the batch axis last and at most _SLOT numbers
+    per point, in slot `slot` of the thread's workspace: 0 for the sums
+    a contraction adds into an array (`_contract`), and then for Cotton's
+    g3; 1 and 2 for the two 5-index arrays Cotton sums (gamma2 and s2).
+    Each slot holds up to jets._WORK_COLS points (a grid walker's batch);
+    past that the array is fresh.  The workspace is 746 KB, allocated
+    once per thread: arrays that size, fresh, pass glibc's 128 KiB mmap
+    threshold, and Cotton took hundreds of page faults per assembly."""
     if shape[-1] > _WORK_COLS:
         return np.empty(shape)
     work = getattr(_threads, "work", None)
     if work is None:
-        work = _threads.work = np.empty((3, _TERMS_CAP * _WORK_COLS))
+        work = _threads.work = np.empty((3, _SLOT * _WORK_COLS))
     return work[slot, :math.prod(shape)].reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _plan(spec):
-    """How _contract takes `spec`.  Each operand is viewed with axes
-    (split, summed, free), then the batch axis: `split` the first output
-    indices, fixed per chunk of the output so that a chunk's products
-    stay within _TERMS_CAP numbers per point; `summed` the summed
-    indices in order of first appearance (a repeated one on the
-    diagonal); `free` the other output indices; an index the operand
-    lacks is a new axis.  Returns per operand the diagonals to take and
-    the transposition and expansion of that view; per chunk, each
-    operand's index into it; the shape of a chunk's products before the
-    batch axis; and the number of output indices."""
-    ins, out = spec.split("->")
-    ins = ins.split(",")
-    summed = [c for c in dict.fromkeys("".join(ins)) if c not in out]
-    n_terms = 3 ** len(summed)
-    split = 0
-    while n_terms * 3 ** (len(out) - split) > _TERMS_CAP:
-        split += 1
-    order = list(out[:split]) + summed + list(out[split:])
-    views = []
-    for s in ins:
-        axes, diagonals = list(s) + [None], []
-        for c in summed:
-            if s.count(c) == 2:
-                i, j = (k for k, x in enumerate(axes) if x == c)
-                diagonals.append((i, j))
-                axes = [x for x in axes if x != c] + [c]
-        perm = tuple(axes.index(c) for c in order if c in axes)
-        expand = tuple(slice(None) if c in axes else None for c in order)
-        views.append((tuple(diagonals), perm + (axes.index(None),),
-                      expand + (slice(None),)))
-    chunks = [tuple(tuple(v[k] if c in s else 0 for k, c in
-                          enumerate(out[:split])) for s in ins)
-              for v in itertools.product(range(3), repeat=split)]
-    return tuple(views), tuple(chunks), (3,) * (len(order) - split), len(out)
 
 
 def _contract(spec, *ops, out=None, add=False):
     """np.einsum(spec, *ops) for batch-last operands (spec names their
-    other axes), bit for bit, in the module's summation order: into the
-    C-ordered array `out` if given, added to it in place with `add`
-    (rounded as out + np.einsum(spec, *ops)).  The terms of a chunk of
-    the output are formed as one C-ordered product in slot 0 of the
-    workspace (`_scratch`), its leading axes the summed indices, the
-    operands multiplied into it left to right, and np.add.reduce adds
-    its rows one after another from +0.0 (so -0.0 terms sum to +0.0, as
-    in np.einsum, even a lone one).  Like np.einsum, it warns of no
-    overflow or invalid value.  A contraction calls nothing that could
+    other axes), the batch index appended to every operand and to the
+    output: into the C-ordered array `out` if given, added to it in place
+    with `add` (rounded as out + np.einsum(spec, *ops), the sums formed
+    in slot 0 of the workspace, `_scratch`).  Like np.einsum, it warns of
+    no overflow or invalid value.  A contraction calls nothing that could
     re-enter it."""
-    views, chunks, chunk_shape, n_out = _plan(spec)
-    prepared = []
-    for op, (diagonals, perm, expand) in zip(ops, views):
-        for i, j in diagonals:
-            op = op.diagonal(0, i, j)
-        prepared.append(op.transpose(perm)[expand])
-    batch = ops[0].shape[-1:]
-    acc = np.empty((3,) * n_out + batch) if out is None else out
-    rows = acc.reshape(len(chunks), -1)
-    terms = _scratch(0, chunk_shape + batch)
-    flat = terms.reshape(-1, rows.shape[1])
-    total = np.empty(rows.shape[1]) if add else None
+    ins, res = spec.split("->")
+    spec = ",".join(s + "z" for s in ins.split(",")) + "->" + res + "z"
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, idx in zip(rows, chunks):
-            if len(prepared) == 1:
-                np.copyto(terms, prepared[0][idx[0]])
-            else:
-                np.multiply(prepared[0][idx[0]], prepared[1][idx[1]],
-                            out=terms)
-            for v, i in zip(prepared[2:], idx[2:]):
-                np.multiply(terms, v[i], out=terms)
-            if total is None:
-                np.add.reduce(flat, axis=0, initial=0.0, out=row)
-            else:
-                np.add.reduce(flat, axis=0, initial=0.0, out=total)
-                row += total
-    return acc
+        if not add:
+            return np.einsum(spec, *ops, out=out)
+        out += np.einsum(spec, *ops, out=_scratch(0, out.shape))
+    return out
 
 
 def _sum_bd(u, v):
@@ -253,7 +190,7 @@ class _Assembly:
     """Partial-derivative arrays of one metric evaluation, with curvature.
 
     Every array carries the batch axis last (length 1 for a Point), and
-    every contraction is an explicit sum over it (_contract, _sum_bd).
+    every contraction keeps it (_contract, _sum_bd).
     The metric's jets are built to total order 2 for the Einstein-Weyl
     residual and 3 for Cotton, which reads the third order on demand.
     """
@@ -323,8 +260,8 @@ class _Assembly:
                   add=True)
         _contract("fad,edbc->feabc", self.ginv1, self.s1, out=gamma2,
                   add=True)
-        # g3 borrows the products' slot, which no contraction uses
-        # until s2 is formed
+        # g3 borrows slot 0, which holds an added contraction's sums
+        # only while it is added
         g3 = stacked_partials(_coeffs(self._jets, (3, 3), self.batch, 3, 3),
                               3, out=_scratch(0, five), first=_COUNT[2])
         s2 = np.add(_transposed("febdc->fedbc", g3),

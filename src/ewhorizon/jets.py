@@ -17,8 +17,11 @@ x carries a trailing batch axis too (shape (5, B)); or the points share
 one x, and then a jet of x alone stays unbatched and broadcasts.  Every
 column is computed with the same floating-point operations, in the same
 order, as the jet at that single point, so a batch equals the stack of
-its points bit for bit.  The Jet3 product and `d` take one batched form,
-a Point's jet being a batch of one to them.
+its points bit for bit, with one exception: where a coefficient is NaN,
+the batch's is NaN too, but not always of the same sign (the NaN column
+of `Jet1.variable(np.array([3.0, nan])).exp()` is +NaN in orders 1-4,
+the jet at nan alone -NaN).  The Jet3 product and `d` take one batched
+form, a Point's jet being a batch of one to them.
 
 A Point or PointBatch carries `order`, the total order k to which the
 Jet3s taken at it are built: ORDER unless a consumer that reads fewer

@@ -17,17 +17,18 @@ from ewhorizon.curvature import conformal_rescale, cotton, ew_residual
 from ewhorizon.jets import Jet1, Jet3, Point, fd_oracle
 from ewhorizon.nearhorizon import (F_from_h_field, NearHorizonData,
                                    ScalarField1D, abel_parametric,
-                                   abel_parametric_jets, build_family,
-                                   named_h_field, nh_metric, ode2_jet,
-                                   ode3_first_integral, ode4_residual,
-                                   reduction_consistency, thm1_structure,
-                                   weyl_oneform_generic)
+                                   build_family, named_h_field, nh_metric,
+                                   ode2_jet, ode3_first_integral,
+                                   ode4_residual, reduction_consistency,
+                                   thm1_structure, weyl_oneform_generic)
 from ewhorizon.pdeverify import (HyperCRParams, alignment_defect,
                                  dkp_residual, dkp_wp_potential,
                                  hypercr_residual, hypercr_structures,
                                  hypercr_tanh_family, prop4_structures)
 from ewhorizon.report import run_check
 from ewhorizon.specfun import hyp2f1, real_period
+
+from abel_reference import abel_parametric_jets
 
 RNG_SEED = 20240919
 

@@ -241,15 +241,18 @@ def test_nan_metric_entry_gives_nan_curvature_without_a_warning():
             assert np.all(np.isnan(cotton(g, PT)))
 
 
-# --- the explicit contractions against np.einsum ---------------------------
+# --- the contractions against np.einsum on the batch-first layout ----------
 #
-# Each sum of the assembly is written out in the order np.einsum takes it
-# on the old batch-first layout; with seeded inputs that hold exact zeros,
-# -0.0, infinities and NaN, the two agree in every bit (a NaN only in
-# being NaN), and neither warns.
+# The residual pins were recorded with the assembly's sums in the order
+# np.einsum took on the old batch-first layout.  _contract calls np.einsum
+# on the batch-last layout, and _sum_bd and _trace write their sums out;
+# with seeded inputs that hold exact zeros, -0.0, infinities and NaN, each
+# agrees with the batch-first einsum in every bit (a NaN only in being
+# NaN), and none warns.  A numpy whose einsum sums in another order fails
+# here.
 
-_CALLS = [n for n in ast.walk(ast.parse(inspect.getsource(curvature)))
-          if isinstance(n, ast.Call)]
+_TREE = ast.parse(inspect.getsource(curvature))
+_CALLS = [n for n in ast.walk(_TREE) if isinstance(n, ast.Call)]
 _SPECS = sorted({n.args[0].value for n in _CALLS
                  if getattr(n.func, "id", None) == "_contract"})
 _BATCHES = (1, 2, 7, 25, 50, 64)
@@ -277,9 +280,18 @@ def _assert_same_bits(got, want):
 
 
 def test_every_contraction_of_the_module_is_covered():
-    # the 25 einsums of the old assembly that multiply, and none left
+    # every contraction goes through _contract with a literal spec, so
+    # _SPECS, which the bit test takes, holds each of the module's 25;
+    # and np.einsum is called in _contract alone
+    assert all(isinstance(n.args[0], ast.Constant) for n in _CALLS
+               if getattr(n.func, "id", None) == "_contract")
     assert len(_SPECS) == 25
-    assert "einsum" not in {getattr(n.func, "attr", None) for n in _CALLS}
+    contract = next(f for f in ast.walk(_TREE)
+                    if getattr(f, "name", None) == "_contract")
+    inside = set(map(id, ast.walk(contract)))
+    einsums = [n for n in _CALLS if "einsum" in (getattr(n.func, "attr", None),
+                                                 getattr(n.func, "id", None))]
+    assert einsums and all(id(n) in inside for n in einsums)
 
 
 @pytest.mark.parametrize("spec", _SPECS)

@@ -17,9 +17,10 @@ from ewhorizon.nearhorizon import (F_from_h_field, NearHorizonData,
                                    ode4_residual, periodicity_check,
                                    reduction_consistency,
                                    weyl_oneform_generic)
-from ewhorizon.nearhorizon import abel_parametric_jets
 from ewhorizon.report import GridSpec, run_check
 from ewhorizon.specfun import hyp2f1, real_period, wp
+
+from abel_reference import abel_parametric_jets
 
 SQRT2_K = 2.6220575542921196  # sqrt(2) K(1/sqrt(2)): jacobi window width
 

@@ -629,6 +629,19 @@ def test_batched_jet1_raises_at_its_first_failing_column():
         Jet1.variable(np.array([1.0, -2.0, -3.0])).log()
 
 
+def test_a_batch_matches_its_points_in_nan_but_not_in_its_sign():
+    # the one exception to a batch's bit parity, stated in the jets
+    # docstring: a NaN coefficient is NaN in both, its sign not pinned
+    xs = np.array([3.0, math.nan])
+    got = Jet1.variable(xs).exp().coeffs
+    want = np.stack([Jet1.variable(x).exp().coeffs for x in xs.tolist()],
+                    axis=1)
+    nan = np.isnan(want)
+    assert nan[:, 1].all() and not nan[:, 0].any()
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
 # ---------------------------------------------------------------------------
 # one pass at a batch of x: every entry is the float evaluation, bit for bit
 # ---------------------------------------------------------------------------
