@@ -25,12 +25,10 @@ from .nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                           detect_period, field_const, field_linear,
                           field_one, field_sin, field_zero,
                           flatness_defect, named_h_field, nh_metric,
-                          nlode_residual, ode2_jet, ode2_residual,
-                          ode3_first_integral, ode4_condition,
-                          ode4_residual,
-                          periodicity_check, reduction_consistency,
-                          thm1_F_field, thm1_structure,
-                          weyl_oneform_generic)
+                          ode2_jet, ode2_residual, ode3_first_integral,
+                          ode4_condition, ode4_residual, periodicity_check,
+                          reduction_consistency, thm1_F_field,
+                          thm1_structure, weyl_oneform_generic)
 from .pdeverify import (HyperCRParams, PotentialField, alignment_defect,
                         dkp_residual, dkp_wp_potential, hypercr_residual,
                         hypercr_structures, hypercr_tanh_family,
@@ -53,8 +51,8 @@ __all__ = [
     "SolutionFamily", "abel_parametric", "abel_rhs", "antiderivative",
     "build_family", "detect_period",
     "field_const", "field_linear", "field_one", "field_sin", "field_zero",
-    "flatness_defect", "named_h_field", "nh_metric", "nlode_residual",
-    "ode2_jet", "ode2_residual", "ode3_first_integral", "ode4_condition",
+    "flatness_defect", "named_h_field", "nh_metric", "ode2_jet",
+    "ode2_residual", "ode3_first_integral", "ode4_condition",
     "ode4_residual",
     "periodicity_check", "reduction_consistency", "thm1_F_field",
     "thm1_structure", "weyl_oneform_generic",

@@ -36,13 +36,10 @@ The scalar Jet1 product is `np.convolve`; the batched one reproduces it
 column for column (recipe in `_convolve_columns`, pinned by
 `test_batched_jet1_product_is_np_convolve_bit_for_bit`).  The
 derivative tables of the elementary functions, and the special
-functions, dense-output reads and profile formulas of `specfun`,
-`odesolve` and `nearhorizon`, take a float or a 1-D array of them in
-one pass (`one_pass`), by the bit rule: every call the float path makes
-to `math` (or to builtin pow for **) is mapped over the array's list
-(`each`), and + - * / run in numpy in the float path's order, so entry
-k has the bits of the float evaluation at x[k].  Only a quadrature goes
-one x at a time (`per_x`).
+functions, dense-output reads, profiles and residual formulas of
+`specfun`, `odesolve` and `nearhorizon`, take a float or a 1-D array of
+them in one pass (`one_pass`), by the bit rule (stated above `each`).
+Only a quadrature goes one x at a time (`per_x`).
 """
 
 from __future__ import annotations
@@ -278,7 +275,11 @@ def jets_to(evaluate, p, order):
 # is that call mapped over the batch's list (`each`), and the rest is the
 # same + - * / in numpy, in the same order, under the error state of
 # Python floats (`one_pass`).  numpy's own exp, tanh, asin, power and the
-# like round differently (tests/test_bit_rule.py).
+# like round differently (tests/test_bit_rule.py), and so does ** on an
+# array: the residual formulas of `nearhorizon` (flatness_defect,
+# ode2_residual, F_ode_residual_chalf, ode3_first_integral, ode4_residual,
+# ode4_condition) write each(pow, a, n), and
+# test_residual_formulas_keep_the_float_bits_per_column pins their bits.
 
 
 def each(fn, v, *args):

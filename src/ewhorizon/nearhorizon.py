@@ -21,12 +21,14 @@ exact antiderivative.  Every evaluator takes a float x or a 1-D array
 of x (then one batched Jet1, column k at x[k]) and runs once per array:
 its `math` calls mapped over the array, + - * / in numpy in the float
 order (the bit rule of `jets`), special functions and dense-output reads
-in one pass; only a quadrature goes one x at a time (`per_x`).
+in one pass, as do the residual formulas (`ode4_residual`, ...) at
+batched jets.  Only a quadrature goes one x at a time (`per_x`).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as _dcfield
 from functools import cache, partial, reduce
 from operator import add
@@ -313,7 +315,8 @@ def weyl_oneform_generic(d: NearHorizonData) -> OneFormField:
     return OneFormField(comp, label=f"weyl[c={c:g}]")
 
 
-def flatness_defect(h: Jet1, F: Jet1) -> float:
+@one_pass
+def flatness_defect(h: Jet1, F: Jet1):
     """F' - F h from the jets of h and F at one x; identically zero iff
     the metric is conformally flat on the window."""
     return F.derivative(1) - F.value * h.value
@@ -369,8 +372,8 @@ def F_from_h_field(h: ScalarField1D, c: float) -> ScalarField1D:
 # The monomials of the quartic reduction ODE (see ode4_monomials), written
 # once, as float expressions in h0..h3 = h, h', h'', h''', cm = c - 1 and
 # the powers cm2 = cm ** 2, h0_3 = h0 ** 3 and h1_2 = h1 ** 2, each taken
-# once (the same pow calls, so the same bits).  ode4_monomials and
-# ode4_rhs are compiled from them.
+# once (the same pow calls, so the same bits), compiled into ode4_rhs and,
+# with each `a ** n` as each(pow, a, n) for arrays, into ode4_monomials.
 _ODE4_TERMS = (
     "h0_3 * h1_2 * cm2",
     "-0.5 * cm2 * h0 ** 4 * h2",
@@ -380,12 +383,12 @@ _ODE4_TERMS = (
     "0.5 * h0 * h1 * h3",
     "h0 * h2 ** 2",
 )
-_ode4 = {}
-exec(compile(f"""
+_ode4 = {"each": each}
+exec(compile(re.sub(r"(\w+) \*\* (\d)", r"each(pow, \1, \2)", f"""
 def monomials(h0, h1, h2, h3, cm, cm2):
     h0_3, h1_2 = h0 ** 3, h1 ** 2
     return ({", ".join(_ODE4_TERMS)})
-
+""") + f"""
 
 def rhs_at(cm, cm2):
     def rhs(x, y):
@@ -420,18 +423,21 @@ def ode4_rhs(c):
     return _ode4["rhs_at"](cm, cm ** 2)
 
 
+@one_pass
 def _ode4_terms(h: Jet1, c: float) -> tuple:
     h0, h1, h2, h3, h4 = (h.derivative(k) for k in range(5))
-    return ode4_monomials(h0, h1, h2, h3, c) + (-0.25 * h0 ** 2 * h4,)
+    return (*ode4_monomials(h0, h1, h2, h3, c), -0.25 * each(pow, h0, 2) * h4)
 
 
-def ode4_residual(h: Jet1, c: float) -> float:
+@one_pass
+def ode4_residual(h: Jet1, c: float):
     """The quartic reduction ODE for h at fixed c: the sum, left to
     right, of its signed monomials (see ode4_monomials)."""
     return reduce(add, _ode4_terms(h, c))
 
 
-def ode4_condition(h: Jet1, c: float) -> float:
+@one_pass
+def ode4_condition(h: Jet1, c: float):
     """Magnitude scale of the quartic residual: the sum of the absolute
     values of its monomials.
 
@@ -443,10 +449,11 @@ def ode4_condition(h: Jet1, c: float) -> float:
     return reduce(add, map(abs, _ode4_terms(h, c)))
 
 
-def ode2_residual(h: Jet1, alpha: float, beta: float) -> float:
+@one_pass
+def ode2_residual(h: Jet1, alpha: float, beta: float):
     """h'' - alpha h h' - beta h^3."""
     return (h.derivative(2) - alpha * h.value * h.derivative(1)
-            - beta * h.value ** 3)
+            - beta * each(pow, h.value, 3))
 
 
 def reduction_consistency(alpha: float, c: float) -> float:
@@ -460,27 +467,23 @@ def reduction_consistency(alpha: float, c: float) -> float:
     return 2.0 * cm * cm + 3.0 * alpha * cm + alpha * alpha
 
 
-def F_ode_residual_chalf(F: Jet1, h: Jet1) -> float:
+@one_pass
+def F_ode_residual_chalf(F: Jet1, h: Jet1):
     """-3 F h^2 + 5 h F' + 2 F h' + 12 F^2 - 2 F'': the single
     remaining Einstein-Weyl equation at c = -1/2."""
-    return (-3.0 * F.value * h.value ** 2
+    return (-3.0 * F.value * each(pow, h.value, 2)
             + 5.0 * h.value * F.derivative(1)
             + 2.0 * F.value * h.derivative(1)
-            + 12.0 * F.value ** 2
+            + 12.0 * each(pow, F.value, 2)
             - 2.0 * F.derivative(2))
 
 
-def ode3_first_integral(h: Jet1) -> float:
+@one_pass
+def ode3_first_integral(h: Jet1):
     """-1/4 h^2 h''' + h h' h'' - 1/2 h'^3: a first integral of the
     quartic ODE at c = 1 (its x-derivative is the c = 1 quartic)."""
     h0, h1, h2, h3 = (h.derivative(k) for k in range(4))
-    return -0.25 * h0 * h0 * h3 + h0 * h1 * h2 - 0.5 * h1 ** 3
-
-
-def nlode_residual(f: Jet1) -> float:
-    """f''' - f' f'' - f'^3: the c = 1 equation under h = e^f."""
-    f1, f2, f3 = (f.derivative(k) for k in (1, 2, 3))
-    return f3 - f1 * f2 - f1 ** 3
+    return -0.25 * h0 * h0 * h3 + h0 * h1 * h2 - 0.5 * each(pow, h1, 3)
 
 
 @one_pass

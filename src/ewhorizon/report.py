@@ -6,13 +6,14 @@ a check's residuals in PointBatch slices of whole (nu, r) planes: for
 run_check a plane at each grid x (a one-point plane for a check with
 no per-point residual), for export_plot a one-point plane at each
 sample x (or one plane of samples at one x).  Per-x residuals are
-formulas of their profiles' jets, each profile evaluated once on a
-slice's x, then the formulas per x in Python floats, which keeps the
-bits of a float x.  Errors are raised slice by slice, per-point
-residuals before per-x ones.  run_check wraps
-the per-component maxima in a ResidualReport, whose flat, versioned
-JSON has a fixed key order and 17-significant-digit floats, so
-identical invocations produce byte-identical files.
+formulas of their profiles' jets (`flatness_defect`, `ode2_residual`,
+`F_ode_residual_chalf`, `ode3_first_integral`, the quartic's relative
+residual), each profile evaluated once on a slice's x, then each formula
+once on the slice's batched jets, with the bits of a float x in every
+column (the bit rule of `jets`).  Errors come slice by slice, per-point
+residuals first.  run_check wraps the per-component maxima in a
+ResidualReport, whose flat, versioned JSON has a fixed key order and
+17-significant-digit floats: identical invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -256,9 +257,10 @@ class Residual:
 
     Per point (no `fields`), `fn` maps a grid point or a PointBatch to a
     residual value or array (per point along a trailing batch axis).
-    Per x, `fn` is a formula of the Jet1s of its `fields` (profiles) at
-    one x, giving one value.  Component `names[k]` is |entry `index[k]`|
-    of the value, or |value| when `index` is None.
+    Per x, `fn` is a formula of the Jet1s of its `fields` (profiles):
+    one value at one x, an array (one pass) over batched jets.  Component
+    `names[k]` is |entry `index[k]`| of the value, or |value| if `index`
+    is None.
     """
 
     names: tuple
@@ -269,17 +271,11 @@ class Residual:
     def values(self, q) -> list:
         """The components at q: a point or a PointBatch, or for a per-x
         residual an x or an array of x, where each field is evaluated
-        once with `at` and `fn` runs on their jets at each x in turn: in
-        Python floats, as numpy's array `**` rounds unlike pow (0.08% of
-        random doubles at p = 2, about 2.7% at p = 3)."""
-        if not self.fields:
-            raw = self.fn(q)
-        elif isinstance(q, np.ndarray):
-            columns = zip(*(f.at(q).coeffs.T for f in self.fields))
-            raw = [self.fn(*map(Jet1._raw, c)) for c in columns]
-        else:
-            raw = self.fn(*(f(q) for f in self.fields))
-        vals = np.abs(np.asarray(raw, dtype=float))
+        once with `at` and `fn` runs once on their jets, at an array in
+        one pass (`test_a_per_x_residual_runs_its_formula_once_per_array`)
+        with the bits of the float path in each column."""
+        args = [f.at(q) for f in self.fields] or [q]  # per x, or per point
+        vals = np.abs(np.asarray(self.fn(*args), dtype=float))
         return [vals] if self.index is None else [vals[i] for i in self.index]
 
 
@@ -320,9 +316,10 @@ def _ew(g, X, prefix=""):
 
 
 def _ode4_relative(hj, c):
-    """Quartic residual relative to its monomial scale (floored at 1, so
-    it coincides with the absolute residual on order-unity data)."""
-    return abs(ode4_residual(hj, c)) / max(1.0, ode4_condition(hj, c))
+    """Quartic residual relative to its monomial scale floored at 1 (a
+    NaN one too), so the absolute residual on order-unity data."""
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as in floats
+        return abs(ode4_residual(hj, c)) / np.fmax(1.0, ode4_condition(hj, c))
 
 
 def _build_thm1(p):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import py_compile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -13,15 +14,18 @@ _spec.loader.exec_module(bench_record)
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _record(path, **values):
+def _record(path, bytecode=None, **values):
     """A BENCH file whose every end-to-end metric reads 1.0, except
-    those given as values["<workload>/<metric>"]."""
+    those given as values["<workload>/<metric>"], and whose workloads
+    met the bytecode states of `bytecode` (workload -> state)."""
     runs = {}
     for w in (w["name"] for w in BENCH["workloads"]):
         runs[w] = {"metrics": {
             m["name"]: {"value": values.get(f"{w}/{m['name']}", 1.0),
                         "unit": m["unit"]}
             for m in BENCH["end_to_end"]}}
+        if bytecode and w in bytecode:
+            runs[w]["bytecode"] = bytecode[w]
     path.write_text(json.dumps({"workloads": runs}))
     return str(path)
 
@@ -62,3 +66,46 @@ def test_compare_names_a_missing_metric(tmp_path, capsys):
     new.write_text(json.dumps(rec))
     assert bench_record.main(["--compare", base, str(new)]) == 2
     assert "scan-c pass_s: missing" in capsys.readouterr().err
+
+
+def test_compare_warns_of_runs_in_different_bytecode_states(tmp_path,
+                                                            capsys):
+    # a workload that compiled its imports in one record and loaded valid
+    # bytecode in the other is named on stderr; the exit code is the
+    # metrics' alone, and a state only one file records reads unrecorded
+    states = {w["name"]: "valid" for w in BENCH["workloads"]}
+    base = _record(tmp_path / "base.json", bytecode=states)
+    new_states = {**states, "verify-grid": "none"}
+    del new_states["scan-c"]
+    new = _record(tmp_path / "new.json", bytecode=new_states)
+    assert bench_record.main(["--compare", base, new]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "bench_record: warning: scan-c met the package's bytecode valid in "
+        "BASE, unrecorded in NEW; setup_s and peak_rss_mb move with it",
+        "bench_record: warning: verify-grid met the package's bytecode "
+        "valid in BASE, none in NEW; setup_s and peak_rss_mb move with it"]
+    assert bench_record.main(["--compare", base, base]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_bytecode_state_reads_what_an_import_would_load(tmp_path):
+    # none, partial or valid: a module's cached bytecode counts where
+    # its header matches the source (mtime and size, or its hash)
+    pkg = tmp_path / bench_record.PACKAGE
+    pkg.mkdir(parents=True)
+    a, b = pkg / "a.py", pkg / "b.py"
+    a.write_text("x = 1\n")
+    b.write_text("y = 2\n")
+    state = bench_record.bytecode_state
+    assert state(tmp_path) == "none"
+    py_compile.compile(a, importlib.util.cache_from_source(a))
+    assert state(tmp_path) == "partial"
+    py_compile.compile(b, importlib.util.cache_from_source(b),
+                       invalidation_mode=py_compile.PycInvalidationMode
+                       .CHECKED_HASH)
+    assert state(tmp_path) == "valid"
+    b.write_text("y = 3\n")  # same size and, maybe, mtime: the hash tells
+    assert state(tmp_path) == "partial"
+    a.write_text("x = 10\n")
+    assert state(tmp_path) == "none"

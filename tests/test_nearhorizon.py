@@ -26,14 +26,15 @@ from ewhorizon.nearhorizon import (F_flat_from_h, F_from_h, F_from_h_field,
                                    ScalarField1D, antiderivative,
                                    field_linear, field_one, field_sin,
                                    field_zero, flatness_defect,
-                                   named_h_field, nh_metric, nlode_residual,
+                                   named_h_field, nh_metric,
                                    ode2_jet, ode2_residual,
                                    ode3_first_integral, ode4_monomials,
                                    ode4_residual,
                                    reduction_consistency, thm1_F_field,
                                    thm1_structure, weyl_oneform_generic)
 from ewhorizon.odesolve import quad
-from ewhorizon.report import Residual, _rows, _sweep_window
+from ewhorizon.report import (Residual, _ode4_relative, _rows,
+                              _sweep_window)
 from ewhorizon.specfun import _pole_free_cell, real_period, wp
 
 RNG = np.random.default_rng(20240917)
@@ -264,6 +265,12 @@ def test_first_integral_values():
         assert abs(ode3_first_integral(lin(x)) + 0.5 * 8.0) < 1e-12
 
 
+def nlode_residual(f: Jet1) -> float:
+    """f''' - f' f'' - f'^3: the c = 1 equation under h = e^f."""
+    f1, f2, f3 = (f.derivative(k) for k in (1, 2, 3))
+    return f3 - f1 * f2 - f1 ** 3
+
+
 def test_first_integral_exponential_identity():
     # FI(e^f) = -(e^{3f}/4) * nlode(f)
     for _ in range(6):
@@ -280,6 +287,49 @@ def test_nlode_solved_by_log_powers():
         for x in (0.5, 1.0, 2.5):
             fj = p * Jet1.variable(x).log()
             assert abs(nlode_residual(fj)) < 1e-12
+
+
+def _random_jet_columns(rng, n):
+    """n random (5,) jet columns of wide magnitude, then a NaN column, a
+    +0.0 one and a -0.0 one."""
+    c = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (5, n))
+    return np.concatenate([c, np.full((5, 1), math.nan),
+                           np.zeros((5, 1)), np.full((5, 1), -0.0)], axis=1)
+
+
+# every per-x residual formula, at (h, F) jets; the quartic's at c = 0.3
+_FORMULAS = {
+    "flatness_defect": flatness_defect,
+    "ode2_residual": lambda h, F: ode2_residual(h, 1.7, -0.6),
+    "F_ode_residual_chalf": lambda h, F: F_ode_residual_chalf(F, h),
+    "ode3_first_integral": lambda h, F: ode3_first_integral(h),
+    "_ode4_terms": lambda h, F: nearhorizon._ode4_terms(h, 0.3),
+    "ode4_residual": lambda h, F: ode4_residual(h, 0.3),
+    "ode4_condition": lambda h, F: nearhorizon.ode4_condition(h, 0.3),
+    "_ode4_relative": lambda h, F: _ode4_relative(h, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", _FORMULAS)
+def test_residual_formulas_keep_the_float_bits_per_column(name):
+    # a batch of 10^4 random columns in one pass equals the formula at
+    # each column's jet alone, in Python floats, bit for bit.  pow and
+    # numpy's array ** differ on 0.08% of doubles at p = 2 and on about
+    # 5% at p = 3, so a ** on an array in a formula fails here.  NaN
+    # entries match as NaN, without their sign (as in `jets`)
+    rng = np.random.default_rng(20261022)
+    h, F = (_random_jet_columns(rng, 10_000) for _ in range(2))
+    formula = _FORMULAS[name]
+    got = np.array(formula(Jet1._raw(h), Jet1._raw(F)))
+    want = np.array([formula(Jet1(a), Jet1(b)) for a, b in zip(h.T, F.T)])
+    want = want.T if want.ndim == 2 else want
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert (np.isnan(got) == nan).all() and nan.any()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    if name == "_ode4_relative":  # the scale's floor at 1 acts and not
+        scale = nearhorizon.ode4_condition(Jet1._raw(h), 0.3)
+        assert (scale < 1.0).sum() > 1000 and (scale > 1.0).sum() > 1000
 
 
 def test_chalf_F_equation_form():

@@ -1670,6 +1670,44 @@ def test_per_x_sweep_equals_its_x_by_x_path(monkeypatch, check, params,
     assert _sweep_outcome(check, params, samples=samples) == batched
 
 
+# each check's per-x residuals, by the formula each one runs
+@pytest.mark.parametrize("check, params, formulas", [
+    ("family:linear", {}, ["_ode4_relative", "ode3_first_integral"]),
+    ("family:weierstrass", {}, ["F_ode_residual_chalf"]),
+    ("chalf-Fode", {"h": "sin"}, ["F_ode_residual_chalf"]),
+    ("thm2-ode", {"family": "tanh"}, ["_ode4_relative"]),
+    ("prop1-iff", {}, ["flatness_defect"]),
+    ("prop4", {}, ["ode2_residual"]),
+])
+def test_a_per_x_residual_runs_its_formula_once_per_array(
+        monkeypatch, check, params, formulas):
+    # at 33 x, Residual.values calls its formula once, on the fields'
+    # batched jets, and builds no Jet1 of one column
+    calls, built = [], []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("_ode4_relative", "ode3_first_integral", "flatness_defect",
+                 "F_ode_residual_chalf", "ode2_residual"):
+        monkeypatch.setattr(report, name, counted(name, getattr(report, name)))
+    _, s = report._setup(check, params)
+    x = np.array(report._axis_values(GridSpec().resolve_x(s.window, 33)))
+    per_x = [r for r in s.residuals if r.fields]
+    for f in {f for r in per_x for f in r.fields}:
+        f.at(x)  # the profiles' own batched jets, before counting
+    raw = Jet1._raw.__func__
+    monkeypatch.setattr(Jet1, "_raw", classmethod(
+        lambda cls, c: (built.append(c.shape), raw(cls, c))[1]))
+    values = [v for r in per_x for v in r.values(x)]
+    assert calls == formulas
+    assert [v.shape for v in values] == [(33,)] * len(formulas)
+    assert [shape for shape in built if len(shape) == 1] == []
+
+
 # x = 0 is sample 100 of 201, in the slice that ends at sample
 _ZERO_SLICE_END = (100 // report._PLANE_SLICE + 1) * report._PLANE_SLICE
 

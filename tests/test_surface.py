@@ -32,8 +32,6 @@ _KEPT = {
     "jacobi_sn_cn_dn": "the Jacobi reference the sn(., i) and wp jets are "
                        "checked against",
     "abel_rhs": "the Abel equation abel_parametric is checked against",
-    "nlode_residual": "the c = 1 equation under h = e^f, checked on the "
-                      "catalog's profiles",
 }
 
 

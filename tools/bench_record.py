@@ -12,7 +12,8 @@ command (`python3 perfbench/run.py`) in the checkout as
 
 and keeps its `# <w> env {...}` line and its last line, the JSON result.
 The file holds, per workload, the command, the env, `correct`,
-`attempted`, `failed` and every metric; and, for the whole run, the
+`attempted`, `failed`, every metric and the bytecode state that the run
+met (`bytecode_state`); and, for the whole run, the
 seed, the seconds, the checkout's commit and a sha256 of its sources
 (src/ and perfbench/), which names the measured code even where those
 sources differ from the commit.
@@ -26,13 +27,19 @@ result is not `correct`, 2 when a run fails.
 --compare reads two such files and, for each workload and end-to-end
 metric of BENCHMARK.json, prints both values, NEW / BASE, the metric's
 bound and whether NEW is worse than BASE by more than it.  Exits 1 when
-any is, 2 when a file lacks a workload or metric.
+any is, 2 when a file lacks a workload or metric.  It warns, on stderr,
+of a workload whose runs met the package's bytecode in different
+states, which moves `setup_s` and `peak_rss_mb`: on identical sources,
+importing the package (after numpy) took about 30 ms from valid
+bytecode and 100 ms compiling its sources, and the process peaked at
+28.2 against 31.4 MiB (2-vCPU Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -40,6 +47,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 MEASURED = ("src", "perfbench")  # the sources a benchmark run depends on
+PACKAGE = Path("src", "ewhorizon")  # the package whose bytecode it imports
 
 
 class RecordError(Exception):
@@ -58,6 +66,32 @@ def sources_sha256(root: Path) -> str:
         digest.update(p.relative_to(root).as_posix().encode() + b"\0")
         digest.update(p.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def _valid_bytecode(source: Path) -> bool:
+    """Whether this interpreter's cached bytecode of `source` is there
+    and matches it (by mtime and size, or by hash), as import checks."""
+    try:
+        head = Path(importlib.util.cache_from_source(source)).read_bytes()
+    except OSError:
+        return False
+    if head[:4] != importlib.util.MAGIC_NUMBER:
+        return False
+    flags = int.from_bytes(head[4:8], "little")
+    if flags & 1:  # hash-based; checked against the source unless flag 2
+        return not flags & 2 or head[8:16] == importlib.util.source_hash(
+            source.read_bytes())
+    st = source.stat()
+    return head[8:16] == ((int(st.st_mtime) & 0xFFFFFFFF).to_bytes(
+        4, "little") + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+def bytecode_state(root: Path) -> str:
+    """"valid" where every module of the package under `root` has valid
+    cached bytecode, "none" where none has, else "partial"."""
+    valid = [_valid_bytecode(p) for p in sorted((root / PACKAGE).glob(
+        "*.py"))]
+    return "valid" if all(valid) else "partial" if any(valid) else "none"
 
 
 def _git(root: Path, *args) -> str:
@@ -102,9 +136,10 @@ def record(root: Path, seed: int, seconds: float) -> dict:
     bench = json.loads((root / "BENCHMARK.json").read_text())
     runs = {}
     for name in (w["name"] for w in bench["workloads"]):
-        runs[name] = run_workload(root, bench["command"], name, seed,
-                                  seconds)
-        print(f"{name}: correct={runs[name]['correct']} "
+        state = bytecode_state(root)  # a run may write what it compiles
+        runs[name] = {**run_workload(root, bench["command"], name, seed,
+                                     seconds), "bytecode": state}
+        print(f"{name}: bytecode={state} correct={runs[name]['correct']} "
               + " ".join(f"{k}={m['value']:.6g}"
                          for k, m in runs[name]["metrics"].items()),
               flush=True)
@@ -131,6 +166,19 @@ def compare(base: dict, new: dict, bench: dict) -> list:
             rows.append((w, m["name"], b, n, ratio, m["bound"],
                          worse > m["bound"]))
     return rows
+
+
+def bytecode_differences(base: dict, new: dict) -> list:
+    """(workload, base state, new state) where the two records' runs met
+    the package's bytecode in different states ("unrecorded" in a file
+    that predates the field)."""
+    out = []
+    for w in base["workloads"].keys() & new["workloads"].keys():
+        b, n = (rec["workloads"][w].get("bytecode", "unrecorded")
+                for rec in (base, new))
+        if b != n:
+            out.append((w, b, n))
+    return sorted(out)
 
 
 def print_comparison(rows) -> None:
@@ -165,6 +213,10 @@ def main(argv=None) -> int:
             sys.stderr.write(f"bench_record: {e}\n")
             return 2
         print_comparison(rows)
+        for w, b, n in bytecode_differences(base, new):
+            sys.stderr.write(f"bench_record: warning: {w} met the package's "
+                             f"bytecode {b} in BASE, {n} in NEW; setup_s "
+                             f"and peak_rss_mb move with it\n")
         return int(any(row[-1] for row in rows))
     if args.seed is None or args.seconds is None:
         ap.error("--seed and --seconds are required to measure")
